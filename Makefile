@@ -1,8 +1,10 @@
 # Build/verify entry points. `make verify` is the tier-1 gate (see
-# ROADMAP.md); `make bench` + `make benchdiff` guard the ingest hot path
-# against regressions (scripts/bench_baseline.json holds the reference), and
-# `make telemetry-overhead` checks that span tracing stays within its 5%
-# budget on the same hot path. `make chaos` soaks the integration workload
+# ROADMAP.md) and also vets and tests the benchmark module under bench/;
+# `make bench` + `make benchdiff` guard the ingest hot path against
+# regressions (scripts/bench_baseline.json holds the reference), `make perf`
+# runs the repository's benchmark (BENCHMARK.json: shipped-config fleets, four
+# workloads, end-to-end metrics), and `make telemetry-overhead` checks that
+# span tracing stays within its 5% budget on the same hot path. `make chaos` soaks the integration workload
 # under seeded fault injection (internal/faults) and asserts zero loss and
 # zero deadlock; `make lint` is the gofmt/vet formatting gate CI runs.
 
@@ -10,7 +12,7 @@ GO ?= go
 GOFMT ?= gofmt
 BENCH_COUNT ?= 5
 
-.PHONY: build test vet race lint bench benchdiff telemetry-overhead verify verify-stream chaos load load-smoke cluster-smoke gateway-smoke fuzz-smoke scenario scenarios
+.PHONY: build test vet race lint bench-module bench benchdiff perf telemetry-overhead verify verify-stream chaos load load-smoke cluster-smoke gateway-smoke fuzz-smoke scenario scenarios
 
 build:
 	$(GO) build ./...
@@ -36,7 +38,13 @@ lint:
 	$(GO) vet ./...
 	$(GO) vet -tags chaos .
 
-verify: build vet lint test race
+# bench-module vets and tests bench/ (a module of its own, so `./...` above
+# never reaches it): a change under internal/ that breaks the benchmark's
+# build or its lossy-proxy oracle test fails here, not at benchmark time.
+bench-module:
+	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
+
+verify: build vet lint test race bench-module
 
 # verify-stream hammers the race-sensitive streaming paths (subscriptions,
 # long-poll serving, rollups, alerts) repeatedly under the race detector,
@@ -54,6 +62,9 @@ bench:
 benchdiff:
 	scripts/benchdiff.sh
 
+perf:
+	$(GO) run -C bench ./somaperf
+
 telemetry-overhead:
 	scripts/benchdiff.sh --telemetry
 
@@ -63,10 +74,10 @@ chaos:
 	$(GO) test -race -tags chaos -count=3 -timeout 10m -run 'TestChaos' .
 
 # load is the full-scale wire-batching experiment: 100k logical publishers
-# coalesced over 8 connections, gated on sustaining a million acknowledged
-# publishes/sec with exact loss accounting (see DESIGN.md §4g). load-smoke
-# is the same harness at CI scale — 1k publishers for 2s, no rate floor,
-# still asserting zero loss.
+# coalesced over 8 connections into a default-config service (rollups on),
+# gated on sustaining a million acknowledged publishes/sec with exact loss
+# accounting (see DESIGN.md §4g). load-smoke is the same harness at CI scale
+# — 1k publishers for 2s, no rate floor, still asserting zero loss.
 load:
 	$(GO) build -o bin/somabench ./cmd/somabench
 	bin/somabench load -publishers 100000 -conns 8 -duration 8s \
@@ -114,11 +125,15 @@ scenarios:
 	scripts/scenarios.sh
 
 # fuzz-smoke runs each fuzz target briefly against its corpus plus fresh
-# inputs: the binary batch decoder, the conduit JSON codec round-trip, and
-# the WebSocket frame decoder (hostile wire input). One `go test -fuzz`
-# invocation per target — the fuzzer accepts only a single match.
+# inputs: the binary batch decoder with the wire readers ingest runs over its
+# entries, the envelope slicer, the wire-vs-tree ingest differential, the
+# conduit JSON codec round-trip, and the WebSocket frame decoder (hostile wire
+# input). One `go test -fuzz` invocation per target — the fuzzer accepts only
+# a single match.
 FUZZ_TIME ?= 20s
 fuzz-smoke:
 	$(GO) test ./internal/conduit/ -run '^$$' -fuzz 'FuzzDecodeBatch$$' -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/conduit/ -run '^$$' -fuzz 'FuzzSliceFields$$' -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/core/ -run '^$$' -fuzz 'FuzzWireIngest$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/conduit/ -run '^$$' -fuzz 'FuzzJSONRoundTrip$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/gateway/ -run '^$$' -fuzz 'FuzzWSFrame$$' -fuzztime $(FUZZ_TIME)

@@ -5,10 +5,10 @@
 // The shape mirrors the paper's Scaling experiments pushed to their limit:
 // instead of one monitor daemon per node, every logical publisher is a
 // single-leaf sample stream ("one sensor"), and the client-side coalescer
-// packs thousands of them onto each connection. The server runs the
-// decode-free batch ingest (rollups off, no subscribers), and a monitor
-// goroutine issues periodic merged-tree queries so the run includes fold
-// cost — steady-state numbers, not an append-only sprint.
+// packs thousands of them onto each connection. The server runs somad's
+// configuration — rollups on; ingest is decode-free either way — and a
+// monitor goroutine issues periodic merged-tree queries so the run includes
+// fold cost — steady-state numbers, not an append-only sprint.
 //
 // Loss accounting is exact: every publish is acknowledged (counted by
 // Client.Published at send-acknowledgement), and the server's per-instance
@@ -59,7 +59,7 @@ func runLoad(argv []string) int {
 	batchTarget := fs.Duration("target-latency", 0, "adaptive coalescer: steer the age bound toward this ack-latency tail (0 = fixed batch-age)")
 	peers := fs.Int("peers", 1, "in-process service instances joined into one sharded cluster (1 = single instance)")
 	queryInterval := fs.Duration("query-interval", 250*time.Millisecond, "monitor query period (folds pending records)")
-	rollups := fs.Bool("rollups", false, "enable server rollups (forces tree materialization on ingest)")
+	rollups := fs.Bool("rollups", true, "server rollups, somad's only mode (-rollups=false ablates the series fold; ingest stays decode-free)")
 	addr := fs.String("addr", "tcp://127.0.0.1:0", "listen address for the in-process service")
 	jsonOut := fs.Bool("json", false, "emit the report as one JSON object on stdout")
 	minRate := fs.Float64("min-rate", 0, "fail (exit 1) below this many publishes/sec (0 = report only)")

@@ -264,10 +264,15 @@ func (r *binReader) f64() (float64, error) {
 	return math.Float64frombits(bits), nil
 }
 
+// hasTreeMagic reports whether data starts with the tree-frame magic.
+func hasTreeMagic(data []byte) bool {
+	return len(data) >= 4 && data[0] == binMagic[0] && data[1] == binMagic[1] &&
+		data[2] == binMagic[2] && data[3] == binMagic[3]
+}
+
 // DecodeBinary parses a frame produced by EncodeBinary.
 func DecodeBinary(data []byte) (*Node, error) {
-	if len(data) < 4 || data[0] != binMagic[0] || data[1] != binMagic[1] ||
-		data[2] != binMagic[2] || data[3] != binMagic[3] {
+	if !hasTreeMagic(data) {
 		return nil, ErrBadMagic
 	}
 	r := binReader{data: data, pos: 4}
@@ -537,8 +542,7 @@ func ForEachBatchEntry(data []byte, fn func(ns, enc []byte) error) error {
 // (and MergeBinaryInto) without error, which is what lets the service defer
 // tree materialization on ingest and still reject hostile input at the door.
 func ValidateBinary(data []byte) error {
-	if len(data) < 4 || data[0] != binMagic[0] || data[1] != binMagic[1] ||
-		data[2] != binMagic[2] || data[3] != binMagic[3] {
+	if !hasTreeMagic(data) {
 		return ErrBadMagic
 	}
 	r := binReader{data: data, pos: 4}
@@ -692,8 +696,7 @@ func (mc *MergeCache) invalidateFrom(d int) {
 // MergeBinaryIntoCached is MergeBinaryInto with a resolution memo shared
 // across calls (see MergeCache); mc may be nil.
 func MergeBinaryIntoCached(dst *Node, data []byte, mc *MergeCache) error {
-	if len(data) < 4 || data[0] != binMagic[0] || data[1] != binMagic[1] ||
-		data[2] != binMagic[2] || data[3] != binMagic[3] {
+	if !hasTreeMagic(data) {
 		return ErrBadMagic
 	}
 	r := binReader{data: data, pos: 4}

@@ -2,13 +2,17 @@ package conduit
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
 // FuzzDecodeBatch feeds arbitrary bytes through the batch decoder. The
 // decoder must never panic, and anything it accepts must re-encode to a
 // frame that decodes to the same entries (the decode → encode → decode
-// fixpoint).
+// fixpoint). Every entry the framing scan yields — validated or not — also
+// goes through the wire readers the service's ingest stages run
+// (checkWireReaders): no panic, no over-read, and on duplicate-free frames
+// the byte-walk rollup state equals the tree-walk state.
 func FuzzDecodeBatch(f *testing.F) {
 	// Valid frames: empty batch, one entry, a multi-namespace run.
 	f.Add(AppendBatchHeader(nil))
@@ -32,6 +36,13 @@ func FuzzDecodeBatch(f *testing.F) {
 		reshape = AppendBatchEntry(reshape, "workflow", n)
 	}
 	f.Add(reshape)
+	// Rollup-shaped seed: timestamped numeric leaves beside every other kind.
+	ro := NewNode()
+	ro.SetFloat("PROC/cn01/12.5/CPU Util", 73.5)
+	ro.SetInt("PROC/cn01/12.5/Uptime", 49902)
+	ro.SetString("PROC/cn01/12.5/State", "ok")
+	ro.SetFloatArray("PROC/cn01/prof", []float64{0.5})
+	f.Add(AppendBatchEntry(AppendBatchHeader(nil), "hardware", ro))
 	// Hostile seeds: truncations, corrupt length, corrupt magic.
 	f.Add(multi[:len(multi)-3])
 	f.Add(multi[:7])
@@ -52,6 +63,7 @@ func FuzzDecodeBatch(f *testing.F) {
 		accCached, accPlain := NewNode(), NewNode()
 		var mc MergeCache
 		scanErr := ForEachBatchEntry(data, func(ns, enc []byte) error {
+			checkWireReaders(t, enc)
 			// Anything the full decoder accepts, the validating scan must
 			// accept too — the raw ingest path depends on that agreement.
 			if err == nil {
@@ -112,5 +124,48 @@ func FuzzDecodeBatch(f *testing.F) {
 				t.Fatalf("entry %d tree changed across re-encode", i)
 			}
 		}
+	})
+}
+
+// FuzzSliceFields feeds arbitrary bytes to the envelope slicer and holds it
+// to DecodeBinary + Get: both reject the frame, or both find the same fields
+// holding the same trees. The one sanctioned difference is a repeated
+// requested field, which the slicer rejects and decoding merges.
+func FuzzSliceFields(f *testing.F) {
+	data := NewNode()
+	data.SetFloat("PROC/cn01/12.5/CPU Util", 73.5)
+	req := NewNode()
+	req.SetString("ns", "hardware")
+	req.Attach("data", data)
+	whole := req.EncodeBinary()
+	f.Add(whole)
+	req.SetInt("epoch", 1<<40)
+	f.Add(req.EncodeBinary())
+	f.Add(data.EncodeBinary())                      // no envelope fields at all
+	f.Add(NewNode().EncodeBinary())                 // empty root
+	f.Add(whole[:len(whole)-2])                     // truncated
+	f.Add(append(whole[:len(whole):len(whole)], 0)) // trailing byte
+	dup := append([]byte(nil), binMagic[:]...)
+	dup = append(dup, byte(KindObject), 2, 2, 'n', 's', byte(KindString), 1, 'a', 2, 'n', 's', byte(KindString), 1, 'b')
+	f.Add(dup)
+
+	names := []string{"ns", "data", "epoch"}
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		var out [3][]byte
+		serr := SliceFields(frame[:len(frame):len(frame)], names, out[:])
+		verr := ValidateBinary(frame)
+		if verr != nil {
+			if serr == nil {
+				t.Fatalf("SliceFields accepted a frame ValidateBinary rejects: %v", verr)
+			}
+			return
+		}
+		if serr != nil {
+			if !strings.Contains(serr.Error(), "duplicate envelope field") {
+				t.Fatalf("SliceFields rejected a valid frame: %v", serr)
+			}
+			return
+		}
+		checkSliceAgainstDecode(t, frame, names, out[:])
 	})
 }

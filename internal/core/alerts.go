@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -20,8 +21,9 @@ import (
 // the current standing is queryable via soma.alert.list.
 //
 // Cost discipline: with no rules installed the publish path pays one atomic
-// load and skips everything else; with rules, only the series keys touched
-// by the publish at hand are (re-)evaluated.
+// load and skips everything else; with rules, each touched series key is
+// matched as bytes against the pre-split patterns (seriesStore.ingest) and
+// only the matching ones are (re-)evaluated.
 
 var (
 	telAlertsFiring      = telemetry.Default().Gauge("core.alerts.firing")
@@ -98,15 +100,23 @@ type alertState struct {
 	since  float64
 }
 
+// armedRule is an installed rule with its pattern split once, at install
+// time, for the per-leaf match on the ingest path.
+type armedRule struct {
+	AlertRule
+	segs []string
+}
+
 // alertEngine holds the rule set and per-(rule, series) state for one
 // service.
 type alertEngine struct {
-	// nrules mirrors len(rules) so the publish hot path can skip evaluation
-	// without taking the lock.
-	nrules atomic.Int64
+	// armed is an immutable copy of the rule set, republished on every
+	// set/remove, so the publish hot path reads the rules (or learns there
+	// are none) with one atomic load and no lock.
+	armed atomic.Pointer[[]*armedRule]
 
 	mu     sync.Mutex
-	rules  map[string]*AlertRule
+	rules  map[string]*armedRule
 	states map[string]map[string]*alertState // rule name → series key → state
 
 	// notify publishes a transition tree onto the update bus under the
@@ -116,14 +126,32 @@ type alertEngine struct {
 
 func newAlertEngine(notify func(Namespace, *conduit.Node)) *alertEngine {
 	return &alertEngine{
-		rules:  map[string]*AlertRule{},
+		rules:  map[string]*armedRule{},
 		states: map[string]map[string]*alertState{},
 		notify: notify,
 	}
 }
 
-// active reports whether any rules are installed (lock-free).
-func (e *alertEngine) active() bool { return e.nrules.Load() > 0 }
+// armedRules returns the installed rules (lock-free); nil when there are none.
+func (e *alertEngine) armedRules() []*armedRule {
+	if p := e.armed.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// rearm republishes the lock-free copy of the rule set; called under mu.
+func (e *alertEngine) rearm() {
+	if len(e.rules) == 0 {
+		e.armed.Store(nil)
+		return
+	}
+	armed := make([]*armedRule, 0, len(e.rules))
+	for _, r := range e.rules {
+		armed = append(armed, r)
+	}
+	e.armed.Store(&armed)
+}
 
 // set installs or replaces a rule. Replacing clears the rule's firing state
 // (its predicate may have changed meaning).
@@ -138,9 +166,9 @@ func (e *alertEngine) set(r AlertRule) error {
 			telAlertsFiring.Dec()
 		}
 	}
-	e.rules[r.Name] = &r
+	e.rules[r.Name] = &armedRule{AlertRule: r, segs: strings.Split(r.Pattern, "/")}
 	e.states[r.Name] = map[string]*alertState{}
-	e.nrules.Store(int64(len(e.rules)))
+	e.rearm()
 	return nil
 }
 
@@ -156,7 +184,7 @@ func (e *alertEngine) remove(name string) bool {
 	}
 	delete(e.rules, name)
 	delete(e.states, name)
-	e.nrules.Store(int64(len(e.rules)))
+	e.rearm()
 	return true
 }
 
@@ -194,7 +222,7 @@ func (e *alertEngine) list() ([]AlertRule, []AlertState) {
 	defer e.mu.Unlock()
 	rules := make([]AlertRule, 0, len(e.rules))
 	for _, r := range e.rules {
-		rules = append(rules, *r)
+		rules = append(rules, r.AlertRule)
 	}
 	sort.Slice(rules, func(i, j int) bool { return rules[i].Name < rules[j].Name })
 	var states []AlertState
@@ -216,9 +244,9 @@ func (e *alertEngine) list() ([]AlertRule, []AlertState) {
 	return rules, states
 }
 
-// evaluate re-judges every rule of ns against the series keys a publish just
-// touched. now is the newest sample time of the publish; the rule window is
-// [now-WindowSec, now]. Transitions are published via notify.
+// evaluate re-judges every rule of ns against the watched series keys a run
+// of publishes just touched. now is the newest sample time of the run; the
+// rule window is [now-WindowSec, now]. Transitions are published via notify.
 func (e *alertEngine) evaluate(ns Namespace, store *seriesStore, keys []string, now float64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -227,7 +255,7 @@ func (e *alertEngine) evaluate(ns Namespace, store *seriesStore, keys []string, 
 			continue
 		}
 		for _, key := range keys {
-			if !matchSeriesKey(r.Pattern, key) {
+			if !matchSegs(r.segs, key, 0) {
 				continue
 			}
 			agg, ok := store.window(key, now-r.WindowSec, now)
@@ -257,7 +285,7 @@ func (e *alertEngine) evaluate(ns Namespace, store *seriesStore, keys []string, 
 				telAlertsFiring.Dec()
 			}
 			if e.notify != nil {
-				e.notify(ns, alertTransitionTree(r, key, firing, agg.Mean, now))
+				e.notify(ns, alertTransitionTree(&r.AlertRule, key, firing, agg.Mean, now))
 			}
 		}
 	}

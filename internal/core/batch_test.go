@@ -291,15 +291,12 @@ func TestSpillDrainsThroughBatchRedelivery(t *testing.T) {
 	}
 }
 
-// With rollups disabled and no subscribers the server takes the decode-free
-// ingest path: batch entries are validated and stored as wire bytes, folded
-// straight into snapshots, and only decoded lazily for History. Results must
-// be indistinguishable from the materializing path.
+// The server's one ingest path is decode-free: batch entries are validated
+// and stored as wire bytes, folded straight into snapshots, rolled up from
+// the bytes, and only decoded lazily for History — in the shipped
+// configuration, rollups on.
 func TestBatchRawIngestPath(t *testing.T) {
-	svc, addr := newTestService(t, ServiceConfig{DisableRollups: true})
-	if svc.treesNeeded() {
-		t.Fatal("rollups disabled with no subscribers should select the raw ingest path")
-	}
+	svc, addr := newTestService(t, ServiceConfig{})
 	c, err := Connect(addr, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -363,6 +360,19 @@ func TestBatchRawIngestPath(t *testing.T) {
 		}
 	}
 
+	// No record holds a tree, and the rollups saw every numeric leaf.
+	for _, st := range svc.instances[NSHardware].stripes {
+		for i := 0; i < st.count; i++ {
+			if st.history[i].node != nil || st.history[i].enc == nil {
+				t.Fatalf("history record %d is not raw wire bytes", i)
+			}
+		}
+	}
+	se, err := svc.QuerySeries(NSHardware, "raw/seq", LevelRaw, 0)
+	if err != nil || len(se.Points) != total || se.Points[total-1].Value != total-1 {
+		t.Fatalf("rollup of raw/seq: %d points (err=%v), want %d ending at %d", len(se.Points), err, total, total-1)
+	}
+
 	// Stats accounting runs on the raw path too.
 	for _, st := range svc.Stats() {
 		if st.Namespace != NSHardware {
@@ -377,11 +387,20 @@ func TestBatchRawIngestPath(t *testing.T) {
 	}
 }
 
-// The raw ingest path must reject a batch atomically on validation failure:
-// an unknown namespace or a structurally corrupt entry anywhere in the frame
-// means no entry lands.
-func TestBatchRawIngestRejectsAtomically(t *testing.T) {
-	svc, _ := newTestService(t, ServiceConfig{DisableRollups: true})
+// Batch ingest must reject a frame atomically on validation failure: an
+// unknown namespace or a structurally corrupt entry anywhere in the frame
+// means nothing of it is applied — no record, no rollup sample, no alert
+// transition, no bus message — even for the valid entries ahead of it.
+func TestBatchRejectsAtomically(t *testing.T) {
+	svc, _ := newTestService(t, ServiceConfig{})
+	if err := svc.SetAlert(AlertRule{Name: "hot", NS: NSWorkflow, Pattern: "atomic/*", Op: ">", Threshold: 0}); err != nil {
+		t.Fatal(err)
+	}
+	updates, cancel, err := svc.SubscribeLocal("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
 
 	good := conduit.NewNode()
 	good.SetInt("atomic/ok", 1)
@@ -390,8 +409,8 @@ func TestBatchRawIngestRejectsAtomically(t *testing.T) {
 	frame := conduit.AppendBatchHeader(nil)
 	frame = conduit.AppendBatchEntry(frame, string(NSWorkflow), good)
 	frame = conduit.AppendBatchEntry(frame, "bogus", good)
-	if err := svc.publishBatchFrame(context.Background(), frame); err == nil {
-		t.Fatal("batch with unknown namespace accepted on the raw path")
+	if _, err := svc.handlePublishBatch(context.Background(), frame); err == nil {
+		t.Fatal("batch with unknown namespace accepted")
 	}
 
 	// Structurally corrupt tree bytes after a valid entry: flip the root kind
@@ -403,12 +422,26 @@ func TestBatchRawIngestRejectsAtomically(t *testing.T) {
 	// Entry layout: uvarint nsLen, ns, u32 treeLen, 4-byte tree magic, kind.
 	kindOff := mark + 1 + len(NSWorkflow) + 4 + 4
 	frame[kindOff] = 0xEE
-	if err := svc.publishBatchFrame(context.Background(), frame); err == nil {
-		t.Fatal("batch with corrupt tree bytes accepted on the raw path")
+	if _, err := svc.handlePublishBatch(context.Background(), frame); err == nil {
+		t.Fatal("batch with corrupt tree bytes accepted")
 	}
 
 	if hist, err := svc.History(NSWorkflow, 0); err != nil || len(hist) != 0 {
-		t.Fatalf("rejected raw batch leaked %d records (err=%v)", len(hist), err)
+		t.Fatalf("rejected batch leaked %d records (err=%v)", len(hist), err)
+	}
+	if st := svc.Stats()[0]; st.Publishes != 0 || st.Leaves != 0 {
+		t.Fatalf("rejected batch counted: %+v", st)
+	}
+	if keys, err := svc.SeriesKeys(NSWorkflow, ""); err != nil || len(keys) != 0 {
+		t.Fatalf("rejected batch left rollup series %v (err=%v)", keys, err)
+	}
+	if _, states := svc.Alerts(); len(states) != 0 {
+		t.Fatalf("rejected batch moved alert standings: %+v", states)
+	}
+	select {
+	case m := <-updates:
+		t.Fatalf("rejected batch reached the bus: topic %q", m.Topic)
+	default:
 	}
 }
 

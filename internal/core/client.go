@@ -237,8 +237,14 @@ func (c *Client) EnableFireAndForget() {
 // publishSync sends one publish: through the coalescer when batching is
 // enabled (and the server speaks the batch RPC), otherwise directly.
 func (c *Client) publishSync(ns Namespace, n *conduit.Node) error {
-	if co := c.coal.Load(); co != nil && !c.noBatch.Load() {
-		return co.append(ns, n, nil)
+	if co := c.coal.Load(); co != nil {
+		if !c.noBatch.Load() {
+			return co.append(ns, n, nil)
+		}
+		// Old server, fallback latched: entries coalesced before the latch (or
+		// still being replayed one by one) must land first, or this publish
+		// would overtake them.
+		co.flush()
 	}
 	return c.publishDirect(ns, n)
 }
@@ -263,7 +269,7 @@ func (c *Client) PublishEncoded(ns Namespace, enc []byte) error {
 	if err != nil {
 		return err
 	}
-	return c.publishDirect(ns, n)
+	return c.publishSync(ns, n)
 }
 
 // encSeenMax bounds the validated-frame memo; past it the memo is dropped

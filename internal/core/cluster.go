@@ -404,18 +404,18 @@ func firstLeafPath(n *conduit.Node) string {
 	return path
 }
 
-// forwardPublish routes one publish to its owning peer. done=true means the
-// owner accepted (or definitively rejected) it and err is the final answer;
-// done=false means the caller should ingest locally — either this instance
-// owns the key, or the owner is unreachable and local ingest is the
-// no-loss fallback (scattered reads will still find the data).
-func (cl *svcCluster) forwardPublish(ctx context.Context, ns Namespace, n *conduit.Node) (done bool, err error) {
+// forwardPublish routes one publish to the peer owning its shard key — leaf
+// is the publish's first leaf path. A wire publish passes the {ns, data}
+// envelope it arrived as in payload and it goes out verbatim; an in-process
+// one passes its tree in n (payload nil) and the envelope is encoded only
+// once a forward is certain. done=true means the owner accepted (or
+// definitively rejected) it and err is the final answer; done=false means
+// the caller should ingest locally — either this instance owns the key, or
+// the owner is unreachable and local ingest is the no-loss fallback
+// (scattered reads will still find the data).
+func (cl *svcCluster) forwardPublish(ctx context.Context, ns Namespace, leaf string, n *conduit.Node, payload []byte) (done bool, err error) {
 	ring := cl.tracker.Ring()
-	if ring.Len() < 2 {
-		return false, nil
-	}
-	leaf := firstLeafPath(n)
-	if leaf == "" {
+	if ring.Len() < 2 || leaf == "" {
 		return false, nil
 	}
 	owner, ok := ring.Owner(cluster.ShardKey(string(ns), leaf))
@@ -427,13 +427,16 @@ func (cl *svcCluster) forwardPublish(ctx context.Context, ns Namespace, n *condu
 		telForwardFallback.Inc()
 		return false, nil
 	}
-	req := conduit.NewNode()
-	req.SetString("ns", string(ns))
-	req.Attach("data", n)
-	buf := conduit.GetEncodeBuffer()
-	*buf = req.AppendBinary(*buf)
-	_, err = ep.Call(ctx, RPCPublishLocal, *buf)
-	conduit.PutEncodeBuffer(buf)
+	if payload == nil {
+		req := conduit.NewNode()
+		req.SetString("ns", string(ns))
+		req.Attach("data", n)
+		buf := conduit.GetEncodeBuffer()
+		defer conduit.PutEncodeBuffer(buf)
+		*buf = req.AppendBinary(*buf)
+		payload = *buf
+	}
+	_, err = ep.Call(ctx, RPCPublishLocal, payload)
 	if err == nil {
 		telForwards.Inc()
 		return true, nil
@@ -453,22 +456,7 @@ func (cl *svcCluster) forwardPublish(ctx context.Context, ns Namespace, n *condu
 func (s *Service) handlePublishLocal(ctx context.Context, payload []byte) ([]byte, error) {
 	ctx, sp := telemetry.ChildSpan(ctx, "soma.publish.local.handler")
 	defer sp.End()
-	req, err := conduit.DecodeBinary(payload)
-	if err != nil {
-		return nil, err
-	}
-	ns, err := envelopeNS(req)
-	if err != nil {
-		return nil, err
-	}
-	data, ok := req.Get("data")
-	if !ok {
-		return nil, fmt.Errorf("soma: publish missing data")
-	}
-	if err := s.publishLocalCtx(ctx, ns, data, len(payload)); err != nil {
-		return nil, err
-	}
-	return okFrame, nil
+	return s.publishEnvelope(ctx, payload, false, false)
 }
 
 // ---------------------------------------------------------------------------
@@ -553,38 +541,18 @@ func (cl *svcCluster) sendHandoff(epoch uint64, ns Namespace, addr string, data 
 	return err
 }
 
-// handleHandoff ingests a rebalance frame. The epoch stamp must match this
-// instance's current ring exactly: a mismatch means sender and receiver
-// hold diverged membership views, and accepting would apply placement
-// decisions from a ring this instance never agreed to. The sender retries
-// once gossip converges.
+// handleHandoff ingests a rebalance frame — a publish envelope stamped with
+// the sender's ring epoch (checked in publishEnvelope). Like a forwarded
+// publish it never re-forwards.
 func (s *Service) handleHandoff(ctx context.Context, payload []byte) ([]byte, error) {
-	cl := s.cl.Load()
-	if cl == nil {
+	if s.cl.Load() == nil {
 		return nil, errors.New("soma: not clustered")
 	}
-	req, err := conduit.DecodeBinary(payload)
-	if err != nil {
-		return nil, err
+	out, err := s.publishEnvelope(ctx, payload, false, true)
+	if err == nil {
+		telHandoffRecv.Inc()
 	}
-	epoch, _ := req.Int("epoch")
-	if uint64(epoch) != cl.tracker.Ring().Epoch() {
-		telHandoffStale.Inc()
-		return nil, ErrStaleRingEpoch
-	}
-	ns, err := envelopeNS(req)
-	if err != nil {
-		return nil, err
-	}
-	data, ok := req.Get("data")
-	if !ok {
-		return okFrame, nil
-	}
-	if err := s.publishLocalCtx(ctx, ns, data, len(payload)); err != nil {
-		return nil, err
-	}
-	telHandoffRecv.Inc()
-	return okFrame, nil
+	return out, err
 }
 
 // ---------------------------------------------------------------------------
@@ -609,11 +577,14 @@ func (s *Service) handleAlertListDispatch(ctx context.Context, payload []byte) (
 }
 
 // scatterCall fans payload out to every live peer's rpc with bounded
-// parallelism, decoding each response concurrently via decode. Any peer
-// failure fails the scatter — a partial answer silently missing a live
-// peer's shard would defeat the "reads find everything" invariant; callers
-// retry, and a truly dead peer leaves the ring within PingMisses intervals.
-func (cl *svcCluster) scatterCall(ctx context.Context, rpc string, payload []byte, decode func(resp *conduit.Node) error) error {
+// parallelism, decoding each response concurrently and handing them to merge
+// in sorted-address order. A peer failure fails the scatter — a partial
+// answer silently missing a live peer's shard would defeat the "reads find
+// everything" invariant; callers retry, and a truly dead peer leaves the ring
+// within PingMisses intervals — unless the caller's tolerate (may be nil)
+// names it an answer in its own right ("nothing here"): that peer is skipped
+// and every other answer is still merged.
+func (cl *svcCluster) scatterCall(ctx context.Context, rpc string, payload []byte, tolerate func(error) bool, merge func(resp *conduit.Node) error) error {
 	addrs := cl.peerAddrs()
 	if len(addrs) == 0 {
 		return nil
@@ -657,9 +628,12 @@ func (cl *svcCluster) scatterCall(ctx context.Context, rpc string, payload []byt
 	// deterministically regardless of which peer answered first.
 	for _, r := range results {
 		if r.err != nil {
+			if tolerate != nil && tolerate(r.err) {
+				continue
+			}
 			return r.err
 		}
-		if err := decode(r.resp); err != nil {
+		if err := merge(r.resp); err != nil {
 			return err
 		}
 	}
@@ -680,7 +654,7 @@ func (cl *svcCluster) scatterQuery(ctx context.Context, ns Namespace, path strin
 	req := conduit.NewNode()
 	req.SetString("ns", string(ns))
 	req.SetString("path", path)
-	err = cl.scatterCall(ctx, RPCQueryLocal, req.EncodeBinary(), func(resp *conduit.Node) error {
+	err = cl.scatterCall(ctx, RPCQueryLocal, req.EncodeBinary(), nil, func(resp *conduit.Node) error {
 		if data, ok := resp.Get("data"); ok {
 			merged.Merge(data)
 		}
@@ -720,20 +694,14 @@ func (cl *svcCluster) scatterSeries(ctx context.Context, payload []byte) (mercur
 		} else if !errors.Is(err, ErrNoSeries) {
 			return mercury.Response{}, err
 		}
-		err := cl.scatterCall(ctx, RPCSeriesLocal, payload, func(resp *conduit.Node) error {
+		// A peer that never saw this key answers ErrNoSeries; that is "no
+		// data here", not a failure, and must not hide the owner's answer.
+		err := cl.scatterCall(ctx, RPCSeriesLocal, payload, isPeerNoSeries, func(resp *conduit.Node) error {
 			parts = append(parts, decodeSeriesResp(resp))
 			return nil
 		})
 		if err != nil {
-			if isPeerNoSeries(err) {
-				// A peer that never saw this key answers ErrNoSeries; that is
-				// "no data here", not a failure. Retry the fan-out collecting
-				// only willing answers would race liveness — instead treat the
-				// whole scatter as best-effort for this shape.
-				err = nil
-			} else {
-				return mercury.Response{}, err
-			}
+			return mercury.Response{}, err
 		}
 		if len(parts) == 0 {
 			return mercury.Response{}, fmt.Errorf("%w: %s/%s", ErrNoSeries, ns, key)
@@ -747,7 +715,7 @@ func (cl *svcCluster) scatterSeries(ctx context.Context, payload []byte) (mercur
 			keySet[k] = struct{}{}
 		}
 	}
-	err = cl.scatterCall(ctx, RPCSeriesLocal, payload, func(resp *conduit.Node) error {
+	err = cl.scatterCall(ctx, RPCSeriesLocal, payload, nil, func(resp *conduit.Node) error {
 		if matches, ok := resp.Get("matches"); ok {
 			for _, name := range matches.ChildNames() {
 				if k, ok := matches.StringVal(name); ok {
@@ -776,7 +744,7 @@ func (cl *svcCluster) scatterSeries(ctx context.Context, payload []byte) (mercur
 // isPeerNoSeries reports whether a scattered series failure is a peer
 // answering "no such series" (which travels as a remote-failure string).
 func isPeerNoSeries(err error) bool {
-	return err != nil && errors.Is(err, mercury.ErrRemoteFailed) &&
+	return errors.Is(err, mercury.ErrRemoteFailed) &&
 		strings.Contains(err.Error(), "no such series")
 }
 
@@ -903,7 +871,7 @@ func (cl *svcCluster) scatterAlertList(ctx context.Context) ([]byte, error) {
 	for _, st := range states {
 		mergeState(st)
 	}
-	err := cl.scatterCall(ctx, RPCAlertListLocal, okFrame, func(resp *conduit.Node) error {
+	err := cl.scatterCall(ctx, RPCAlertListLocal, okFrame, nil, func(resp *conduit.Node) error {
 		prules, pstates := decodeAlertListResp(resp)
 		for _, r := range prules {
 			if _, ok := ruleByName[r.Name]; !ok {

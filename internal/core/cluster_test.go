@@ -401,6 +401,61 @@ func TestClusterScatterSeriesAndAlerts(t *testing.T) {
 	}
 }
 
+// TestClusterScatterSeriesOwnerSortsLast: a member that never saw a series
+// answers "no such series", and that answer — arriving, in address order,
+// ahead of the owner's — must not hide the owner's buckets. With three
+// members and the owner sorting last, every entry point either scatters to a
+// non-owner first or is one.
+func TestClusterScatterSeriesOwnerSortsLast(t *testing.T) {
+	svcs, addrs := startFleet(t, 3) // addrs ascend with the index
+	c0, err := Connect(addrs[0], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c0.Close()
+	// Publish distinct keys until placement puts one on the last member.
+	var key string
+	const samples = 3
+	for i := 0; key == "" && i < 64; i++ {
+		k := fmt.Sprintf("LAST/cn%03d/temp", i)
+		for j := 0; j < samples; j++ {
+			n := conduit.NewNode()
+			n.SetFloat(k, float64(10*j))
+			if err := c0.Publish(NSHardware, n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := svcs[2].QuerySeries(NSHardware, k, Level1s, 0); err == nil {
+			key = k
+		}
+	}
+	if key == "" {
+		t.Fatal("no key out of 64 was placed on the last member")
+	}
+	for i, addr := range addrs {
+		c, err := Connect(addr, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		se, err := c.Series(NSHardware, key, Level1s, 0)
+		c.Close()
+		if err != nil {
+			t.Fatalf("Series(%s) through member %d: %v", key, i, err)
+		}
+		var count int64
+		for _, b := range se.Bucket {
+			count += b.Count
+		}
+		if count != samples {
+			t.Fatalf("Series(%s) through member %d counted %d samples, want the owner's %d", key, i, count, samples)
+		}
+	}
+	// A key nobody holds is still "no such series" from every entry point.
+	if _, err := c0.Series(NSHardware, "LAST/absent/temp", Level1s, 0); err == nil {
+		t.Fatal("Series of an absent key answered without error")
+	}
+}
+
 // BenchmarkScatterGatherQuery measures a fleet-wide soma.query against a
 // 2-instance in-proc cluster — the benchdiff gate for the read fan-out path.
 func BenchmarkScatterGatherQuery(b *testing.B) {

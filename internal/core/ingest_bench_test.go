@@ -193,10 +193,9 @@ func BenchmarkSelectSnapshot(b *testing.B) {
 // 1e9/ns_per_op is the sustained publishes/sec a single connection carries —
 // the number scripts/benchdiff.sh gates against min_batch_publishes_per_sec.
 func BenchmarkPublishBatch(b *testing.B) {
-	// High-rate ingest configuration: a short history ring keeps the live
-	// heap (retained decoded trees) small so GC scan cost doesn't grow with
-	// the run, and rollups are off — the load harness's default shape.
-	svc := NewService(ServiceConfig{MaxRecords: 4096, DisableRollups: true})
+	// The shipped configuration: rollups on, default history ring (raw
+	// records are flat byte slices, so the ring costs the collector little).
+	svc := NewService(ServiceConfig{})
 	addr, err := svc.Listen("inproc://bench-publish-batch")
 	if err != nil {
 		b.Fatal(err)

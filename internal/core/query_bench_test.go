@@ -120,7 +120,7 @@ func BenchmarkSnapshotRebuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, tr := range trees {
-			in.publish(float64(i), tr, 0)
+			in.append(float64(i), []pub{{ns: NSHardware, in: in, node: tr}}, 0)
 		}
 		if sn := in.currentSnapshot(); sn.tree.NumLeaves() == 0 {
 			b.Fatal("empty snapshot")

@@ -213,16 +213,7 @@ func newSeriesStore(maxSeries int) *seriesStore {
 }
 
 // fnv1a hashes the series key onto a shard.
-func fnv1a(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
-func fnv1aBytes(s []byte) uint32 {
+func fnv1a[K string | []byte](s K) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {
 		h ^= uint32(s[i])
@@ -232,10 +223,11 @@ func fnv1aBytes(s []byte) uint32 {
 }
 
 // observe folds one sample into its series, creating the series on first
-// sight (up to the cap). key may alias a transient buffer: it is only
-// copied when a new series is created.
-func (st *seriesStore) observe(key []byte, t, v float64) {
-	sh := &st.shards[fnv1aBytes(key)%seriesShards]
+// sight (up to the cap; it reports false for a sample dropped at the cap).
+// key may alias a transient buffer: it is only copied when a new series is
+// created.
+func (st *seriesStore) observe(key []byte, t, v float64) bool {
+	sh := &st.shards[fnv1a(key)%seriesShards]
 	sh.mu.Lock()
 	se, ok := sh.m[string(key)] // no alloc: map lookup special case
 	if !ok {
@@ -244,7 +236,7 @@ func (st *seriesStore) observe(key []byte, t, v float64) {
 			st.countMu.Unlock()
 			sh.mu.Unlock()
 			telSeriesDropped.Inc()
-			return
+			return false
 		}
 		st.count++
 		st.countMu.Unlock()
@@ -255,7 +247,7 @@ func (st *seriesStore) observe(key []byte, t, v float64) {
 	se.b1.add(t, v)
 	se.b10.add(t, v)
 	sh.mu.Unlock()
-	telSeriesPoints.Inc()
+	return true
 }
 
 // splitSeriesPath derives (key, sampleTime) from one leaf path: the last
@@ -311,43 +303,47 @@ func splitSeriesPathBytes(path []byte, arrival float64, scratch []byte) (key []b
 	}
 }
 
-// ingest walks the published tree's numeric leaves into the store and
-// returns the series keys that were updated (for alert evaluation); keys is
-// nil when the caller passes collect=false. The walk, the key derivation
-// and the store lookup all reuse buffers — the steady-state publish path
-// allocates nothing here.
-func (st *seriesStore) ingest(arrival float64, n *conduit.Node, collect bool) (keys []string, maxT float64) {
+// ingest folds every numeric leaf of a run of same-namespace publishes into
+// the store — one sample per leaf as written, so a hostile frame that repeats
+// a sibling name contributes one sample per repeat (decoding would have
+// merged them first; snapshots still do) — and returns the keys of touched
+// series that an armed alert rule of the run's namespace watches, for
+// evaluation. A key is matched as bytes against the rules' pre-split patterns
+// and becomes a string only on a match, so with no rule armed, or none
+// matching, the walk, the key derivation and the store lookup all reuse
+// buffers and the steady-state publish path allocates nothing here.
+func (st *seriesStore) ingest(arrival float64, run []pub, armed []*armedRule) (keys []string, maxT float64) {
 	maxT = arrival
-	var scratch []byte
-	n.WalkBytes(func(path []byte, leaf *conduit.Node) bool {
-		var v float64
-		switch leaf.Kind() {
-		case conduit.KindFloat:
-			v, _ = leaf.Float("")
-		case conduit.KindInt:
-			iv, _ := leaf.Int("")
-			v = float64(iv)
-		default:
-			return true
-		}
+	var scratch, walkBuf []byte
+	points := 0
+	ns := run[0].ns
+	observe := func(path []byte, v float64) {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return true
+			return
 		}
 		var key []byte
 		var t float64
 		key, t, scratch = splitSeriesPathBytes(path, arrival, scratch)
 		if len(key) == 0 {
-			return true
+			return
 		}
-		st.observe(key, t, v)
+		if st.observe(key, t, v) {
+			points++
+		}
 		if t > maxT {
 			maxT = t
 		}
-		if collect {
-			keys = append(keys, string(key))
+		for _, r := range armed {
+			if r.NS == ns && matchSegs(r.segs, key, 0) {
+				keys = append(keys, string(key))
+				break
+			}
 		}
-		return true
-	})
+	}
+	for i := range run {
+		walkBuf = run[i].walkLeaves(walkBuf, observe)
+	}
+	telSeriesPoints.Add(int64(points))
 	return keys, maxT
 }
 
@@ -443,32 +439,57 @@ func (st *seriesStore) reset() {
 // over an already-flattened key: '*' matches exactly one segment, '**'
 // matches any (possibly empty) tail.
 func matchSeriesKey(pattern, key string) bool {
-	return matchSegs(strings.Split(pattern, "/"), strings.Split(key, "/"))
+	return matchSegs(strings.Split(pattern, "/"), key, 0)
 }
 
-func matchSegs(pat, segs []string) bool {
-	for len(pat) > 0 {
+// matchSegs matches the pattern segments pat against the '/'-separated
+// segments of key[off:], without splitting key — it runs per leaf on the
+// ingest path, over the walk buffer's bytes. off > len(key) means key is
+// exhausted (an empty key still has one, empty, segment).
+func matchSegs[K string | []byte](pat []string, key K, off int) bool {
+	for ; len(pat) > 0; pat = pat[1:] {
 		p := pat[0]
 		if p == "**" {
 			if len(pat) == 1 {
 				return true
 			}
-			for i := 0; i <= len(segs); i++ {
-				if matchSegs(pat[1:], segs[i:]) {
+			for ; off <= len(key); off = segEnd(key, off) + 1 {
+				if matchSegs(pat[1:], key, off) {
 					return true
 				}
 			}
+			return matchSegs(pat[1:], key, off)
+		}
+		if off > len(key) {
 			return false
 		}
-		if len(segs) == 0 {
+		end := segEnd(key, off)
+		if p != "*" && !segEqual(p, key, off, end) {
 			return false
 		}
-		if p != "*" && p != segs[0] {
-			return false
-		}
-		pat, segs = pat[1:], segs[1:]
+		off = end + 1
 	}
-	return len(segs) == 0
+	return off > len(key)
+}
+
+// segEnd returns the end of the segment of key starting at off.
+func segEnd[K string | []byte](key K, off int) int {
+	for off < len(key) && key[off] != '/' {
+		off++
+	}
+	return off
+}
+
+func segEqual[K string | []byte](p string, key K, off, end int) bool {
+	if len(p) != end-off {
+		return false
+	}
+	for i := 0; i < len(p); i++ {
+		if p[i] != key[off+i] {
+			return false
+		}
+	}
+	return true
 }
 
 // ---------------------------------------------------------------------------
@@ -544,7 +565,6 @@ func (s *Service) handleSeries(_ context.Context, payload []byte) (mercury.Respo
 	if s.Stopped() {
 		return mercury.Response{}, ErrServiceStopped
 	}
-	resp := conduit.NewNode()
 	if key, ok := req.StringVal("key"); ok {
 		level := Level1s
 		if lv, ok := req.StringVal("level"); ok && lv != "" {
@@ -555,38 +575,14 @@ func (s *Service) handleSeries(_ context.Context, payload []byte) (mercury.Respo
 		if err != nil {
 			return mercury.Response{}, err
 		}
-		resp.SetString("key", se.Key)
-		resp.SetString("level", string(se.Level))
-		if level == LevelRaw {
-			times := make([]float64, len(se.Points))
-			vals := make([]float64, len(se.Points))
-			for i, p := range se.Points {
-				times[i], vals[i] = p.Time, p.Value
-			}
-			resp.SetFloatArray("times", times)
-			resp.SetFloatArray("values", vals)
-			return ownedFrame(resp)
-		}
-		times := make([]float64, len(se.Bucket))
-		mins := make([]float64, len(se.Bucket))
-		maxs := make([]float64, len(se.Bucket))
-		means := make([]float64, len(se.Bucket))
-		counts := make([]int64, len(se.Bucket))
-		for i, b := range se.Bucket {
-			times[i], mins[i], maxs[i], means[i], counts[i] = b.Start, b.Min, b.Max, b.Mean, b.Count
-		}
-		resp.SetFloatArray("times", times)
-		resp.SetFloatArray("min", mins)
-		resp.SetFloatArray("max", maxs)
-		resp.SetFloatArray("mean", means)
-		resp.SetIntArray("count", counts)
-		return ownedFrame(resp)
+		return ownedFrame(encodeSeriesResp(se))
 	}
 	pattern, _ := req.StringVal("pattern")
 	keys, err := s.SeriesKeys(ns, pattern)
 	if err != nil {
 		return mercury.Response{}, err
 	}
+	resp := conduit.NewNode()
 	var keyBuf [32]byte
 	for i, k := range keys {
 		resp.SetString(string(appendMatchKey(keyBuf[:0], i)), k)
@@ -613,34 +609,7 @@ func (c *Client) Series(ns Namespace, key string, level SeriesLevel, after float
 	if err != nil {
 		return Series{}, err
 	}
-	se := Series{}
-	se.Key, _ = resp.StringVal("key")
-	if lv, ok := resp.StringVal("level"); ok {
-		se.Level = SeriesLevel(lv)
-	}
-	times, _ := resp.FloatArray("times")
-	if se.Level == LevelRaw {
-		values, _ := resp.FloatArray("values")
-		for i := range times {
-			if i < len(values) {
-				se.Points = append(se.Points, SeriesPoint{Time: times[i], Value: values[i]})
-			}
-		}
-		return se, nil
-	}
-	mins, _ := resp.FloatArray("min")
-	maxs, _ := resp.FloatArray("max")
-	means, _ := resp.FloatArray("mean")
-	counts, _ := resp.IntArray("count")
-	for i := range times {
-		if i >= len(mins) || i >= len(maxs) || i >= len(means) || i >= len(counts) {
-			break
-		}
-		se.Bucket = append(se.Bucket, SeriesBucket{
-			Start: times[i], Min: mins[i], Max: maxs[i], Mean: means[i], Count: counts[i],
-		})
-	}
-	return se, nil
+	return decodeSeriesResp(resp), nil
 }
 
 // SeriesKeys lists a namespace's rollup series keys matching a glob pattern

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -115,12 +114,12 @@ type InstanceStats struct {
 // record is one raw publish as stored in a stripe's history ring. seq gives
 // the global arrival order within the instance (ring entries from different
 // stripes are re-interleaved by seq when history is read). Exactly one of
-// node and enc is set: the raw batch ingest path stores the entry's
-// validated wire bytes (subslices of one shared frame copy) instead of a
-// materialized tree, deferring decode to the fold or a history read —
-// thousands of pending single-leaf publishes then cost the garbage
-// collector a handful of flat byte buffers instead of a map-and-string
-// forest.
+// enc and node is set: a wire publish stores the entry's validated bytes
+// (a subslice of one retained copy of the request frame) and never builds a
+// tree at ingest — the fold merges the bytes, a history read decodes them —
+// so thousands of pending publishes cost the garbage collector a handful of
+// flat byte buffers instead of a map-and-string forest. Only an in-process
+// Service.Publish, which is handed a tree, stores node.
 type record struct {
 	time float64
 	seq  uint64
@@ -280,81 +279,6 @@ func newInstance(ns Namespace, ranks, maxRecords, stripes int) *instance {
 	in.epoch.Store(newEpoch())
 	in.snap.Store(&snapshot{epoch: in.epoch.Load(), tree: conduit.NewNode()})
 	return in
-}
-
-// publishBatch appends a run of same-namespace publishes under a SINGLE
-// stripe-lock acquisition — the server half of wire batching. Sequence
-// numbers are taken inside the lock so the run occupies a contiguous seq
-// range and later merges preserve the batch's internal order; the
-// generation bumps once, after every record is visible, so a snapshot
-// stamped with the new gen contains the whole run.
-func (in *instance) publishBatch(now float64, entries []conduit.BatchEntry, rawBytes int) {
-	if len(entries) == 0 {
-		return
-	}
-	st := in.stripes[int(in.rr.Add(1))%len(in.stripes)]
-	st.mu.Lock()
-	for k := range entries {
-		rec := record{time: now, seq: in.seq.Add(1), node: entries[k].Tree}
-		st.pending = append(st.pending, rec)
-		st.history[st.head] = rec
-		st.head = (st.head + 1) % len(st.history)
-		if st.count < len(st.history) {
-			st.count++
-		}
-	}
-	st.pubs += int64(len(entries))
-	st.bytesIn += int64(rawBytes)
-	st.last = now
-	st.mu.Unlock()
-	in.gen.Add(uint64(len(entries)))
-}
-
-// publishBatchRaw is publishBatch for pre-validated wire entries: records
-// carry the encoded bytes (subslices of one retained frame copy) and no
-// tree is built at all — the fold and history reads decode lazily. This is
-// the 1M-publishes/sec ingest shape: per entry it costs two ring stores and
-// a seq bump under one stripe lock held once for the whole run.
-func (in *instance) publishBatchRaw(now float64, encs [][]byte, rawBytes int) {
-	if len(encs) == 0 {
-		return
-	}
-	st := in.stripes[int(in.rr.Add(1))%len(in.stripes)]
-	st.mu.Lock()
-	for _, enc := range encs {
-		rec := record{time: now, seq: in.seq.Add(1), enc: enc}
-		st.pending = append(st.pending, rec)
-		st.history[st.head] = rec
-		st.head = (st.head + 1) % len(st.history)
-		if st.count < len(st.history) {
-			st.count++
-		}
-	}
-	st.pubs += int64(len(encs))
-	st.bytesIn += int64(rawBytes)
-	st.last = now
-	st.mu.Unlock()
-	in.gen.Add(uint64(len(encs)))
-}
-
-// publish is the O(1) ingest hot path: pick a stripe, append to its pending
-// batch and history ring under the stripe's lock, bump the generation. No
-// tree is merged here; merging is deferred to the next snapshot rebuild.
-func (in *instance) publish(now float64, n *conduit.Node, rawBytes int) {
-	seq := in.seq.Add(1)
-	st := in.stripes[int(in.rr.Add(1))%len(in.stripes)]
-	st.mu.Lock()
-	st.pending = append(st.pending, record{time: now, seq: seq, node: n})
-	st.history[st.head] = record{time: now, seq: seq, node: n}
-	st.head = (st.head + 1) % len(st.history)
-	if st.count < len(st.history) {
-		st.count++
-	}
-	st.pubs++
-	st.bytesIn += int64(rawBytes)
-	st.last = now
-	st.mu.Unlock()
-	in.gen.Add(1)
 }
 
 // snapshotTree returns the instance's merged tree; see currentSnapshot.
@@ -896,146 +820,6 @@ func (s *Service) instanceFor(ns Namespace) (*instance, error) {
 	return in, nil
 }
 
-// Publish ingests a tree into a namespace directly (the local call path of
-// the client stub; also what the in-proc simulated experiments use after
-// RPC framing). rawBytes is the wire size for accounting (0 for local).
-// The tree is retained by reference: callers hand it over and must not
-// mutate it afterwards.
-func (s *Service) Publish(ns Namespace, n *conduit.Node, rawBytes int) error {
-	return s.PublishCtx(context.Background(), ns, n, rawBytes)
-}
-
-// PublishCtx is Publish with trace propagation: when ctx carries an active
-// trace (an RPC publish whose client sent trace ids, or a caller that
-// started a span), the stripe append is recorded as a child span, so one
-// publish can be followed client → wire → stripe append. Untraced callers
-// pay one context lookup and a histogram observation.
-func (s *Service) PublishCtx(ctx context.Context, ns Namespace, n *conduit.Node, rawBytes int) error {
-	if cl := s.cl.Load(); cl != nil {
-		if done, err := cl.forwardPublish(ctx, ns, n); done {
-			return err
-		}
-		// Not forwarded: this instance owns the key, or the owner is
-		// unreachable — ingest locally, scattered reads still find it.
-	}
-	return s.publishLocalCtx(ctx, ns, n, rawBytes)
-}
-
-// publishLocalCtx ingests into this instance's own stores unconditionally —
-// the under-the-ring half of PublishCtx, and the ingest path for forwarded
-// publishes and handoff frames (which must never re-forward).
-func (s *Service) publishLocalCtx(ctx context.Context, ns Namespace, n *conduit.Node, rawBytes int) error {
-	if s.Stopped() {
-		return ErrServiceStopped
-	}
-	in, err := s.instanceFor(ns)
-	if err != nil {
-		return err
-	}
-	// The span shares the histogram's two clock reads, so tracing adds no
-	// extra time.Now on this hot path (see make telemetry-overhead).
-	now := s.cfg.Clock.Now()
-	start := time.Now()
-	sp := telemetry.LeafSpanAt(ctx, "core.stripe.append", start)
-	tid := sp.Context().TraceID // before EndAt: the span is pooled after it
-	in.publish(now, n, rawBytes)
-	end := time.Now()
-	// ObserveTrace stamps the latency bucket with this trace id, so a p99
-	// exemplar in soma.telemetry links straight to a kept trace.
-	telPubLatency.ObserveTrace(end.Sub(start), tid)
-	telPublishes.Inc()
-	sp.EndAt(end)
-	// Stream side of the ingest: fold the publish into the rollup buckets,
-	// re-judge any alert rules its series touch, and fan it out to live
-	// subscribers. Each stage short-circuits to an atomic check when unused.
-	if in.rollup != nil {
-		keys, maxT := in.rollup.ingest(now, n, s.alerts.active())
-		if len(keys) > 0 {
-			s.alerts.evaluate(ns, in.rollup, keys, maxT)
-		}
-	}
-	s.fanOut(now, ns, n)
-	return nil
-}
-
-// PublishBatch ingests a decoded batch of publishes in wire order; see
-// PublishBatchCtx.
-func (s *Service) PublishBatch(entries []conduit.BatchEntry, rawBytes int) error {
-	return s.PublishBatchCtx(context.Background(), entries, rawBytes)
-}
-
-// PublishBatchCtx applies one wire batch. Entries land in wire order, but
-// the per-publish work is amortized per consecutive same-namespace run: one
-// stripe-lock acquisition, one generation bump, and one rollup/alert pass
-// per run instead of per leaf. Every entry's namespace is validated before
-// any is applied, so a batch is ingested atomically or rejected whole —
-// a half-applied batch would leave the client's Published() accounting
-// unreconcilable. Trees are retained by reference, exactly like Publish.
-func (s *Service) PublishBatchCtx(ctx context.Context, entries []conduit.BatchEntry, rawBytes int) error {
-	if s.Stopped() {
-		return ErrServiceStopped
-	}
-	if len(entries) == 0 {
-		return nil
-	}
-	for i := range entries {
-		ns := Namespace(entries[i].NS)
-		if _, ok := s.instances[ns]; !ok {
-			return &ErrUnknownNamespace{NS: ns}
-		}
-	}
-	now := s.cfg.Clock.Now()
-	start := time.Now()
-	sp := telemetry.LeafSpanAt(ctx, "core.stripe.append.batch", start)
-	sp.SetCount(int64(len(entries))) // waterfall shows how many publishes this append covered
-	tid := sp.Context().TraceID
-	// Wire size is split evenly across entries for per-instance accounting;
-	// the remainder is charged to the first run.
-	perEntry := rawBytes / len(entries)
-	extra := rawBytes - perEntry*len(entries)
-	for i := 0; i < len(entries); {
-		j := i + 1
-		for j < len(entries) && entries[j].NS == entries[i].NS {
-			j++
-		}
-		run := entries[i:j]
-		ns := Namespace(run[0].NS)
-		in := s.instances[ns]
-		in.publishBatch(now, run, perEntry*len(run)+extra)
-		extra = 0
-		// Stream side, once per run: fold every tree into the rollup
-		// buckets, then re-judge alert rules over the union of touched
-		// series keys in a single evaluation pass.
-		if in.rollup != nil {
-			var keys []string
-			var maxT float64
-			collect := s.alerts.active()
-			for _, e := range run {
-				ks, mt := in.rollup.ingest(now, e.Tree, collect)
-				keys = append(keys, ks...)
-				if mt > maxT {
-					maxT = mt
-				}
-			}
-			if len(keys) > 0 {
-				s.alerts.evaluate(ns, in.rollup, keys, maxT)
-			}
-		}
-		if s.bus != nil && s.bus.Subscribers() > 0 {
-			for _, e := range run {
-				s.fanOut(now, ns, e.Tree)
-			}
-		}
-		i = j
-	}
-	end := time.Now()
-	telBatchLatency.ObserveTrace(end.Sub(start), tid)
-	telBatchFrames.Inc()
-	telPublishes.Add(int64(len(entries)))
-	sp.EndAt(end)
-	return nil
-}
-
 // Query returns the merged subtree at path within ns. The result is a
 // shared, immutable snapshot — callers must not modify it. Repeated queries
 // between publishes return the same tree with no copying.
@@ -1201,136 +985,6 @@ func envelopeNS(req *conduit.Node) (Namespace, error) {
 		return "", &ErrUnknownNamespace{NS: ns}
 	}
 	return ns, nil
-}
-
-func (s *Service) handlePublish(ctx context.Context, payload []byte) ([]byte, error) {
-	// The handler span joins the client's trace (mercury rebuilt the trace
-	// context from the frame header); the stripe append below becomes its
-	// child.
-	ctx, sp := telemetry.ChildSpan(ctx, "soma.publish.handler")
-	defer sp.End()
-	req, err := conduit.DecodeBinary(payload)
-	if err != nil {
-		return nil, err
-	}
-	ns, err := envelopeNS(req)
-	if err != nil {
-		return nil, err
-	}
-	data, ok := req.Get("data")
-	if !ok {
-		return nil, fmt.Errorf("soma: publish missing data")
-	}
-	if err := s.PublishCtx(ctx, ns, data, len(payload)); err != nil {
-		return nil, err
-	}
-	return okFrame, nil
-}
-
-// handlePublishBatch serves soma.publish.batch: the payload is a conduit
-// batch frame (no {ns, data} envelope per entry — the namespace rides in
-// the batch entry itself). When nothing downstream needs materialized trees
-// it takes the raw path — validate, retain bytes, decode lazily at fold
-// time — which is what carries the harness past 10^6 publishes/sec.
-func (s *Service) handlePublishBatch(ctx context.Context, payload []byte) ([]byte, error) {
-	ctx, sp := telemetry.ChildSpan(ctx, "soma.publish.batch.handler")
-	defer sp.End()
-	if !s.treesNeeded() {
-		if err := s.publishBatchFrame(ctx, payload); err != nil {
-			return nil, err
-		}
-		return okFrame, nil
-	}
-	entries, err := conduit.DecodeBatch(payload)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.PublishBatchCtx(ctx, entries, len(payload)); err != nil {
-		return nil, err
-	}
-	return okFrame, nil
-}
-
-// treesNeeded reports whether batch ingest must materialize publish trees
-// inline: rollups fold every tree into series buckets and live subscribers
-// receive them, so either forces the decoded path. With rollups disabled
-// and no subscribers, ingest can retain validated wire bytes instead.
-func (s *Service) treesNeeded() bool {
-	if !s.cfg.DisableRollups {
-		return true
-	}
-	return s.bus != nil && s.bus.Subscribers() > 0
-}
-
-// publishBatchFrame is the decode-free batch ingest: every entry's framing,
-// namespace, and tree structure is verified up front (the batch is applied
-// atomically or rejected whole, like PublishBatchCtx), then one private
-// copy of the frame is retained and per-namespace runs of entry subslices
-// are appended as raw records. No publish tree is built here; the next
-// snapshot rebuild folds the bytes straight into its accumulator and
-// history reads decode on demand.
-func (s *Service) publishBatchFrame(ctx context.Context, frame []byte) error {
-	if s.Stopped() {
-		return ErrServiceStopped
-	}
-	count := 0
-	if err := conduit.ForEachBatchEntry(frame, func(ns, enc []byte) error {
-		if _, ok := s.instances[Namespace(ns)]; !ok {
-			return &ErrUnknownNamespace{NS: Namespace(ns)}
-		}
-		if err := conduit.ValidateBinary(enc); err != nil {
-			return err
-		}
-		count++
-		return nil
-	}); err != nil {
-		return err
-	}
-	if count == 0 {
-		return nil
-	}
-	now := s.cfg.Clock.Now()
-	start := time.Now()
-	sp := telemetry.LeafSpanAt(ctx, "core.stripe.append.batch", start)
-	sp.SetCount(int64(count))
-	tid := sp.Context().TraceID
-	// Records outlive the engine's pooled request buffer: retain one
-	// private copy of the frame and subslice every entry out of it.
-	buf := append([]byte(nil), frame...)
-	perEntry := len(frame) / count
-	extra := len(frame) - perEntry*count
-	var (
-		runNS []byte
-		runIn *instance
-	)
-	encs := make([][]byte, 0, count)
-	emit := func() {
-		if runIn == nil || len(encs) == 0 {
-			return
-		}
-		// publishBatchRaw copies the slice's elements into records before
-		// returning, so encs can be reused for the next run.
-		runIn.publishBatchRaw(now, encs, perEntry*len(encs)+extra)
-		extra = 0
-		encs = encs[:0]
-	}
-	// Framing was verified by the scan above; this pass cannot fail.
-	_ = conduit.ForEachBatchEntry(buf, func(ns, enc []byte) error {
-		if runIn == nil || !bytes.Equal(ns, runNS) {
-			emit()
-			runNS = ns
-			runIn = s.instances[Namespace(ns)]
-		}
-		encs = append(encs, enc)
-		return nil
-	})
-	emit()
-	end := time.Now()
-	telBatchLatency.ObserveTrace(end.Sub(start), tid)
-	telBatchFrames.Inc()
-	telPublishes.Add(int64(count))
-	sp.EndAt(end)
-	return nil
 }
 
 // handleQuery serves soma.query. On a clustered instance with live peers it

@@ -51,21 +51,21 @@ func topicPrefix(ns Namespace) (string, error) {
 }
 
 // updateWire is the bus payload: the published tree conduit-encoded (JSON
-// base64 over the remote path) plus its namespace and service timestamp.
+// base64 over the remote path) plus its namespace and service timestamp. For
+// a wire publish Data is the very bytes it arrived as — a subslice of the
+// service's retained copy of the request frame, shared with the history ring
+// and immutable — so fan-out encodes nothing.
 type updateWire struct {
 	NS   string  `json:"ns"`
 	T    float64 `json:"t"`
 	Data []byte  `json:"data"`
 }
 
-// fanOut pushes one publish onto the update bus. Called on the ingest path
-// after the stripe append; returns immediately when nobody subscribes.
-func (s *Service) fanOut(now float64, ns Namespace, n *conduit.Node) {
-	if s.bus == nil || s.bus.Subscribers() == 0 {
-		return
-	}
+// fanOut pushes one publish onto the update bus; ingest calls it after the
+// stripe append, and only while somebody subscribes.
+func (s *Service) fanOut(now float64, p *pub) {
 	start := time.Now()
-	s.bus.Publish("ns/"+string(ns)+"/", updateWire{NS: string(ns), T: now, Data: n.EncodeBinary()})
+	s.bus.Publish("ns/"+string(p.ns)+"/", updateWire{NS: string(p.ns), T: now, Data: p.wire()})
 	telPushLatency.ObserveSince(start)
 }
 

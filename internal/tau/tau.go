@@ -13,6 +13,7 @@ package tau
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"github.com/hpcobs/gosoma/internal/conduit"
 )
@@ -150,8 +151,10 @@ func LoadImbalance(profs []Profile, taskUID, fn string) float64 {
 type Plugin struct {
 	publish func(*conduit.Node) error
 	// Published counts successful publishes (for tests and overhead
-	// accounting).
+	// accounting). Report may run on concurrent task goroutines, so the
+	// increment is under mu; read it once they have finished.
 	Published int
+	mu        sync.Mutex
 }
 
 // NewPlugin wraps a publish function.
@@ -171,6 +174,8 @@ func (pl *Plugin) Report(profs []Profile) error {
 	if err := pl.publish(root); err != nil {
 		return err
 	}
+	pl.mu.Lock()
 	pl.Published++
+	pl.mu.Unlock()
 	return nil
 }
