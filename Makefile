@@ -47,12 +47,13 @@ bench-module:
 verify: build vet lint test race bench-module
 
 # verify-stream hammers the race-sensitive streaming paths (subscriptions,
-# long-poll serving, rollups, alerts) repeatedly under the race detector,
-# plus the in-process fleet scenarios (kill/restart, fault timelines).
+# long-poll serving, rollups, alerts, the cluster's scattered reads)
+# repeatedly under the race detector, plus the in-process fleet scenarios
+# (kill/restart, fault timelines).
 verify-stream:
 	$(GO) test ./internal/core/ ./internal/zmq/ ./internal/mercury/ ./internal/scenario/ \
 		-race -count=3 \
-		-run 'Subscribe|Watch|Stream|Series|Alert|Remote|Blocking|Flush|Fanout|Scenario'
+		-run 'Subscribe|Watch|Stream|Series|Alert|Remote|Blocking|Flush|Fanout|Scenario|Scatter'
 
 bench:
 	$(GO) test ./internal/core/ -run '^$$' \
@@ -126,14 +127,16 @@ scenarios:
 
 # fuzz-smoke runs each fuzz target briefly against its corpus plus fresh
 # inputs: the binary batch decoder with the wire readers ingest runs over its
-# entries, the envelope slicer, the wire-vs-tree ingest differential, the
-# conduit JSON codec round-trip, and the WebSocket frame decoder (hostile wire
+# entries, the envelope slicer, the byte-level tree union scattered reads
+# merge peer frames with, the wire-vs-tree ingest differential, the conduit
+# JSON codec round-trip, and the WebSocket frame decoder (hostile wire
 # input). One `go test -fuzz` invocation per target — the fuzzer accepts only
 # a single match.
 FUZZ_TIME ?= 20s
 fuzz-smoke:
 	$(GO) test ./internal/conduit/ -run '^$$' -fuzz 'FuzzDecodeBatch$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/conduit/ -run '^$$' -fuzz 'FuzzSliceFields$$' -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/conduit/ -run '^$$' -fuzz 'FuzzMergeNodes$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/core/ -run '^$$' -fuzz 'FuzzWireIngest$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/conduit/ -run '^$$' -fuzz 'FuzzJSONRoundTrip$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/gateway/ -run '^$$' -fuzz 'FuzzWSFrame$$' -fuzztime $(FUZZ_TIME)

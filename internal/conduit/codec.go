@@ -177,6 +177,9 @@ type binReader struct {
 	// is capped at its exact count, so a later append on a decoded node
 	// reallocates instead of clobbering a neighbour's carve.
 	ordArena []string
+	// emptyObjs counts the zero-child objects validateNode has stepped over;
+	// MergeNodes reads it to tell whether a subtree may be copied verbatim.
+	emptyObjs int
 }
 
 // arenaChunk is the node-arena chunk size; frames smaller than that are
@@ -586,6 +589,9 @@ func validateNode(r *binReader, depth int) error {
 		}
 		if count > maxDecodeItems {
 			return fmt.Errorf("conduit: child count %d too large", count)
+		}
+		if count == 0 {
+			r.emptyObjs++
 		}
 		for i := uint64(0); i < count; i++ {
 			if err := r.strSkip(); err != nil {

@@ -1,8 +1,12 @@
 package conduit
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"hash/maphash"
+	"math"
+	"sync"
 )
 
 // Readers over encoded tree frames that never build a node: the SOMA
@@ -241,4 +245,308 @@ func RawInt(node []byte) (v int64, ok bool) {
 		return int64(f), err == nil
 	}
 	return 0, false
+}
+
+// ---------------------------------------------------------------------------
+// MergeNodes: the union of encoded trees, computed over their bytes.
+
+// mergeEnt is one occurrence of a node inside the sources being merged: the
+// root of a source, or one (name, child) entry of an object. Occurrences of
+// one name at one level are chained through next, first source first — the
+// order Merge would have applied them in. Everything is an offset, so the
+// scratch holding these is invisible to the garbage collector.
+type mergeEnt struct {
+	src     uint32 // index into nodeMerger.srcs: the buffer the offsets are into
+	grp     uint32 // the frame object this occurrence was written in; see collapse
+	name    uint32 // src[name:nameEnd] is the child's name
+	nameEnd uint32
+	node    uint32 // src[node:end] is the node's raw encoding
+	end     uint32
+	next    int32 // next occurrence of the same name, -1 at the chain's end
+	tail    int32 // on a chain's head: its last occurrence
+	head    bool  // first occurrence of its name at this level
+	plain   bool  // src[node:end] holds no zero-child object, so a verbatim copy equals its merge
+	checked bool  // src[node:end] was validated by the level above
+}
+
+// nodeMerger is MergeNodes' reusable scratch. ents is a stack: each level of
+// the recursion pushes the children it indexed and pops them on return.
+type nodeMerger struct {
+	srcs    [][]byte
+	ents    []mergeEnt
+	tab     []int32 // open-addressing name table of one level; value = entry index + 1
+	nextGrp uint32
+}
+
+var mergerPool = sync.Pool{New: func() interface{} { return new(nodeMerger) }}
+
+// mergeHashSeed keys the per-level name tables.
+var mergeHashSeed = maphash.MakeSeed()
+
+const (
+	// mergeLinearMax is the widest level grouped by comparing names pairwise;
+	// wider levels go through the hash table.
+	mergeLinearMax = 8
+	// maxPooledMergeEnts bounds the entry scratch that goes back into the
+	// pool (36 bytes each) so one huge merge does not pin memory forever.
+	maxPooledMergeEnts = 1 << 18
+)
+
+// MergeNodes appends to dst the raw encoding of the union of nodes — raw node
+// encodings as SliceFields returns them (kind byte and payload, no magic) —
+// and returns the extended slice. The result decodes to exactly the tree that
+// decoding every node and folding them in order with Node.Merge into a fresh
+// node yields: a later leaf overwrites, objects union child by child in
+// first-seen order, a leaf↔object flip re-shapes, an empty node or an object
+// without children changes nothing, and a position nothing wrote is empty.
+// When the inputs are what EncodeBinary emits, the bytes equal EncodeBinary of
+// that tree as well.
+//
+// No tree is built. Each object level indexes its sources' children by name
+// over offsets into the inputs; a child only one source holds is copied
+// verbatim, and the walk descends only where names collide, so each input
+// byte is read once per colliding ancestor level. The inputs are untrusted:
+// every one is validated whole with ValidateBinary's checks (depth, counts,
+// truncation, trailing bytes), an error names the offending input's index, and
+// dst comes back at its original length. A name an input repeats inside one
+// object means what decoding makes of it (the repeats merge in order); where
+// such an object is copied verbatim the repeats travel with it, for the
+// reader's decode to merge.
+func MergeNodes(dst []byte, nodes [][]byte) ([]byte, error) {
+	m := mergerPool.Get().(*nodeMerger)
+	out, err := m.merge(dst, nodes)
+	clear(m.srcs) // the inputs belong to the caller
+	if cap(m.ents) <= maxPooledMergeEnts {
+		mergerPool.Put(m)
+	}
+	return out, err
+}
+
+func (m *nodeMerger) merge(dst []byte, nodes [][]byte) ([]byte, error) {
+	if len(nodes) == 0 {
+		return append(dst, byte(KindEmpty)), nil
+	}
+	m.srcs, m.ents = append(m.srcs[:0], nodes...), m.ents[:0]
+	m.nextGrp = uint32(len(nodes))
+	for i, nd := range nodes {
+		if len(nd) == 0 {
+			return dst, fmt.Errorf("conduit: merge source %d: %w", i, ErrTruncated)
+		}
+		if uint64(len(nd)) > math.MaxUint32 {
+			return dst, fmt.Errorf("conduit: merge source %d: %d bytes is too large", i, len(nd))
+		}
+		next := int32(i + 1)
+		if i == len(nodes)-1 {
+			next = -1
+		}
+		m.ents = append(m.ents, mergeEnt{src: uint32(i), grp: uint32(i), end: uint32(len(nd)), next: next})
+	}
+	out, err := m.emit(dst, 0, 0)
+	if err != nil {
+		return dst, err
+	}
+	return out, nil
+}
+
+// emit appends the union of the occurrence chain starting at head, whose
+// nodes sit at the given depth.
+func (m *nodeMerger) emit(dst []byte, head int32, depth int) ([]byte, error) {
+	if e := &m.ents[head]; e.next < 0 && e.plain {
+		return append(dst, m.srcs[e.src][e.node:e.end]...), nil
+	}
+	for i := head; m.ents[i].next >= 0; i = m.ents[i].next {
+		if m.ents[m.ents[i].next].grp == m.ents[i].grp {
+			return m.collapse(dst, head, depth)
+		}
+	}
+	// Merge's kind rules: a leaf replaces whatever was there, so only what
+	// follows the last leaf can still contribute children.
+	last := int32(-1)
+	for i := head; i >= 0; i = m.ents[i].next {
+		e := &m.ents[i]
+		if k := Kind(m.srcs[e.src][e.node]); k != KindObject && k != KindEmpty {
+			last = i
+		}
+	}
+	base := len(m.ents)
+	live := last < 0
+	for i := head; i >= 0; i = m.ents[i].next {
+		e := m.ents[i]
+		var err error
+		if live && Kind(m.srcs[e.src][e.node]) == KindObject {
+			err = m.index(e, depth)
+		} else if !e.checked {
+			r := binReader{data: m.srcs[e.src], pos: int(e.node)}
+			if err = validateNode(&r, depth); err == nil && r.pos != int(e.end) {
+				err = fmt.Errorf("conduit: %d trailing bytes", int(e.end)-r.pos)
+			}
+		}
+		if err != nil {
+			if depth == 0 {
+				err = fmt.Errorf("conduit: merge source %d: %w", e.grp, err)
+			}
+			return dst, err
+		}
+		live = live || i == last
+	}
+	if len(m.ents) == base {
+		// No children anywhere: the last leaf stands, or nothing was written.
+		if last < 0 {
+			return append(dst, byte(KindEmpty)), nil
+		}
+		e := &m.ents[last]
+		return append(dst, m.srcs[e.src][e.node:e.end]...), nil
+	}
+	dst = append(dst, byte(KindObject))
+	dst = appendUvarint(dst, uint64(m.group(base)))
+	for j, end := base, len(m.ents); j < end; j++ {
+		e := &m.ents[j]
+		if !e.head {
+			continue
+		}
+		name := m.srcs[e.src][e.name:e.nameEnd]
+		dst = appendUvarint(dst, uint64(len(name)))
+		dst = append(dst, name...)
+		var err error
+		if dst, err = m.emit(dst, int32(j), depth+1); err != nil {
+			return dst, err
+		}
+	}
+	m.ents = m.ents[:base]
+	return dst, nil
+}
+
+// index pushes one entry per child of the object occurrence e, validating
+// every child on the way (that walk is also what finds where each one ends).
+func (m *nodeMerger) index(e mergeEnt, depth int) error {
+	r := binReader{data: m.srcs[e.src], pos: int(e.node) + 1}
+	count, err := r.uvarint()
+	if err != nil {
+		return err
+	}
+	if count > maxDecodeItems {
+		return fmt.Errorf("conduit: child count %d too large", count)
+	}
+	for c := uint64(0); c < count; c++ {
+		name, err := r.strBytes()
+		if err != nil {
+			return err
+		}
+		node, empties := r.pos, r.emptyObjs
+		if err := validateNode(&r, depth+1); err != nil {
+			return err
+		}
+		m.ents = append(m.ents, mergeEnt{
+			src: e.src, grp: e.grp,
+			name: uint32(node - len(name)), nameEnd: uint32(node),
+			node: uint32(node), end: uint32(r.pos),
+			next: -1, plain: r.emptyObjs == empties, checked: true,
+		})
+	}
+	if r.pos != int(e.end) {
+		return fmt.Errorf("conduit: %d trailing bytes", int(e.end)-r.pos)
+	}
+	return nil
+}
+
+// group chains the entries m.ents[base:] by name — marking the first
+// occurrence of each name as the chain's head — and returns the number of
+// distinct names.
+func (m *nodeMerger) group(base int) (groups int) {
+	ents := m.ents[base:]
+	nameOf := func(e *mergeEnt) []byte { return m.srcs[e.src][e.name:e.nameEnd] }
+	link := func(h, j int) {
+		ents[ents[h].tail].next = int32(base + j)
+		ents[h].tail = int32(j)
+	}
+	if len(ents) <= mergeLinearMax {
+		for j := range ents {
+			name, h := nameOf(&ents[j]), 0
+			for ; h < j; h++ {
+				if ents[h].head && bytes.Equal(nameOf(&ents[h]), name) {
+					link(h, j)
+					break
+				}
+			}
+			if h == j {
+				ents[j].head, ents[j].tail = true, int32(j)
+				groups++
+			}
+		}
+		return groups
+	}
+	size := 16
+	for size < 2*len(ents) {
+		size <<= 1
+	}
+	if cap(m.tab) < size {
+		m.tab = make([]int32, size)
+	}
+	tab := m.tab[:size]
+	clear(tab)
+	for j := range ents {
+		name := nameOf(&ents[j])
+		slot := int(maphash.Bytes(mergeHashSeed, name)) & (size - 1)
+		for ; tab[slot] != 0; slot = (slot + 1) & (size - 1) {
+			if h := int(tab[slot] - 1); bytes.Equal(nameOf(&ents[h]), name) {
+				link(h, j)
+				break
+			}
+		}
+		if tab[slot] == 0 {
+			tab[slot] = int32(j + 1)
+			ents[j].head, ents[j].tail = true, int32(j)
+			groups++
+		}
+	}
+	return groups
+}
+
+// collapse handles a chain in which one frame object contributed a name more
+// than once (adjacent occurrences share grp) — something only a hostile
+// encoder writes. Decoding merges such repeats among themselves before the
+// frame's tree is merged with the others, and Merge is not associative across
+// a leaf→object flip, so the repeats cannot simply queue up as further
+// sources: each run is first replaced by its own union, encoded into a fresh
+// buffer, and the chain of those is what gets emitted.
+func (m *nodeMerger) collapse(dst []byte, head int32, depth int) ([]byte, error) {
+	base, srcBase := len(m.ents), len(m.srcs)
+	for i := head; i >= 0; {
+		e := m.ents[i]
+		run, j := 1, e.next
+		for ; j >= 0 && m.ents[j].grp == e.grp; j = m.ents[j].next {
+			run++
+		}
+		if run > 1 {
+			// The run's occurrences become sources of their own.
+			tmp := int32(len(m.ents))
+			for k, c := i, 0; c < run; c++ {
+				o := m.ents[k]
+				k = o.next
+				o.grp, o.next, o.head = m.nextGrp, tmp+int32(c)+1, false
+				if c == run-1 {
+					o.next = -1
+				}
+				m.nextGrp++
+				m.ents = append(m.ents, o)
+			}
+			union, err := m.emit(nil, tmp, depth)
+			if err != nil {
+				return dst, err
+			}
+			m.ents = m.ents[:tmp]
+			m.srcs = append(m.srcs, union)
+			e = mergeEnt{src: uint32(len(m.srcs) - 1), grp: e.grp, end: uint32(len(union)), plain: true, checked: true}
+		}
+		e.next, e.head = -1, false
+		if len(m.ents) > base {
+			m.ents[len(m.ents)-1].next = int32(len(m.ents))
+		}
+		m.ents = append(m.ents, e)
+		i = j
+	}
+	dst, err := m.emit(dst, int32(base), depth)
+	clear(m.srcs[srcBase:])
+	m.srcs, m.ents = m.srcs[:srcBase], m.ents[:base]
+	return dst, err
 }

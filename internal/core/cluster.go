@@ -51,6 +51,11 @@ var (
 	telHandoffStale    = telemetry.Default().Counter("cluster.handoff.rejected_stale")
 	telScatterFanouts  = telemetry.Default().Counter("cluster.scatter.fanouts")
 	telScatterLatency  = telemetry.Default().Histogram("cluster.scatter.latency")
+	// telScatterMerge times the union stage of a scattered soma.query alone
+	// (cluster.scatter.latency is peer wait plus merge); telScatterBytes
+	// counts the peer response bytes scattered reads gathered.
+	telScatterMerge = telemetry.Default().Histogram("cluster.scatter.merge")
+	telScatterBytes = telemetry.Default().Counter("cluster.scatter.bytes")
 )
 
 // Cluster RPC names. The ".local" variants answer from this instance's own
@@ -577,23 +582,33 @@ func (s *Service) handleAlertListDispatch(ctx context.Context, payload []byte) (
 }
 
 // scatterCall fans payload out to every live peer's rpc with bounded
-// parallelism, decoding each response concurrently and handing them to merge
-// in sorted-address order. A peer failure fails the scatter — a partial
-// answer silently missing a live peer's shard would defeat the "reads find
-// everything" invariant; callers retry, and a truly dead peer leaves the ring
-// within PingMisses intervals — unless the caller's tolerate (may be nil)
-// names it an answer in its own right ("nothing here"): that peer is skipped
-// and every other answer is still merged.
-func (cl *svcCluster) scatterCall(ctx context.Context, rpc string, payload []byte, tolerate func(error) bool, merge func(resp *conduit.Node) error) error {
+// parallelism, runs meanwhile (may be nil) while the calls are in flight —
+// where a reader does its local share; its error fails the scatter once the
+// calls are back — and then hands merge each raw response in sorted-address
+// order, so colliding paths resolve the same way
+// whichever peer answered first. Responses are the caller's to keep: the TCP
+// transport allocates one per frame, and the inproc transport hands over
+// either a copy or a peer's immutable cached frame, so merge may hold
+// subslices but must never write through them. A peer failure — or a response
+// merge rejects — fails the scatter with the peer's address in the error: a
+// partial answer silently missing a live peer's shard would defeat the "reads
+// find everything" invariant; callers retry, and a truly dead peer leaves the
+// ring within PingMisses intervals — unless the caller's tolerate (may be nil)
+// names the failure an answer in its own right ("nothing here"): that peer is
+// skipped and every other answer is still merged.
+func (cl *svcCluster) scatterCall(ctx context.Context, rpc string, payload []byte, tolerate func(error) bool, meanwhile func() error, merge func(resp []byte) error) error {
 	addrs := cl.peerAddrs()
 	if len(addrs) == 0 {
+		if meanwhile != nil {
+			return meanwhile()
+		}
 		return nil
 	}
 	telScatterFanouts.Inc()
 	start := time.Now()
 	defer telScatterLatency.ObserveSince(start)
 	type result struct {
-		resp *conduit.Node
+		resp []byte
 		err  error
 	}
 	results := make([]result, len(addrs))
@@ -606,68 +621,114 @@ func (cl *svcCluster) scatterCall(ctx context.Context, rpc string, payload []byt
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			ep, err := cl.endpoint(addr)
-			if err != nil {
-				results[i].err = fmt.Errorf("cluster: peer %s: %w", addr, err)
-				return
+			if err == nil {
+				results[i].resp, err = ep.Call(ctx, rpc, payload)
 			}
-			out, err := ep.Call(ctx, rpc, payload)
-			if err != nil {
-				results[i].err = fmt.Errorf("cluster: peer %s: %w", addr, err)
-				return
-			}
-			resp, err := conduit.DecodeBinary(out)
-			if err != nil {
-				results[i].err = fmt.Errorf("cluster: peer %s: %w", addr, err)
-				return
-			}
-			results[i].resp = resp
+			results[i].err = err
 		}(i, addr)
 	}
-	wg.Wait()
-	// Merge in sorted-address order so colliding paths resolve
-	// deterministically regardless of which peer answered first.
-	for _, r := range results {
-		if r.err != nil {
-			if tolerate != nil && tolerate(r.err) {
-				continue
-			}
-			return r.err
+	var localErr error
+	if meanwhile != nil {
+		localErr = meanwhile()
+	}
+	wg.Wait() // before any return: the calls read payload, which is the caller's
+	if localErr != nil {
+		return localErr
+	}
+	for i, r := range results {
+		err := r.err
+		if err == nil {
+			telScatterBytes.Add(int64(len(r.resp)))
+			err = merge(r.resp)
+		} else if tolerate != nil && tolerate(err) {
+			continue
 		}
-		if err := merge(r.resp); err != nil {
-			return err
+		if err != nil {
+			return fmt.Errorf("cluster: peer %s: %w", addrs[i], err)
 		}
 	}
 	return nil
 }
 
-// scatterQuery merges the query subtree at (ns, path) across this instance
-// and every live peer, answering in the plain soma.query envelope. The
-// stamp is zeroed: a cross-shard union has no single (epoch, gen) identity,
-// so delta memos never latch onto it.
-func (cl *svcCluster) scatterQuery(ctx context.Context, ns Namespace, path string) ([]byte, error) {
-	local, err := cl.svc.Query(ns, path)
-	if err != nil {
-		return nil, err
-	}
-	merged := conduit.NewNode()
-	merged.Merge(local)
-	req := conduit.NewNode()
-	req.SetString("ns", string(ns))
-	req.SetString("path", path)
-	err = cl.scatterCall(ctx, RPCQueryLocal, req.EncodeBinary(), nil, func(resp *conduit.Node) error {
-		if data, ok := resp.Get("data"); ok {
-			merged.Merge(data)
+// decodeInto adapts a tree-reading merge step to scatterCall's raw responses
+// (series points and alert standings are small; only soma.query merges bytes).
+func decodeInto(merge func(resp *conduit.Node)) func([]byte) error {
+	return func(out []byte) error {
+		resp, err := conduit.DecodeBinary(out)
+		if err == nil {
+			merge(resp)
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		return err
 	}
+}
+
+// scatterEnvelope is the soma.query response envelope of a scattered read up
+// to its data field: {epoch: 0, gen: 0, data: — the stamp is zeroed because a
+// cross-shard union has no single (epoch, gen) identity, so delta memos never
+// latch onto it. It is cut from the encoding of that envelope with an empty
+// data child, whose single kind byte the union replaces.
+var scatterEnvelope = func() []byte {
 	resp := conduit.NewNode()
 	resp.SetInt("epoch", 0)
 	resp.SetInt("gen", 0)
-	resp.Attach("data", merged)
-	return resp.EncodeBinary(), nil
+	resp.Fetch("data")
+	frame := resp.EncodeBinary()
+	return frame[:len(frame)-1]
+}()
+
+// queryDataField is the one field scatterQuery slices out of a query frame.
+var queryDataField = []string{"data"}
+
+// scatterBufPool recycles the buffers scattered soma.query responses are
+// built in; a whole-tree union is hundreds of KiB per read.
+var scatterBufPool = sync.Pool{New: func() interface{} { return new([]byte) }}
+
+// maxPooledScatterBuf bounds what goes back into scatterBufPool.
+const maxPooledScatterBuf = 4 << 20
+
+// scatterQuery answers a soma.query for (ns, path) with the union of this
+// instance's shard and every live peer's, in the plain soma.query envelope.
+// payload is the request as it arrived: soma.query.local reads the same
+// {ns, path} fields, so it goes out to the peers verbatim. While their answers
+// are in flight the local shard's cached query frame is taken; then the data
+// subtrees — local first, peers in address order, which is what decides
+// colliding paths — are unioned as bytes (conduit.MergeNodes) straight into
+// the pooled response buffer. No tree is built on this path.
+func (cl *svcCluster) scatterQuery(ctx context.Context, in *instance, path string, payload []byte) (mercury.Response, error) {
+	if cl.svc.Stopped() {
+		return mercury.Response{}, ErrServiceStopped
+	}
+	var data [1][]byte
+	nodes := make([][]byte, 0, 8)
+	slice := func(frame []byte) error {
+		// SliceFields validates the frame whole: a peer's answer is network
+		// input, and everything MergeNodes is handed below has passed it.
+		if err := conduit.SliceFields(frame, queryDataField, data[:]); err != nil {
+			return err
+		}
+		if data[0] != nil {
+			nodes = append(nodes, data[0])
+		}
+		return nil
+	}
+	err := cl.scatterCall(ctx, RPCQueryLocal, payload, nil,
+		func() error { return slice(in.queryFrame(path)) }, slice)
+	if err != nil {
+		return mercury.Response{}, err
+	}
+	start := time.Now()
+	sp := telemetry.LeafSpanAt(ctx, "cluster.scatter.merge", start)
+	bp := scatterBufPool.Get().(*[]byte)
+	*bp, err = conduit.MergeNodes(append((*bp)[:0], scatterEnvelope...), nodes)
+	now := time.Now()
+	telScatterMerge.Observe(now.Sub(start))
+	sp.EndAt(now)
+	// The engine releases an owned response on the error path too.
+	return mercury.Response{Payload: *bp, Release: func() {
+		if cap(*bp) <= maxPooledScatterBuf {
+			scatterBufPool.Put(bp)
+		}
+	}}, err
 }
 
 // scatterSeries merges a soma.series request across the fleet: pattern
@@ -696,10 +757,9 @@ func (cl *svcCluster) scatterSeries(ctx context.Context, payload []byte) (mercur
 		}
 		// A peer that never saw this key answers ErrNoSeries; that is "no
 		// data here", not a failure, and must not hide the owner's answer.
-		err := cl.scatterCall(ctx, RPCSeriesLocal, payload, isPeerNoSeries, func(resp *conduit.Node) error {
+		err := cl.scatterCall(ctx, RPCSeriesLocal, payload, isPeerNoSeries, nil, decodeInto(func(resp *conduit.Node) {
 			parts = append(parts, decodeSeriesResp(resp))
-			return nil
-		})
+		}))
 		if err != nil {
 			return mercury.Response{}, err
 		}
@@ -715,7 +775,7 @@ func (cl *svcCluster) scatterSeries(ctx context.Context, payload []byte) (mercur
 			keySet[k] = struct{}{}
 		}
 	}
-	err = cl.scatterCall(ctx, RPCSeriesLocal, payload, nil, func(resp *conduit.Node) error {
+	err = cl.scatterCall(ctx, RPCSeriesLocal, payload, nil, nil, decodeInto(func(resp *conduit.Node) {
 		if matches, ok := resp.Get("matches"); ok {
 			for _, name := range matches.ChildNames() {
 				if k, ok := matches.StringVal(name); ok {
@@ -723,8 +783,7 @@ func (cl *svcCluster) scatterSeries(ctx context.Context, payload []byte) (mercur
 				}
 			}
 		}
-		return nil
-	})
+	}))
 	if err != nil {
 		return mercury.Response{}, err
 	}
@@ -871,7 +930,7 @@ func (cl *svcCluster) scatterAlertList(ctx context.Context) ([]byte, error) {
 	for _, st := range states {
 		mergeState(st)
 	}
-	err := cl.scatterCall(ctx, RPCAlertListLocal, okFrame, nil, func(resp *conduit.Node) error {
+	err := cl.scatterCall(ctx, RPCAlertListLocal, okFrame, nil, nil, decodeInto(func(resp *conduit.Node) {
 		prules, pstates := decodeAlertListResp(resp)
 		for _, r := range prules {
 			if _, ok := ruleByName[r.Name]; !ok {
@@ -881,8 +940,7 @@ func (cl *svcCluster) scatterAlertList(ctx context.Context) ([]byte, error) {
 		for _, st := range pstates {
 			mergeState(st)
 		}
-		return nil
-	})
+	}))
 	if err != nil {
 		return nil, err
 	}

@@ -1,12 +1,17 @@
 package core
 
 import (
+	"bytes"
+	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/hpcobs/gosoma/internal/cluster"
 	"github.com/hpcobs/gosoma/internal/conduit"
+	"github.com/hpcobs/gosoma/internal/mercury"
+	"github.com/hpcobs/gosoma/internal/telemetry"
 )
 
 // startFleet boots n clustered in-proc services: each listens, then joins
@@ -456,25 +461,236 @@ func TestClusterScatterSeriesOwnerSortsLast(t *testing.T) {
 	}
 }
 
+// publishLocalTo ingests tree on exactly the member at addr, bypassing
+// placement — soma.publish.local never forwards — the way a handoff or an
+// owner-unreachable fallback leaves copies of one path on several members.
+func publishLocalTo(t testing.TB, addr string, tree *conduit.Node) {
+	t.Helper()
+	ep, err := mercury.Lookup(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	req := conduit.NewNode()
+	req.SetString("ns", string(NSHardware))
+	req.Attach("data", tree)
+	if _, err := ep.Call(context.Background(), RPCPublishLocal, req.EncodeBinary()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// rawQuery sends one soma.query (or any query RPC) and returns the response
+// frame as it came off the transport.
+func rawQuery(t testing.TB, addr, rpc, path string) ([]byte, error) {
+	t.Helper()
+	ep, err := mercury.Lookup(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	req := conduit.NewNode()
+	req.SetString("ns", string(NSHardware))
+	req.SetString("path", path)
+	return ep.Call(context.Background(), rpc, req.EncodeBinary())
+}
+
+// TestClusterScatterOverlappingCopies pins the byte-level union against the
+// tree merge it replaced. Members hold overlapping copies: one subtree sits
+// on two members at once, and one path is a leaf on one member and an object
+// on another. Through every member, soma.query and soma.query.delta must
+// answer byte for byte what decoding each shard and folding them with
+// Node.Merge — local shard first, then peers in address order — encodes to.
+// The copies, which agree, read the same from every entry point; the
+// conflict resolves by merge order, which is per entry point by design.
+func TestClusterScatterOverlappingCopies(t *testing.T) {
+	svcs, addrs := startFleet(t, 3) // addrs ascend with the index
+	truth := publishFleet(t, addrs, 60)
+	copies := conduit.NewNode()
+	for i := 0; i < 8; i++ {
+		copies.SetFloat(fmt.Sprintf("COPY/cn%03d/metric", i), float64(100+i))
+		truth[fmt.Sprintf("COPY/cn%03d/metric", i)] = float64(100 + i)
+	}
+	copies.SetString("COPY/host", "both")
+	publishLocalTo(t, addrs[0], copies)
+	publishLocalTo(t, addrs[2], copies)
+	leaf := conduit.NewNode()
+	leaf.SetFloat("FLIP/x", 5)
+	publishLocalTo(t, addrs[1], leaf)
+	object := conduit.NewNode()
+	object.SetFloat("FLIP/x/y", 7)
+	object.Fetch("FLIP/none") // an empty child travels too
+	publishLocalTo(t, addrs[2], object)
+
+	var copyTrees []*conduit.Node
+	for i, addr := range addrs {
+		for _, path := range []string{"", "FLIP", "COPY/cn003", "ABSENT"} {
+			// The oracle: this member's shard, then the others in address order.
+			want := conduit.NewNode()
+			for _, j := range append([]int{i}, otherThan(i, len(svcs))...) {
+				shard, err := svcs[j].Query(NSHardware, path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want.Merge(shard)
+			}
+			env := conduit.NewNode()
+			env.SetInt("epoch", 0)
+			env.SetInt("gen", 0)
+			env.Attach("data", want)
+			for _, rpc := range []string{RPCQuery, RPCQueryDelta} {
+				got, err := rawQuery(t, addr, rpc, path)
+				if err != nil {
+					t.Fatalf("%s %q through member %d: %v", rpc, path, i, err)
+				}
+				if !bytes.Equal(got, env.EncodeBinary()) {
+					gt, _ := conduit.DecodeBinary(got)
+					t.Fatalf("%s %q through member %d differs from the tree union\n got: %s\nwant: %s",
+						rpc, path, i, gt.Format(), env.Format())
+				}
+			}
+			if path == "" {
+				checkTruth(t, want, truth)
+				sub, _ := want.Get("COPY")
+				copyTrees = append(copyTrees, sub)
+			}
+		}
+	}
+	for i, sub := range copyTrees {
+		if sub == nil || !sub.Equal(copyTrees[0]) {
+			t.Fatalf("the agreeing copies read differently through member %d", i)
+		}
+	}
+}
+
+// otherThan lists 0..n-1 without i, ascending — a member's peers in address
+// order for fleets whose addresses ascend with the index.
+func otherThan(i, n int) []int {
+	out := make([]int, 0, n-1)
+	for j := 0; j < n; j++ {
+		if j != i {
+			out = append(out, j)
+		}
+	}
+	return out
+}
+
+// TestClusterScatterMalformedPeer: a peer's answer is network input. One that
+// does not validate fails the whole read — no partial union — and the error
+// names the peer it came from.
+func TestClusterScatterMalformedPeer(t *testing.T) {
+	svcs, addrs := startFleet(t, 3)
+	publishFleet(t, addrs, 30)
+	for name, frame := range map[string][]byte{
+		"truncated":      []byte("CDT\x01\x01\x03\x04data\x01\x05"),
+		"trailing bytes": append(conduit.NewNode().EncodeBinary(), 0),
+		"bad magic":      []byte("nope"),
+	} {
+		svcs[2].Engine().Register(RPCQueryLocal, func(context.Context, []byte) ([]byte, error) {
+			return frame, nil
+		})
+		for _, rpc := range []string{RPCQuery, RPCQueryDelta} {
+			out, err := rawQuery(t, addrs[0], rpc, "")
+			if err == nil {
+				t.Fatalf("%s: %s answered %d bytes with a malformed peer frame in the scatter", name, rpc, len(out))
+			}
+			if !strings.Contains(err.Error(), addrs[2]) {
+				t.Fatalf("%s: error does not name the peer %s: %v", name, addrs[2], err)
+			}
+		}
+	}
+	// The member whose own handler is broken still reads its healthy peers.
+	if _, err := rawQuery(t, addrs[2], RPCQuery, ""); err != nil {
+		t.Fatalf("read through the member with the broken .local handler: %v", err)
+	}
+}
+
+// TestClusterScatterQueryTraced: a scattered read shows up in the trace
+// store like a local one — the entry member's soma.query.handler span, the
+// peers' handler spans beneath it, and the union as a leaf span of its own.
+func TestClusterScatterQueryTraced(t *testing.T) {
+	defer keepAllTraces()()
+	_, addrs := startFleet(t, 3)
+	publishFleet(t, addrs, 30)
+	c, err := Connect(addrs[0], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, handler := range []string{"soma.query.delta.handler", "soma.query.handler"} {
+		if handler == "soma.query.handler" {
+			c.noDelta.Store(true) // the plain soma.query a pre-delta client sends
+		}
+		if _, err := c.Query(NSHardware, "FLEET"); err != nil {
+			t.Fatal(err)
+		}
+		var tr telemetry.Trace
+		for _, sum := range telemetry.Default().Traces().List() {
+			if sum.Root != "soma.client.query" {
+				continue
+			}
+			if got, ok := telemetry.Default().Traces().Get(sum.TraceID); ok && got.Start.After(tr.Start) {
+				tr = got
+			}
+		}
+		byID := map[uint64]telemetry.SpanSnapshot{}
+		for _, sp := range tr.Spans {
+			byID[sp.SpanID] = sp
+		}
+		var entry, peers, merges int
+		for _, sp := range tr.Spans {
+			parent := byID[sp.Parent].Name
+			switch {
+			case sp.Name == handler && parent == "soma.client.query":
+				entry++
+			case sp.Name == "soma.query.handler" && parent == handler:
+				peers++ // soma.query.local on a peer, under the entry's span
+			case sp.Name == "cluster.scatter.merge" && parent == handler:
+				merges++
+			}
+		}
+		if entry != 1 || peers != 2 || merges != 1 {
+			t.Fatalf("%s: trace has %d entry handler, %d peer handler and %d merge spans, want 1/2/1: %+v",
+				handler, entry, peers, merges, tr.Spans)
+		}
+	}
+}
+
 // BenchmarkScatterGatherQuery measures a fleet-wide soma.query against a
-// 2-instance in-proc cluster — the benchdiff gate for the read fan-out path.
+// 3-instance in-proc cluster holding the 20 000-leaf LOAD tree the cluster3
+// workload reads (LOAD/cn%05d/s%02d, placed leaf by leaf) — the benchdiff gate
+// for the read fan-out path. The tree is quiet, so each member's shard frame
+// is cached and an iteration is the scatter, the union at the member asked,
+// and the client's decode of the answer.
 func BenchmarkScatterGatherQuery(b *testing.B) {
-	_, addrs := startFleet(b, 2)
-	truth := publishFleet(b, addrs, 128)
+	_, addrs := startFleet(b, 3)
+	const leaves = 20000
 	c, err := Connect(addrs[0], nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer c.Close()
-	tree, err := c.Query(NSHardware, "")
+	c.EnableBatch(BatchConfig{})
+	for p := 0; p < leaves; p++ {
+		n := conduit.NewNode()
+		n.SetFloat(fmt.Sprintf("LOAD/cn%05d/s%02d", p/16, p%16), float64(p))
+		if err := c.Publish(NSHardware, n); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := c.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	tree, err := c.Query(NSHardware, "LOAD")
 	if err != nil {
 		b.Fatal(err)
 	}
-	checkTruth(b, tree, truth)
+	if got := tree.NumLeaves(); got != leaves {
+		b.Fatalf("scattered read holds %d leaves, want %d", got, leaves)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Query(NSHardware, ""); err != nil {
+		if _, err := c.Query(NSHardware, "LOAD"); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -734,8 +734,10 @@ func NewService(cfg ServiceConfig) *Service {
 	zmq.NewServer(s.engine).AttachBus(UpdatesBusName, s.bus)
 	s.engine.Register(RPCPublish, s.handlePublish)
 	s.engine.Register(RPCPublishBatch, s.handlePublishBatch)
-	s.engine.Register(RPCQuery, s.handleQuery)
-	s.engine.Register(RPCQueryDelta, s.handleQueryDelta)
+	// Owned: a scattered read answers from a pooled buffer (see scatterQuery);
+	// local answers are cached snapshot frames with nothing to release.
+	s.engine.RegisterOwned(RPCQuery, s.handleQuery)
+	s.engine.RegisterOwned(RPCQueryDelta, s.handleQueryDelta)
 	s.engine.Register(RPCStats, s.handleStats)
 	s.engine.Register(RPCShutdown, s.handleShutdown)
 	s.engine.Register(RPCReset, s.handleReset)
@@ -753,8 +755,8 @@ func NewService(cfg ServiceConfig) *Service {
 	s.engine.Register(RPCRing, s.handleRing)
 	s.engine.Register(RPCHandoff, s.handleHandoff)
 	s.engine.Register(RPCPublishLocal, s.handlePublishLocal)
-	s.engine.Register(RPCQueryLocal, s.handleQueryLocal)
-	s.engine.Register(RPCQueryDeltaLocal, s.handleQueryDeltaLocal)
+	s.engine.RegisterOwned(RPCQueryLocal, s.handleQueryLocal)
+	s.engine.RegisterOwned(RPCQueryDeltaLocal, s.handleQueryDeltaLocal)
 	s.engine.RegisterOwned(RPCSeriesLocal, s.handleSeries)
 	s.engine.Register(RPCAlertListLocal, s.handleAlertList)
 	s.engine.RegisterOwned(RPCTraceList, s.handleTraceList)
@@ -987,82 +989,99 @@ func envelopeNS(req *conduit.Node) (Namespace, error) {
 	return ns, nil
 }
 
-// handleQuery serves soma.query. On a clustered instance with live peers it
-// scatters to the whole fleet and merges, so a caller sees the union of all
-// shards no matter which instance it asked; otherwise (solo, or all peers
-// dead) it answers from local state alone.
-func (s *Service) handleQuery(ctx context.Context, payload []byte) ([]byte, error) {
-	if cl := s.cl.Load(); cl != nil && cl.active() {
-		req, err := conduit.DecodeBinary(payload)
-		if err != nil {
-			return nil, err
-		}
-		ns, err := envelopeNS(req)
-		if err != nil {
-			return nil, err
-		}
-		path, _ := req.StringVal("path")
-		return cl.scatterQuery(ctx, ns, path)
-	}
-	return s.handleQueryLocal(ctx, payload)
+// Query request fields, in the order queryEnvelope slices them.
+var queryFields = []string{"ns", "path", "epoch", "gen"}
+
+// queryReq is a query request taken apart: soma.query and soma.query.local
+// carry {ns, path}, the delta RPCs add the caller's last-seen stamp as
+// {epoch: i64, gen: i64} (zero when absent — a stamp that never matches).
+type queryReq struct {
+	ns         Namespace
+	in         *instance
+	path       string
+	epoch, gen uint64
 }
 
-// handleQueryLocal answers soma.query.local — this instance's shard only.
-// Scatter-gather fans out to it, so a scattered read can never recurse.
-func (s *Service) handleQueryLocal(ctx context.Context, payload []byte) ([]byte, error) {
-	sp := telemetry.LeafSpan(ctx, "soma.query.handler")
-	defer sp.End()
-	req, err := conduit.DecodeBinary(payload)
-	if err != nil {
-		return nil, err
+// queryEnvelope validates a query request whole and reads its fields by
+// offset — the read-side counterpart of publishEnvelope.
+func (s *Service) queryEnvelope(payload []byte) (queryReq, error) {
+	var f [4][]byte
+	if err := conduit.SliceFields(payload, queryFields, f[:]); err != nil {
+		return queryReq{}, err
 	}
-	ns, err := envelopeNS(req)
-	if err != nil {
-		return nil, err
+	name, ok := conduit.RawString(f[0])
+	if !ok {
+		return queryReq{}, fmt.Errorf("soma: request missing ns field")
 	}
-	path, _ := req.StringVal("path")
-	// Serve the cached encoded frame: {epoch, gen, data}. Clients predating
-	// the delta protocol only read "data" and ignore the stamp fields.
-	return s.QueryEncoded(ns, path)
+	ns, in, err := s.lookupNS(name)
+	if err != nil {
+		return queryReq{}, err
+	}
+	path, _ := conduit.RawString(f[1])
+	epoch, _ := conduit.RawInt(f[2])
+	gen, _ := conduit.RawInt(f[3])
+	return queryReq{ns: ns, in: in, path: string(path), epoch: uint64(epoch), gen: uint64(gen)}, nil
 }
 
-// handleQueryDelta serves soma.query.delta: the request carries the client's
-// last-seen stamp as {ns, path, epoch: i64, gen: i64}; see QueryDeltaEncoded.
-// A clustered instance with live peers answers with the full scattered union
-// instead — a cross-shard merge has no single (epoch, gen) identity, and the
-// zero stamp it carries keeps plain clients from latching a delta memo onto
-// it. Shard-aware clients use soma.query.delta.local per member instead.
-func (s *Service) handleQueryDelta(ctx context.Context, payload []byte) ([]byte, error) {
-	if cl := s.cl.Load(); cl != nil && cl.active() {
-		req, err := conduit.DecodeBinary(payload)
-		if err != nil {
-			return nil, err
-		}
-		ns, err := envelopeNS(req)
-		if err != nil {
-			return nil, err
-		}
-		path, _ := req.StringVal("path")
-		return cl.scatterQuery(ctx, ns, path)
+// serveQuery is the body of the four query RPCs; the delta pair opens the
+// span soma.query.delta.handler, the plain pair soma.query.handler, clustered
+// or not. With fleet set — soma.query and
+// soma.query.delta — a clustered instance with live peers scatters to the
+// whole fleet and answers the union of all shards, so a caller sees the same
+// tree no matter which instance it asked; a cross-shard union has no single
+// (epoch, gen) identity, so even a delta poll gets the full union, under a
+// zero stamp that keeps plain clients from latching a delta memo onto it
+// (shard-aware clients poll soma.query.delta.local per member instead).
+// Otherwise — the .local RPCs scatter-gather fans out to, which is why a
+// scattered read can never recurse, and a solo instance or one whose peers
+// are all dead — it answers from local state alone: the cached encoded frame
+// {epoch, gen, data}, or for a delta poll whose stamp still matches the tiny
+// "unchanged" frame (see QueryDeltaEncoded). Clients predating the delta
+// protocol only read "data" and ignore the stamp fields.
+func (s *Service) serveQuery(ctx context.Context, payload []byte, delta, fleet bool) (mercury.Response, error) {
+	span := "soma.query.handler"
+	if delta {
+		span = "soma.query.delta.handler"
 	}
-	return s.handleQueryDeltaLocal(ctx, payload)
+	cl := s.cl.Load()
+	if fleet = fleet && cl != nil && cl.active(); fleet {
+		// The peer calls are this span's children.
+		var sp *telemetry.Span
+		ctx, sp = telemetry.ChildSpan(ctx, span)
+		defer sp.End()
+	} else {
+		defer telemetry.LeafSpan(ctx, span).End()
+	}
+	q, err := s.queryEnvelope(payload)
+	if err != nil {
+		return mercury.Response{}, err
+	}
+	if fleet {
+		return cl.scatterQuery(ctx, q.in, q.path, payload)
+	}
+	var frame []byte
+	if delta {
+		frame, err = s.QueryDeltaEncoded(q.ns, q.path, q.epoch, q.gen)
+	} else {
+		frame, err = s.QueryEncoded(q.ns, q.path)
+	}
+	return mercury.Response{Payload: frame}, err
 }
 
-func (s *Service) handleQueryDeltaLocal(ctx context.Context, payload []byte) ([]byte, error) {
-	sp := telemetry.LeafSpan(ctx, "soma.query.delta.handler")
-	defer sp.End()
-	req, err := conduit.DecodeBinary(payload)
-	if err != nil {
-		return nil, err
-	}
-	ns, err := envelopeNS(req)
-	if err != nil {
-		return nil, err
-	}
-	path, _ := req.StringVal("path")
-	epoch, _ := req.Int("epoch")
-	gen, _ := req.Int("gen")
-	return s.QueryDeltaEncoded(ns, path, uint64(epoch), uint64(gen))
+func (s *Service) handleQuery(ctx context.Context, payload []byte) (mercury.Response, error) {
+	return s.serveQuery(ctx, payload, false, true)
+}
+
+func (s *Service) handleQueryLocal(ctx context.Context, payload []byte) (mercury.Response, error) {
+	return s.serveQuery(ctx, payload, false, false)
+}
+
+func (s *Service) handleQueryDelta(ctx context.Context, payload []byte) (mercury.Response, error) {
+	return s.serveQuery(ctx, payload, true, true)
+}
+
+func (s *Service) handleQueryDeltaLocal(ctx context.Context, payload []byte) (mercury.Response, error) {
+	return s.serveQuery(ctx, payload, true, false)
 }
 
 // statsStamps captures every instance's current (epoch, gen) stamp in

@@ -328,11 +328,11 @@ if [ -n "$bbase" ] && [ "$bbase" != "0" ] && [ -n "$bfactor" ]; then
 fi
 
 # Scatter-gather query gate: BenchmarkScatterGatherQuery times one fleet-wide
-# soma.query fanned out to a 3-instance cluster over real loopback TCP and
-# merged, so it covers the scatter RPC, the per-shard encode, and the merge
-# path end to end. The factor is generous — the loopback round-trips make it
-# the noisiest benchmark in the suite. Skipped when the baseline predates the
-# cluster layer.
+# soma.query of the 20 000-leaf LOAD tree against a 3-instance in-proc
+# cluster — the scatter RPCs, the byte-level union at the member asked, and
+# the client's decode of the answer. The factor is generous: three services
+# and a client share the box's cores, which makes it the noisiest benchmark
+# in the suite. Skipped when the baseline predates the cluster layer.
 scbase=$(json_num scatter_gather_ns_per_op)
 scfactor=$(json_num scatter_allowed_regression)
 if [ -n "$scbase" ] && [ "$scbase" != "0" ] && [ -n "$scfactor" ]; then
