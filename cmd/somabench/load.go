@@ -56,7 +56,6 @@ func runLoad(argv []string) int {
 	batchLeaves := fs.Int("batch-leaves", 0, "coalescer leaf-count flush threshold (0 = default)")
 	batchBytes := fs.Int("batch-bytes", 0, "coalescer byte-budget flush threshold (0 = default)")
 	batchAge := fs.Duration("batch-age", 0, "coalescer age flush bound (0 = default)")
-	batchTarget := fs.Duration("target-latency", 0, "adaptive coalescer: steer the age bound toward this ack-latency tail (0 = fixed batch-age)")
 	peers := fs.Int("peers", 1, "in-process service instances joined into one sharded cluster (1 = single instance)")
 	queryInterval := fs.Duration("query-interval", 250*time.Millisecond, "monitor query period (folds pending records)")
 	rollups := fs.Bool("rollups", true, "server rollups, somad's only mode (-rollups=false ablates the series fold; ingest stays decode-free)")
@@ -155,10 +154,9 @@ func runLoad(argv []string) int {
 	}
 
 	batch := core.BatchConfig{
-		MaxBytes:      *batchBytes,
-		MaxLeaves:     *batchLeaves,
-		MaxAge:        *batchAge,
-		TargetLatency: *batchTarget,
+		MaxBytes:  *batchBytes,
+		MaxLeaves: *batchLeaves,
+		MaxAge:    *batchAge,
 	}
 	clients := make([]loadConn, *conns)
 	for i := range clients {

@@ -48,7 +48,9 @@ func main() {
 		log.Fatalf("wfrun: %v", err)
 	}
 	defer client.Close()
-	client.EnableAsync(256)
+	// Coalesced publishing: the monitors enqueue and a background flusher
+	// sends, so instrumentation never blocks on the service.
+	client.EnableBatch(core.BatchConfig{})
 
 	// Pilot over a Summit-shaped allocation, wall-clock execution.
 	batch := platform.NewBatchSystem(platform.NewCluster(*nodes, platform.Summit()))
@@ -103,6 +105,9 @@ func main() {
 	}
 	tm.WaitAll()
 	stopRP() // final collection
+	if err := client.Flush(); err != nil {
+		log.Printf("wfrun: publishes lost: %v", err)
+	}
 	fmt.Printf("workflow of %d tasks finished in %v\n\n", len(submitted), time.Since(start).Round(time.Millisecond))
 
 	// Everything below is read back *through SOMA*, not from the runtime.

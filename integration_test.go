@@ -39,7 +39,7 @@ func TestRealTimeEndToEndOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	client.EnableAsync(256)
+	client.EnableBatch(core.BatchConfig{})
 
 	// Pilot on a Summit-shaped allocation, wall-clock execution.
 	batch := platform.NewBatchSystem(platform.NewCluster(2, platform.Summit()))
@@ -118,9 +118,11 @@ func TestRealTimeEndToEndOverTCP(t *testing.T) {
 	}
 	stopRP()
 	stopHW()
-	// The client is async: the monitors' shutdown collections are queued to
-	// a background sender, so flush before querying what they published.
-	client.Flush()
+	// The client coalesces: the monitors' shutdown collections are queued to
+	// a background flusher, so flush before querying what they published.
+	if err := client.Flush(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
 
 	// Everything must be observable through the RPC analysis layer.
 	analysis := core.Analysis{Q: client}

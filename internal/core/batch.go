@@ -1,14 +1,10 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/hpcobs/gosoma/internal/conduit"
-	"github.com/hpcobs/gosoma/internal/mercury"
 	"github.com/hpcobs/gosoma/internal/telemetry"
 )
 
@@ -22,9 +18,10 @@ import (
 //
 // Ordering: entries leave in append order. flush swaps the pending buffer
 // under sendMu, so appends never wait on the wire, while batch N+1 cannot
-// overtake batch N. When entries spill (transient failure), subsequent
-// batches route into the spill buffer behind them until redelivery drains
-// it, preserving per-client publish order end to end.
+// overtake batch N. Each frame leaves through Client.deliver, so when one
+// spills (transient failure) the batches after it queue behind it until
+// redelivery drains the spill, preserving per-client publish order end to
+// end.
 
 var (
 	telBatchFlushes = telemetry.Default().Counter("core.client.batch.flushes")
@@ -64,14 +61,6 @@ type BatchConfig struct {
 	// MaxAge bounds how long an entry may sit unflushed (default 1ms); the
 	// tail-latency knob for sparse publishers.
 	MaxAge time.Duration
-	// TargetLatency switches the age bound from fixed to adaptive: the
-	// coalescer tracks the tail of observed batch ack latency
-	// (enqueue→acknowledgement of each batch's oldest entry) and steers the
-	// effective age bound to keep that tail near this target — shrinking it
-	// when acks run hot, stretching it (for more amortization per round
-	// trip) when there is headroom. The bound stays clamped to
-	// [100µs, 5ms] regardless of target. Zero keeps the fixed MaxAge.
-	TargetLatency time.Duration
 }
 
 func (cfg *BatchConfig) defaults() {
@@ -87,81 +76,40 @@ func (cfg *BatchConfig) defaults() {
 }
 
 // batchOverfill bounds how far past the flush thresholds the pending buffer
-// may grow while a flush is in flight before appends start failing —
-// the coalescer's equivalent of "async publish queue full".
+// may grow while a flush is in flight before appends apply backpressure
+// (flush inline and retry, never an error).
 const batchOverfill = 4
-
-// Adaptive age clamp (see BatchConfig.TargetLatency): the bound never drops
-// below flushing-per-publish territory and never holds a sparse publisher's
-// entry for more than 5ms.
-const (
-	minAdaptiveAge = 100 * time.Microsecond
-	maxAdaptiveAge = 5 * time.Millisecond
-)
-
-// batchRef remembers one coalesced publish alongside its encoded bytes, so
-// a failed flush can fall back to per-entry delivery or the spill buffer.
-// Exactly one of node (Publish) and enc (PublishEncoded) is set.
-type batchRef struct {
-	ns   Namespace
-	node *conduit.Node
-	enc  []byte
-}
-
-// tree materializes the publish as a node — the cold-path shape the
-// per-entry fallback and the spill buffer work in.
-func (r *batchRef) tree() *conduit.Node {
-	if r.node != nil {
-		return r.node
-	}
-	n, err := conduit.DecodeBinary(r.enc)
-	if err != nil {
-		// Unreachable: enc was validated before it entered the coalescer.
-		return conduit.NewNode()
-	}
-	return n
-}
 
 type coalescer struct {
 	c   *Client
 	cfg BatchConfig
 
 	mu      sync.Mutex
-	buf     []byte // pending batch frame (header + encoded entries)
-	refs    []batchRef
+	buf     []byte    // pending batch frame (header + encoded entries)
+	leaves  int       // publishes coalesced into buf
 	firstAt time.Time // append time of the oldest pending entry
-	pendErr error     // first flush failure since the last Flush
 	cause   int       // which threshold filled the pending batch (flushCause*)
 	closed  bool
 
 	// sendMu serializes flushes: the buffer swap and the wire send happen
 	// under it, so batches depart in swap order while appends (under mu
 	// only) never block on the network.
-	sendMu    sync.Mutex
-	spareBuf  []byte // previous batch's buffer, recycled for the next swap
-	spareRefs []batchRef
+	sendMu   sync.Mutex
+	spareBuf []byte // previous batch's buffer, recycled for the next swap
 
 	kick     chan struct{}
 	ageTimer *time.Timer
 	stop     chan struct{}
 	done     chan struct{}
-
-	// Adaptive age state (TargetLatency mode). ageNs is the effective age
-	// bound read by append when arming the timer; ackTailNs is a peak-biased
-	// EWMA of observed batch ack latency — it chases high samples quickly
-	// (alpha ½ up) and forgets them slowly (alpha 1/16 down), tracking the
-	// tail rather than the mean, which is what the latency target is about.
-	// Both written only under sendMu (flushFor), read lock-free by append.
-	ageNs     atomic.Int64
-	ackTailNs float64
 }
 
-// EnableBatch switches the client's publishes into coalescing mode: they
-// are packed into soma.publish.batch frames flushed by size, count or age
-// (see BatchConfig). Composes with EnableAsync (the worker feeds the
-// coalescer) and EnableSpill (a failed batch spills entry-by-entry and
-// redelivers in batches). Against a server predating the batch RPC the
-// client falls back to per-entry publishes after the first flush.
+// EnableBatch switches the client's publishes into coalescing mode: Publish
+// and PublishEncoded become a non-blocking enqueue, packed into
+// soma.publish.batch frames that a background flusher ships by size, count
+// or age (see BatchConfig); Flush drains the pending batch and returns the
+// first delivery failure since the previous Flush. Composes with EnableSpill
+// (a batch frame that fails transiently spills whole and is redelivered
+// verbatim).
 func (c *Client) EnableBatch(cfg BatchConfig) {
 	cfg.defaults()
 	co := &coalescer{
@@ -173,63 +121,10 @@ func (c *Client) EnableBatch(cfg BatchConfig) {
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
-	if cfg.TargetLatency > 0 {
-		start := cfg.MaxAge
-		if start < minAdaptiveAge {
-			start = minAdaptiveAge
-		}
-		if start > maxAdaptiveAge {
-			start = maxAdaptiveAge
-		}
-		co.ageNs.Store(int64(start))
-	}
 	if !c.coal.CompareAndSwap(nil, co) {
 		return // already enabled
 	}
 	go co.run()
-}
-
-// ageBound is the effective flush-age bound: the adaptive value in
-// TargetLatency mode, the fixed MaxAge otherwise.
-func (co *coalescer) ageBound() time.Duration {
-	if v := co.ageNs.Load(); v > 0 {
-		return time.Duration(v)
-	}
-	return co.cfg.MaxAge
-}
-
-// adaptAge folds one batch's observed ack latency (enqueue→ack of its
-// oldest entry) into the tail estimate and steers the age bound so the tail
-// sits near TargetLatency: acks over target shrink the bound (ship sooner,
-// carry less queue dwell), acks under target stretch it (amortize more per
-// round trip). The steer is multiplicative but bounded to [½, 2]× per flush
-// so a single outlier cannot slam the bound across its whole clamp range.
-// Called under sendMu.
-func (co *coalescer) adaptAge(ack time.Duration) {
-	s := float64(ack)
-	if s > co.ackTailNs {
-		co.ackTailNs += (s - co.ackTailNs) / 2
-	} else {
-		co.ackTailNs += (s - co.ackTailNs) / 16
-	}
-	if co.ackTailNs <= 0 {
-		return
-	}
-	cur := float64(co.ageNs.Load())
-	next := cur * float64(co.cfg.TargetLatency) / co.ackTailNs
-	if next > cur*2 {
-		next = cur * 2
-	}
-	if next < cur/2 {
-		next = cur / 2
-	}
-	if next < float64(minAdaptiveAge) {
-		next = float64(minAdaptiveAge)
-	}
-	if next > float64(maxAdaptiveAge) {
-		next = float64(maxAdaptiveAge)
-	}
-	co.ageNs.Store(int64(next))
 }
 
 // append encodes one publish into the pending batch. Exactly one of n and
@@ -243,28 +138,27 @@ retry:
 	co.mu.Lock()
 	if co.closed {
 		co.mu.Unlock()
-		ref := batchRef{ns: ns, node: n, enc: enc}
-		return co.c.publishDirect(ns, ref.tree())
+		return co.c.publishDirect(ns, n, enc)
 	}
-	if len(co.refs) >= co.cfg.MaxLeaves*batchOverfill || len(co.buf) >= co.cfg.MaxBytes*batchOverfill {
+	if co.leaves >= co.cfg.MaxLeaves*batchOverfill || len(co.buf) >= co.cfg.MaxBytes*batchOverfill {
 		co.mu.Unlock()
 		telBatchBackpressure.Inc()
 		co.flush()
 		goto retry
 	}
-	if len(co.refs) == 0 {
+	if co.leaves == 0 {
 		co.firstAt = time.Now()
-		co.ageTimer.Reset(co.ageBound())
+		co.ageTimer.Reset(co.cfg.MaxAge)
 	}
 	if n != nil {
 		co.buf = conduit.AppendBatchEntry(co.buf, string(ns), n)
 	} else {
 		co.buf = conduit.AppendBatchEntryEncoded(co.buf, string(ns), enc)
 	}
-	co.refs = append(co.refs, batchRef{ns: ns, node: n, enc: enc})
-	full := len(co.refs) >= co.cfg.MaxLeaves || len(co.buf) >= co.cfg.MaxBytes
+	co.leaves++
+	full := co.leaves >= co.cfg.MaxLeaves || len(co.buf) >= co.cfg.MaxBytes
 	if full && co.cause == flushCauseNone {
-		if len(co.refs) >= co.cfg.MaxLeaves {
+		if co.leaves >= co.cfg.MaxLeaves {
 			co.cause = flushCauseLeaves
 		} else {
 			co.cause = flushCauseBytes
@@ -303,47 +197,39 @@ func (co *coalescer) flush() { co.flushFor(flushCauseNone) }
 
 // flushFor is flush with the caller's trigger attribution. A byte/leaf cause
 // recorded at append time wins over the caller's reason (the thresholds are
-// what actually filled the batch); reason covers the age-timer path.
+// what actually filled the batch); reason covers the age-timer path. A frame
+// deliver could neither send nor spill is dropped and its error kept for the
+// next Client.Flush.
 func (co *coalescer) flushFor(reason int) {
 	co.sendMu.Lock()
 	defer co.sendMu.Unlock()
 	co.mu.Lock()
-	if len(co.refs) == 0 {
+	if co.leaves == 0 {
 		co.mu.Unlock()
 		return
 	}
-	buf, refs, firstAt := co.buf, co.refs, co.firstAt
+	buf, leaves, firstAt := co.buf, co.leaves, co.firstAt
 	cause := co.cause
 	co.cause = flushCauseNone
 	co.buf = conduit.AppendBatchHeader(co.spareBuf[:0])
-	co.refs = co.spareRefs[:0]
+	co.leaves = 0
 	co.mu.Unlock()
 	if cause == flushCauseNone {
 		cause = reason
 	}
 
-	err := co.c.sendBatch(buf, refs)
+	err := co.c.deliver(RPCPublishBatch, buf, leaves)
 
-	// The transport is done with buf once sendBatch returns (Call and
-	// Notify copy into their own frame); recycle it for the next swap.
+	// The transport and the spill queue both copy what they keep, so buf is
+	// free once deliver returns; recycle it for the next swap.
 	co.spareBuf = buf[:0]
-	co.spareRefs = refs[:0]
 	if err != nil {
-		co.mu.Lock()
-		if co.pendErr == nil {
-			co.pendErr = err
-		}
-		co.mu.Unlock()
-		co.c.reportAsyncError(err)
+		co.c.fail(err)
 		return
 	}
 	telBatchFlushes.Inc()
-	telBatchLeaves.Add(int64(len(refs)))
-	ack := time.Since(firstAt)
-	telBatchAck.Observe(ack)
-	if co.cfg.TargetLatency > 0 {
-		co.adaptAge(ack)
-	}
+	telBatchLeaves.Add(int64(leaves))
+	telBatchAck.Observe(time.Since(firstAt))
 	switch cause {
 	case flushCauseBytes:
 		telBatchFlushBytes.Inc()
@@ -352,17 +238,6 @@ func (co *coalescer) flushFor(reason int) {
 	case flushCauseAge:
 		telBatchFlushAge.Inc()
 	}
-}
-
-// flushNow drains the pending batch synchronously and returns the first
-// flush failure since the last call (Client.Flush's batch half).
-func (co *coalescer) flushNow() error {
-	co.flush()
-	co.mu.Lock()
-	err := co.pendErr
-	co.pendErr = nil
-	co.mu.Unlock()
-	return err
 }
 
 // shutdown stops accepting entries, flushes what is pending and reclaims
@@ -378,85 +253,4 @@ func (co *coalescer) shutdown() {
 	close(co.stop)
 	<-co.done
 	co.ageTimer.Stop()
-}
-
-// sendBatch delivers one encoded batch frame covering refs, degrading
-// exactly like the single-publish path: entries route behind a non-empty
-// spill buffer, transient transport failures spill entry-by-entry, and an
-// old server without the batch RPC latches the per-entry fallback.
-// Successful delivery counts every leaf in Published at acknowledgement.
-func (c *Client) sendBatch(frame []byte, refs []batchRef) error {
-	if sp := c.spill.Load(); sp != nil && sp.pending() > 0 {
-		if spillRefs(sp, refs) {
-			return nil
-		}
-	}
-	if c.noBatch.Load() {
-		return c.sendBatchFallback(refs)
-	}
-	err := c.sendBatchWire(frame, len(refs))
-	if err == nil {
-		return nil
-	}
-	if errors.Is(err, mercury.ErrUnknownRPC) {
-		// Older server: replay this batch entry-by-entry; future publishes
-		// bypass the coalescer entirely (see publishSync).
-		return c.sendBatchFallback(refs)
-	}
-	if sp := c.spill.Load(); sp != nil && mercury.IsTransient(err) {
-		if spillRefs(sp, refs) {
-			return nil
-		}
-	}
-	return err
-}
-
-// sendBatchWire performs the raw batch RPC with no degradation handling;
-// on success every covered leaf is counted at acknowledgement. Spill
-// redelivery uses it directly so a failed redelivery never re-spills.
-func (c *Client) sendBatchWire(frame []byte, leaves int) error {
-	ctx, sp := telemetry.StartSpan(context.Background(), "soma.client.publish.batch")
-	var err error
-	if c.fireAndForget.Load() {
-		err = c.ep.Notify(ctx, RPCPublishBatch, frame)
-	} else {
-		_, err = c.ep.Call(ctx, RPCPublishBatch, frame)
-	}
-	if err != nil {
-		sp.Fail()
-	}
-	sp.End()
-	if err == nil {
-		c.published.Add(int64(leaves))
-		return nil
-	}
-	if errors.Is(err, mercury.ErrUnknownRPC) {
-		c.noBatch.Store(true)
-	}
-	return err
-}
-
-// sendBatchFallback replays a batch's entries through the per-entry wire
-// path, in order, returning the first failure (later entries still get
-// their delivery attempt, mirroring the async worker's semantics).
-func (c *Client) sendBatchFallback(refs []batchRef) error {
-	var first error
-	for _, r := range refs {
-		if err := c.publishDirect(r.ns, r.tree()); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// spillRefs buffers a batch's entries into the spill buffer in order.
-// Reports false when the spill rejected an entry (shut down) — entries
-// already buffered stay buffered, the caller surfaces the original error.
-func spillRefs(sp *spillState, refs []batchRef) bool {
-	for _, r := range refs {
-		if !sp.add(r.ns, r.tree()) {
-			return false
-		}
-	}
-	return true
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -96,9 +97,11 @@ func TestBatchMixedNamespaces(t *testing.T) {
 	}
 }
 
-// A batch containing an unknown namespace must be rejected atomically:
-// nothing lands, nothing is counted as published.
-func TestBatchUnknownNamespaceRejectedAtomically(t *testing.T) {
+// An unknown namespace is rejected at Publish/PublishEncoded, before anything
+// is enqueued: its valid neighbours in the pending batch still land. The
+// service keeps rejecting a whole frame atomically when a hand-built one
+// smuggles a bogus entry past the client.
+func TestBatchUnknownNamespace(t *testing.T) {
 	svc, addr := newTestService(t, ServiceConfig{})
 	c, err := Connect(addr, nil)
 	if err != nil {
@@ -114,30 +117,43 @@ func TestBatchUnknownNamespaceRejectedAtomically(t *testing.T) {
 	}
 	bad := conduit.NewNode()
 	bad.SetInt("atomic/bad", 2)
-	if err := c.Publish(Namespace("bogus"), bad); err != nil {
-		t.Fatal(err) // coalesced: the rejection surfaces at flush
+	var unknown *ErrUnknownNamespace
+	if err := c.Publish(Namespace("bogus"), bad); !errors.As(err, &unknown) {
+		t.Fatalf("Publish into a bogus namespace = %v, want ErrUnknownNamespace", err)
 	}
-	if err := c.Flush(); err == nil {
-		t.Fatal("flush of a batch with a bogus namespace reported success")
+	if err := c.PublishEncoded(Namespace("bogus"), bad.EncodeBinary()); !errors.As(err, &unknown) {
+		t.Fatalf("PublishEncoded into a bogus namespace = %v, want ErrUnknownNamespace", err)
 	}
-	if hist, err := svc.History(NSWorkflow, 0); err != nil || len(hist) != 0 {
-		t.Fatalf("atomically-rejected batch leaked %d records into the service (err=%v)", len(hist), err)
+	if err := c.Flush(); err != nil {
+		t.Fatalf("flush: the rejected publish voided its neighbour: %v", err)
 	}
-	if got := c.Published(); got != 0 {
-		t.Fatalf("Published() = %d after a rejected batch, want 0", got)
+	if hist, err := svc.History(NSWorkflow, 0); err != nil || len(hist) != 1 {
+		t.Fatalf("service holds %d records (err=%v), want the 1 valid neighbour", len(hist), err)
+	}
+	if got := c.Published(); got != 1 {
+		t.Fatalf("Published() = %d, want 1", got)
+	}
+
+	frame := conduit.AppendBatchHeader(nil)
+	frame = conduit.AppendBatchEntry(frame, string(NSWorkflow), good)
+	frame = conduit.AppendBatchEntry(frame, "bogus", bad)
+	if _, err := c.ep.Call(context.Background(), RPCPublishBatch, frame); err == nil {
+		t.Fatal("service accepted a hand-built batch frame with a bogus namespace")
+	}
+	if hist, err := svc.History(NSWorkflow, 0); err != nil || len(hist) != 1 {
+		t.Fatalf("atomically-rejected frame leaked: service holds %d records (err=%v), want 1", len(hist), err)
 	}
 }
 
 // Published must count at send-acknowledgement, exactly once per leaf, when
-// async submission feeds the coalescer.
-func TestPublishedCountsAtAckWithAsyncAndBatch(t *testing.T) {
+// the age timer and the leaf threshold both ship batches.
+func TestPublishedCountsAtAckWithBatch(t *testing.T) {
 	_, addr := newTestService(t, ServiceConfig{})
 	c, err := Connect(addr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.EnableAsync(256)
 	c.EnableBatch(BatchConfig{MaxLeaves: 16, MaxAge: time.Millisecond})
 
 	const total = 100
@@ -156,62 +172,9 @@ func TestPublishedCountsAtAckWithAsyncAndBatch(t *testing.T) {
 	}
 }
 
-// Against a server that predates soma.publish.batch the client must latch
-// the per-entry fallback after the first flush — data still lands, every
-// publish is acknowledged and counted once.
-func TestBatchFallbackAgainstOldServer(t *testing.T) {
-	svc, addr := newTestService(t, ServiceConfig{})
-	svc.Engine().Deregister(RPCPublishBatch) // simulate a pre-batch server
-	c, err := Connect(addr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.EnableBatch(BatchConfig{MaxLeaves: 8, MaxAge: time.Hour})
-
-	const total = 20
-	for i := 0; i < total; i++ {
-		n := conduit.NewNode()
-		n.SetInt("fallback/seq", int64(i))
-		if err := c.Publish(NSWorkflow, n); err != nil {
-			t.Fatalf("publish %d: %v", i, err)
-		}
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
-	if !c.noBatch.Load() {
-		t.Fatal("client did not latch the no-batch fallback against an old server")
-	}
-	if got := c.Published(); got != total {
-		t.Fatalf("Published() = %d, want %d", got, total)
-	}
-	hist, err := svc.History(NSWorkflow, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hist) != total {
-		t.Fatalf("old server received %d publishes, want %d", len(hist), total)
-	}
-	for i, rec := range hist {
-		if v, ok := rec.Int("fallback/seq"); !ok || v != int64(i) {
-			t.Fatalf("history[%d] seq = %d (%v), want %d", i, v, ok, i)
-		}
-	}
-	// Latched: later publishes bypass the coalescer entirely.
-	n := conduit.NewNode()
-	n.SetInt("fallback/late", 1)
-	if err := c.Publish(NSWorkflow, n); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Published(); got != total+1 {
-		t.Fatalf("Published() = %d after latched publish, want %d", got, total+1)
-	}
-}
-
 // A batching + spilling client must ride out a service restart with zero
-// loss: entries buffered during the outage redeliver (in batch frames) in
-// order once the service is back, and Published converges on the exact
+// loss: frames queued during the outage redeliver verbatim, in order, once
+// the service is back, and Published converges on the exact
 // publish count.
 func TestSpillDrainsThroughBatchRedelivery(t *testing.T) {
 	svc := NewService(ServiceConfig{})
@@ -246,7 +209,7 @@ func TestSpillDrainsThroughBatchRedelivery(t *testing.T) {
 	for i := before; i < before+during; i++ {
 		pub(i)
 	}
-	// Outage publishes flush into transient failures and spill per entry.
+	// Outage publishes flush into transient failures and spill frame by frame.
 	deadline := time.Now().Add(10 * time.Second)
 	for c.Spill().Buffered < during {
 		if time.Now().After(deadline) {
@@ -442,118 +405,5 @@ func TestBatchRejectsAtomically(t *testing.T) {
 	case m := <-updates:
 		t.Fatalf("rejected batch reached the bus: topic %q", m.Topic)
 	default:
-	}
-}
-
-// newAdaptiveCoalescer builds a bare coalescer in TargetLatency mode with
-// the adaptive bound seeded at start — enough state to drive adaptAge
-// directly, no wire required.
-func newAdaptiveCoalescer(target, start time.Duration) *coalescer {
-	co := &coalescer{cfg: BatchConfig{TargetLatency: target}}
-	co.ageNs.Store(int64(start))
-	return co
-}
-
-// Acks running far over target must shrink the age bound (ship sooner,
-// carry less queue dwell) until it pins at the lower clamp — and never
-// below it.
-func TestAdaptiveAgeShrinksUnderSlowAcks(t *testing.T) {
-	co := newAdaptiveCoalescer(time.Millisecond, time.Millisecond)
-	prev := co.ageBound()
-	co.adaptAge(10 * time.Millisecond)
-	if got := co.ageBound(); got >= prev {
-		t.Fatalf("age bound %v did not shrink from %v under 10x-over-target acks", got, prev)
-	}
-	for i := 0; i < 50; i++ {
-		co.adaptAge(10 * time.Millisecond)
-	}
-	if got := co.ageBound(); got != minAdaptiveAge {
-		t.Fatalf("age bound settled at %v, want the %v clamp under sustained slow acks", got, minAdaptiveAge)
-	}
-}
-
-// Acks running far under target must stretch the bound (amortize more per
-// round trip) until it pins at the upper clamp — and never above it.
-func TestAdaptiveAgeStretchesUnderFastAcks(t *testing.T) {
-	co := newAdaptiveCoalescer(time.Millisecond, 200*time.Microsecond)
-	// Warm the tail estimate below target first so the steer direction is
-	// unambiguous from the first assertion on.
-	co.adaptAge(50 * time.Microsecond)
-	prev := co.ageBound()
-	co.adaptAge(50 * time.Microsecond)
-	if got := co.ageBound(); got <= prev {
-		t.Fatalf("age bound %v did not stretch from %v under fast acks", got, prev)
-	}
-	for i := 0; i < 50; i++ {
-		co.adaptAge(50 * time.Microsecond)
-	}
-	if got := co.ageBound(); got != maxAdaptiveAge {
-		t.Fatalf("age bound settled at %v, want the %v clamp under sustained fast acks", got, maxAdaptiveAge)
-	}
-}
-
-// A single outlier ack may move the bound by at most a factor of two per
-// flush in either direction — the steer is damped, not a slam.
-func TestAdaptiveAgeStepBounded(t *testing.T) {
-	co := newAdaptiveCoalescer(time.Millisecond, time.Millisecond)
-	co.adaptAge(time.Second) // monstrous outlier
-	if got := co.ageBound(); got < 500*time.Microsecond {
-		t.Fatalf("one outlier moved the bound to %v; steps must stay within [1/2, 2]x", got)
-	}
-	co = newAdaptiveCoalescer(time.Millisecond, time.Millisecond)
-	co.ackTailNs = float64(time.Millisecond) // settled at target...
-	co.adaptAge(time.Nanosecond)             // ...then one absurdly fast ack
-	if got := co.ageBound(); got > 2*time.Millisecond {
-		t.Fatalf("one fast outlier stretched the bound to %v; steps must stay within [1/2, 2]x", got)
-	}
-}
-
-// Without TargetLatency the bound is the fixed MaxAge — the adaptive path
-// must stay fully inert.
-func TestAdaptiveAgeDisabledKeepsFixedMaxAge(t *testing.T) {
-	co := &coalescer{cfg: BatchConfig{MaxAge: 7 * time.Millisecond}}
-	if got := co.ageBound(); got != 7*time.Millisecond {
-		t.Fatalf("ageBound() = %v, want the fixed MaxAge 7ms", got)
-	}
-}
-
-// End-to-end: a TargetLatency client over a real wire must deliver
-// everything exactly as a fixed-age client would, with the effective bound
-// live inside its clamp the whole time.
-func TestAdaptiveBatchEndToEnd(t *testing.T) {
-	svc, addr := newTestService(t, ServiceConfig{})
-	c, err := Connect(addr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.EnableBatch(BatchConfig{MaxLeaves: 8, TargetLatency: 500 * time.Microsecond})
-
-	const total = 200
-	for i := 0; i < total; i++ {
-		n := conduit.NewNode()
-		n.SetFloat(fmt.Sprintf("adapt/p%03d", i), float64(i))
-		if err := c.Publish(NSWorkflow, n); err != nil {
-			t.Fatalf("publish %d: %v", i, err)
-		}
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
-	if got := c.Published(); got != total {
-		t.Fatalf("Published() = %d, want %d", got, total)
-	}
-	tree, err := svc.Query(NSWorkflow, "adapt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < total; i++ {
-		if v, ok := tree.Float(fmt.Sprintf("p%03d", i)); !ok || v != float64(i) {
-			t.Fatalf("leaf p%03d = %v (%v) after adaptive batching", i, v, ok)
-		}
-	}
-	co := c.coal.Load()
-	if b := co.ageBound(); b < minAdaptiveAge || b > maxAdaptiveAge {
-		t.Fatalf("effective age bound %v escaped the [%v, %v] clamp", b, minAdaptiveAge, maxAdaptiveAge)
 	}
 }

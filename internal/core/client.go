@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -17,6 +16,13 @@ import (
 // component's address space (monitor daemons, the TAU plugin, application
 // tasks) and needs no resources of its own.
 //
+// Publishing is one pipeline with two producers. Unbatched, Publish and
+// PublishEncoded each build a {ns, data} envelope and hand it to deliver as
+// a soma.publish frame, returning the service's verdict. After EnableBatch
+// they append into the coalescer instead, whose flush hands deliver a
+// soma.publish.batch frame. deliver is the only place the degradation policy
+// lives (see spill.go for the queue it degrades into).
+//
 // Published trees are handed over to the service; callers must not mutate a
 // tree after publishing it.
 type Client struct {
@@ -27,29 +33,21 @@ type Client struct {
 	engine *mercury.Engine
 	policy *mercury.CallPolicy
 
-	// spill is the graceful-degradation buffer (nil until EnableSpill); see
+	// spill is the graceful-degradation queue (nil until EnableSpill); see
 	// spill.go.
 	spill atomic.Pointer[spillState]
 
 	// coal is the publish coalescer (nil until EnableBatch); see batch.go.
 	coal atomic.Pointer[coalescer]
-	// noBatch latches when the service reports soma.publish.batch as
-	// unknown (an older server); publishes then bypass the coalescer and go
-	// per-entry, mirroring the noDelta latch below.
-	noBatch atomic.Bool
 
-	mu    sync.Mutex
-	async chan publishReq
-	wg    sync.WaitGroup
-	// Errs receives asynchronous publish failures; nil unless async mode
-	// was enabled.
-	Errs chan error
-	// fireAndForget switches publishes to one-way notifications; atomic so
-	// the publish hot path never takes c.mu for it.
-	fireAndForget atomic.Bool
-
-	// published counts successful publishes.
+	// published counts acknowledged publishes.
 	published atomic.Int64
+
+	// mu guards pendErr, the first failure since the last Flush among the
+	// frames no Publish call could report: a coalesced batch the service
+	// rejected, a spilled frame that redelivery had to drop.
+	mu      sync.Mutex
+	pendErr error
 
 	// encSeen memoizes frames PublishEncoded has already validated, keyed
 	// by first-byte pointer → frame length. A cached-payload publisher
@@ -66,10 +64,6 @@ type Client struct {
 	// answers with a tiny "unchanged" frame and the memoized tree is reused.
 	deltaMu sync.Mutex
 	delta   map[string]*deltaMemo
-	// noDelta latches when the service reports soma.query.delta as unknown
-	// (an older server); all later QueryDelta calls fall back to plain
-	// queries without re-probing.
-	noDelta atomic.Bool
 	// localRPCs switches reads to the ".local" single-shard RPC variants.
 	// ClusterClient sets it on its per-member clients so each shard poll is
 	// answered from that instance alone (with its own delta memo) instead of
@@ -92,16 +86,6 @@ type deltaMemo struct {
 // maxDeltaMemos bounds the generation memo; queries for paths beyond the cap
 // still work, they just never get the tiny-frame fast path.
 const maxDeltaMemos = 256
-
-type publishReq struct {
-	ns   Namespace
-	node *conduit.Node
-	// flushed marks a Flush sentinel: the worker answers on it instead of
-	// publishing, proving every earlier enqueued publish has been sent, and
-	// reports the first error among them (buffered so the worker never
-	// blocks on an abandoned Flush).
-	flushed chan error
-}
 
 // Connect resolves the service address ("inproc://..." or "tcp://...") into
 // a client. The optional engine (may be nil) accounts client-side RPC stats.
@@ -129,124 +113,15 @@ func ConnectPolicy(addr string, engine *mercury.Engine, p *mercury.CallPolicy) (
 	return &Client{ep: ep, addr: addr, engine: engine, policy: p}, nil
 }
 
-// EnableAsync switches Publish to buffered asynchronous mode: publishes are
-// queued (up to depth) and sent by a background goroutine, so the
-// instrumented code never blocks on the service — the low-overhead
-// transport mode for real-time deployments. Errors surface on c.Errs.
-func (c *Client) EnableAsync(depth int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.async != nil {
-		return
-	}
-	if depth < 1 {
-		depth = 64
-	}
-	c.async = make(chan publishReq, depth)
-	c.Errs = make(chan error, depth)
-	// The worker must capture the channel VALUE: Close nils the field, and
-	// a field read in the range expression could observe nil (range over a
-	// nil channel blocks forever, deadlocking Close's wg.Wait).
-	ch := c.async
-	errs := c.Errs
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		// pendErr is the first publish failure since the last Flush; a
-		// Flush sentinel collects and clears it, so callers learn when
-		// queued publishes died (e.g. the service stopped underneath them)
-		// even if nothing reads c.Errs.
-		var pendErr error
-		for req := range ch {
-			if req.flushed != nil {
-				req.flushed <- pendErr
-				pendErr = nil
-				continue
-			}
-			if err := c.publishSync(req.ns, req.node); err != nil {
-				if pendErr == nil {
-					pendErr = err
-				}
-				select {
-				case errs <- err:
-				default:
-				}
-			}
-		}
-	}()
-}
-
-// Publish sends a tree to the namespace's service instance. In async mode
-// it enqueues (dropping with an error on a full queue) and returns
-// immediately.
+// Publish sends a tree to the namespace's service instance. Unbatched it
+// returns once the service has acknowledged (or, with EnableSpill, once a
+// transient failure has been absorbed into the spill queue); after
+// EnableBatch it enqueues into the coalescer and returns immediately, the
+// delivery verdict surfacing through Flush. An unknown namespace is rejected
+// here, before anything is enqueued: the service rejects a batch frame
+// atomically, so one bad entry would void its valid neighbours.
 func (c *Client) Publish(ns Namespace, n *conduit.Node) error {
-	c.mu.Lock()
-	async := c.async
-	c.mu.Unlock()
-	if async != nil {
-		select {
-		case async <- publishReq{ns: ns, node: n}:
-			return nil
-		default:
-			return fmt.Errorf("soma: async publish queue full")
-		}
-	}
-	return c.publishSync(ns, n)
-}
-
-// Flush blocks until every publish enqueued before the call has been sent
-// — draining the async queue and then the batch coalescer — and returns the
-// first error those publishes hit (e.g. ErrServiceStopped when the service
-// shut down while they were queued) — a silent drain would let a monitor's
-// final batch vanish unnoticed. A no-op in synchronous unbatched mode.
-// Callers that queried data right after a final async publish would
-// otherwise race the background sender — e.g. a monitor's shutdown
-// collection followed by analysis over the same client.
-func (c *Client) Flush() error {
-	c.mu.Lock()
-	async := c.async
-	c.mu.Unlock()
-	var asyncErr error
-	if async != nil {
-		done := make(chan error, 1)
-		async <- publishReq{flushed: done}
-		asyncErr = <-done
-	}
-	// Drain the coalescer second: the async worker feeds it, so every
-	// publish enqueued before this call is now in the batch buffer (or
-	// already on the wire) and the synchronous flush covers it.
-	var batchErr error
-	if co := c.coal.Load(); co != nil {
-		batchErr = co.flushNow()
-	}
-	if asyncErr != nil {
-		return asyncErr
-	}
-	return batchErr
-}
-
-// EnableFireAndForget switches Publish to one-way notifications: the client
-// never waits for the service's acknowledgment, trading delivery
-// confirmation for the lowest possible publish latency — the mode for
-// per-iteration application instrumentation on hot paths. Composable with
-// EnableAsync (the background goroutine then sends notifications).
-func (c *Client) EnableFireAndForget() {
-	c.fireAndForget.Store(true)
-}
-
-// publishSync sends one publish: through the coalescer when batching is
-// enabled (and the server speaks the batch RPC), otherwise directly.
-func (c *Client) publishSync(ns Namespace, n *conduit.Node) error {
-	if co := c.coal.Load(); co != nil {
-		if !c.noBatch.Load() {
-			return co.append(ns, n, nil)
-		}
-		// Old server, fallback latched: entries coalesced before the latch (or
-		// still being replayed one by one) must land first, or this publish
-		// would overtake them.
-		co.flush()
-	}
-	return c.publishDirect(ns, n)
+	return c.publish(ns, n, nil)
 }
 
 // PublishEncoded sends a pre-encoded tree (Node.EncodeBinary output). A
@@ -254,22 +129,52 @@ func (c *Client) publishSync(ns Namespace, n *conduit.Node) error {
 // the cached bytes, skipping the per-publish encode walk — and, because
 // cached frames are flat byte slices, keeping the publisher's working set
 // free of pointer-rich trees the garbage collector would have to trace.
-// The frame is validated up front; the coalescer retains enc by reference
-// until the batch is acknowledged, so the caller must not mutate it.
-// Without batching enabled (or against a server predating the batch RPC)
-// the frame is decoded and follows the ordinary per-entry path.
+// The frame is validated up front and copied into the outgoing frame before
+// the call returns; the caller must not mutate enc afterwards (the
+// validation memo remembers it by address).
 func (c *Client) PublishEncoded(ns Namespace, enc []byte) error {
 	if err := c.validateEncoded(enc); err != nil {
 		return err
 	}
-	if co := c.coal.Load(); co != nil && !c.noBatch.Load() {
-		return co.append(ns, nil, enc)
+	return c.publish(ns, nil, enc)
+}
+
+// publish is the producer both entry points share; exactly one of n and enc
+// (an already validated tree frame) is set.
+func (c *Client) publish(ns Namespace, n *conduit.Node, enc []byte) error {
+	if !ns.Valid() {
+		return &ErrUnknownNamespace{NS: ns}
 	}
-	n, err := conduit.DecodeBinary(enc)
-	if err != nil {
-		return err
+	if co := c.coal.Load(); co != nil {
+		return co.append(ns, n, enc)
 	}
-	return c.publishSync(ns, n)
+	return c.publishDirect(ns, n, enc)
+}
+
+// publishDirect is the unbatched producer: one {ns, data} envelope, encoded
+// into a pooled buffer and delivered as a soma.publish frame of one leaf.
+func (c *Client) publishDirect(ns Namespace, n *conduit.Node, enc []byte) error {
+	// Zero-copy envelope: the published tree is grafted under "data" by
+	// reference rather than deep-merged — callers handed it over at Publish
+	// and may not mutate it, so encoding can read it in place. A pre-encoded
+	// tree, minus its 4-byte magic, takes the place of an empty data child's
+	// single kind byte.
+	req := conduit.NewNode()
+	req.SetString("ns", string(ns))
+	buf := conduit.GetEncodeBuffer()
+	if n != nil {
+		req.Attach("data", n)
+		*buf = req.AppendBinary(*buf)
+	} else {
+		req.Fetch("data")
+		*buf = req.AppendBinary(*buf)
+		*buf = append((*buf)[:len(*buf)-1], enc[4:]...)
+	}
+	// The transport and the spill queue both copy what they keep, so the
+	// buffer goes back to the pool as soon as deliver returns.
+	err := c.deliver(RPCPublish, *buf, 1)
+	conduit.PutEncodeBuffer(buf)
+	return err
 }
 
 // encSeenMax bounds the validated-frame memo; past it the memo is dropped
@@ -303,82 +208,91 @@ func (c *Client) validateEncoded(enc []byte) error {
 	return nil
 }
 
-// publishDirect sends one per-entry publish, degrading into the spill
-// buffer (when enabled) on transient transport failures — and routing
-// behind any entries already buffered, so redelivery preserves publish
-// order.
-func (c *Client) publishDirect(ns Namespace, n *conduit.Node) error {
-	if sp := c.spill.Load(); sp != nil && sp.pending() > 0 {
-		if sp.add(ns, n) {
-			return nil
-		}
-	}
-	err := c.sendPublish(ns, n)
-	if err == nil {
+// deliver is the client's one outbound primitive: every publish frame —
+// a soma.publish envelope from publishDirect, a soma.publish.batch frame
+// from the coalescer's flush — leaves through it, and it is the only place
+// the degradation policy lives. While the spill queue holds frames a new one
+// queues behind them, so redelivery preserves publish order; otherwise the
+// frame is sent and acknowledged, and only a transient transport failure
+// spills it. A definitive verdict — handler error, stopped service — is
+// returned: redelivering it would loop forever. leaves is the number of
+// publishes the frame carries.
+func (c *Client) deliver(rpc string, frame []byte, leaves int) error {
+	sp := c.spill.Load()
+	if sp != nil && sp.pending() > 0 && sp.add(rpc, frame, leaves) {
 		return nil
 	}
-	if sp := c.spill.Load(); sp != nil && mercury.IsTransient(err) {
-		if sp.add(ns, n) {
-			return nil
-		}
+	transient, err := c.send(rpc, frame, leaves)
+	if transient && sp != nil && sp.add(rpc, frame, leaves) {
+		return nil
 	}
 	return err
 }
 
-// reportAsyncError offers err on Errs without blocking (async mode only).
-func (c *Client) reportAsyncError(err error) {
-	c.mu.Lock()
-	errs := c.Errs
-	c.mu.Unlock()
-	if errs == nil {
-		return
-	}
-	select {
-	case errs <- err:
-	default:
-	}
-}
-
-// sendPublish performs the wire publish with no degradation handling.
-func (c *Client) sendPublish(ns Namespace, n *conduit.Node) error {
+// send performs one acknowledged wire publish with no degradation handling,
+// counts the frame's leaves in Published at acknowledgement, and classifies
+// a failure: transient means the transport failed before any verdict
+// (mercury.IsTransient) and the same frame is worth sending again. Spill
+// redelivery calls it directly, so a failed redelivery never re-spills.
+func (c *Client) send(rpc string, frame []byte, leaves int) (transient bool, err error) {
 	// Every publish is the root of a trace: the span's ids travel in the
 	// mercury frame header, so the service-side handler and stripe append
 	// record child spans of this one (client → wire → stripe append).
-	ctx, sp := telemetry.StartSpan(context.Background(), "soma.client.publish")
-	// Zero-copy envelope: the published tree is grafted under "data" by
-	// reference rather than deep-merged — callers handed it over at Publish
-	// and may not mutate it, so encoding can read it in place. The wire
-	// buffer is pooled; both transports finish with it before returning.
-	req := conduit.NewNode()
-	req.SetString("ns", string(ns))
-	req.Attach("data", n)
-	buf := conduit.GetEncodeBuffer()
-	*buf = req.AppendBinary(*buf)
-	var err error
-	if c.fireAndForget.Load() {
-		err = c.ep.Notify(ctx, RPCPublish, *buf)
-	} else {
-		_, err = c.ep.Call(ctx, RPCPublish, *buf)
+	name := "soma.client.publish"
+	if rpc == RPCPublishBatch {
+		name = "soma.client.publish.batch"
 	}
-	conduit.PutEncodeBuffer(buf)
+	ctx, sp := telemetry.StartSpan(context.Background(), name)
+	_, err = c.ep.Call(ctx, rpc, frame)
 	if err != nil {
 		// A failed publish is an error trace: the tail sampler always keeps
 		// those, so the failure is inspectable via soma.trace.get afterwards.
 		sp.Fail()
+		sp.End()
+		return mercury.IsTransient(err), err
 	}
 	sp.End()
-	if err == nil {
-		c.published.Add(1)
+	c.published.Add(int64(leaves))
+	return false, nil
+}
+
+// fail records a delivery failure no Publish call is left to report; the
+// next Flush returns the first one.
+func (c *Client) fail(err error) {
+	c.mu.Lock()
+	if c.pendErr == nil {
+		c.pendErr = err
 	}
+	c.mu.Unlock()
+}
+
+// Flush blocks until every publish enqueued before the call has had its
+// delivery attempt — draining the batch coalescer — and returns the first
+// failure since the previous Flush among frames no Publish call reported
+// (e.g. ErrServiceStopped when the service shut down under a coalesced
+// batch, or a spilled frame redelivery had to drop): a silent drain would
+// let a monitor's final batch vanish unnoticed. Unbatched publishes report
+// their own verdict, so without EnableBatch there is nothing to drain.
+// Callers that query right after a final batched publish would otherwise
+// race the background flusher — e.g. a monitor's shutdown collection
+// followed by analysis over the same client.
+func (c *Client) Flush() error {
+	if co := c.coal.Load(); co != nil {
+		co.flush()
+	}
+	c.mu.Lock()
+	err := c.pendErr
+	c.pendErr = nil
+	c.mu.Unlock()
 	return err
 }
 
 // Published returns the number of acknowledged publishes. Leaves are
-// counted at send-acknowledgement, not at enqueue: an async or batched
-// publish only counts once the service's ack (or the one-way send, in
-// fire-and-forget mode) confirms it left, and a spilled entry counts
-// exactly once, at successful redelivery. After Flush (and DrainSpill, when
-// spill is enabled) the count equals the publishes the service accepted.
+// counted at send-acknowledgement, not at enqueue: a batched publish only
+// counts once the service's ack confirms its frame, and a spilled frame's
+// leaves count exactly once, at successful redelivery. After Flush (and
+// DrainSpill, when spill is enabled) the count equals the publishes the
+// service accepted.
 func (c *Client) Published() int64 {
 	return c.published.Load()
 }
@@ -396,14 +310,8 @@ func (c *Client) Query(ns Namespace, path string) (*conduit.Node, error) {
 // (epoch, gen) stamp via soma.query.delta, and changed reports whether the
 // namespace moved since the previous call for the same (ns, path). When
 // changed is false the returned tree is the memoized previous result and the
-// poll cost a ~30-byte frame instead of the full tree. Against servers
-// predating the delta RPC it degrades to a plain query (changed always
-// true).
+// poll cost a ~30-byte frame instead of the full tree.
 func (c *Client) QueryDelta(ns Namespace, path string) (tree *conduit.Node, changed bool, err error) {
-	if c.noDelta.Load() {
-		tree, err = c.queryPlain(ns, path)
-		return tree, true, err
-	}
 	key := string(ns) + "\x00" + path
 	c.deltaMu.Lock()
 	memo := c.delta[key]
@@ -424,14 +332,13 @@ func (c *Client) QueryDelta(ns Namespace, path string) (tree *conduit.Node, chan
 	}
 	buf := conduit.GetEncodeBuffer()
 	*buf = req.AppendBinary(*buf)
-	out, err := c.ep.Call(ctx, c.queryDeltaRPC(), *buf)
+	rpc := RPCQueryDelta
+	if c.localRPCs {
+		rpc = RPCQueryDeltaLocal
+	}
+	out, err := c.ep.Call(ctx, rpc, *buf)
 	conduit.PutEncodeBuffer(buf)
 	if err != nil {
-		if errors.Is(err, mercury.ErrUnknownRPC) {
-			c.noDelta.Store(true)
-			tree, err = c.queryPlain(ns, path)
-			return tree, true, err
-		}
 		return nil, false, err
 	}
 	resp, err := conduit.DecodeBinary(out)
@@ -441,19 +348,24 @@ func (c *Client) QueryDelta(ns Namespace, path string) (tree *conduit.Node, chan
 	epoch, _ := resp.Int("epoch")
 	gen, _ := resp.Int("gen")
 	if unch, _ := resp.Bool("unchanged"); unch {
+		if memo == nil {
+			return nil, false, fmt.Errorf("soma: query %s: service answered \"unchanged\" to a poll that carried no stamp", ns)
+		}
 		// The stamp the service matched is the one this call sent, so the
 		// memo pointer read above is exactly the state the service holds.
-		if memo != nil && memo.epoch == epoch && memo.gen == gen {
+		if memo.epoch == epoch && memo.gen == gen {
 			c.deltaUnchanged.Add(1)
 			if saved := memo.frameLen - len(out); saved > 0 {
 				c.deltaBytesSaved.Add(int64(saved))
 			}
 			return memo.tree, false, nil
 		}
-		// Defensive: an "unchanged" for a stamp this client no longer holds;
-		// resync with a plain query rather than trust it.
-		tree, err = c.queryPlain(ns, path)
-		return tree, true, err
+		// Defensive: an "unchanged" for a stamp this client no longer holds.
+		// Drop the memo and re-poll with a zero stamp rather than trust it.
+		c.deltaMu.Lock()
+		delete(c.delta, key)
+		c.deltaMu.Unlock()
+		return c.QueryDelta(ns, path)
 	}
 	data, ok := resp.Get("data")
 	if !ok {
@@ -488,50 +400,6 @@ func (c *Client) DeltaStats() DeltaStatsSnapshot {
 		Unchanged:  c.deltaUnchanged.Load(),
 		BytesSaved: c.deltaBytesSaved.Load(),
 	}
-}
-
-func (c *Client) queryRPC() string {
-	if c.localRPCs {
-		return RPCQueryLocal
-	}
-	return RPCQuery
-}
-
-func (c *Client) queryDeltaRPC() string {
-	if c.localRPCs {
-		return RPCQueryDeltaLocal
-	}
-	return RPCQueryDelta
-}
-
-// queryPlain is the pre-delta wire query: always fetches the full tree.
-func (c *Client) queryPlain(ns Namespace, path string) (tree *conduit.Node, err error) {
-	ctx, sp := telemetry.StartSpan(context.Background(), "soma.client.query")
-	defer func() {
-		if err != nil {
-			sp.Fail()
-		}
-		sp.End()
-	}()
-	req := conduit.NewNode()
-	req.SetString("ns", string(ns))
-	req.SetString("path", path)
-	buf := conduit.GetEncodeBuffer()
-	*buf = req.AppendBinary(*buf)
-	out, err := c.ep.Call(ctx, c.queryRPC(), *buf)
-	conduit.PutEncodeBuffer(buf)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := conduit.DecodeBinary(out)
-	if err != nil {
-		return nil, err
-	}
-	data, ok := resp.Get("data")
-	if !ok {
-		return conduit.NewNode(), nil
-	}
-	return data, nil
 }
 
 // Stats fetches per-instance service statistics.
@@ -631,20 +499,11 @@ func (c *Client) Shutdown() error {
 	return err
 }
 
-// Close flushes the async queue (if any), stops spill redelivery, and
-// releases the endpoint. Buffered spill entries are NOT delivered — call
-// DrainSpill first when they must not be lost.
+// Close gives the coalescer's pending batch its final delivery attempt,
+// stops spill redelivery, and releases the endpoint. Frames still in the
+// spill queue are NOT delivered — call DrainSpill first when they must not
+// be lost.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	async := c.async
-	c.async = nil
-	c.mu.Unlock()
-	if async != nil {
-		close(async)
-		c.wg.Wait()
-	}
-	// Stop the coalescer (final flush) before tearing the endpoint down so
-	// buffered entries get their delivery attempt.
 	if co := c.coal.Load(); co != nil {
 		co.shutdown()
 	}

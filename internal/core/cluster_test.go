@@ -618,9 +618,18 @@ func TestClusterScatterQueryTraced(t *testing.T) {
 	defer c.Close()
 	for _, handler := range []string{"soma.query.delta.handler", "soma.query.handler"} {
 		if handler == "soma.query.handler" {
-			c.noDelta.Store(true) // the plain soma.query a pre-delta client sends
+			// The plain soma.query a pre-delta client sends, under the root
+			// span such a client would have opened.
+			ctx, sp := telemetry.StartSpan(context.Background(), "soma.client.query")
+			req := conduit.NewNode()
+			req.SetString("ns", string(NSHardware))
+			req.SetString("path", "FLEET")
+			_, err = c.ep.Call(ctx, RPCQuery, req.EncodeBinary())
+			sp.End()
+		} else {
+			_, err = c.Query(NSHardware, "FLEET")
 		}
-		if _, err := c.Query(NSHardware, "FLEET"); err != nil {
+		if err != nil {
 			t.Fatal(err)
 		}
 		var tr telemetry.Trace

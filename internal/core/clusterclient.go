@@ -262,8 +262,8 @@ func (c *ClusterClient) Query(ns Namespace, path string) (*conduit.Node, error) 
 	return merged, nil
 }
 
-// Flush drains every member connection's async queue and batch coalescer,
-// returning the first error.
+// Flush drains every member connection's batch coalescer, returning the
+// first error.
 func (c *ClusterClient) Flush() error {
 	var first error
 	for _, cl := range c.snapshotClients() {

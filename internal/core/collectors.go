@@ -29,53 +29,6 @@ func (lp LocalPublisher) Publish(ns Namespace, n *conduit.Node) error {
 	return lp.Service.Publish(ns, n, 0)
 }
 
-// DeltaQuerier is the inbound, change-aware half of the client API that
-// repeat-poll consumers (DeltaPoller, somatop, somactl watch) use: a query
-// that also reports whether the namespace moved since the previous call for
-// the same (ns, path). *Client implements it over soma.query.delta;
-// LocalDeltaQuerier implements it for in-process wiring. Returned trees are
-// shared, read-only snapshots.
-type DeltaQuerier interface {
-	QueryDelta(ns Namespace, path string) (tree *conduit.Node, changed bool, err error)
-}
-
-// LocalDeltaQuerier answers delta queries straight from a service's
-// snapshots, with the same changed/unchanged semantics as the RPC path but
-// no encoding at all.
-type LocalDeltaQuerier struct {
-	Service *Service
-
-	mu   sync.Mutex
-	memo map[string][2]uint64 // (epoch, gen) last seen per ns\x00path
-}
-
-// QueryDelta reports changed=true on the first call for a (ns, path) and
-// whenever the namespace's snapshot stamp moved since the previous call.
-func (lq *LocalDeltaQuerier) QueryDelta(ns Namespace, path string) (*conduit.Node, bool, error) {
-	if lq.Service.Stopped() {
-		return nil, false, ErrServiceStopped
-	}
-	in, err := lq.Service.instanceFor(ns)
-	if err != nil {
-		return nil, false, err
-	}
-	sn := in.currentSnapshot()
-	stamp := [2]uint64{sn.epoch, sn.gen}
-	key := string(ns) + "\x00" + path
-	lq.mu.Lock()
-	prev, seen := lq.memo[key]
-	if lq.memo == nil {
-		lq.memo = map[string][2]uint64{}
-	}
-	lq.memo[key] = stamp
-	lq.mu.Unlock()
-	sub, ok := sn.tree.Get(path)
-	if !ok {
-		sub = conduit.NewNode()
-	}
-	return sub, !seen || prev != stamp, nil
-}
-
 // ---------------------------------------------------------------------------
 // RP monitor client: one per workflow (paper Fig. 2, square 3). It
 // periodically reads the profile stream RP generates, summarizes workflow

@@ -25,8 +25,8 @@ import (
 //
 // Trees are materialized only where something reads them as trees: the
 // snapshot rebuild folds raw records straight from their bytes
-// (conduit.MergeBinaryIntoCached); History, Watcher and DeltaPoller reads
-// decode a record lazily (record.tree). In-process publishes carry a
+// (conduit.MergeBinaryIntoCached); History reads decode a record lazily
+// (record.tree). In-process publishes carry a
 // *conduit.Node instead of bytes and go through the very same stages via
 // pub.walkLeaves.
 

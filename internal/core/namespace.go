@@ -7,7 +7,7 @@
 //     application), each with its own storage and lock;
 //   - a Client stub that translates the SOMA monitoring API into RPCs over
 //     internal/mercury (or local calls through the in-process transport),
-//     with optional buffered asynchronous publishing;
+//     with optional coalesced publishing and a spill queue for outages;
 //   - collector daemons: the RP monitor (one per workflow, reading the
 //     pilot's profile stream and publishing workflow-state statistics) and
 //     the hardware monitor (one per compute node, publishing /proc data);

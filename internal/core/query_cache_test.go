@@ -275,19 +275,35 @@ func TestQueryDeltaReconnect(t *testing.T) {
 	}
 }
 
-// TestQueryDeltaFallbackOldServer points the client at an engine that only
-// serves the legacy soma.query RPC: QueryDelta must degrade to plain queries
-// (changed always true) after one ErrUnknownRPC probe, not fail.
-func TestQueryDeltaFallbackOldServer(t *testing.T) {
+// TestQueryDeltaDefensiveResync points the client at an engine whose
+// soma.query.delta answers "unchanged" for a stamp the client does not hold:
+// QueryDelta must drop its memo and re-poll with a zero stamp rather than
+// serve the memoized tree.
+func TestQueryDeltaDefensiveResync(t *testing.T) {
 	eng := mercury.NewEngine()
-	legacy := conduit.NewNode()
-	legacy.SetFloat("x", 7)
-	eng.Register(RPCQuery, func(_ context.Context, payload []byte) ([]byte, error) {
+	var polls, unstamped int
+	lie := true // answer the first stamped poll with a stamp nobody sent
+	eng.Register(RPCQueryDelta, func(_ context.Context, payload []byte) ([]byte, error) {
+		req, err := conduit.DecodeBinary(payload)
+		if err != nil {
+			return nil, err
+		}
+		polls++
 		resp := conduit.NewNode()
-		resp.Attach("data", legacy)
+		resp.SetInt("epoch", 1)
+		if _, stamped := req.Int("gen"); stamped && lie {
+			lie = false
+			resp.SetInt("gen", 99)
+			resp.SetBool("unchanged", true)
+			return resp.EncodeBinary(), nil
+		} else if !stamped {
+			unstamped++
+		}
+		resp.SetInt("gen", int64(polls))
+		resp.SetFloat("data/x", float64(polls))
 		return resp.EncodeBinary(), nil
 	})
-	addr, err := eng.Listen(fmt.Sprintf("inproc://legacy-%s", t.Name()))
+	addr, err := eng.Listen(fmt.Sprintf("inproc://resync-%s", t.Name()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,20 +313,18 @@ func TestQueryDeltaFallbackOldServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	for i := 0; i < 2; i++ {
-		tree, changed, err := c.QueryDelta(NSWorkflow, "")
-		if err != nil {
-			t.Fatalf("poll %d: %v", i, err)
-		}
-		if !changed {
-			t.Fatalf("poll %d: legacy fallback reported unchanged", i)
-		}
-		if v, _ := tree.Float("x"); v != 7 {
-			t.Fatalf("poll %d: tree = %g", i, v)
-		}
+	if _, changed, err := c.QueryDelta(NSWorkflow, ""); err != nil || !changed {
+		t.Fatalf("first poll: changed=%v err=%v", changed, err)
 	}
-	if !c.noDelta.Load() {
-		t.Fatal("fallback did not latch")
+	tree, changed, err := c.QueryDelta(NSWorkflow, "")
+	if err != nil {
+		t.Fatalf("resync poll: %v", err)
+	}
+	if v, _ := tree.Float("x"); !changed || v != 3 {
+		t.Fatalf("resync poll: changed=%v x=%g, want the re-polled tree (x=3), not the memo", changed, v)
+	}
+	if polls != 3 || unstamped != 2 {
+		t.Fatalf("server saw %d polls, %d unstamped; want 3 and 2 (first poll + resync)", polls, unstamped)
 	}
 }
 

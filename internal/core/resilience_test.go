@@ -76,31 +76,55 @@ func TestSpillRidesOutServiceRestart(t *testing.T) {
 	}
 }
 
-// A full spill buffer evicts the oldest entry (newer monitoring data wins).
+// A spill queue over capacity evicts whole frames oldest first (newer
+// monitoring data wins), never the frame just added. Capacity and statistics
+// are in entries: unbatched a frame is one entry and eviction is exact;
+// batched it is as coarse as the frames the coalescer shipped.
 func TestSpillOverflowDropsOldest(t *testing.T) {
-	svc := NewService(ServiceConfig{})
-	addr, err := svc.Listen("tcp://127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	client, err := Connect(addr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	client.EnableSpill(2)
-	svc.Close()
+	for _, tc := range []struct {
+		name                       string
+		batchLeaves                int // 0 = unbatched
+		capacity, publishes        int
+		buffered, spilled, dropped int
+	}{
+		{"direct", 0, 2, 3, 2, 3, 1},
+		{"batch evicts a whole frame", 4, 6, 8, 4, 8, 4},
+		{"batch keeps a lone frame over capacity", 4, 2, 4, 4, 4, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc := NewService(ServiceConfig{})
+			addr, err := svc.Listen("tcp://127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			client, err := Connect(addr, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Close()
+			if tc.batchLeaves > 0 {
+				client.EnableBatch(BatchConfig{MaxLeaves: tc.batchLeaves, MaxAge: time.Hour})
+			}
+			client.EnableSpill(tc.capacity)
+			svc.Close()
 
-	for i := 0; i < 3; i++ {
-		n := conduit.NewNode()
-		n.SetInt("leaf", int64(i))
-		if err := client.Publish(NSWorkflow, n); err != nil {
-			t.Fatalf("publish %d: %v", i, err)
-		}
-	}
-	st := client.Spill()
-	if st.Buffered != 2 || st.Spilled != 3 || st.Dropped != 1 {
-		t.Fatalf("spill stats = %+v, want buffered=2 spilled=3 dropped=1", st)
+			for i := 0; i < tc.publishes; i++ {
+				n := conduit.NewNode()
+				n.SetInt("leaf", int64(i))
+				if err := client.Publish(NSWorkflow, n); err != nil {
+					t.Fatalf("publish %d: %v", i, err)
+				}
+				if tc.batchLeaves > 0 && (i+1)%tc.batchLeaves == 0 {
+					if err := client.Flush(); err != nil { // ship exactly one full frame
+						t.Fatalf("flush after %d: %v", i, err)
+					}
+				}
+			}
+			st := client.Spill()
+			if st.Buffered != tc.buffered || st.Spilled != int64(tc.spilled) || st.Dropped != int64(tc.dropped) {
+				t.Fatalf("spill stats = %+v, want buffered=%d spilled=%d dropped=%d", st, tc.buffered, tc.spilled, tc.dropped)
+			}
+		})
 	}
 }
 

@@ -243,14 +243,14 @@ func TestClientShutdownRPC(t *testing.T) {
 	}
 }
 
-func TestClientAsyncPublish(t *testing.T) {
+func TestClientBatchPublishConcurrent(t *testing.T) {
 	svc, addr := newTestService(t, ServiceConfig{})
 	c, err := Connect(addr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.EnableAsync(128)
-	c.EnableAsync(128) // idempotent
+	c.EnableBatch(BatchConfig{})
+	c.EnableBatch(BatchConfig{}) // idempotent
 	var wg sync.WaitGroup
 	for i := 0; i < 50; i++ {
 		wg.Add(1)
@@ -259,18 +259,18 @@ func TestClientAsyncPublish(t *testing.T) {
 			n := conduit.NewNode()
 			n.SetInt(fmt.Sprintf("k%d", i), int64(i))
 			if err := c.Publish(NSApplication, n); err != nil {
-				t.Errorf("async publish %d: %v", i, err)
+				t.Errorf("batched publish %d: %v", i, err)
 			}
 		}(i)
 	}
 	wg.Wait()
-	c.Close() // flushes the queue
+	c.Close() // final delivery attempt for the pending batch
 	got, err := svc.Query(NSApplication, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.NumLeaves() != 50 {
-		t.Fatalf("leaves after flush = %d want 50", got.NumLeaves())
+		t.Fatalf("leaves after Close = %d want 50", got.NumLeaves())
 	}
 }
 
@@ -281,17 +281,21 @@ func TestClientFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.Flush() // no-op in sync mode
-	c.EnableAsync(128)
+	if err := c.Flush(); err != nil { // nothing to drain unbatched
+		t.Fatal(err)
+	}
+	c.EnableBatch(BatchConfig{MaxAge: time.Hour}) // only Flush ships
 	for i := 0; i < 32; i++ {
 		n := conduit.NewNode()
 		n.SetInt(fmt.Sprintf("k%d", i), int64(i))
 		if err := c.Publish(NSApplication, n); err != nil {
-			t.Fatalf("async publish %d: %v", i, err)
+			t.Fatalf("batched publish %d: %v", i, err)
 		}
 	}
 	// Flush must make every earlier publish visible without closing.
-	c.Flush()
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	got, err := svc.Query(NSApplication, "")
 	if err != nil {
 		t.Fatal(err)
@@ -303,20 +307,6 @@ func TestClientFlush(t *testing.T) {
 	if err := c.Publish(NSApplication, conduit.NewNode()); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestClientAsyncErrorsSurface(t *testing.T) {
-	_, addr := newTestService(t, ServiceConfig{})
-	c, _ := Connect(addr, nil)
-	c.EnableAsync(8)
-	if err := c.Publish("bogus", conduit.NewNode()); err != nil {
-		t.Fatalf("async enqueue should succeed: %v", err)
-	}
-	err := <-c.Errs
-	if err == nil {
-		t.Fatal("expected async error")
-	}
-	c.Close()
 }
 
 func TestConnectFailures(t *testing.T) {
@@ -383,19 +373,17 @@ func BenchmarkPublishModes(b *testing.B) {
 			}
 		}
 	})
-	b.Run("async", func(b *testing.B) {
+	b.Run("batch", func(b *testing.B) {
 		svc := NewService(ServiceConfig{})
-		addr, _ := svc.Listen("inproc://bench-async")
+		addr, _ := svc.Listen("inproc://bench-batch")
 		defer svc.Close()
 		c, _ := Connect(addr, nil)
-		c.EnableAsync(4096)
+		c.EnableBatch(BatchConfig{})
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for {
-				if err := c.Publish(NSHardware, mk()); err == nil {
-					break
-				}
+			if err := c.Publish(NSHardware, mk()); err != nil {
+				b.Fatal(err)
 			}
 		}
 		b.StopTimer()
@@ -488,47 +476,6 @@ func TestResetNamespace(t *testing.T) {
 	}
 }
 
-func TestFireAndForgetPublish(t *testing.T) {
-	svc := NewService(ServiceConfig{})
-	addr, err := svc.Listen("tcp://127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	c, err := Connect(addr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.EnableFireAndForget()
-	for i := 0; i < 20; i++ {
-		n := conduit.NewNode()
-		n.SetInt(fmt.Sprintf("k%d", i), int64(i))
-		if err := c.Publish(NSApplication, n); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// One-way publishes carry no acknowledgment and handlers run
-	// concurrently, so poll until they all land.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		got, err := c.Query(NSApplication, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.NumLeaves() == 20 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("leaves = %d want 20", got.NumLeaves())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if c.Published() != 20 {
-		t.Fatalf("published = %d", c.Published())
-	}
-}
-
 func TestSelectRPC(t *testing.T) {
 	svc, addr := newTestService(t, ServiceConfig{})
 	c, err := Connect(addr, nil)
@@ -584,10 +531,9 @@ func TestSelectRPC(t *testing.T) {
 	}
 }
 
-// Regression: Close immediately after EnableAsync must not deadlock even
-// when the worker goroutine has not started yet (it must capture the
-// channel value, not re-read the field Close nils out).
-func TestAsyncCloseImmediatelyNoDeadlock(t *testing.T) {
+// Regression: Close immediately after EnableBatch must not deadlock even
+// when the flusher goroutine has not started yet.
+func TestBatchCloseImmediatelyNoDeadlock(t *testing.T) {
 	svc, addr := newTestService(t, ServiceConfig{})
 	_ = svc
 	for i := 0; i < 200; i++ {
@@ -595,7 +541,7 @@ func TestAsyncCloseImmediatelyNoDeadlock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.EnableAsync(8)
+		c.EnableBatch(BatchConfig{})
 		done := make(chan struct{})
 		go func() {
 			c.Close()

@@ -6,24 +6,35 @@ import (
 	"sync"
 	"time"
 
-	"github.com/hpcobs/gosoma/internal/conduit"
 	"github.com/hpcobs/gosoma/internal/mercury"
 	"github.com/hpcobs/gosoma/internal/telemetry"
 )
 
 // Publish spill: graceful degradation for the client stub. When the service
 // is unreachable (severed connection, open breaker, attempt timeout) a
-// spill-enabled client absorbs publishes into a bounded in-memory buffer and
-// a background loop redelivers them — oldest first, on the shared
-// backoff schedule — once the service heals. Monitoring data keeps flowing
-// through restarts and network blips instead of erroring back into the
-// instrumented component, which has no better recourse than dropping it.
+// spill-enabled client absorbs outgoing publish frames into a bounded
+// in-memory queue and a background loop redelivers them — verbatim, oldest
+// first, on the shared backoff schedule — once the service heals. Monitoring
+// data keeps flowing through restarts and network blips instead of erroring
+// back into the instrumented component, which has no better recourse than
+// dropping it.
 //
-// Only transient transport failures spill (mercury.IsTransient); definitive
-// server verdicts (handler error, unknown RPC, stopped service) drop the
-// entry and surface on Errs as usual — redelivering those would loop forever.
-// When the buffer is full the OLDEST entry is dropped (counted): under
-// merge's last-writer-wins semantics newer monitoring data supersedes older.
+// The queue holds encoded frames exactly as Client.deliver would have sent
+// them: a soma.publish envelope (one entry) or a soma.publish.batch frame
+// (as many entries as it coalesced). Capacity and every statistic are in
+// entries; a frame contributes its leaf count.
+//
+// Only transient transport failures spill (mercury.IsTransient, asked in
+// Client.send); a definitive verdict at redelivery (handler error,
+// stopped service) drops the frame, counts its entries in Dropped and
+// surfaces through Flush — redelivering it would loop forever. When the
+// queue is over capacity whole frames are evicted oldest first (counted),
+// never the one just added: under merge's last-writer-wins semantics newer
+// monitoring data supersedes older. Unbatched, a frame is one entry and
+// eviction is entry-exact; batched, eviction is as coarse as the frames the
+// coalescer shipped, so up to one frame's worth of entries beyond the
+// overflow may go with it (and a single frame larger than the capacity is
+// kept until it resolves).
 
 var (
 	telSpillDepth       = telemetry.Default().Gauge("core.client.spill.depth")
@@ -36,31 +47,35 @@ var (
 // explicit capacity.
 const DefaultSpillCapacity = 1024
 
-// SpillStats is a point-in-time view of a client's spill buffer.
+// SpillStats is a point-in-time view of a client's spill queue, in entries.
 type SpillStats struct {
 	Enabled     bool
 	Buffered    int // entries currently awaiting redelivery
 	Capacity    int
-	Spilled     int64 // entries that ever entered the buffer
+	Spilled     int64 // entries that ever entered the queue
 	Redelivered int64
 	Dropped     int64 // overflow evictions + definitive redelivery failures
 }
 
-type spillEntry struct {
-	ns   Namespace
-	node *conduit.Node
+// spillFrame is one queued wire frame: the RPC it was bound for, a private
+// copy of its bytes, and how many publishes it carries.
+type spillFrame struct {
+	rpc    string
+	data   []byte
+	leaves int
 }
 
 type spillState struct {
 	c   *Client
-	max int
+	max int // capacity in entries
 
-	mu   sync.Mutex
-	cond *sync.Cond
-	buf  []spillEntry
-	// headSeq counts every head removal (pop or overflow eviction) ever
-	// performed, so a redelivery that peeked a group can tell how many of
-	// those entries an overlapping eviction already removed (see popGroup).
+	mu      sync.Mutex
+	cond    *sync.Cond
+	q       []spillFrame
+	entries int // Σ leaves over q
+	// headSeq counts every head removal (resolution or overflow eviction)
+	// ever performed, so a redelivery attempt can tell whether the head it
+	// sent is still the head when the attempt resolves (see resolve).
 	headSeq uint64
 
 	closed bool
@@ -70,11 +85,11 @@ type spillState struct {
 	spilled, redelivered, dropped int64
 }
 
-// EnableSpill switches the client into graceful-degradation mode: publishes
-// that fail with a transient transport error are buffered (up to capacity
-// entries; <1 = DefaultSpillCapacity) and redelivered in order by a
+// EnableSpill switches the client into graceful-degradation mode: publish
+// frames that fail with a transient transport error are queued (up to
+// capacity entries; <1 = DefaultSpillCapacity) and redelivered in order by a
 // background loop once the service is reachable again. Call DrainSpill
-// before Close to guarantee buffered entries were delivered.
+// before Close to guarantee queued frames were delivered.
 func (c *Client) EnableSpill(capacity int) {
 	if capacity < 1 {
 		capacity = DefaultSpillCapacity
@@ -92,7 +107,7 @@ func (c *Client) EnableSpill(capacity int) {
 	go sp.redeliverLoop()
 }
 
-// Spill returns the spill buffer's current statistics (zero value when spill
+// Spill returns the spill queue's current statistics (zero value when spill
 // was never enabled).
 func (c *Client) Spill() SpillStats {
 	sp := c.spill.Load()
@@ -103,7 +118,7 @@ func (c *Client) Spill() SpillStats {
 	defer sp.mu.Unlock()
 	return SpillStats{
 		Enabled:     true,
-		Buffered:    len(sp.buf),
+		Buffered:    sp.entries,
 		Capacity:    sp.max,
 		Spilled:     sp.spilled,
 		Redelivered: sp.redelivered,
@@ -112,18 +127,13 @@ func (c *Client) Spill() SpillStats {
 }
 
 // Degraded reports whether the client is currently operating in degraded
-// mode (publishes buffered locally awaiting redelivery).
+// mode (publishes queued locally awaiting redelivery).
 func (c *Client) Degraded() bool {
 	sp := c.spill.Load()
-	if sp == nil {
-		return false
-	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	return len(sp.buf) > 0
+	return sp != nil && sp.pending() > 0
 }
 
-// DrainSpill blocks until every buffered publish has been redelivered (or
+// DrainSpill blocks until every queued frame has been redelivered (or
 // dropped), or ctx expires — in which case it reports how many entries were
 // still stranded. Call it before Close when buffered data must not be lost.
 func (c *Client) DrainSpill(ctx context.Context) error {
@@ -139,109 +149,81 @@ func (c *Client) DrainSpill(ctx context.Context) error {
 	defer stopWatch()
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	for len(sp.buf) > 0 && !sp.closed {
+	for len(sp.q) > 0 && !sp.closed {
 		if ctx.Err() != nil {
-			return fmt.Errorf("soma: spill drain: %d entries still buffered: %w", len(sp.buf), ctx.Err())
+			return fmt.Errorf("soma: spill drain: %d entries still buffered: %w", sp.entries, ctx.Err())
 		}
 		sp.cond.Wait()
 	}
 	return nil
 }
 
-// add buffers one publish, evicting the oldest entry when full. Reports
-// false when the spill has been shut down (the caller surfaces the original
-// error instead).
-func (sp *spillState) add(ns Namespace, n *conduit.Node) bool {
+// add queues a private copy of one frame behind everything already queued,
+// then evicts whole frames from the head while the queue is over capacity —
+// never the frame just added. Reports false when the spill has been shut
+// down (the caller falls back to its un-degraded outcome).
+func (sp *spillState) add(rpc string, frame []byte, leaves int) bool {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	if sp.closed {
 		return false
 	}
-	if len(sp.buf) >= sp.max {
-		copy(sp.buf, sp.buf[1:])
-		sp.buf = sp.buf[:len(sp.buf)-1]
-		sp.headSeq++
-		sp.dropped++
-		telSpillDropped.Inc()
-		telSpillDepth.Dec()
+	sp.q = append(sp.q, spillFrame{rpc: rpc, data: append([]byte(nil), frame...), leaves: leaves})
+	sp.entries += leaves
+	sp.spilled += int64(leaves)
+	telSpillTotal.Add(int64(leaves))
+	telSpillDepth.Add(int64(leaves))
+	for sp.entries > sp.max && len(sp.q) > 1 {
+		sp.removeHead(false)
 	}
-	sp.buf = append(sp.buf, spillEntry{ns: ns, node: n})
-	sp.spilled++
-	telSpillTotal.Inc()
-	telSpillDepth.Inc()
 	sp.cond.Broadcast()
 	return true
 }
 
-// pending reports the current buffer depth (ordering check on the publish
-// path: while entries wait, new publishes must queue behind them).
+// removeHead takes the head frame off the queue and accounts its entries as
+// redelivered or dropped. Called with sp.mu held.
+func (sp *spillState) removeHead(redelivered bool) {
+	leaves := sp.q[0].leaves
+	sp.q[0] = spillFrame{} // release the frame's bytes
+	sp.q = sp.q[1:]
+	sp.entries -= leaves
+	sp.headSeq++
+	n := int64(leaves)
+	if redelivered {
+		sp.redelivered += n
+		telSpillRedelivered.Add(n)
+	} else {
+		sp.dropped += n
+		telSpillDropped.Add(n)
+	}
+	telSpillDepth.Add(-n)
+}
+
+// pending reports the queue depth in frames (ordering check on the publish
+// path: while frames wait, new ones must queue behind them).
 func (sp *spillState) pending() int {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	return len(sp.buf)
+	return len(sp.q)
 }
 
-// pop removes the head entry after a redelivery attempt resolved it.
-func (sp *spillState) pop(redelivered bool) {
+// resolve removes the head after the redelivery attempt that read it at
+// head sequence seq got its answer. When an overflow eviction took that
+// frame while it was in flight the head has moved on: the frame is already
+// gone (counted dropped, though it may have been delivered — the statistics
+// are the only casualty of that race) and the frames behind it, which were
+// never sent, stay queued.
+func (sp *spillState) resolve(seq uint64, redelivered bool) {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	if len(sp.buf) == 0 {
+	if sp.headSeq != seq {
 		return
 	}
-	copy(sp.buf, sp.buf[1:])
-	sp.buf = sp.buf[:len(sp.buf)-1]
-	sp.headSeq++
-	if redelivered {
-		sp.redelivered++
-		telSpillRedelivered.Inc()
-	} else {
-		sp.dropped++
-		telSpillDropped.Inc()
-	}
-	telSpillDepth.Dec()
+	sp.removeHead(redelivered)
 	sp.cond.Broadcast()
 }
 
-// peekGroup copies up to max head entries for a batched redelivery attempt,
-// with the head sequence at peek time (popGroup's reference point).
-func (sp *spillState) peekGroup(max int) ([]spillEntry, uint64) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	n := len(sp.buf)
-	if n > max {
-		n = max
-	}
-	group := make([]spillEntry, n)
-	copy(group, sp.buf[:n])
-	return group, sp.headSeq
-}
-
-// popGroup removes the first n of the entries peeked at baseSeq after their
-// batched redelivery succeeded. Entries an overflow eviction removed while
-// the batch was in flight are skipped — they are gone from the buffer
-// already (and were double-counted as dropped; delivery still happened
-// exactly once, the stats are the only casualty of that race).
-func (sp *spillState) popGroup(baseSeq uint64, n int) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	skip := int(sp.headSeq - baseSeq)
-	if skip >= n {
-		return
-	}
-	n -= skip
-	if n > len(sp.buf) {
-		n = len(sp.buf)
-	}
-	copy(sp.buf, sp.buf[n:])
-	sp.buf = sp.buf[:len(sp.buf)-n]
-	sp.headSeq += uint64(n)
-	sp.redelivered += int64(n)
-	telSpillRedelivered.Add(int64(n))
-	telSpillDepth.Add(int64(-n))
-	sp.cond.Broadcast()
-}
-
-// shutdown stops the redelivery loop. Entries still buffered stay counted in
+// shutdown stops the redelivery loop. Frames still queued stay counted in
 // Buffered (callers wanting zero loss drain first).
 func (sp *spillState) shutdown() {
 	sp.mu.Lock()
@@ -256,77 +238,29 @@ func (sp *spillState) shutdown() {
 	<-sp.done
 }
 
-// redeliverLoop retries buffered entries on the shared backoff schedule.
-// When the client has a working batch coalescer, groups of head entries are
-// re-encoded into one batch frame and redelivered in a single round-trip —
-// spill-drain-through-the-coalescer-encoding; otherwise (or to isolate a
-// poisoned entry after a definitive batch failure) it falls back to head-
-// at-a-time delivery: success or a definitive verdict pops the head (the
-// latter also surfaces on Errs); transient failures back off and try again.
+// redeliverLoop resends the head frame, verbatim, until it resolves: an
+// acknowledgement or a definitive verdict removes it (the latter surfacing
+// through Flush), a transient failure backs off on the shared schedule and
+// tries again. It sends through Client.send, never deliver, so a failed
+// redelivery leaves the frame where it is instead of re-spilling it.
 func (sp *spillState) redeliverLoop() {
 	defer close(sp.done)
 	bo := mercury.Backoff{Base: 50 * time.Millisecond, Max: 2 * time.Second}
 	attempt := 0
 	for {
 		sp.mu.Lock()
-		for len(sp.buf) == 0 && !sp.closed {
+		for len(sp.q) == 0 && !sp.closed {
 			sp.cond.Wait()
 		}
 		if sp.closed {
 			sp.mu.Unlock()
 			return
 		}
-		depth := len(sp.buf)
+		head, seq := sp.q[0], sp.headSeq
 		sp.mu.Unlock()
 
-		if co := sp.c.coal.Load(); co != nil && !sp.c.noBatch.Load() && depth > 1 {
-			group, base := sp.peekGroup(co.cfg.MaxLeaves)
-			frame := conduit.AppendBatchHeader(nil)
-			for _, e := range group {
-				frame = conduit.AppendBatchEntry(frame, string(e.ns), e.node)
-			}
-			// sendBatchWire, not sendBatch: a redelivery failure must leave
-			// the entries where they are, never re-spill them.
-			err := sp.c.sendBatchWire(frame, len(group))
-			if err == nil {
-				sp.popGroup(base, len(group))
-				attempt = 0
-				continue
-			}
-			if mercury.IsTransient(err) {
-				t := time.NewTimer(bo.Delay(attempt))
-				attempt++
-				select {
-				case <-sp.stop:
-					t.Stop()
-					return
-				case <-t.C:
-				}
-				continue
-			}
-			// Definitive batch rejection (e.g. one poisoned entry failing
-			// the whole frame, or an old server): fall through to the
-			// per-entry path below to make progress entry by entry.
-		}
-
-		sp.mu.Lock()
-		if len(sp.buf) == 0 {
-			sp.mu.Unlock()
-			continue
-		}
-		e := sp.buf[0]
-		sp.mu.Unlock()
-
-		err := sp.c.sendPublish(e.ns, e.node)
-		switch {
-		case err == nil:
-			sp.pop(true)
-			attempt = 0
-		case !mercury.IsTransient(err):
-			sp.pop(false)
-			sp.c.reportAsyncError(fmt.Errorf("soma: spill redelivery dropped: %w", err))
-			attempt = 0
-		default:
+		transient, err := sp.c.send(head.rpc, head.data, head.leaves)
+		if transient {
 			t := time.NewTimer(bo.Delay(attempt))
 			attempt++
 			select {
@@ -335,6 +269,12 @@ func (sp *spillState) redeliverLoop() {
 				return
 			case <-t.C:
 			}
+			continue
 		}
+		sp.resolve(seq, err == nil)
+		if err != nil {
+			sp.c.fail(fmt.Errorf("soma: spill redelivery dropped: %w", err))
+		}
+		attempt = 0
 	}
 }

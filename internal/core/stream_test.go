@@ -735,7 +735,7 @@ func TestFlushReportsQueuedPublishFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	client.EnableAsync(16)
+	client.EnableBatch(BatchConfig{})
 
 	// A healthy queued publish flushes clean.
 	n := conduit.NewNode()
@@ -758,7 +758,7 @@ func TestFlushReportsQueuedPublishFailure(t *testing.T) {
 	m := conduit.NewNode()
 	m.SetFloat("PROC/cn01/2.0/CPU Util", 2)
 	if err := client.Publish(NSHardware, m); err != nil {
-		t.Fatal(err) // enqueue succeeds; the failure is async
+		t.Fatal(err) // enqueue succeeds; the failure surfaces at Flush
 	}
 	if err := client.Flush(); err == nil {
 		t.Fatal("flush swallowed a queued publish failure")

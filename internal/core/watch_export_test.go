@@ -8,115 +8,6 @@ import (
 	"github.com/hpcobs/gosoma/internal/des"
 )
 
-func publishSeq(t *testing.T, svc *Service, eng *des.Engine, ns Namespace, n int) {
-	t.Helper()
-	for i := 0; i < n; i++ {
-		eng.RunUntil(eng.Now() + 1)
-		tree := conduit.NewNode()
-		tree.SetInt("seq", int64(i))
-		if err := svc.Publish(ns, tree, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestWatcherPollExactlyOnce(t *testing.T) {
-	eng := des.NewEngine()
-	svc := NewService(ServiceConfig{Clock: eng})
-	defer svc.Close()
-	w, err := NewWatcher(svc, NSWorkflow, eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	publishSeq(t, svc, eng, NSWorkflow, 3)
-	first, err := w.Poll()
-	if err != nil || len(first) != 3 {
-		t.Fatalf("first poll = %d, %v", len(first), err)
-	}
-	if v, _ := first[0].Int("seq"); v != 0 {
-		t.Fatal("records out of order")
-	}
-	again, err := w.Poll()
-	if err != nil || len(again) != 0 {
-		t.Fatalf("second poll should be empty, got %d", len(again))
-	}
-	publishSeq(t, svc, eng, NSWorkflow, 2)
-	more, _ := w.Poll()
-	if len(more) != 2 {
-		t.Fatalf("incremental poll = %d", len(more))
-	}
-	if w.Consumed() != 5 {
-		t.Fatalf("consumed = %d", w.Consumed())
-	}
-}
-
-func TestWatcherIsolatedPerNamespace(t *testing.T) {
-	eng := des.NewEngine()
-	svc := NewService(ServiceConfig{Clock: eng})
-	defer svc.Close()
-	w, _ := NewWatcher(svc, NSHardware, eng)
-	publishSeq(t, svc, eng, NSWorkflow, 4)
-	recs, _ := w.Poll()
-	if len(recs) != 0 {
-		t.Fatal("hardware watcher saw workflow records")
-	}
-}
-
-func TestWatcherRunPeriodic(t *testing.T) {
-	eng := des.NewEngine()
-	svc := NewService(ServiceConfig{Clock: eng})
-	defer svc.Close()
-	w, _ := NewWatcher(svc, NSWorkflow, eng)
-	var seen []int64
-	stop, err := w.Run(10, func(n *conduit.Node) {
-		v, _ := n.Int("seq")
-		seen = append(seen, v)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Run(10, func(*conduit.Node) {}); err == nil {
-		t.Fatal("double Run accepted")
-	}
-	publishSeq(t, svc, eng, NSWorkflow, 3)
-	eng.RunUntil(50)
-	stop()
-	if len(seen) != 3 || seen[0] != 0 || seen[2] != 2 {
-		t.Fatalf("seen = %v", seen)
-	}
-	// After stop, publishing more must not call fn (engine drains quietly).
-	publishSeq(t, svc, eng, NSWorkflow, 2)
-	eng.RunUntil(100)
-	if len(seen) != 3 {
-		t.Fatalf("callback ran after stop: %v", seen)
-	}
-	// Restart works.
-	stop2, err := w.Run(10, func(*conduit.Node) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop2()
-}
-
-func TestWatcherValidation(t *testing.T) {
-	eng := des.NewEngine()
-	svc := NewService(ServiceConfig{Clock: eng})
-	defer svc.Close()
-	if _, err := NewWatcher(nil, NSWorkflow, eng); err == nil {
-		t.Fatal("nil service accepted")
-	}
-	if _, err := NewWatcher(svc, "bogus", eng); err == nil {
-		t.Fatal("bogus namespace accepted")
-	}
-	w, _ := NewWatcher(svc, NSWorkflow, eng)
-	if _, err := w.Run(0, func(*conduit.Node) {}); err == nil {
-		t.Fatal("zero interval accepted")
-	}
-	if _, err := w.Run(1, nil); err == nil {
-		t.Fatal("nil fn accepted")
-	}
-}
-
 func TestSnapshotRoundTripThroughFile(t *testing.T) {
 	eng := des.NewEngine()
 	svc := NewService(ServiceConfig{Clock: eng})

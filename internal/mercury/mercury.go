@@ -942,57 +942,6 @@ func applyInprocFault(ctx context.Context, f InjectedFault) error {
 	return nil
 }
 
-// Notify invokes the named RPC without waiting for its response — the
-// fire-and-forget path for high-frequency publishes where the caller
-// tolerates loss on failure (Mercury's one-way RPC). Errors are reported
-// only when the request cannot be sent at all. Trace ids from ctx propagate
-// in the frame header exactly as in Call.
-func (ep *Endpoint) Notify(ctx context.Context, name string, input []byte) error {
-	if ep.owner != nil {
-		if ep.owner.isClosed() {
-			return fmt.Errorf("%w (notify %q rejected: owning engine closed)", ErrClosed, name)
-		}
-		ep.owner.Stats.CallsIssued.Add(1)
-	}
-	telCallsIssued.Inc()
-	if ep.local != nil {
-		if inj := ep.local.injector; inj != nil {
-			f := inj.InprocCall(name)
-			if f.Drop {
-				return nil // one-way: the loss is silent by contract
-			}
-			if err := applyInprocFault(ctx, f); err != nil {
-				return nil
-			}
-		}
-		// In-process: dispatch directly, discarding result and error.
-		_, release, _ := ep.local.dispatch(ctx, name, input)
-		if release != nil {
-			release()
-		}
-		return nil
-	}
-	total := reqHeaderLen + len(name) + len(input)
-	if total > MaxFrame {
-		return ErrFrameTooBig
-	}
-	s, err := ep.session(ctx)
-	if err != nil {
-		return err
-	}
-	bp := getFrame(0)
-	// Request id 0 is reserved for notifications: no pending entry exists,
-	// so the response (still sent by the server) is dropped on arrival.
-	frame := appendRequestHeader((*bp)[:0], uint32(total), 0, telemetry.FromContext(ctx), deadlineNanos(ctx), name)
-	frame = append(frame, input...)
-	*bp = frame
-	if err := s.enqueueWrite(bp); err != nil {
-		ep.dropSession(s, err)
-		return err
-	}
-	return nil
-}
-
 // Close releases the endpoint; subsequent calls fail with ErrClosed (no
 // redial).
 func (ep *Endpoint) Close() error {

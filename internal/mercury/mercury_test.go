@@ -321,108 +321,6 @@ func BenchmarkMercuryTransports(b *testing.B) {
 	}
 }
 
-func TestNotifyDelivers(t *testing.T) {
-	e := NewEngine()
-	got := make(chan string, 10)
-	e.Register("log", func(_ context.Context, in []byte) ([]byte, error) {
-		got <- string(in)
-		return nil, nil
-	})
-	defer e.Close()
-	for _, scheme := range []string{"inproc://notify-t", "tcp://127.0.0.1:0"} {
-		addr, err := e.Listen(scheme)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ep, err := Lookup(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ep.Notify(context.Background(), "log", []byte("hello "+scheme)); err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case msg := <-got:
-			if msg != "hello "+scheme {
-				t.Fatalf("got %q", msg)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatalf("%s: notification never arrived", scheme)
-		}
-		ep.Close()
-	}
-}
-
-func TestNotifyDoesNotBreakCalls(t *testing.T) {
-	e := echoEngine(t)
-	addr, _ := e.Listen("tcp://127.0.0.1:0")
-	ep, err := Lookup(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ep.Close()
-	// Interleave notifications (whose responses carry id 0 and must be
-	// dropped) with regular calls on the same connection.
-	for i := 0; i < 20; i++ {
-		if err := ep.Notify(context.Background(), "echo", []byte("n")); err != nil {
-			t.Fatal(err)
-		}
-		out, err := ep.Call(context.Background(), "echo", []byte(fmt.Sprintf("c%d", i)))
-		if err != nil || string(out) != fmt.Sprintf("c%d", i) {
-			t.Fatalf("call %d: %q, %v", i, out, err)
-		}
-	}
-}
-
-func TestNotifyErrors(t *testing.T) {
-	e := echoEngine(t)
-	addr, _ := e.Listen("tcp://127.0.0.1:0")
-	ep, err := Lookup(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ep.Notify(context.Background(), "echo", make([]byte, MaxFrame+1)); !errors.Is(err, ErrFrameTooBig) {
-		t.Fatalf("oversize notify = %v", err)
-	}
-	ep.Close()
-	// After the connection is gone, Notify must fail rather than hang.
-	time.Sleep(10 * time.Millisecond)
-	if err := ep.Notify(context.Background(), "echo", []byte("x")); err == nil {
-		t.Fatal("notify on closed endpoint succeeded")
-	}
-}
-
-func BenchmarkNotifyVsCall(b *testing.B) {
-	e := NewEngine()
-	e.Register("sink", func(_ context.Context, in []byte) ([]byte, error) { return nil, nil })
-	addr, err := e.Listen("tcp://127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer e.Close()
-	payload := bytes.Repeat([]byte("p"), 512)
-	b.Run("call", func(b *testing.B) {
-		ep, _ := Lookup(addr)
-		defer ep.Close()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := ep.Call(context.Background(), "sink", payload); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("notify", func(b *testing.B) {
-		ep, _ := Lookup(addr)
-		defer ep.Close()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := ep.Notify(context.Background(), "sink", payload); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 func TestCallRejectedAfterEngineClose(t *testing.T) {
 	server := echoEngine(t)
 	for _, scheme := range []string{"inproc://close-reject", "tcp://127.0.0.1:0"} {
@@ -445,9 +343,6 @@ func TestCallRejectedAfterEngineClose(t *testing.T) {
 		// New calls must fail fast with ErrClosed — no racing the teardown.
 		if _, err := ep.Call(context.Background(), "echo", []byte("late")); !errors.Is(err, ErrClosed) {
 			t.Errorf("%s: call after engine close = %v, want ErrClosed", scheme, err)
-		}
-		if err := ep.Notify(context.Background(), "echo", []byte("late")); !errors.Is(err, ErrClosed) {
-			t.Errorf("%s: notify after engine close = %v, want ErrClosed", scheme, err)
 		}
 		// A fresh Lookup on the closed engine is also rejected.
 		if _, err := client.Lookup(addr); !errors.Is(err, ErrClosed) {
