@@ -899,6 +899,15 @@ func (n *Node) UnmarshalJSON(data []byte) error {
 	return n.fromJSONValue(v)
 }
 
+// jsonInt reports the value of a JSON number that becomes an int64 leaf: an
+// integral literal other than negative zero. Int64 has no -0, so "-0" stays a
+// float — which MarshalJSON writes as "-0" again, keeping one canonicalisation
+// a fixpoint.
+func jsonInt(num json.Number) (int64, bool) {
+	i, err := num.Int64()
+	return i, err == nil && !(i == 0 && num[0] == '-')
+}
+
 func (n *Node) fromJSONValue(v interface{}) error {
 	switch x := v.(type) {
 	case nil:
@@ -912,7 +921,7 @@ func (n *Node) fromJSONValue(v interface{}) error {
 			}
 		}
 	case json.Number:
-		if i, err := x.Int64(); err == nil {
+		if i, ok := jsonInt(x); ok {
 			n.setLeaf(KindInt)
 			n.i = i
 			return nil
@@ -937,7 +946,7 @@ func (n *Node) fromJSONValue(v interface{}) error {
 			if !ok {
 				return fmt.Errorf("conduit: unsupported JSON array element %T", e)
 			}
-			if _, err := num.Int64(); err != nil {
+			if _, ok := jsonInt(num); !ok {
 				allInt = false
 			}
 		}

@@ -22,6 +22,8 @@ func FuzzJSONRoundTrip(f *testing.F) {
 	f.Add([]byte(`{"job":{"ranks":[1,2,3],"name":"openfoam"},"t":12.75}`))
 	f.Add([]byte(`{"neg":-9007199254740993,"big":1e308,"tiny":5e-324}`))
 	f.Add([]byte(`{"2.0 becomes int":2.0,"stays float":2.5}`))
+	f.Add([]byte(`{"v":-0.0}`))
+	f.Add([]byte(`{"v":-0}`))
 	// Hostile: deep nesting, duplicate keys, invalid UTF-8, truncation.
 	f.Add([]byte(strings.Repeat(`{"d":`, 40) + "1" + strings.Repeat("}", 40)))
 	f.Add([]byte(`{"k":1,"k":2,"k":"three"}`))
@@ -87,6 +89,7 @@ func TestJSONHostileInputs(t *testing.T) {
 		{"overflow to infinity", `{"v":1e309}`, false},
 		{"integer beyond int64", `{"v":92233720368547758089}`, true}, // falls back to float64
 		{"negative zero", `{"v":-0.0}`, true},
+		{"negative zero in an array", `{"v":[-0.0,1]}`, true},
 		{"duplicate keys", `{"k":1,"k":2}`, true}, // last one wins, like encoding/json
 		{"invalid utf8 in key", "{\"\xff\":1}", true},
 		{"invalid utf8 in value", "{\"k\":\"\xc3\x28\"}", true},
@@ -125,6 +128,10 @@ func TestJSONHostileInputs(t *testing.T) {
 			back := NewNode()
 			if err := back.UnmarshalJSON(j1); err != nil {
 				t.Fatalf("re-unmarshal: %v", err)
+			}
+			// JSON→tree→JSON→tree is stable: "-0.0" must not decay to int 0.
+			if j2, _ := back.MarshalJSON(); !bytes.Equal(j1, j2) || !n.Equal(back) {
+				t.Fatalf("not a fixpoint after one canonicalisation: %s then %s", j1, j2)
 			}
 			dec, err := DecodeBinary(back.EncodeBinaryStable())
 			if err != nil {

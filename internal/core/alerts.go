@@ -316,10 +316,7 @@ func alertTransitionTree(r *AlertRule, key string, firing bool, value, now float
 
 // SetAlert installs (or replaces) a threshold alert rule.
 func (s *Service) SetAlert(r AlertRule) error {
-	if s.Stopped() {
-		return ErrServiceStopped
-	}
-	if _, err := s.instanceFor(r.NS); err != nil {
+	if _, err := s.running(r.NS); err != nil {
 		return err
 	}
 	return s.alerts.set(r)
@@ -349,11 +346,7 @@ func (s *Service) Alerts() ([]AlertRule, []AlertState) {
 //	alert.list    : {} → {rules/<name>/..., states/NNNNNN/...}
 
 func (s *Service) handleAlertSet(_ context.Context, payload []byte) ([]byte, error) {
-	req, err := conduit.DecodeBinary(payload)
-	if err != nil {
-		return nil, err
-	}
-	ns, err := envelopeNS(req)
+	req, ns, err := nsRequest(payload)
 	if err != nil {
 		return nil, err
 	}
@@ -387,7 +380,12 @@ func (s *Service) handleAlertList(_ context.Context, _ []byte) ([]byte, error) {
 	if s.Stopped() {
 		return nil, ErrServiceStopped
 	}
-	rules, states := s.Alerts()
+	return encodeAlertListResp(s.Alerts()), nil
+}
+
+// encodeAlertListResp builds the soma.alert.list response frame — shared by
+// the handler and the cluster scatter-gather merge.
+func encodeAlertListResp(rules []AlertRule, states []AlertState) []byte {
 	resp := conduit.NewNode()
 	for _, r := range rules {
 		base := "rules/" + r.Name
@@ -412,7 +410,7 @@ func (s *Service) handleAlertList(_ context.Context, _ []byte) ([]byte, error) {
 		resp.SetFloat(base+"/value", st.Value)
 		resp.SetFloat(base+"/since", st.Since)
 	}
-	return resp.EncodeBinary(), nil
+	return resp.EncodeBinary()
 }
 
 // ---------------------------------------------------------------------------
@@ -428,7 +426,7 @@ func (c *Client) SetAlert(r AlertRule) error {
 	req.SetFloat("threshold", r.Threshold)
 	req.SetFloat("window", r.WindowSec)
 	req.SetString("severity", r.Severity)
-	_, err := c.ep.Call(context.Background(), RPCAlertSet, req.EncodeBinary())
+	_, err := c.call(context.Background(), RPCAlertSet, req)
 	return err
 }
 
@@ -436,17 +434,13 @@ func (c *Client) SetAlert(r AlertRule) error {
 func (c *Client) RemoveAlert(name string) error {
 	req := conduit.NewNode()
 	req.SetString("name", name)
-	_, err := c.ep.Call(context.Background(), RPCAlertRemove, req.EncodeBinary())
+	_, err := c.call(context.Background(), RPCAlertRemove, req)
 	return err
 }
 
 // Alerts fetches the service's installed rules and per-series standings.
 func (c *Client) Alerts() ([]AlertRule, []AlertState, error) {
-	out, err := c.ep.Call(context.Background(), RPCAlertList, conduit.NewNode().EncodeBinary())
-	if err != nil {
-		return nil, nil, err
-	}
-	resp, err := conduit.DecodeBinary(out)
+	resp, err := c.call(context.Background(), RPCAlertList, nil)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -402,13 +402,24 @@ func (c *Client) DeltaStats() DeltaStatsSnapshot {
 	}
 }
 
-// Stats fetches per-instance service statistics.
-func (c *Client) Stats() (map[Namespace]InstanceStats, error) {
-	out, err := c.ep.Call(context.Background(), RPCStats, conduit.NewNode().EncodeBinary())
+// call is the control-plane round trip every stub below shares: req (nil =
+// the empty tree) goes out encoded and the answer comes back decoded.
+// publish* and query* stay out of it: they are byte-sliced on purpose.
+func (c *Client) call(ctx context.Context, rpc string, req *conduit.Node) (*conduit.Node, error) {
+	payload := okFrame
+	if req != nil {
+		payload = req.EncodeBinary()
+	}
+	out, err := c.ep.Call(ctx, rpc, payload)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := conduit.DecodeBinary(out)
+	return conduit.DecodeBinary(out)
+}
+
+// Stats fetches per-instance service statistics.
+func (c *Client) Stats() (map[Namespace]InstanceStats, error) {
+	resp, err := c.call(context.Background(), RPCStats, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -435,11 +446,7 @@ func (c *Client) Stats() (map[Namespace]InstanceStats, error) {
 // (RPC latency histograms, queue gauges, counters, recent spans) via the
 // soma.telemetry RPC.
 func (c *Client) Telemetry() (*telemetry.Snapshot, error) {
-	out, err := c.ep.Call(context.Background(), RPCTelemetry, conduit.NewNode().EncodeBinary())
-	if err != nil {
-		return nil, err
-	}
-	resp, err := conduit.DecodeBinary(out)
+	resp, err := c.call(context.Background(), RPCTelemetry, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -461,11 +468,7 @@ func (c *Client) Select(ns Namespace, pattern string) ([]SelectMatch, error) {
 	req := conduit.NewNode()
 	req.SetString("ns", string(ns))
 	req.SetString("pattern", pattern)
-	out, err := c.ep.Call(context.Background(), RPCSelect, req.EncodeBinary())
-	if err != nil {
-		return nil, err
-	}
-	resp, err := conduit.DecodeBinary(out)
+	resp, err := c.call(context.Background(), RPCSelect, req)
 	if err != nil {
 		return nil, err
 	}
@@ -489,13 +492,13 @@ func (c *Client) Select(ns Namespace, pattern string) ([]SelectMatch, error) {
 func (c *Client) Reset(ns Namespace) error {
 	req := conduit.NewNode()
 	req.SetString("ns", string(ns))
-	_, err := c.ep.Call(context.Background(), RPCReset, req.EncodeBinary())
+	_, err := c.call(context.Background(), RPCReset, req)
 	return err
 }
 
 // Shutdown asks the service to stop accepting data.
 func (c *Client) Shutdown() error {
-	_, err := c.ep.Call(context.Background(), RPCShutdown, conduit.NewNode().EncodeBinary())
+	_, err := c.call(context.Background(), RPCShutdown, nil)
 	return err
 }
 

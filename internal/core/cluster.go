@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,17 +20,8 @@ import (
 // seed list plus gossip-style liveness over soma.peer.ping, scatter-gather
 // reads, and ring-epoch-stamped handoff on membership change.
 //
-// The correctness invariant is deliberately asymmetric:
-//
-//   - WRITES are placed: a publish whose shard key is owned by a peer is
-//     forwarded there (one hop, soma.publish.local), falling back to local
-//     ingest when the owner is unreachable — an acked publish is never
-//     dropped because of cluster state.
-//   - READS scatter: soma.query / soma.series / soma.alert.list fan out to
-//     every live member and merge, so data is found wherever it was ingested.
-//     Placement is a load-balancing optimization, never a correctness
-//     requirement — which is what makes rebalance safe to interrupt (the
-//     sever-mid-rebalance chaos scenario) without a loss window.
+// Which RPCs are placed, which scatter and how their answers merge is the
+// table in rpc.go; this file is the ring, membership and rebalance beneath it.
 //
 // Handoff copies mis-placed leaves to their owner after a membership change;
 // frames are stamped with the sender's ring epoch and rejected when it does
@@ -59,8 +49,7 @@ var (
 )
 
 // Cluster RPC names. The ".local" variants answer from this instance's own
-// state only — they are what scatter-gather fans out to (and what a routing
-// client polls per shard), so a scattered read can never recurse.
+// state only (see rpcRow).
 const (
 	RPCPeerPing        = "soma.peer.ping"
 	RPCRing            = "soma.ring"
@@ -205,12 +194,6 @@ func (cl *svcCluster) shutdown() {
 	cl.wg.Wait()
 }
 
-// active reports whether scattered/placed mode is on: at least one live
-// peer besides self.
-func (cl *svcCluster) active() bool {
-	return cl.tracker.Ring().Len() >= 2
-}
-
 func (cl *svcCluster) endpoint(addr string) (*mercury.Endpoint, error) {
 	cl.epMu.Lock()
 	defer cl.epMu.Unlock()
@@ -223,19 +206,6 @@ func (cl *svcCluster) endpoint(addr string) (*mercury.Endpoint, error) {
 	}
 	cl.eps[addr] = ep
 	return ep, nil
-}
-
-// peerAddrs returns the live peer addresses (ring members minus self),
-// sorted — the deterministic scatter/merge order.
-func (cl *svcCluster) peerAddrs() []string {
-	members := cl.tracker.Ring().Members()
-	out := make([]string, 0, len(members))
-	for _, m := range members {
-		if m.Addr != cl.self.Addr {
-			out = append(out, m.Addr)
-		}
-	}
-	return out // ring members are already sorted by address
 }
 
 func (cl *svcCluster) updateGauges() {
@@ -455,15 +425,6 @@ func (cl *svcCluster) forwardPublish(ctx context.Context, ns Namespace, leaf str
 	return false, nil
 }
 
-// handlePublishLocal ingests a forwarded publish on the owning instance —
-// same envelope as soma.publish, but never re-forwards, so two instances
-// with diverged rings cannot bounce a publish between them.
-func (s *Service) handlePublishLocal(ctx context.Context, payload []byte) ([]byte, error) {
-	ctx, sp := telemetry.ChildSpan(ctx, "soma.publish.local.handler")
-	defer sp.End()
-	return s.publishEnvelope(ctx, payload, false, false)
-}
-
 // ---------------------------------------------------------------------------
 // Rebalance: epoch-stamped handoff of mis-placed leaves.
 
@@ -550,261 +511,15 @@ func (cl *svcCluster) sendHandoff(epoch uint64, ns Namespace, addr string, data 
 // the sender's ring epoch (checked in publishEnvelope). Like a forwarded
 // publish it never re-forwards.
 func (s *Service) handleHandoff(ctx context.Context, payload []byte) ([]byte, error) {
-	if s.cl.Load() == nil {
+	cl := s.cl.Load()
+	if cl == nil {
 		return nil, errors.New("soma: not clustered")
 	}
-	out, err := s.publishEnvelope(ctx, payload, false, true)
+	out, err := s.publishEnvelope(ctx, payload, cl, true)
 	if err == nil {
 		telHandoffRecv.Inc()
 	}
 	return out, err
-}
-
-// ---------------------------------------------------------------------------
-// Scatter-gather reads.
-
-// handleSeriesDispatch serves soma.series: scattered across the fleet when
-// this instance is clustered with live peers, local otherwise.
-func (s *Service) handleSeriesDispatch(ctx context.Context, payload []byte) (mercury.Response, error) {
-	if cl := s.cl.Load(); cl != nil && cl.active() {
-		return cl.scatterSeries(ctx, payload)
-	}
-	return s.handleSeries(ctx, payload)
-}
-
-// handleAlertListDispatch serves soma.alert.list: scattered when clustered
-// with live peers, local otherwise.
-func (s *Service) handleAlertListDispatch(ctx context.Context, payload []byte) ([]byte, error) {
-	if cl := s.cl.Load(); cl != nil && cl.active() {
-		return cl.scatterAlertList(ctx)
-	}
-	return s.handleAlertList(ctx, payload)
-}
-
-// scatterCall fans payload out to every live peer's rpc with bounded
-// parallelism, runs meanwhile (may be nil) while the calls are in flight —
-// where a reader does its local share; its error fails the scatter once the
-// calls are back — and then hands merge each raw response in sorted-address
-// order, so colliding paths resolve the same way
-// whichever peer answered first. Responses are the caller's to keep: the TCP
-// transport allocates one per frame, and the inproc transport hands over
-// either a copy or a peer's immutable cached frame, so merge may hold
-// subslices but must never write through them. A peer failure — or a response
-// merge rejects — fails the scatter with the peer's address in the error: a
-// partial answer silently missing a live peer's shard would defeat the "reads
-// find everything" invariant; callers retry, and a truly dead peer leaves the
-// ring within PingMisses intervals — unless the caller's tolerate (may be nil)
-// names the failure an answer in its own right ("nothing here"): that peer is
-// skipped and every other answer is still merged.
-func (cl *svcCluster) scatterCall(ctx context.Context, rpc string, payload []byte, tolerate func(error) bool, meanwhile func() error, merge func(resp []byte) error) error {
-	addrs := cl.peerAddrs()
-	if len(addrs) == 0 {
-		if meanwhile != nil {
-			return meanwhile()
-		}
-		return nil
-	}
-	telScatterFanouts.Inc()
-	start := time.Now()
-	defer telScatterLatency.ObserveSince(start)
-	type result struct {
-		resp []byte
-		err  error
-	}
-	results := make([]result, len(addrs))
-	sem := make(chan struct{}, cl.cfg.ScatterParallel)
-	var wg sync.WaitGroup
-	for i, addr := range addrs {
-		wg.Add(1)
-		go func(i int, addr string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			ep, err := cl.endpoint(addr)
-			if err == nil {
-				results[i].resp, err = ep.Call(ctx, rpc, payload)
-			}
-			results[i].err = err
-		}(i, addr)
-	}
-	var localErr error
-	if meanwhile != nil {
-		localErr = meanwhile()
-	}
-	wg.Wait() // before any return: the calls read payload, which is the caller's
-	if localErr != nil {
-		return localErr
-	}
-	for i, r := range results {
-		err := r.err
-		if err == nil {
-			telScatterBytes.Add(int64(len(r.resp)))
-			err = merge(r.resp)
-		} else if tolerate != nil && tolerate(err) {
-			continue
-		}
-		if err != nil {
-			return fmt.Errorf("cluster: peer %s: %w", addrs[i], err)
-		}
-	}
-	return nil
-}
-
-// decodeInto adapts a tree-reading merge step to scatterCall's raw responses
-// (series points and alert standings are small; only soma.query merges bytes).
-func decodeInto(merge func(resp *conduit.Node)) func([]byte) error {
-	return func(out []byte) error {
-		resp, err := conduit.DecodeBinary(out)
-		if err == nil {
-			merge(resp)
-		}
-		return err
-	}
-}
-
-// scatterEnvelope is the soma.query response envelope of a scattered read up
-// to its data field: {epoch: 0, gen: 0, data: — the stamp is zeroed because a
-// cross-shard union has no single (epoch, gen) identity, so delta memos never
-// latch onto it. It is cut from the encoding of that envelope with an empty
-// data child, whose single kind byte the union replaces.
-var scatterEnvelope = func() []byte {
-	resp := conduit.NewNode()
-	resp.SetInt("epoch", 0)
-	resp.SetInt("gen", 0)
-	resp.Fetch("data")
-	frame := resp.EncodeBinary()
-	return frame[:len(frame)-1]
-}()
-
-// queryDataField is the one field scatterQuery slices out of a query frame.
-var queryDataField = []string{"data"}
-
-// scatterBufPool recycles the buffers scattered soma.query responses are
-// built in; a whole-tree union is hundreds of KiB per read.
-var scatterBufPool = sync.Pool{New: func() interface{} { return new([]byte) }}
-
-// maxPooledScatterBuf bounds what goes back into scatterBufPool.
-const maxPooledScatterBuf = 4 << 20
-
-// scatterQuery answers a soma.query for (ns, path) with the union of this
-// instance's shard and every live peer's, in the plain soma.query envelope.
-// payload is the request as it arrived: soma.query.local reads the same
-// {ns, path} fields, so it goes out to the peers verbatim. While their answers
-// are in flight the local shard's cached query frame is taken; then the data
-// subtrees — local first, peers in address order, which is what decides
-// colliding paths — are unioned as bytes (conduit.MergeNodes) straight into
-// the pooled response buffer. No tree is built on this path.
-func (cl *svcCluster) scatterQuery(ctx context.Context, in *instance, path string, payload []byte) (mercury.Response, error) {
-	if cl.svc.Stopped() {
-		return mercury.Response{}, ErrServiceStopped
-	}
-	var data [1][]byte
-	nodes := make([][]byte, 0, 8)
-	slice := func(frame []byte) error {
-		// SliceFields validates the frame whole: a peer's answer is network
-		// input, and everything MergeNodes is handed below has passed it.
-		if err := conduit.SliceFields(frame, queryDataField, data[:]); err != nil {
-			return err
-		}
-		if data[0] != nil {
-			nodes = append(nodes, data[0])
-		}
-		return nil
-	}
-	err := cl.scatterCall(ctx, RPCQueryLocal, payload, nil,
-		func() error { return slice(in.queryFrame(path)) }, slice)
-	if err != nil {
-		return mercury.Response{}, err
-	}
-	start := time.Now()
-	sp := telemetry.LeafSpanAt(ctx, "cluster.scatter.merge", start)
-	bp := scatterBufPool.Get().(*[]byte)
-	*bp, err = conduit.MergeNodes(append((*bp)[:0], scatterEnvelope...), nodes)
-	now := time.Now()
-	telScatterMerge.Observe(now.Sub(start))
-	sp.EndAt(now)
-	// The engine releases an owned response on the error path too.
-	return mercury.Response{Payload: *bp, Release: func() {
-		if cap(*bp) <= maxPooledScatterBuf {
-			scatterBufPool.Put(bp)
-		}
-	}}, err
-}
-
-// scatterSeries merges a soma.series request across the fleet: pattern
-// requests union the key lists; single-key requests merge raw points by
-// time and rollup buckets by window start (min/max/sum-weighted mean).
-func (cl *svcCluster) scatterSeries(ctx context.Context, payload []byte) (mercury.Response, error) {
-	req, err := conduit.DecodeBinary(payload)
-	if err != nil {
-		return mercury.Response{}, err
-	}
-	ns, err := envelopeNS(req)
-	if err != nil {
-		return mercury.Response{}, err
-	}
-	if key, ok := req.StringVal("key"); ok {
-		level := Level1s
-		if lv, ok := req.StringVal("level"); ok && lv != "" {
-			level = SeriesLevel(lv)
-		}
-		after, _ := req.Float("after")
-		var parts []Series
-		if se, err := cl.svc.QuerySeries(ns, key, level, after); err == nil {
-			parts = append(parts, se)
-		} else if !errors.Is(err, ErrNoSeries) {
-			return mercury.Response{}, err
-		}
-		// A peer that never saw this key answers ErrNoSeries; that is "no
-		// data here", not a failure, and must not hide the owner's answer.
-		err := cl.scatterCall(ctx, RPCSeriesLocal, payload, isPeerNoSeries, nil, decodeInto(func(resp *conduit.Node) {
-			parts = append(parts, decodeSeriesResp(resp))
-		}))
-		if err != nil {
-			return mercury.Response{}, err
-		}
-		if len(parts) == 0 {
-			return mercury.Response{}, fmt.Errorf("%w: %s/%s", ErrNoSeries, ns, key)
-		}
-		return ownedFrame(encodeSeriesResp(mergeSeries(key, level, parts)))
-	}
-	pattern, _ := req.StringVal("pattern")
-	keySet := map[string]struct{}{}
-	if keys, err := cl.svc.SeriesKeys(ns, pattern); err == nil {
-		for _, k := range keys {
-			keySet[k] = struct{}{}
-		}
-	}
-	err = cl.scatterCall(ctx, RPCSeriesLocal, payload, nil, nil, decodeInto(func(resp *conduit.Node) {
-		if matches, ok := resp.Get("matches"); ok {
-			for _, name := range matches.ChildNames() {
-				if k, ok := matches.StringVal(name); ok {
-					keySet[k] = struct{}{}
-				}
-			}
-		}
-	}))
-	if err != nil {
-		return mercury.Response{}, err
-	}
-	keys := make([]string, 0, len(keySet))
-	for k := range keySet {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	resp := conduit.NewNode()
-	var keyBuf [32]byte
-	for i, k := range keys {
-		resp.SetString(string(appendMatchKey(keyBuf[:0], i)), k)
-	}
-	return ownedFrame(resp)
-}
-
-// isPeerNoSeries reports whether a scattered series failure is a peer
-// answering "no such series" (which travels as a remote-failure string).
-func isPeerNoSeries(err error) bool {
-	return errors.Is(err, mercury.ErrRemoteFailed) &&
-		strings.Contains(err.Error(), "no such series")
 }
 
 // mergeSeries folds per-shard answers for one series into a single view.
@@ -906,82 +621,4 @@ func encodeSeriesResp(se Series) *conduit.Node {
 	resp.SetFloatArray("mean", means)
 	resp.SetIntArray("count", counts)
 	return resp
-}
-
-// scatterAlertList unions rules and standings across the fleet: rules
-// dedupe by name, standings by (rule, ns, key) preferring a firing answer
-// (any shard still judging the series as firing keeps the alert visible),
-// then the most recent transition.
-func (cl *svcCluster) scatterAlertList(ctx context.Context) ([]byte, error) {
-	rules, states := cl.svc.Alerts()
-	ruleByName := map[string]AlertRule{}
-	for _, r := range rules {
-		ruleByName[r.Name] = r
-	}
-	stateByKey := map[string]AlertState{}
-	keyOf := func(st AlertState) string { return st.Rule + "\x00" + string(st.NS) + "\x00" + st.Key }
-	mergeState := func(st AlertState) {
-		k := keyOf(st)
-		prev, ok := stateByKey[k]
-		if !ok || (st.Firing && !prev.Firing) || (st.Firing == prev.Firing && st.Since > prev.Since) {
-			stateByKey[k] = st
-		}
-	}
-	for _, st := range states {
-		mergeState(st)
-	}
-	err := cl.scatterCall(ctx, RPCAlertListLocal, okFrame, nil, nil, decodeInto(func(resp *conduit.Node) {
-		prules, pstates := decodeAlertListResp(resp)
-		for _, r := range prules {
-			if _, ok := ruleByName[r.Name]; !ok {
-				ruleByName[r.Name] = r
-			}
-		}
-		for _, st := range pstates {
-			mergeState(st)
-		}
-	}))
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, 0, len(ruleByName))
-	for n := range ruleByName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	mergedStates := make([]AlertState, 0, len(stateByKey))
-	keys := make([]string, 0, len(stateByKey))
-	for k := range stateByKey {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		mergedStates = append(mergedStates, stateByKey[k])
-	}
-	resp := conduit.NewNode()
-	for _, n := range names {
-		r := ruleByName[n]
-		base := "rules/" + r.Name
-		resp.SetString(base+"/ns", string(r.NS))
-		resp.SetString(base+"/pattern", r.Pattern)
-		resp.SetString(base+"/op", r.Op)
-		resp.SetFloat(base+"/threshold", r.Threshold)
-		resp.SetFloat(base+"/window", r.WindowSec)
-		resp.SetString(base+"/severity", r.Severity)
-	}
-	for i, st := range mergedStates {
-		base := fmt.Sprintf("states/%06d", i)
-		resp.SetString(base+"/rule", st.Rule)
-		resp.SetString(base+"/ns", string(st.NS))
-		resp.SetString(base+"/key", st.Key)
-		resp.SetString(base+"/severity", st.Severity)
-		if st.Firing {
-			resp.SetString(base+"/state", "firing")
-		} else {
-			resp.SetString(base+"/state", "ok")
-		}
-		resp.SetFloat(base+"/value", st.Value)
-		resp.SetFloat(base+"/since", st.Since)
-	}
-	return resp.EncodeBinary(), nil
 }

@@ -18,10 +18,17 @@ import (
 // with the others as seeds and fast liveness so tests converge quickly.
 func startFleet(t testing.TB, n int) ([]*Service, []string) {
 	t.Helper()
+	return startFleetOf(t, make([]ServiceConfig, n))
+}
+
+// startFleetOf is startFleet with one explicit config per member.
+func startFleetOf(t testing.TB, cfgs []ServiceConfig) ([]*Service, []string) {
+	t.Helper()
+	n := len(cfgs)
 	svcs := make([]*Service, n)
 	addrs := make([]string, n)
 	for i := range svcs {
-		svcs[i] = NewService(ServiceConfig{})
+		svcs[i] = NewService(cfgs[i])
 		addr, err := svcs[i].Listen(fmt.Sprintf("inproc://cluster-%s-%d", t.Name(), i))
 		if err != nil {
 			t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -98,10 +99,6 @@ func (c *ClusterClient) Ring() *cluster.Ring {
 func (c *ClusterClient) client(addr string) (*Client, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.clientLocked(addr)
-}
-
-func (c *ClusterClient) clientLocked(addr string) (*Client, error) {
 	if c.closed {
 		return nil, errors.New("soma: cluster client closed")
 	}
@@ -147,7 +144,7 @@ func (c *ClusterClient) RefreshRing() error {
 	for _, m := range ring.Members() {
 		addrs = append(addrs, m.Addr)
 	}
-	if len(addrs) == 0 || (len(addrs) > 0 && addrs[0] != c.seed && !containsAddr(addrs, c.seed)) {
+	if !slices.Contains(addrs, c.seed) {
 		addrs = append(addrs, c.seed)
 	}
 	var lastErr error
@@ -157,7 +154,7 @@ func (c *ClusterClient) RefreshRing() error {
 			lastErr = err
 			continue
 		}
-		out, err := cl.ep.Call(context.Background(), RPCRing, okFrame)
+		resp, err := cl.call(context.Background(), RPCRing, nil)
 		if err != nil {
 			if errors.Is(err, mercury.ErrUnknownRPC) {
 				// Pre-cluster server: permanently a cluster of one.
@@ -166,24 +163,10 @@ func (c *ClusterClient) RefreshRing() error {
 			lastErr = err
 			continue
 		}
-		resp, err := conduit.DecodeBinary(out)
-		if err != nil {
-			lastErr = err
-			continue
-		}
 		c.applyRingFrame(addr, resp)
 		return nil
 	}
 	return lastErr
-}
-
-func containsAddr(addrs []string, addr string) bool {
-	for _, a := range addrs {
-		if a == addr {
-			return true
-		}
-	}
-	return false
 }
 
 // applyRingFrame folds one soma.ring response into the cached ring. Epoch 0
@@ -301,15 +284,11 @@ func (c *ClusterClient) Close() error {
 		return nil
 	}
 	c.closed = true
-	clients := make([]*Client, 0, len(c.clients))
-	for _, cl := range c.clients {
-		clients = append(clients, cl)
-	}
 	c.mu.Unlock()
 	close(c.stop)
 	c.wg.Wait()
 	var first error
-	for _, cl := range clients {
+	for _, cl := range c.snapshotClients() {
 		if err := cl.Close(); err != nil && first == nil {
 			first = err
 		}

@@ -101,13 +101,7 @@ func (c *Client) LocalHealth() HealthReport {
 // somatop) render the degraded view instead of failing.
 func (c *Client) Health() (HealthReport, error) {
 	h := c.LocalHealth()
-	out, err := c.ep.Call(context.Background(), RPCHealth, conduit.NewNode().EncodeBinary())
-	if err != nil {
-		h.Status = "unreachable"
-		h.Err = err.Error()
-		return h, err
-	}
-	resp, err := conduit.DecodeBinary(out)
+	resp, err := c.call(context.Background(), RPCHealth, nil)
 	if err != nil {
 		h.Status = "unreachable"
 		h.Err = err.Error()

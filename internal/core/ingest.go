@@ -197,10 +197,7 @@ func (s *Service) Publish(ns Namespace, n *conduit.Node, rawBytes int) error {
 // the owner of its first leaf, ingested here when that is this instance or
 // the owner is unreachable (scattered reads still find it).
 func (s *Service) PublishCtx(ctx context.Context, ns Namespace, n *conduit.Node, rawBytes int) error {
-	if s.Stopped() {
-		return ErrServiceStopped
-	}
-	in, err := s.instanceFor(ns)
+	in, err := s.running(ns)
 	if err != nil {
 		return err
 	}
@@ -252,15 +249,15 @@ var envelopeFields = []string{"ns", "data", "epoch"}
 // (handoff adds the sender's ring epoch). The envelope is validated whole and
 // taken apart by offset, the data field is copied once into a private frame
 // (records outlive the engine's pooled request buffer) and ingested raw.
-// forward lets a clustered instance pass a mis-placed publish to its owner —
-// the payload goes out verbatim — and handoff makes the ring-epoch check and
-// tolerates an envelope with nothing to hand over.
-func (s *Service) publishEnvelope(ctx context.Context, payload []byte, forward, handoff bool) ([]byte, error) {
+// cl, when non-nil, is the cluster the request concerns: a publish that is
+// mis-placed in it goes to its owner — the payload goes out verbatim — and a
+// handoff has its ring epoch checked against it, tolerates an envelope with
+// nothing to hand over and never forwards.
+func (s *Service) publishEnvelope(ctx context.Context, payload []byte, cl *svcCluster, handoff bool) ([]byte, error) {
 	var f [3][]byte
 	if err := conduit.SliceFields(payload, envelopeFields, f[:]); err != nil {
 		return nil, err
 	}
-	cl := s.cl.Load()
 	if handoff {
 		// The epoch stamp must match this instance's current ring exactly: a
 		// mismatch means sender and receiver hold diverged membership views,
@@ -289,7 +286,7 @@ func (s *Service) publishEnvelope(ctx context.Context, payload []byte, forward, 
 		return nil, ErrServiceStopped
 	}
 	enc := conduit.AppendRawFrame(make([]byte, 0, 4+len(f[1])), f[1])
-	if forward && cl != nil {
+	if cl != nil && !handoff {
 		// Shard key: the first leaf as written on the wire (a hostile frame
 		// with duplicate sibling names may route differently from its decoded
 		// tree; placement is never a correctness requirement).
@@ -304,15 +301,6 @@ func (s *Service) publishEnvelope(ctx context.Context, payload []byte, forward, 
 	}
 	s.ingest(ctx, []pub{{ns: ns, in: in, enc: enc}}, false, len(payload))
 	return okFrame, nil
-}
-
-func (s *Service) handlePublish(ctx context.Context, payload []byte) ([]byte, error) {
-	// The handler span joins the client's trace (mercury rebuilt the trace
-	// context from the frame header); the stripe append below becomes its
-	// child.
-	ctx, sp := telemetry.ChildSpan(ctx, "soma.publish.handler")
-	defer sp.End()
-	return s.publishEnvelope(ctx, payload, true, false)
 }
 
 // handlePublishBatch serves soma.publish.batch: the payload is a conduit

@@ -55,9 +55,9 @@ type Profile struct {
 	Data     []byte        // pprof protobuf, gzip-compressed
 }
 
-// handleProfile serves soma.profile. It is registered with RegisterBlocking:
-// a CPU capture sits in the handler for its whole sampling window, which
-// would stall a non-blocking dispatch loop. Blocking dispatch skips the
+// handleProfile serves soma.profile. Its rpcTable row is blocking: a CPU
+// capture sits in the handler for its whole sampling window, which would
+// stall a non-blocking dispatch loop. Blocking dispatch skips the
 // engine's expired-deadline shed, so the handler re-checks ctx.Err() itself.
 func (s *Service) handleProfile(ctx context.Context, payload []byte) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
@@ -153,11 +153,7 @@ func (c *Client) Profile(kind string, dur time.Duration) (Profile, error) {
 	timeout := dur + 10*time.Second
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	out, err := c.ep.Call(ctx, RPCProfile, req.EncodeBinary())
-	if err != nil {
-		return Profile{}, err
-	}
-	resp, err := conduit.DecodeBinary(out)
+	resp, err := c.call(ctx, RPCProfile, req)
 	if err != nil {
 		return Profile{}, err
 	}

@@ -554,11 +554,7 @@ func (s *Service) SeriesKeys(ns Namespace, pattern string) ([]string, error) {
 // responses carry per-request bucket arrays, so they are rebuilt every call
 // but no longer allocate a fresh wire buffer each time.
 func (s *Service) handleSeries(_ context.Context, payload []byte) (mercury.Response, error) {
-	req, err := conduit.DecodeBinary(payload)
-	if err != nil {
-		return mercury.Response{}, err
-	}
-	ns, err := envelopeNS(req)
+	req, ns, err := nsRequest(payload)
 	if err != nil {
 		return mercury.Response{}, err
 	}
@@ -582,12 +578,32 @@ func (s *Service) handleSeries(_ context.Context, payload []byte) (mercury.Respo
 	if err != nil {
 		return mercury.Response{}, err
 	}
+	return ownedFrame(encodeSeriesKeys(keys))
+}
+
+// encodeSeriesKeys builds the soma.series pattern response: matches/NNNNNN.
+func encodeSeriesKeys(keys []string) *conduit.Node {
 	resp := conduit.NewNode()
 	var keyBuf [32]byte
 	for i, k := range keys {
 		resp.SetString(string(appendMatchKey(keyBuf[:0], i)), k)
 	}
-	return ownedFrame(resp)
+	return resp
+}
+
+// decodeSeriesKeys is the inverse of encodeSeriesKeys.
+func decodeSeriesKeys(resp *conduit.Node) []string {
+	matches, ok := resp.Get("matches")
+	if !ok {
+		return nil
+	}
+	var keys []string
+	for _, name := range matches.ChildNames() {
+		if k, ok := matches.StringVal(name); ok {
+			keys = append(keys, k)
+		}
+	}
+	return keys
 }
 
 // ---------------------------------------------------------------------------
@@ -601,11 +617,7 @@ func (c *Client) Series(ns Namespace, key string, level SeriesLevel, after float
 	req.SetString("key", key)
 	req.SetString("level", string(level))
 	req.SetFloat("after", after)
-	out, err := c.ep.Call(context.Background(), RPCSeries, req.EncodeBinary())
-	if err != nil {
-		return Series{}, err
-	}
-	resp, err := conduit.DecodeBinary(out)
+	resp, err := c.call(context.Background(), RPCSeries, req)
 	if err != nil {
 		return Series{}, err
 	}
@@ -618,23 +630,9 @@ func (c *Client) SeriesKeys(ns Namespace, pattern string) ([]string, error) {
 	req := conduit.NewNode()
 	req.SetString("ns", string(ns))
 	req.SetString("pattern", pattern)
-	out, err := c.ep.Call(context.Background(), RPCSeries, req.EncodeBinary())
+	resp, err := c.call(context.Background(), RPCSeries, req)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := conduit.DecodeBinary(out)
-	if err != nil {
-		return nil, err
-	}
-	matches, ok := resp.Get("matches")
-	if !ok {
-		return nil, nil
-	}
-	var keys []string
-	for _, name := range matches.ChildNames() {
-		if k, ok := matches.StringVal(name); ok {
-			keys = append(keys, k)
-		}
-	}
-	return keys, nil
+	return decodeSeriesKeys(resp), nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -479,14 +480,10 @@ func (in *instance) query(path string) *conduit.Node {
 	return sub
 }
 
-// queryFrame returns the wire-ready soma.query response frame for path:
-// {epoch, gen, data: <subtree>}. A repeat query against an unchanged
-// instance is the hot path — two atomic loads, one RLock'd map probe, zero
-// tree walk, zero allocation.
-func (in *instance) queryFrame(path string) []byte {
-	return in.queryFrameAt(in.currentSnapshot(), path)
-}
-
+// queryFrameAt returns the wire-ready soma.query response frame for path at
+// snapshot s: {epoch, gen, data: <subtree>}. A repeat query against an
+// unchanged instance is the hot path — two atomic loads, one RLock'd map
+// probe, zero tree walk, zero allocation.
 func (in *instance) queryFrameAt(s *snapshot, path string) []byte {
 	k := frameKey{kind: 'q', key: path}
 	if f := s.cached(k); f != nil {
@@ -508,7 +505,7 @@ func (in *instance) queryFrameAt(s *snapshot, path string) []byte {
 }
 
 // selectFrame returns the wire-ready soma.select response frame for
-// pattern, cached against the snapshot exactly like queryFrame.
+// pattern, cached against the snapshot exactly like queryFrameAt.
 func (in *instance) selectFrame(pattern string) []byte {
 	s := in.currentSnapshot()
 	k := frameKey{kind: 's', key: pattern}
@@ -647,7 +644,7 @@ type Service struct {
 	// cl is non-nil once JoinCluster turned this service into a sharded
 	// cluster member: publishes are placed by consistent hash (one-hop
 	// forward to the owner), reads scatter to every live member. See
-	// cluster.go.
+	// rpcTable and cluster.go.
 	cl atomic.Pointer[svcCluster]
 
 	mu      sync.Mutex
@@ -732,38 +729,19 @@ func NewService(cfg ServiceConfig) *Service {
 	s.bus = zmq.NewPubSubHW(hw)
 	s.alerts = newAlertEngine(s.publishAlertStream)
 	zmq.NewServer(s.engine).AttachBus(UpdatesBusName, s.bus)
-	s.engine.Register(RPCPublish, s.handlePublish)
-	s.engine.Register(RPCPublishBatch, s.handlePublishBatch)
-	// Owned: a scattered read answers from a pooled buffer (see scatterQuery);
-	// local answers are cached snapshot frames with nothing to release.
-	s.engine.RegisterOwned(RPCQuery, s.handleQuery)
-	s.engine.RegisterOwned(RPCQueryDelta, s.handleQueryDelta)
-	s.engine.Register(RPCStats, s.handleStats)
-	s.engine.Register(RPCShutdown, s.handleShutdown)
-	s.engine.Register(RPCReset, s.handleReset)
-	s.engine.Register(RPCSelect, s.handleSelect)
-	s.engine.RegisterOwned(RPCTelemetry, s.handleTelemetry)
-	s.engine.Register(RPCHealth, s.handleHealth)
-	s.engine.RegisterOwned(RPCSeries, s.handleSeriesDispatch)
-	s.engine.Register(RPCAlertSet, s.handleAlertSet)
-	s.engine.Register(RPCAlertList, s.handleAlertListDispatch)
-	s.engine.Register(RPCAlertRemove, s.handleAlertRemove)
-	// Cluster surface. Registered unconditionally: the ".local" variants and
-	// soma.ring let a routing client talk to a solo (unclustered) service the
-	// same way it talks to a fleet; ping/handoff reject until JoinCluster.
-	s.engine.Register(RPCPeerPing, s.handlePeerPing)
-	s.engine.Register(RPCRing, s.handleRing)
-	s.engine.Register(RPCHandoff, s.handleHandoff)
-	s.engine.Register(RPCPublishLocal, s.handlePublishLocal)
-	s.engine.RegisterOwned(RPCQueryLocal, s.handleQueryLocal)
-	s.engine.RegisterOwned(RPCQueryDeltaLocal, s.handleQueryDeltaLocal)
-	s.engine.RegisterOwned(RPCSeriesLocal, s.handleSeries)
-	s.engine.Register(RPCAlertListLocal, s.handleAlertList)
-	s.engine.RegisterOwned(RPCTraceList, s.handleTraceList)
-	s.engine.RegisterOwned(RPCTraceGet, s.handleTraceGet)
-	// Blocking: a CPU capture occupies the handler for its whole sampling
-	// window. Never mark soma.profile idempotent — see IdempotentRPCs.
-	s.engine.RegisterBlocking(RPCProfile, s.handleProfile)
+	for i := range rpcTable {
+		row := &rpcTable[i]
+		register := s.engine.RegisterOwned
+		if row.blocking {
+			register = s.engine.RegisterBlocking
+		}
+		register(row.name, s.serve(row, false))
+		if row.kind != rpcLocal {
+			// On a solo service too, so a routing client talks to it the way
+			// it talks to a fleet.
+			register(row.name+".local", s.serve(row, true))
+		}
+	}
 	return s
 }
 
@@ -814,6 +792,15 @@ func (s *Service) Stopped() bool {
 	return s.stopped
 }
 
+// running resolves ns on a service that still takes requests; after shutdown
+// every namespace, known or not, answers ErrServiceStopped.
+func (s *Service) running(ns Namespace) (*instance, error) {
+	if s.Stopped() {
+		return nil, ErrServiceStopped
+	}
+	return s.instanceFor(ns)
+}
+
 func (s *Service) instanceFor(ns Namespace) (*instance, error) {
 	in, ok := s.instances[ns]
 	if !ok {
@@ -826,10 +813,7 @@ func (s *Service) instanceFor(ns Namespace) (*instance, error) {
 // shared, immutable snapshot — callers must not modify it. Repeated queries
 // between publishes return the same tree with no copying.
 func (s *Service) Query(ns Namespace, path string) (*conduit.Node, error) {
-	if s.Stopped() {
-		return nil, ErrServiceStopped
-	}
-	in, err := s.instanceFor(ns)
+	in, err := s.running(ns)
 	if err != nil {
 		return nil, err
 	}
@@ -845,15 +829,12 @@ func (s *Service) Query(ns Namespace, path string) (*conduit.Node, error) {
 // namespace return the same byte slice with zero tree walk and zero
 // allocation. Callers (and the transport) must treat the frame as immutable.
 func (s *Service) QueryEncoded(ns Namespace, path string) ([]byte, error) {
-	if s.Stopped() {
-		return nil, ErrServiceStopped
-	}
-	in, err := s.instanceFor(ns)
+	in, err := s.running(ns)
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	f := in.queryFrame(path)
+	f := in.queryFrameAt(in.currentSnapshot(), path)
 	telQueryLatency.ObserveSince(start)
 	return f, nil
 }
@@ -863,10 +844,7 @@ func (s *Service) QueryEncoded(ns Namespace, path string) ([]byte, error) {
 // tiny {epoch, gen, unchanged: true} frame; otherwise the full query frame.
 // A zero epoch (no memo yet) never matches.
 func (s *Service) QueryDeltaEncoded(ns Namespace, path string, epoch, gen uint64) ([]byte, error) {
-	if s.Stopped() {
-		return nil, ErrServiceStopped
-	}
-	in, err := s.instanceFor(ns)
+	in, err := s.running(ns)
 	if err != nil {
 		return nil, err
 	}
@@ -892,10 +870,7 @@ func (s *Service) QueryDeltaEncoded(ns Namespace, path string, epoch, gen uint64
 // History returns the raw publishes into ns newer than the given service
 // timestamp, oldest first.
 func (s *Service) History(ns Namespace, after float64) ([]*conduit.Node, error) {
-	if s.Stopped() {
-		return nil, ErrServiceStopped
-	}
-	in, err := s.instanceFor(ns)
+	in, err := s.running(ns)
 	if err != nil {
 		return nil, err
 	}
@@ -908,10 +883,7 @@ func (s *Service) History(ns Namespace, after float64) ([]*conduit.Node, error) 
 // where leaves are numeric. Analyses use it to slice a namespace without
 // pulling whole subtrees: Select(NSHardware, "PROC/*/*/CPU Util").
 func (s *Service) Select(ns Namespace, pattern string) (paths []string, values map[string]float64, err error) {
-	if s.Stopped() {
-		return nil, nil, ErrServiceStopped
-	}
-	in, err := s.instanceFor(ns)
+	in, err := s.running(ns)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -930,10 +902,7 @@ func (s *Service) Select(ns Namespace, pattern string) (paths []string, values m
 // keeping the counters. Long-running deployments call this at phase
 // boundaries (after a snapshot) to bound the merged tree's growth.
 func (s *Service) ResetNamespace(ns Namespace) error {
-	if s.Stopped() {
-		return ErrServiceStopped
-	}
-	in, err := s.instanceFor(ns)
+	in, err := s.running(ns)
 	if err != nil {
 		return err
 	}
@@ -977,111 +946,63 @@ func (s *Service) Stats() []InstanceStats {
 // handlers; responses are never mutated by callers.
 var okFrame = conduit.NewNode().EncodeBinary()
 
-func envelopeNS(req *conduit.Node) (Namespace, error) {
+// nsRequest decodes a control-plane request tree and its mandatory ns field —
+// the server half of Client.call.
+func nsRequest(payload []byte) (*conduit.Node, Namespace, error) {
+	req, err := conduit.DecodeBinary(payload)
+	if err != nil {
+		return nil, "", err
+	}
 	nsStr, ok := req.StringVal("ns")
 	if !ok {
-		return "", fmt.Errorf("soma: request missing ns field")
+		return nil, "", fmt.Errorf("soma: request missing ns field")
 	}
 	ns := Namespace(nsStr)
 	if !ns.Valid() {
-		return "", &ErrUnknownNamespace{NS: ns}
+		return nil, "", &ErrUnknownNamespace{NS: ns}
 	}
-	return ns, nil
+	return req, ns, nil
 }
 
-// Query request fields, in the order queryEnvelope slices them.
+// Query request fields, in the order queryHandler slices them: soma.query and
+// soma.query.local carry {ns, path}, the delta RPCs add the caller's last-seen
+// stamp as {epoch: i64, gen: i64} (zero when absent — a stamp that never
+// matches).
 var queryFields = []string{"ns", "path", "epoch", "gen"}
 
-// queryReq is a query request taken apart: soma.query and soma.query.local
-// carry {ns, path}, the delta RPCs add the caller's last-seen stamp as
-// {epoch: i64, gen: i64} (zero when absent — a stamp that never matches).
-type queryReq struct {
-	ns         Namespace
-	in         *instance
-	path       string
-	epoch, gen uint64
-}
-
-// queryEnvelope validates a query request whole and reads its fields by
-// offset — the read-side counterpart of publishEnvelope.
-func (s *Service) queryEnvelope(payload []byte) (queryReq, error) {
-	var f [4][]byte
-	if err := conduit.SliceFields(payload, queryFields, f[:]); err != nil {
-		return queryReq{}, err
+// queryHandler answers soma.query — or, with delta, soma.query.delta — from
+// local state alone: the cached encoded frame {epoch, gen, data}, or for a
+// delta poll whose stamp still matches the tiny "unchanged" frame (see
+// QueryDeltaEncoded). Clients predating the delta protocol only read "data"
+// and ignore the stamp fields. Asked by either name, a clustered member with
+// live peers answers the union of all shards instead, so a caller sees the
+// same tree no matter which instance it asked (see rpcTable, scatterEnvelope).
+func queryHandler(delta bool) rpcHandler {
+	return func(s *Service, _ context.Context, payload []byte) (mercury.Response, error) {
+		// Validated whole and read by offset, like a publish envelope.
+		var f [4][]byte
+		if err := conduit.SliceFields(payload, queryFields, f[:]); err != nil {
+			return mercury.Response{}, err
+		}
+		name, ok := conduit.RawString(f[0])
+		if !ok {
+			return mercury.Response{}, fmt.Errorf("soma: request missing ns field")
+		}
+		ns, _, err := s.lookupNS(name)
+		if err != nil {
+			return mercury.Response{}, err
+		}
+		path, _ := conduit.RawString(f[1])
+		var frame []byte
+		if delta {
+			epoch, _ := conduit.RawInt(f[2])
+			gen, _ := conduit.RawInt(f[3])
+			frame, err = s.QueryDeltaEncoded(ns, string(path), uint64(epoch), uint64(gen))
+		} else {
+			frame, err = s.QueryEncoded(ns, string(path))
+		}
+		return mercury.Response{Payload: frame}, err
 	}
-	name, ok := conduit.RawString(f[0])
-	if !ok {
-		return queryReq{}, fmt.Errorf("soma: request missing ns field")
-	}
-	ns, in, err := s.lookupNS(name)
-	if err != nil {
-		return queryReq{}, err
-	}
-	path, _ := conduit.RawString(f[1])
-	epoch, _ := conduit.RawInt(f[2])
-	gen, _ := conduit.RawInt(f[3])
-	return queryReq{ns: ns, in: in, path: string(path), epoch: uint64(epoch), gen: uint64(gen)}, nil
-}
-
-// serveQuery is the body of the four query RPCs; the delta pair opens the
-// span soma.query.delta.handler, the plain pair soma.query.handler, clustered
-// or not. With fleet set — soma.query and
-// soma.query.delta — a clustered instance with live peers scatters to the
-// whole fleet and answers the union of all shards, so a caller sees the same
-// tree no matter which instance it asked; a cross-shard union has no single
-// (epoch, gen) identity, so even a delta poll gets the full union, under a
-// zero stamp that keeps plain clients from latching a delta memo onto it
-// (shard-aware clients poll soma.query.delta.local per member instead).
-// Otherwise — the .local RPCs scatter-gather fans out to, which is why a
-// scattered read can never recurse, and a solo instance or one whose peers
-// are all dead — it answers from local state alone: the cached encoded frame
-// {epoch, gen, data}, or for a delta poll whose stamp still matches the tiny
-// "unchanged" frame (see QueryDeltaEncoded). Clients predating the delta
-// protocol only read "data" and ignore the stamp fields.
-func (s *Service) serveQuery(ctx context.Context, payload []byte, delta, fleet bool) (mercury.Response, error) {
-	span := "soma.query.handler"
-	if delta {
-		span = "soma.query.delta.handler"
-	}
-	cl := s.cl.Load()
-	if fleet = fleet && cl != nil && cl.active(); fleet {
-		// The peer calls are this span's children.
-		var sp *telemetry.Span
-		ctx, sp = telemetry.ChildSpan(ctx, span)
-		defer sp.End()
-	} else {
-		defer telemetry.LeafSpan(ctx, span).End()
-	}
-	q, err := s.queryEnvelope(payload)
-	if err != nil {
-		return mercury.Response{}, err
-	}
-	if fleet {
-		return cl.scatterQuery(ctx, q.in, q.path, payload)
-	}
-	var frame []byte
-	if delta {
-		frame, err = s.QueryDeltaEncoded(q.ns, q.path, q.epoch, q.gen)
-	} else {
-		frame, err = s.QueryEncoded(q.ns, q.path)
-	}
-	return mercury.Response{Payload: frame}, err
-}
-
-func (s *Service) handleQuery(ctx context.Context, payload []byte) (mercury.Response, error) {
-	return s.serveQuery(ctx, payload, false, true)
-}
-
-func (s *Service) handleQueryLocal(ctx context.Context, payload []byte) (mercury.Response, error) {
-	return s.serveQuery(ctx, payload, false, false)
-}
-
-func (s *Service) handleQueryDelta(ctx context.Context, payload []byte) (mercury.Response, error) {
-	return s.serveQuery(ctx, payload, true, true)
-}
-
-func (s *Service) handleQueryDeltaLocal(ctx context.Context, payload []byte) (mercury.Response, error) {
-	return s.serveQuery(ctx, payload, true, false)
 }
 
 // statsStamps captures every instance's current (epoch, gen) stamp in
@@ -1099,23 +1020,11 @@ func (s *Service) statsStamps() []uint64 {
 	return out
 }
 
-func stampsEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func (s *Service) handleStats(ctx context.Context, _ []byte) ([]byte, error) {
 	sp := telemetry.LeafSpan(ctx, "soma.stats.handler")
 	defer sp.End()
 	stamps := s.statsStamps()
-	if c := s.statsFrame.Load(); c != nil && stampsEqual(c.stamps, stamps) {
+	if c := s.statsFrame.Load(); c != nil && slices.Equal(c.stamps, stamps) {
 		telQueryCacheHits.Inc()
 		return c.frame, nil
 	}
@@ -1158,19 +1067,12 @@ func appendMatchKey(dst []byte, i int) []byte {
 }
 
 func (s *Service) handleSelect(_ context.Context, payload []byte) ([]byte, error) {
-	req, err := conduit.DecodeBinary(payload)
-	if err != nil {
-		return nil, err
-	}
-	ns, err := envelopeNS(req)
+	req, ns, err := nsRequest(payload)
 	if err != nil {
 		return nil, err
 	}
 	pattern, _ := req.StringVal("pattern")
-	if s.Stopped() {
-		return nil, ErrServiceStopped
-	}
-	in, err := s.instanceFor(ns)
+	in, err := s.running(ns)
 	if err != nil {
 		return nil, err
 	}
@@ -1200,11 +1102,7 @@ func (s *Service) handleTelemetry(_ context.Context, _ []byte) (mercury.Response
 }
 
 func (s *Service) handleReset(_ context.Context, payload []byte) ([]byte, error) {
-	req, err := conduit.DecodeBinary(payload)
-	if err != nil {
-		return nil, err
-	}
-	ns, err := envelopeNS(req)
+	_, ns, err := nsRequest(payload)
 	if err != nil {
 		return nil, err
 	}

@@ -40,23 +40,6 @@ var ErrTraceNotFound = errors.New("soma: trace not found (not kept by the sample
 // carries when the request does not say.
 const traceListLimit = 64
 
-// IdempotentRPCs lists the service RPCs that are safe to retry after a
-// request may have reached the server — the read-only surface. Use it with
-// mercury.IdempotentSet when building a CallPolicy with retries.
-//
-// soma.profile is deliberately absent: a retried profile capture would
-// double-start (or burn the one-at-a-time gate on) a multi-second CPU
-// profile. soma.publish/soma.publish.batch mutate state; soma.alert.set/rm,
-// soma.reset and soma.shutdown are likewise excluded.
-func IdempotentRPCs() []string {
-	return []string{
-		RPCQuery, RPCQueryDelta, RPCSelect, RPCStats, RPCHealth,
-		RPCTelemetry, RPCSeries, RPCAlertList, RPCTraceList, RPCTraceGet,
-		RPCRing, RPCQueryLocal, RPCQueryDeltaLocal, RPCSeriesLocal,
-		RPCAlertListLocal,
-	}
-}
-
 func encodeTraceSummaries(sums []telemetry.TraceSummary) *conduit.Node {
 	n := conduit.NewNode()
 	for i, s := range sums {
@@ -261,11 +244,7 @@ func (c *Client) Traces(limit int, slowest bool) ([]telemetry.TraceSummary, erro
 	if slowest {
 		req.SetString("sort", "dur")
 	}
-	out, err := c.ep.Call(context.Background(), RPCTraceList, req.EncodeBinary())
-	if err != nil {
-		return nil, err
-	}
-	resp, err := conduit.DecodeBinary(out)
+	resp, err := c.call(context.Background(), RPCTraceList, req)
 	if err != nil {
 		return nil, err
 	}
@@ -284,11 +263,7 @@ func (c *Client) Traces(limit int, slowest bool) ([]telemetry.TraceSummary, erro
 func (c *Client) Trace(id uint64) (telemetry.Trace, error) {
 	req := conduit.NewNode()
 	req.SetString("trace", strconv.FormatUint(id, 16))
-	out, err := c.ep.Call(context.Background(), RPCTraceGet, req.EncodeBinary())
-	if err != nil {
-		return telemetry.Trace{}, err
-	}
-	resp, err := conduit.DecodeBinary(out)
+	resp, err := c.call(context.Background(), RPCTraceGet, req)
 	if err != nil {
 		return telemetry.Trace{}, err
 	}

@@ -164,12 +164,10 @@ func clientHist(name string) *telemetry.Histogram {
 	return h
 }
 
-// registration is one installed handler plus its dispatch flavour.
+// registration is one installed handler: every flavour is stored in the
+// owned form, which Register wraps a plain Handler into at install time.
 type registration struct {
-	h Handler
-	// owned, when set instead of h, is an OwnedHandler whose response buffer
-	// is recycled after the frame is written.
-	owned OwnedHandler
+	h OwnedHandler
 	// blocking marks long-poll handlers (RegisterBlocking): they run with a
 	// context cancelled at engine Close and stay out of the per-RPC server
 	// latency histograms, which would otherwise be dominated by intentional
@@ -245,9 +243,10 @@ func NewEngine(opts ...Option) *Engine {
 
 // Register installs a handler under name, replacing any previous handler.
 func (e *Engine) Register(name string, h Handler) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.handlers[name] = registration{h: h}
+	e.install(name, registration{h: func(ctx context.Context, input []byte) (Response, error) {
+		out, err := h(ctx, input)
+		return Response{Payload: out}, err
+	}})
 }
 
 // RegisterOwned installs an OwnedHandler: its Response.Release hook fires
@@ -255,9 +254,7 @@ func (e *Engine) Register(name string, h Handler) {
 // encode into a pooled buffer instead of allocating a fresh response per
 // request.
 func (e *Engine) RegisterOwned(name string, h OwnedHandler) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.handlers[name] = registration{owned: h}
+	e.install(name, registration{h: h})
 }
 
 // RegisterBlocking installs a handler that is expected to block — long-poll
@@ -265,10 +262,14 @@ func (e *Engine) RegisterOwned(name string, h OwnedHandler) {
 // (so shutdown never waits out a poll timeout), and its wall time is excluded
 // from the server latency histograms (a long-poll's dwell is intentional
 // waiting, not service latency). Counters and in-flight gauges still apply.
-func (e *Engine) RegisterBlocking(name string, h Handler) {
+func (e *Engine) RegisterBlocking(name string, h OwnedHandler) {
+	e.install(name, registration{h: h, blocking: true})
+}
+
+func (e *Engine) install(name string, reg registration) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.handlers[name] = registration{h: h, blocking: true}
+	e.handlers[name] = reg
 }
 
 // Deregister removes a handler.
@@ -315,7 +316,7 @@ func (e *Engine) cancelOnClose(ctx context.Context) (context.Context, func()) {
 // transport carries the caller's deadline in the frame header precisely so
 // this check sees it).
 //
-// release is non-nil when the handler was installed with RegisterOwned; the
+// release is the handler's Response.Release (nil for a plain Handler); the
 // transport must call it exactly once when it is done with out.
 func (e *Engine) dispatch(ctx context.Context, name string, input []byte) (out []byte, release func(), err error) {
 	reg, ok, err := e.handler(name)
@@ -336,24 +337,18 @@ func (e *Engine) dispatch(ctx context.Context, name string, input []byte) (out [
 	telBytesIn.Add(int64(len(input)))
 	telServerInfl.Inc()
 	tc := telemetry.FromContext(ctx)
-	var start time.Time
-	switch {
-	case reg.blocking:
-		var done func()
+	var done func()
+	if reg.blocking {
 		ctx, done = e.cancelOnClose(ctx)
-		out, err = reg.h(ctx, input)
+	}
+	start := time.Now()
+	resp, err := reg.h(ctx, input)
+	if reg.blocking {
 		done()
-	case reg.owned != nil:
-		start = time.Now()
-		var resp Response
-		resp, err = reg.owned(ctx, input)
-		serverHist(name).ObserveTrace(time.Since(start), tc.TraceID)
-		out, release = resp.Payload, resp.Release
-	default:
-		start = time.Now()
-		out, err = reg.h(ctx, input)
+	} else {
 		serverHist(name).ObserveTrace(time.Since(start), tc.TraceID)
 	}
+	out, release = resp.Payload, resp.Release
 	telServerInfl.Dec()
 	if err != nil {
 		if release != nil {

@@ -434,13 +434,13 @@ func TestBlockingHandlerCancelledOnClose(t *testing.T) {
 	// cancel it and complete promptly instead of waiting out the poll.
 	e := NewEngine()
 	entered := make(chan struct{})
-	e.RegisterBlocking("park", func(ctx context.Context, _ []byte) ([]byte, error) {
+	e.RegisterBlocking("park", func(ctx context.Context, _ []byte) (Response, error) {
 		close(entered)
 		select {
 		case <-ctx.Done():
-			return []byte("cancelled"), nil
+			return Response{Payload: []byte("cancelled")}, nil
 		case <-time.After(30 * time.Second):
-			return nil, errors.New("poll timeout")
+			return Response{}, errors.New("poll timeout")
 		}
 	})
 	addr, err := e.Listen("tcp://127.0.0.1:0")
@@ -487,8 +487,8 @@ func TestBlockingHandlerNormalReturn(t *testing.T) {
 	// Outside shutdown, a blocking handler behaves like any other.
 	e := NewEngine()
 	defer e.Close()
-	e.RegisterBlocking("quick", func(_ context.Context, in []byte) ([]byte, error) {
-		return in, nil
+	e.RegisterBlocking("quick", func(_ context.Context, in []byte) (Response, error) {
+		return Response{Payload: in}, nil
 	})
 	addr, err := e.Listen("inproc://blocking-normal")
 	if err != nil {

@@ -193,10 +193,10 @@ func (s *Server) handleSubStats(_ context.Context, raw []byte) ([]byte, error) {
 // handleRecv is the long-poll receive: it parks until a message is buffered
 // for the subscription, the wait window elapses, or the engine closes (the
 // blocking-handler context), then drains up to Max messages.
-func (s *Server) handleRecv(ctx context.Context, raw []byte) ([]byte, error) {
+func (s *Server) handleRecv(ctx context.Context, raw []byte) (mercury.Response, error) {
 	sb, w, err := s.servedBus(raw)
 	if err != nil {
-		return nil, err
+		return mercury.Response{}, err
 	}
 	// Refresh the calling subscription's own lease before sweeping: a
 	// subscriber whose gap between recv calls just exceeded the expiry must
@@ -211,7 +211,7 @@ func (s *Server) handleRecv(ctx context.Context, raw []byte) ([]byte, error) {
 	sb.mu.Unlock()
 	sb.sweep(now)
 	if !ok {
-		return nil, fmt.Errorf("zmq: no subscription %d on bus %q", w.ID, w.Bus)
+		return mercury.Response{}, fmt.Errorf("zmq: no subscription %d on bus %q", w.ID, w.Bus)
 	}
 	defer func() {
 		sb.mu.Lock()
@@ -247,7 +247,7 @@ func (s *Server) handleRecv(ctx context.Context, raw []byte) ([]byte, error) {
 		if !open {
 			resp.Closed = true
 		} else if err := appendMsg(m); err != nil {
-			return nil, err
+			return mercury.Response{}, err
 		}
 	case <-timer.C:
 	case <-ctx.Done():
@@ -259,14 +259,15 @@ drain:
 			if !open {
 				resp.Closed = true
 			} else if err := appendMsg(m); err != nil {
-				return nil, err
+				return mercury.Response{}, err
 			}
 		default:
 			break drain
 		}
 	}
 	resp.Dropped = st.stats().Dropped
-	return json.Marshal(&resp)
+	out, err := json.Marshal(&resp)
+	return mercury.Response{Payload: out}, err
 }
 
 // ---------------------------------------------------------------------------
