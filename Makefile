@@ -49,13 +49,14 @@ verify: build vet lint test race bench-module
 # verify-stream hammers the race-sensitive streaming paths (subscriptions,
 # long-poll serving, rollups, alerts), the cluster paths (placement, handoff,
 # scattered reads, client routing, the RPC-table conformance and solo/fleet
-# parity tests) and the client publish pipeline (coalescer, spill queue,
-# redelivery) repeatedly under the race detector, plus the in-process fleet
-# scenarios (kill/restart, fault timelines).
+# parity tests), the client publish pipeline (coalescer, spill queue,
+# redelivery) and the in-process publish door (no retained tree, placed like
+# a wire publish) repeatedly under the race detector, plus the in-process
+# fleet scenarios (kill/restart, fault timelines).
 verify-stream:
 	$(GO) test ./internal/core/ ./internal/zmq/ ./internal/mercury/ ./internal/scenario/ \
 		-race -count=3 \
-		-run 'Subscribe|Watch|Stream|Series|Alert|Remote|Blocking|Flush|Fanout|Scenario|Scatter|Spill|Batch|Publish|Cluster|RPCTable|RPCSolo'
+		-run 'Subscribe|Watch|Stream|Series|Alert|Remote|Blocking|Flush|Fanout|Scenario|Scatter|Spill|Batch|Publish|Cluster|RPCTable|RPCSolo|Retain|PlacesLike'
 
 bench:
 	$(GO) test ./internal/core/ -run '^$$' \

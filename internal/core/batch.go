@@ -127,18 +127,17 @@ func (c *Client) EnableBatch(cfg BatchConfig) {
 	go co.run()
 }
 
-// append encodes one publish into the pending batch. Exactly one of n and
-// enc is set (enc is a pre-encoded tree frame, copied verbatim). When the
-// buffer has outgrown the overfill bound it applies backpressure: the
-// caller helps flush inline (serialized behind the flusher on sendMu) and
-// retries, so a publisher outrunning the wire slows to the wire's pace
-// instead of erroring — the synchronous-publish contract.
-func (co *coalescer) append(ns Namespace, n *conduit.Node, enc []byte) error {
+// append copies one publish — enc is its valid tree frame — into the pending
+// batch. When the buffer has outgrown the overfill bound it applies
+// backpressure: the caller helps flush inline (serialized behind the flusher
+// on sendMu) and retries, so a publisher outrunning the wire slows to the
+// wire's pace instead of erroring — the synchronous-publish contract.
+func (co *coalescer) append(ns Namespace, enc []byte) error {
 retry:
 	co.mu.Lock()
 	if co.closed {
 		co.mu.Unlock()
-		return co.c.publishDirect(ns, n, enc)
+		return co.c.publishDirect(ns, enc)
 	}
 	if co.leaves >= co.cfg.MaxLeaves*batchOverfill || len(co.buf) >= co.cfg.MaxBytes*batchOverfill {
 		co.mu.Unlock()
@@ -150,11 +149,7 @@ retry:
 		co.firstAt = time.Now()
 		co.ageTimer.Reset(co.cfg.MaxAge)
 	}
-	if n != nil {
-		co.buf = conduit.AppendBatchEntry(co.buf, string(ns), n)
-	} else {
-		co.buf = conduit.AppendBatchEntryEncoded(co.buf, string(ns), enc)
-	}
+	co.buf = conduit.AppendBatchEntryEncoded(co.buf, string(ns), enc)
 	co.leaves++
 	full := co.leaves >= co.cfg.MaxLeaves || len(co.buf) >= co.cfg.MaxBytes
 	if full && co.cause == flushCauseNone {

@@ -323,10 +323,10 @@ func TestBatchRawIngestPath(t *testing.T) {
 		}
 	}
 
-	// No record holds a tree, and the rollups saw every numeric leaf.
+	// Every record holds wire bytes, and the rollups saw every numeric leaf.
 	for _, st := range svc.instances[NSHardware].stripes {
 		for i := 0; i < st.count; i++ {
-			if st.history[i].node != nil || st.history[i].enc == nil {
+			if st.history[i].enc == nil {
 				t.Fatalf("history record %d is not raw wire bytes", i)
 			}
 		}

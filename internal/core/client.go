@@ -16,15 +16,15 @@ import (
 // component's address space (monitor daemons, the TAU plugin, application
 // tasks) and needs no resources of its own.
 //
-// Publishing is one pipeline with two producers. Unbatched, Publish and
-// PublishEncoded each build a {ns, data} envelope and hand it to deliver as
-// a soma.publish frame, returning the service's verdict. After EnableBatch
-// they append into the coalescer instead, whose flush hands deliver a
+// Publishing is one pipeline with two producers, both fed encoded tree
+// frames: Publish encodes its tree and joins PublishEncoded. Unbatched, a
+// frame is wrapped in a {ns, data} envelope and handed to deliver as a
+// soma.publish frame, returning the service's verdict. After EnableBatch it
+// is appended to the coalescer instead, whose flush hands deliver a
 // soma.publish.batch frame. deliver is the only place the degradation policy
 // lives (see spill.go for the queue it degrades into).
 //
-// Published trees are handed over to the service; callers must not mutate a
-// tree after publishing it.
+// A published tree is encoded before Publish returns and never retained.
 type Client struct {
 	ep *mercury.Endpoint
 	// addr, engine and policy remember how the endpoint was resolved so
@@ -121,7 +121,16 @@ func ConnectPolicy(addr string, engine *mercury.Engine, p *mercury.CallPolicy) (
 // here, before anything is enqueued: the service rejects a batch frame
 // atomically, so one bad entry would void its valid neighbours.
 func (c *Client) Publish(ns Namespace, n *conduit.Node) error {
-	return c.publish(ns, n, nil)
+	if n == nil {
+		return errNilTree
+	}
+	// A frame this process just encoded needs no validation; both producers
+	// copy what they keep, so the buffer goes back to the pool on return.
+	buf := conduit.GetEncodeBuffer()
+	*buf = n.AppendBinary(*buf)
+	err := c.publish(ns, *buf)
+	conduit.PutEncodeBuffer(buf)
+	return err
 }
 
 // PublishEncoded sends a pre-encoded tree (Node.EncodeBinary output). A
@@ -136,45 +145,41 @@ func (c *Client) PublishEncoded(ns Namespace, enc []byte) error {
 	if err := c.validateEncoded(enc); err != nil {
 		return err
 	}
-	return c.publish(ns, nil, enc)
+	return c.publish(ns, enc)
 }
 
-// publish is the producer both entry points share; exactly one of n and enc
-// (an already validated tree frame) is set.
-func (c *Client) publish(ns Namespace, n *conduit.Node, enc []byte) error {
+// publish is the producer both entry points share; enc is a valid tree frame.
+func (c *Client) publish(ns Namespace, enc []byte) error {
 	if !ns.Valid() {
 		return &ErrUnknownNamespace{NS: ns}
 	}
 	if co := c.coal.Load(); co != nil {
-		return co.append(ns, n, enc)
+		return co.append(ns, enc)
 	}
-	return c.publishDirect(ns, n, enc)
+	return c.publishDirect(ns, enc)
 }
 
-// publishDirect is the unbatched producer: one {ns, data} envelope, encoded
-// into a pooled buffer and delivered as a soma.publish frame of one leaf.
-func (c *Client) publishDirect(ns Namespace, n *conduit.Node, enc []byte) error {
-	// Zero-copy envelope: the published tree is grafted under "data" by
-	// reference rather than deep-merged — callers handed it over at Publish
-	// and may not mutate it, so encoding can read it in place. A pre-encoded
-	// tree, minus its 4-byte magic, takes the place of an empty data child's
-	// single kind byte.
-	req := conduit.NewNode()
-	req.SetString("ns", string(ns))
+// publishDirect is the unbatched producer: one {ns, data} envelope, built in
+// a pooled buffer and delivered as a soma.publish frame of one leaf.
+func (c *Client) publishDirect(ns Namespace, enc []byte) error {
 	buf := conduit.GetEncodeBuffer()
-	if n != nil {
-		req.Attach("data", n)
-		*buf = req.AppendBinary(*buf)
-	} else {
-		req.Fetch("data")
-		*buf = req.AppendBinary(*buf)
-		*buf = append((*buf)[:len(*buf)-1], enc[4:]...)
-	}
+	*buf = appendPublishEnvelope(*buf, ns, enc)
 	// The transport and the spill queue both copy what they keep, so the
 	// buffer goes back to the pool as soon as deliver returns.
 	err := c.deliver(RPCPublish, *buf, 1)
 	conduit.PutEncodeBuffer(buf)
 	return err
+}
+
+// appendPublishEnvelope appends the {ns, data} request frame of a single
+// publish: the tree frame enc, minus its 4-byte magic, is spliced in raw where
+// the encoding of an empty data child has its single kind byte.
+func appendPublishEnvelope(dst []byte, ns Namespace, enc []byte) []byte {
+	req := conduit.NewNode()
+	req.SetString("ns", string(ns))
+	req.Fetch("data")
+	dst = req.AppendBinary(dst)
+	return append(dst[:len(dst)-1], enc[4:]...)
 }
 
 // encSeenMax bounds the validated-frame memo; past it the memo is dropped

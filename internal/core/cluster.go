@@ -72,17 +72,9 @@ type ClusterConfig struct {
 	// Peers is the static seed list: addresses of other instances (self is
 	// filtered out). Further members are learned by gossip.
 	Peers []string
-	// Vnodes per member on the hash ring; 0 = cluster.DefaultVnodes. Every
-	// member must agree — the value is gossiped in soma.ring so routing
-	// clients build the identical ring.
-	Vnodes int
-	// PingInterval is the liveness cadence; 0 = 250ms.
+	// PingInterval is the liveness cadence; 0 = 250ms. A peer is marked dead
+	// after cluster.DefaultPingMisses consecutive failures.
 	PingInterval time.Duration
-	// PingMisses consecutive failures mark a peer dead; 0 = 3.
-	PingMisses int
-	// ScatterParallel bounds concurrent peer calls per scattered read;
-	// 0 = 4.
-	ScatterParallel int
 	// Policy overrides the peer call policy (forwards, scatter, handoff,
 	// pings). nil = peerCallPolicy().
 	Policy *mercury.CallPolicy
@@ -91,9 +83,6 @@ type ClusterConfig struct {
 func (c *ClusterConfig) defaults() {
 	if c.PingInterval <= 0 {
 		c.PingInterval = 250 * time.Millisecond
-	}
-	if c.ScatterParallel <= 0 {
-		c.ScatterParallel = 4
 	}
 	if c.Policy == nil {
 		c.Policy = peerCallPolicy()
@@ -156,7 +145,7 @@ func (s *Service) JoinCluster(cfg ClusterConfig) error {
 		svc:     s,
 		cfg:     cfg,
 		self:    self,
-		tracker: cluster.NewTracker(self, cfg.Vnodes, cfg.PingMisses),
+		tracker: cluster.NewTracker(self, cluster.DefaultVnodes, cluster.DefaultPingMisses),
 		eps:     map[string]*mercury.Endpoint{},
 		kick:    make(chan struct{}, 1),
 		stop:    make(chan struct{}),
@@ -291,7 +280,7 @@ func (cl *svcCluster) ringFrame() []byte {
 	ring := cl.tracker.Ring()
 	resp := conduit.NewNode()
 	resp.SetInt("epoch", int64(ring.Epoch()))
-	resp.SetInt("vnodes", int64(cl.vnodes()))
+	resp.SetInt("vnodes", cluster.DefaultVnodes)
 	resp.SetString("self", cl.self.Addr)
 	for i, m := range ring.Members() {
 		base := fmt.Sprintf("members/%03d", i)
@@ -299,13 +288,6 @@ func (cl *svcCluster) ringFrame() []byte {
 		resp.SetString(base+"/id", m.ID)
 	}
 	return resp.EncodeBinary()
-}
-
-func (cl *svcCluster) vnodes() int {
-	if cl.cfg.Vnodes > 0 {
-		return cl.cfg.Vnodes
-	}
-	return cluster.DefaultVnodes
 }
 
 func decodeRingMembers(resp *conduit.Node) []cluster.Member {
@@ -368,32 +350,28 @@ func (s *Service) handleRing(_ context.Context, _ []byte) ([]byte, error) {
 // ---------------------------------------------------------------------------
 // Write placement: ownership check + one-hop forward.
 
-// firstLeafPath returns the publish tree's first leaf path — the shard
-// routing key. Multi-leaf publishes route as a unit by their first leaf.
-func firstLeafPath(n *conduit.Node) string {
-	var path string
-	n.Walk(func(p string, _ *conduit.Node) bool {
-		path = p
-		return false
-	})
-	return path
-}
-
-// forwardPublish routes one publish to the peer owning its shard key — leaf
-// is the publish's first leaf path. A wire publish passes the {ns, data}
+// forwardPublish routes one publish to the peer owning its shard key: the
+// first leaf of enc, the publish's validated tree frame, as written (a hostile
+// wire frame that repeats a sibling name may route differently from its
+// decoded tree; placement is never a correctness requirement). Multi-leaf
+// publishes route as a unit. A wire publish also passes the {ns, data}
 // envelope it arrived as in payload and it goes out verbatim; an in-process
-// one passes its tree in n (payload nil) and the envelope is encoded only
-// once a forward is certain. done=true means the owner accepted (or
-// definitively rejected) it and err is the final answer; done=false means
-// the caller should ingest locally — either this instance owns the key, or
-// the owner is unreachable and local ingest is the no-loss fallback
-// (scattered reads will still find the data).
-func (cl *svcCluster) forwardPublish(ctx context.Context, ns Namespace, leaf string, n *conduit.Node, payload []byte) (done bool, err error) {
+// one has none (payload nil) and the envelope is built only once a forward is
+// certain. done=true means the owner accepted (or definitively rejected) it
+// and err is the final answer; done=false means the caller should ingest
+// locally — either this instance owns the key, or the owner is unreachable
+// and local ingest is the no-loss fallback (scattered reads will still find
+// the data).
+func (cl *svcCluster) forwardPublish(ctx context.Context, ns Namespace, enc, payload []byte) (done bool, err error) {
 	ring := cl.tracker.Ring()
-	if ring.Len() < 2 || leaf == "" {
+	if ring.Len() < 2 {
 		return false, nil
 	}
-	owner, ok := ring.Owner(cluster.ShardKey(string(ns), leaf))
+	leaf, _ := conduit.FirstLeafPath(enc, nil) // enc was validated at the door
+	if len(leaf) == 0 {
+		return false, nil
+	}
+	owner, ok := ring.Owner(cluster.ShardKey(string(ns), string(leaf)))
 	if !ok || owner.Addr == cl.self.Addr {
 		return false, nil
 	}
@@ -403,12 +381,9 @@ func (cl *svcCluster) forwardPublish(ctx context.Context, ns Namespace, leaf str
 		return false, nil
 	}
 	if payload == nil {
-		req := conduit.NewNode()
-		req.SetString("ns", string(ns))
-		req.Attach("data", n)
 		buf := conduit.GetEncodeBuffer()
 		defer conduit.PutEncodeBuffer(buf)
-		*buf = req.AppendBinary(*buf)
+		*buf = appendPublishEnvelope(*buf, ns, enc)
 		payload = *buf
 	}
 	_, err = ep.Call(ctx, RPCPublishLocal, payload)

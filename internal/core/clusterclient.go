@@ -202,13 +202,21 @@ func (c *ClusterClient) ownerClient(ns Namespace, leafPath string) (*Client, err
 }
 
 // Publish routes a tree to the instance owning its first leaf's shard key.
-// Multi-leaf trees route as a unit, exactly like server-side placement.
+// Multi-leaf trees route as a unit, exactly like server-side placement: the
+// tree is encoded once and the key read off the frame.
 func (c *ClusterClient) Publish(ns Namespace, n *conduit.Node) error {
-	cl, err := c.ownerClient(ns, firstLeafPath(n))
+	if n == nil {
+		return errNilTree
+	}
+	buf := conduit.GetEncodeBuffer()
+	defer conduit.PutEncodeBuffer(buf)
+	*buf = n.AppendBinary(*buf)
+	leaf, _ := conduit.FirstLeafPath(*buf, nil) // a frame just encoded is valid
+	cl, err := c.ownerClient(ns, string(leaf))
 	if err != nil {
 		return err
 	}
-	return cl.Publish(ns, n)
+	return cl.publish(ns, *buf)
 }
 
 // PublishEncoded routes a pre-encoded tree by leafPath — the caller names

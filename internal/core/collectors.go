@@ -12,10 +12,8 @@ import (
 
 // Publisher is the outbound half of the SOMA client API that collectors
 // need. *Client implements it (RPC path); LocalPublisher implements it for
-// in-process wiring. Published trees are handed over: the service retains
-// them by reference (history ring, merge snapshots), so callers must build
-// a fresh tree per publish and never mutate one after publishing — the
-// collectors in this file do exactly that.
+// in-process wiring. Either way the tree is encoded before Publish returns
+// and never retained, so a caller may reuse it.
 type Publisher interface {
 	Publish(ns Namespace, n *conduit.Node) error
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -11,7 +12,8 @@ import (
 
 // The ingest pipeline. Every publish — soma.publish, soma.publish.batch,
 // a forwarded soma.publish.local, a soma.handoff frame, or an in-process
-// Service.Publish — is the same three steps:
+// Service.Publish, which encodes its tree at the door — is the same three
+// steps over the same form, CDT1 bytes:
 //
 //  1. validate: the request frame is structurally verified whole and its
 //     namespaces resolved before anything is applied, so a request is
@@ -24,51 +26,17 @@ import (
 //     the entry's wire subslice).
 //
 // Trees are materialized only where something reads them as trees: the
-// snapshot rebuild folds raw records straight from their bytes
-// (conduit.MergeBinaryIntoCached); History reads decode a record lazily
-// (record.tree). In-process publishes carry a
-// *conduit.Node instead of bytes and go through the very same stages via
-// pub.walkLeaves.
+// snapshot rebuild folds raw records straight from their bytes into its
+// accumulator (conduit.MergeBinaryIntoCached), History reads decode a record
+// lazily (record.tree), Service.Query hands out the snapshot's tree.
 
-// pub is one publish on its way through the pipeline. Exactly one of enc (a
-// complete, validated CDT1 frame inside the service's private copy of the
-// request) and node (an in-process publish, retained by reference) is set.
+// pub is one publish on its way through the pipeline: enc is a complete,
+// validated CDT1 frame that the service owns — a subslice of its private copy
+// of the request, or the door's encoding of an in-process tree.
 type pub struct {
-	ns   Namespace
-	in   *instance
-	node *conduit.Node
-	enc  []byte
-}
-
-// walkLeaves feeds fn every numeric leaf of the publish — off the wire bytes,
-// or off the tree for an in-process publish. buf is the recycled path buffer
-// (see conduit.WalkNumericLeaves).
-func (p *pub) walkLeaves(buf []byte, fn func(path []byte, v float64)) []byte {
-	if p.enc != nil {
-		buf, _ = conduit.WalkNumericLeaves(p.enc, buf, fn) // enc was validated at the door
-		return buf
-	}
-	p.node.WalkBytes(func(path []byte, leaf *conduit.Node) bool {
-		switch leaf.Kind() {
-		case conduit.KindFloat:
-			v, _ := leaf.Float("")
-			fn(path, v)
-		case conduit.KindInt:
-			v, _ := leaf.Int("")
-			fn(path, float64(v))
-		}
-		return true
-	})
-	return buf
-}
-
-// wire returns the publish as an encoded frame for subscribers: the entry's
-// own wire bytes when it arrived over the wire (shared, immutable).
-func (p *pub) wire() []byte {
-	if p.enc != nil {
-		return p.enc
-	}
-	return p.node.EncodeBinary()
+	ns  Namespace
+	in  *instance
+	enc []byte
 }
 
 // runEnd returns the end of the same-namespace run starting at pubs[i].
@@ -91,7 +59,7 @@ func (in *instance) append(now float64, run []pub, rawBytes int) {
 	st := in.stripes[int(in.rr.Add(1))%len(in.stripes)]
 	st.mu.Lock()
 	for k := range run {
-		rec := record{time: now, seq: in.seq.Add(1), node: run[k].node, enc: run[k].enc}
+		rec := record{time: now, seq: in.seq.Add(1), enc: run[k].enc}
 		st.pending = append(st.pending, rec)
 		st.history[st.head] = rec
 		st.head = (st.head + 1) % len(st.history)
@@ -180,11 +148,14 @@ func (s *Service) lookupNS(name []byte) (Namespace, *instance, error) {
 	return "", nil, &ErrUnknownNamespace{NS: Namespace(name)}
 }
 
+// errNilTree rejects an in-process publish that carries no tree.
+var errNilTree = errors.New("soma: publish of a nil tree")
+
 // Publish ingests a tree into a namespace directly (the local call path of
 // the client stub; also what the in-proc simulated experiments use after
 // RPC framing). rawBytes is the wire size for accounting (0 for local).
-// The tree is retained by reference: callers hand it over and must not
-// mutate it afterwards.
+// The tree is encoded before the call returns and not retained: the caller
+// may reuse or mutate it afterwards.
 func (s *Service) Publish(ns Namespace, n *conduit.Node, rawBytes int) error {
 	return s.PublishCtx(context.Background(), ns, n, rawBytes)
 }
@@ -201,12 +172,18 @@ func (s *Service) PublishCtx(ctx context.Context, ns Namespace, n *conduit.Node,
 	if err != nil {
 		return err
 	}
+	if n == nil {
+		return errNilTree
+	}
+	// The door: from here on the publish is the frame a client would have
+	// sent, exact-size because the history ring retains it.
+	enc := n.EncodeBinaryStable()
 	if cl := s.cl.Load(); cl != nil {
-		if done, err := cl.forwardPublish(ctx, ns, firstLeafPath(n), n, nil); done {
+		if done, err := cl.forwardPublish(ctx, ns, enc, nil); done {
 			return err
 		}
 	}
-	s.ingest(ctx, []pub{{ns: ns, in: in, node: n}}, false, rawBytes)
+	s.ingest(ctx, []pub{{ns: ns, in: in, enc: enc}}, false, rawBytes)
 	return nil
 }
 
@@ -218,9 +195,9 @@ func (s *Service) PublishBatch(entries []conduit.BatchEntry, rawBytes int) error
 
 // PublishBatchCtx applies one batch of in-process publishes in order, with
 // the batch accounting of a soma.publish.batch frame. Every entry's
-// namespace is validated before any is applied, so a batch is ingested
+// namespace and tree is checked before any is applied, so a batch is ingested
 // atomically or rejected whole — a half-applied batch would leave a client's
-// Published() accounting unreconcilable. Trees are retained by reference,
+// Published() accounting unreconcilable. Trees are encoded at the door,
 // exactly like Publish. Batches are not placed: they ingest on this instance.
 func (s *Service) PublishBatchCtx(ctx context.Context, entries []conduit.BatchEntry, rawBytes int) error {
 	if s.Stopped() {
@@ -235,7 +212,10 @@ func (s *Service) PublishBatchCtx(ctx context.Context, entries []conduit.BatchEn
 		if err != nil {
 			return err
 		}
-		pubs[i] = pub{ns: Namespace(e.NS), in: in, node: e.Tree}
+		if e.Tree == nil {
+			return errNilTree
+		}
+		pubs[i] = pub{ns: Namespace(e.NS), in: in, enc: e.Tree.EncodeBinaryStable()}
 	}
 	s.ingest(ctx, pubs, true, rawBytes)
 	return nil
@@ -287,11 +267,7 @@ func (s *Service) publishEnvelope(ctx context.Context, payload []byte, cl *svcCl
 	}
 	enc := conduit.AppendRawFrame(make([]byte, 0, 4+len(f[1])), f[1])
 	if cl != nil && !handoff {
-		// Shard key: the first leaf as written on the wire (a hostile frame
-		// with duplicate sibling names may route differently from its decoded
-		// tree; placement is never a correctness requirement).
-		leaf, _ := conduit.FirstLeafPath(enc, nil)
-		if done, err := cl.forwardPublish(ctx, ns, string(leaf), nil, payload); err != nil {
+		if done, err := cl.forwardPublish(ctx, ns, enc, payload); err != nil {
 			return nil, err
 		} else if done {
 			return okFrame, nil

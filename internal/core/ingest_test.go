@@ -25,6 +25,7 @@ type observed struct {
 	Series  map[string]Series    // "<ns> <key> <level>" → soma.series answer
 	Alerts  []AlertState
 	History map[Namespace][]string // Service.History, formatted, in order
+	Records map[Namespace][][]byte // the stored records' frames, in arrival order
 	Updates []string               // what a Client.Subscribe consumer decoded, in order
 }
 
@@ -62,7 +63,8 @@ func observe(t *testing.T, pubs []pubCase, send func(t *testing.T, svc *Service,
 
 	send(t, svc, addr, pubs)
 
-	out := observed{Query: map[Namespace]string{}, Series: map[string]Series{}, History: map[Namespace][]string{}}
+	out := observed{Query: map[Namespace]string{}, Series: map[string]Series{}, History: map[Namespace][]string{},
+		Records: map[Namespace][][]byte{}}
 	for len(out.Updates) < len(pubs) {
 		select {
 		case u := <-sub.C:
@@ -97,6 +99,11 @@ func observe(t *testing.T, pubs []pubCase, send func(t *testing.T, svc *Service,
 		for _, h := range hist {
 			out.History[ns] = append(out.History[ns], h.Format())
 		}
+		// The default config has one stripe, and these cases never wrap its ring.
+		st := svc.instances[ns].stripes[0]
+		for _, rec := range st.history[:st.count] {
+			out.Records[ns] = append(out.Records[ns], rec.enc)
+		}
 	}
 	if _, out.Alerts, err = c.Alerts(); err != nil {
 		t.Fatal(err)
@@ -105,7 +112,8 @@ func observe(t *testing.T, pubs []pubCase, send func(t *testing.T, svc *Service,
 }
 
 // The three wire entry points, plus the in-process tree publish as the
-// reference the wire paths are held to.
+// reference the wire paths are held to — down to the stored bytes: the door
+// encodes a tree into the very frame Client.Publish puts on the wire.
 var entryPoints = []struct {
 	name string
 	send func(t *testing.T, svc *Service, addr string, pubs []pubCase)
@@ -209,6 +217,14 @@ func TestWireEntryPointsAgree(t *testing.T) {
 					if len(want.Series) == 0 || len(want.Updates) != len(pubs) {
 						t.Fatalf("reference run observed nothing: %+v", want)
 					}
+					next := map[Namespace]int{}
+					for _, p := range pubs {
+						recs, k := want.Records[p.ns], next[p.ns]
+						if k >= len(recs) || !bytes.Equal(recs[k], p.tree.EncodeBinary()) {
+							t.Fatalf("tree publish %d into %s is not stored as the tree's wire frame", k, p.ns)
+						}
+						next[p.ns]++
+					}
 					continue
 				}
 				if !reflect.DeepEqual(got, want) {
@@ -269,6 +285,124 @@ func TestClusterForwardIsVerbatim(t *testing.T) {
 	tree, err := c.Query(NSHardware, "FWD")
 	if err != nil || tree.NumLeaves() != n {
 		t.Fatalf("scattered query finds %d leaves (err=%v), want %d", tree.NumLeaves(), err, n)
+	}
+}
+
+// An in-process publish is encoded at the door: what the caller does to its
+// tree afterwards reaches no reader.
+func TestPublishDoesNotRetainTree(t *testing.T) {
+	svc := NewService(ServiceConfig{})
+	defer svc.Close()
+	ch, cancel, err := svc.SubscribeLocal(NSHardware)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	const key = "PROC/cn01/CPU Util"
+	tree := conduit.NewNode()
+	tree.SetFloat(key, 41)
+	if err := svc.Publish(NSHardware, tree, 0); err != nil {
+		t.Fatal(err)
+	}
+	tree.SetFloat(key, 99) // the caller reuses its tree
+	tree.SetFloat("PROC/cn02/CPU Util", 7)
+
+	check := func(reader string, got *conduit.Node) {
+		t.Helper()
+		if v, ok := got.Float(key); !ok || v != 41 || got.NumLeaves() != 1 {
+			t.Errorf("%s shows the tree as mutated after the publish:\n%s", reader, got.Format())
+		}
+	}
+	snap, err := svc.Query(NSHardware, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Query", snap)
+	hist, err := svc.History(NSHardware, -1)
+	if err != nil || len(hist) != 1 {
+		t.Fatalf("history holds %d records (err=%v), want 1", len(hist), err)
+	}
+	check("History", hist[0])
+	u, err := DecodeUpdate(<-ch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("subscriber", u.Tree)
+	se, err := svc.QuerySeries(NSHardware, key, LevelRaw, 0)
+	if err != nil || len(se.Points) != 1 || se.Points[0].Value != 41 {
+		t.Errorf("series shows %+v (err=%v), want the one publish-time sample 41", se.Points, err)
+	}
+}
+
+// A publish without a tree is refused at every tree entry point, and a batch
+// holding one is refused whole.
+func TestPublishNilTree(t *testing.T) {
+	svc, addr := newTestService(t, ServiceConfig{})
+	if err := svc.Publish(NSHardware, nil, 0); err == nil {
+		t.Error("Service.Publish accepted a nil tree")
+	}
+	good := conduit.NewNode()
+	good.SetFloat("PROC/cn01/CPU Util", 1)
+	batch := []conduit.BatchEntry{{NS: string(NSHardware), Tree: good}, {NS: string(NSHardware)}}
+	if err := svc.PublishBatch(batch, 0); err == nil {
+		t.Error("Service.PublishBatch accepted a nil tree")
+	}
+	c, err := Connect(addr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Publish(NSHardware, nil); err == nil {
+		t.Error("Client.Publish accepted a nil tree")
+	}
+	if hist, _ := svc.History(NSHardware, -1); len(hist) != 0 {
+		t.Errorf("%d publishes ingested from refused requests", len(hist))
+	}
+}
+
+// Service.Publish on a cluster member places a tree exactly where soma.publish
+// through that member does: both read the shard key off the same frame.
+func TestInprocPublishPlacesLikeWire(t *testing.T) {
+	svcs, addrs := startFleet(t, 3)
+	c, err := Connect(addrs[0], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const n = 24
+	for i := 0; i < n; i++ {
+		tree := conduit.NewNode()
+		tree.SetString(fmt.Sprintf("PLACE/cn%03d/state", i), "ok") // the key is the first leaf of any kind
+		tree.SetFloat(fmt.Sprintf("PLACE/cn%03d/temp", i), float64(i))
+		tree.SetFloat(fmt.Sprintf("AAA/cn%03d", i), 1)
+		if err := svcs[0].Publish(NSHardware, tree, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Publish(NSHardware, tree); err != nil {
+			t.Fatal(err)
+		}
+	}
+	holders := 0
+	for i, svc := range svcs {
+		hist, err := svc.History(NSHardware, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copies := map[string]int{}
+		for _, h := range hist {
+			copies[h.Format()]++
+		}
+		for tree, k := range copies {
+			if k != 2 {
+				t.Errorf("member %d holds %d of the 2 publishes of\n%s", i, k, tree)
+			}
+		}
+		if len(copies) > 0 {
+			holders++
+		}
+	}
+	if holders < 2 {
+		t.Fatalf("%d publishes all landed on %d member", n, holders)
 	}
 }
 
@@ -344,9 +478,10 @@ func seriesDump(st *seriesStore) map[string][3]interface{} {
 }
 
 // FuzzWireIngest is the pipeline-level differential: the entries of any batch
-// frame the service accepts are ingested twice — as wire bytes through
-// soma.publish.batch, and as decoded trees through Service.PublishBatch, the
-// tree-walk path — and must leave the same snapshot and, on duplicate-free
+// frame the service accepts are ingested twice — as the wire bytes they came
+// as through soma.publish.batch, and as decoded trees through
+// Service.PublishBatch, whose door re-encodes each one canonically — and must
+// leave the same snapshot and, on duplicate-free
 // frames, the same rollup state (a frame whose entries re-encode to the bytes
 // they arrived as repeats no sibling name: decoding would have merged the
 // repeats away). Rejected frames must leave nothing.
@@ -402,10 +537,10 @@ func FuzzWireIngest(f *testing.F) {
 		for _, ns := range Namespaces {
 			a, b := wire.instances[ns], ref.instances[ns]
 			if !bytes.Equal(a.snapshotTree().EncodeBinary(), b.snapshotTree().EncodeBinary()) {
-				t.Fatalf("%s: snapshot folded from wire bytes differs from the tree path's", ns)
+				t.Fatalf("%s: snapshot folded from wire bytes differs from the decoded trees'", ns)
 			}
 			if !duplicates && !reflect.DeepEqual(seriesDump(a.rollup), seriesDump(b.rollup)) {
-				t.Fatalf("%s: rollups walked from wire bytes differ from the tree walk's", ns)
+				t.Fatalf("%s: rollups walked from wire bytes differ from the decoded trees'", ns)
 			}
 		}
 	})

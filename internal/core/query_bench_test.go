@@ -104,23 +104,23 @@ func BenchmarkQueryDelta(b *testing.B) {
 }
 
 // BenchmarkSnapshotRebuild measures the cold path the cache cannot help: a
-// large pending batch across many dirty stripes folded into the snapshot.
-// The batch exceeds the parallel-merge thresholds, so this exercises the
-// bounded worker-pool fold.
+// large pending batch of raw records — what every publish, wire or
+// in-process, leaves in a stripe — drained from every dirty stripe, sorted
+// back into arrival order and folded into the snapshot.
 func BenchmarkSnapshotRebuild(b *testing.B) {
 	const hosts = 64
 	svc := NewService(ServiceConfig{RanksPerNamespace: 8})
 	defer svc.Close()
 	in := svc.instances[NSHardware]
-	trees := make([]*conduit.Node, hosts*8)
-	for i := range trees {
-		trees[i] = benchTree(fmt.Sprintf("cn%04d", i%hosts), int64(i))
+	frames := make([][]byte, hosts*8)
+	for i := range frames {
+		frames[i] = benchTree(fmt.Sprintf("cn%04d", i%hosts), int64(i)).EncodeBinary()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, tr := range trees {
-			in.append(float64(i), []pub{{ns: NSHardware, in: in, node: tr}}, 0)
+		for _, enc := range frames {
+			in.append(float64(i), []pub{{ns: NSHardware, in: in, enc: enc}}, 0)
 		}
 		if sn := in.currentSnapshot(); sn.tree.NumLeaves() == 0 {
 			b.Fatal("empty snapshot")

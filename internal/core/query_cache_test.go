@@ -445,31 +445,32 @@ func TestQueryDeltaStreamSoak(t *testing.T) {
 	wg.Wait()
 }
 
-// TestFoldRecordsParallelEquivalence checks that the chunked parallel fold
-// produces the same merged tree as the sequential fold, including
-// last-writer-wins on colliding leaf paths.
-func TestFoldRecordsParallelEquivalence(t *testing.T) {
+// TestFoldRecordsLastWriterWins checks the rebuild's fold over raw records
+// against the tree merge it stands in for: the same trees merged in seq order
+// with Node.Merge, including last-writer-wins on colliding leaf paths.
+func TestFoldRecordsLastWriterWins(t *testing.T) {
 	var pend []record
-	seq := uint64(0)
+	want := conduit.NewNode()
 	// 400 records across 40 keys: each key written 10 times with increasing
 	// values, so the fold order decides the surviving value.
 	for round := 0; round < 10; round++ {
 		for k := 0; k < 40; k++ {
-			seq++
 			n := conduit.NewNode()
 			n.SetFloat(fmt.Sprintf("PROC/cn%04d/util", k), float64(round*1000+k))
 			n.SetInt(fmt.Sprintf("PROC/cn%04d/round", k), int64(round))
-			pend = append(pend, record{seq: seq, node: n})
+			pend = append(pend, record{seq: uint64(len(pend) + 1), enc: n.EncodeBinary()})
+			want.Merge(n)
 		}
 	}
-	// dirty=1 forces the sequential path; dirty=8 the parallel one.
-	sequential := foldRecords(pend, 1)
-	parallel := foldRecords(pend, mergeParallelStripes+4)
-	if got, want := parallel.Format(), sequential.Format(); got != want {
-		t.Fatalf("parallel fold diverged from sequential fold:\n--- parallel\n%s\n--- sequential\n%s", got, want)
+	got := foldRecords(pend)
+	if got.Format() != want.Format() {
+		t.Fatalf("byte fold diverged from the tree merge:\n--- fold\n%s\n--- merge\n%s", got.Format(), want.Format())
 	}
 	// Last writer (round 9) won.
-	if v, _ := parallel.Float("PROC/cn0003/util"); v != 9003 {
+	if v, _ := got.Float("PROC/cn0003/util"); v != 9003 {
 		t.Fatalf("last-writer-wins violated: %g", v)
+	}
+	if foldRecords(nil) != nil {
+		t.Fatal("an empty drain must fold to nil")
 	}
 }

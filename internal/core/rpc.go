@@ -186,6 +186,9 @@ func (s *Service) serve(row *rpcRow, asLocal bool) mercury.OwnedHandler {
 	}
 }
 
+// scatterParallel bounds the concurrent peer calls of one scattered read.
+const scatterParallel = 4
+
 // scatter answers a scattered row for the whole fleet. The request goes to
 // every live peer's ".local" verbatim, with bounded parallelism, while this
 // member's own handler answers for its shard; merge then gets the raw frames.
@@ -195,8 +198,8 @@ func (s *Service) serve(row *rpcRow, asLocal bool) mercury.OwnedHandler {
 // them. A failure fails the read — this member's own error comes back
 // unwrapped, so solo and clustered answers agree on it; a peer's carries the
 // peer's address (callers retry, and a truly dead peer leaves the ring within
-// PingMisses intervals) — unless the row tolerates it. When every member's
-// answer was tolerated, this member's error is the answer.
+// cluster.DefaultPingMisses intervals) — unless the row tolerates it. When
+// every member's answer was tolerated, this member's error is the answer.
 func (cl *svcCluster) scatter(ctx context.Context, row *rpcRow, payload []byte) (mercury.Response, error) {
 	telScatterFanouts.Inc()
 	start := time.Now()
@@ -212,7 +215,7 @@ func (cl *svcCluster) scatter(ctx context.Context, row *rpcRow, payload []byte) 
 	rpc := row.name + ".local"
 	frames := make([][]byte, len(from))
 	errs := make([]error, len(from))
-	sem := make(chan struct{}, cl.cfg.ScatterParallel)
+	sem := make(chan struct{}, scatterParallel)
 	var wg sync.WaitGroup
 	for i := 1; i < len(from); i++ {
 		wg.Add(1)

@@ -160,6 +160,13 @@ func TestRPCTable(t *testing.T) {
 		if !unknown("soma.nope") {
 			t.Error("an unknown soma.* name did not answer mercury.ErrUnknownRPC")
 		}
+		// The service attaches the update bus to its zmq server and no queue:
+		// the queue RPCs could answer nothing but "no queue named".
+		for _, rpc := range []string{"zmq.queue.push", "zmq.queue.pull", "zmq.queue.len"} {
+			if !unknown(rpc) {
+				t.Errorf("a service that serves no queue registers %s", rpc)
+			}
+		}
 	})
 
 	t.Run("every member of a fleet answers the same", func(t *testing.T) {

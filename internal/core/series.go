@@ -341,7 +341,7 @@ func (st *seriesStore) ingest(arrival float64, run []pub, armed []*armedRule) (k
 		}
 	}
 	for i := range run {
-		walkBuf = run[i].walkLeaves(walkBuf, observe)
+		walkBuf, _ = conduit.WalkNumericLeaves(run[i].enc, walkBuf, observe) // enc was validated at the door
 	}
 	telSeriesPoints.Add(int64(points))
 	return keys, maxT

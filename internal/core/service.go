@@ -59,16 +59,9 @@ type ServiceConfig struct {
 	MaxRecords int
 	// Clock stamps arrivals; defaults to a real clock.
 	Clock des.Clock
-	// SubscriberHighWater bounds each update-bus subscriber's buffered
-	// message count before the service starts dropping for that subscriber;
-	// 0 means zmq.DefaultHighWater.
-	SubscriberHighWater int
 	// DisableRollups turns off the windowed series rollups (and with them
 	// soma.series and threshold-alert evaluation).
 	DisableRollups bool
-	// RollupMaxSeries caps distinct rollup series per namespace instance;
-	// 0 means the default (8192).
-	RollupMaxSeries int
 	// EngineOptions is passed through to the service's mercury engine —
 	// chaos tests use it to install a fault-injection transport
 	// (mercury.WithInjector).
@@ -114,27 +107,21 @@ type InstanceStats struct {
 
 // record is one raw publish as stored in a stripe's history ring. seq gives
 // the global arrival order within the instance (ring entries from different
-// stripes are re-interleaved by seq when history is read). Exactly one of
-// enc and node is set: a wire publish stores the entry's validated bytes
-// (a subslice of one retained copy of the request frame) and never builds a
-// tree at ingest — the fold merges the bytes, a history read decodes them —
-// so thousands of pending publishes cost the garbage collector a handful of
-// flat byte buffers instead of a map-and-string forest. Only an in-process
-// Service.Publish, which is handed a tree, stores node.
+// stripes are re-interleaved by seq when history is read). enc is the
+// publish's validated tree frame — for a wire publish a subslice of one
+// retained copy of the request frame. No tree is built at ingest — the fold
+// merges the bytes, a history read decodes them — so thousands of pending
+// publishes cost the garbage collector a handful of flat byte buffers instead
+// of a map-and-string forest.
 type record struct {
 	time float64
 	seq  uint64
-	node *conduit.Node
 	enc  []byte
 }
 
-// tree returns the record's publish tree, decoding lazily on the raw path.
-// enc was ValidateBinary'd at ingest, so decode failure is impossible; a
-// zero record decodes to nil.
+// tree decodes the record's publish tree. enc was validated at ingest, so
+// decode failure is impossible.
 func (r *record) tree() *conduit.Node {
-	if r.node != nil || r.enc == nil {
-		return r.node
-	}
 	n, err := conduit.DecodeBinary(r.enc)
 	if err != nil {
 		return conduit.NewNode() // unreachable: enc is pre-validated
@@ -356,7 +343,7 @@ func (in *instance) currentSnapshot() *snapshot {
 	// Fold the batch into one small delta first, then graft it onto the
 	// snapshot with a single copy-on-write pass: the snapshot's wide
 	// fan-out nodes are copied once per rebuild, not once per publish.
-	batch := foldRecords(pend, dirty)
+	batch := foldRecords(pend)
 	tree := conduit.MergeCOW(s.tree, batch)
 	next := &snapshot{epoch: in.epoch.Load(), gen: g, tree: tree}
 	in.snap.Store(next)
@@ -376,98 +363,25 @@ func (in *instance) currentSnapshot() *snapshot {
 // memory forever.
 const pendingKeepCap = 1 << 21
 
-// Parallel-merge thresholds: a rebuild folds its drained batch with a
-// bounded worker pool only when more than mergeParallelStripes stripes
-// contributed (fewer means publish concurrency was low and the batch is
-// probably small) AND the batch holds at least mergeParallelMinRecords
-// records (goroutine startup costs more than folding a few dozen trees).
-const (
-	mergeParallelStripes    = 4
-	mergeParallelMinRecords = 256
-	mergeMaxWorkers         = 8
-)
-
-// foldRecords merges the seq-sorted drained batch into one delta tree.
-// Small batches fold sequentially. Large ones are split into contiguous
-// seq-ranges, folded into per-worker partial trees concurrently, and the
-// partials are combined in seq order — later ranges override earlier ones,
-// preserving last-writer-wins on colliding leaf paths exactly like the
-// sequential fold (chunked folding can differ from a strictly record-by-
-// record merge only where a path flips between leaf and object across the
-// batch, the same caveat batch folding itself already carries).
+// foldRecords merges the seq-sorted drained batch into one delta tree,
+// straight from the records' wire bytes with no intermediate tree; the merge
+// cache memoizes shared ancestor paths across consecutive records.
 //
-// The accumulator is a plain mutable tree fed by Merge (which copies record
-// subtrees, never aliases them), not a MergeCOW overlay chain: the batch
-// tree is private until it is grafted onto the snapshot, so per-record CoW
-// bookkeeping is pure overhead — and at high-rate single-leaf ingest the
+// The accumulator is a plain mutable tree, not a MergeCOW overlay chain: the
+// batch tree is private until it is grafted onto the snapshot, so per-record
+// CoW bookkeeping is pure overhead — and at high-rate single-leaf ingest the
 // overlay chains it builds made folding a drained batch quadratic.
-func foldRecords(pend []record, dirty int) *conduit.Node {
-	if dirty <= mergeParallelStripes || len(pend) < mergeParallelMinRecords {
-		if len(pend) == 0 {
-			return nil
-		}
-		batch := conduit.NewNode()
-		var mc conduit.MergeCache
-		for _, r := range pend {
-			foldRecord(batch, &r, &mc)
-		}
-		return batch
+func foldRecords(pend []record) *conduit.Node {
+	if len(pend) == 0 {
+		return nil
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > mergeMaxWorkers {
-		workers = mergeMaxWorkers
-	}
-	if workers > dirty {
-		workers = dirty
-	}
-	chunk := (len(pend) + workers - 1) / workers
-	partials := make([]*conduit.Node, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(pend) {
-			hi = len(pend)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w int, recs []record) {
-			defer wg.Done()
-			part := conduit.NewNode()
-			var mc conduit.MergeCache
-			for _, r := range recs {
-				foldRecord(part, &r, &mc)
-			}
-			partials[w] = part
-		}(w, pend[lo:hi])
-	}
-	wg.Wait()
-	var batch *conduit.Node
-	for _, part := range partials {
-		if batch == nil {
-			batch = part // partials are private; the first seeds the accumulator
-			continue
-		}
-		batch.Merge(part)
+	batch := conduit.NewNode()
+	var mc conduit.MergeCache
+	for i := range pend {
+		// enc was validated at ingest; an error here is unreachable.
+		_ = conduit.MergeBinaryIntoCached(batch, pend[i].enc, &mc)
 	}
 	return batch
-}
-
-// foldRecord merges one pending record into the private fold accumulator:
-// decoded records through Merge, raw records straight from their wire bytes
-// with no intermediate tree. The merge cache memoizes shared ancestor paths
-// across consecutive raw records; a Merge mutates the accumulator behind
-// the cache's back, so it resets the memo.
-func foldRecord(batch *conduit.Node, r *record, mc *conduit.MergeCache) {
-	if r.enc != nil {
-		// enc was validated at ingest; an error here is unreachable.
-		_ = conduit.MergeBinaryIntoCached(batch, r.enc, mc)
-		return
-	}
-	mc.Reset()
-	batch.Merge(r.node)
 }
 
 // query returns the merged subtree at path. The result is part of the
@@ -715,18 +629,14 @@ func NewService(cfg ServiceConfig) *Service {
 	}
 	if !cfg.DisableRollups {
 		if cfg.Shared {
-			s.instances[NSWorkflow].rollup = newSeriesStore(cfg.RollupMaxSeries)
+			s.instances[NSWorkflow].rollup = newSeriesStore(defaultMaxSeries)
 		} else {
 			for _, ns := range Namespaces {
-				s.instances[ns].rollup = newSeriesStore(cfg.RollupMaxSeries)
+				s.instances[ns].rollup = newSeriesStore(defaultMaxSeries)
 			}
 		}
 	}
-	hw := cfg.SubscriberHighWater
-	if hw <= 0 {
-		hw = zmq.DefaultHighWater
-	}
-	s.bus = zmq.NewPubSubHW(hw)
+	s.bus = zmq.NewPubSub()
 	s.alerts = newAlertEngine(s.publishAlertStream)
 	zmq.NewServer(s.engine).AttachBus(UpdatesBusName, s.bus)
 	for i := range rpcTable {

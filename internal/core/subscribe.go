@@ -51,10 +51,10 @@ func topicPrefix(ns Namespace) (string, error) {
 }
 
 // updateWire is the bus payload: the published tree conduit-encoded (JSON
-// base64 over the remote path) plus its namespace and service timestamp. For
-// a wire publish Data is the very bytes it arrived as — a subslice of the
-// service's retained copy of the request frame, shared with the history ring
-// and immutable — so fan-out encodes nothing.
+// base64 over the remote path) plus its namespace and service timestamp. Data
+// is the publish's own frame — for a wire publish a subslice of the service's
+// retained copy of the request, shared with the history ring and immutable —
+// so fan-out encodes nothing.
 type updateWire struct {
 	NS   string  `json:"ns"`
 	T    float64 `json:"t"`
@@ -65,7 +65,7 @@ type updateWire struct {
 // stripe append, and only while somebody subscribes.
 func (s *Service) fanOut(now float64, p *pub) {
 	start := time.Now()
-	s.bus.Publish("ns/"+string(p.ns)+"/", updateWire{NS: string(p.ns), T: now, Data: p.wire()})
+	s.bus.Publish("ns/"+string(p.ns)+"/", updateWire{NS: string(p.ns), T: now, Data: p.enc})
 	telPushLatency.ObserveSince(start)
 }
 

@@ -57,9 +57,9 @@ func parseNS(r *http.Request, allowAll bool) (core.Namespace, error) {
 //
 // The fast path: the upstream call is QueryDelta, so an unchanged
 // namespace answers with a ~30-byte "unchanged" frame from the service's
-// generation-keyed snapshot cache, and the gateway then reuses the JSON
-// body it marshaled last time — a repeat query re-encodes nothing on
-// either side.
+// generation-keyed snapshot cache and the client hands back its memoized
+// tree; the gateway then reuses the JSON body it marshaled from that tree —
+// a repeat query re-encodes nothing on either side.
 func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ns, err := parseNS(r, false)
 	if err != nil {
@@ -68,19 +68,17 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	path := r.URL.Query().Get("path")
 	key := string(ns) + "\x00" + path
-	tree, changed, err := g.client.QueryDelta(ns, path)
+	tree, _, err := g.client.QueryDelta(ns, path)
 	if err != nil {
 		g.fail(w, http.StatusBadGateway, err)
 		return
 	}
-	if !changed {
-		if body, ok := g.cachedQuery(key); ok {
-			g.cacheHits.Inc()
-			w.Header().Set("Content-Type", "application/json")
-			w.Header().Set("X-Soma-Cache", "hit")
-			w.Write(body)
-			return
-		}
+	if body, ok := g.cachedQuery(key, tree); ok {
+		g.cacheHits.Inc()
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("X-Soma-Cache", "hit")
+		w.Write(body)
+		return
 	}
 	g.cacheMisses.Inc()
 	body, err := json.Marshal(struct {
@@ -92,7 +90,7 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 		g.fail(w, http.StatusInternalServerError, err)
 		return
 	}
-	g.storeQuery(key, body)
+	g.storeQuery(key, tree, body)
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Soma-Cache", "miss")
 	w.Write(body)

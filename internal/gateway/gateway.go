@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/hpcobs/gosoma/internal/conduit"
 	"github.com/hpcobs/gosoma/internal/core"
 	"github.com/hpcobs/gosoma/internal/mercury"
 	"github.com/hpcobs/gosoma/internal/telemetry"
@@ -80,11 +81,12 @@ type Gateway struct {
 	wg     sync.WaitGroup
 
 	// qcache holds the marshaled JSON body of the last query response per
-	// (ns, path). Paired with the client's delta memo it makes repeat
-	// queries for an unchanged namespace cost one ~30-byte "unchanged" RPC
-	// frame and zero re-encoding on either side.
+	// (ns, path), with the tree it was marshaled from. Paired with the
+	// client's delta memo — which hands back the same tree while the
+	// namespace is unchanged — it makes repeat queries cost one ~30-byte
+	// "unchanged" RPC frame and zero re-encoding on either side.
 	qmu    sync.Mutex
-	qcache map[string][]byte
+	qcache map[string]queryBody
 
 	// Metrics. Per-route counters/histograms are created lazily in route().
 	rateLimited *telemetry.Counter
@@ -152,7 +154,7 @@ func New(cfg Config) (*Gateway, error) {
 		sendBuffer:   cfg.SendBuffer,
 		ctx:          ctx,
 		cancel:       cancel,
-		qcache:       map[string][]byte{},
+		qcache:       map[string]queryBody{},
 		rateLimited:  reg.Counter("gateway.http.rate_limited"),
 		httpErrors:   reg.Counter("gateway.http.errors"),
 		cacheHits:    reg.Counter("gateway.query.cache_hits"),
@@ -255,21 +257,30 @@ func (b *writeBuffer) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// cachedQuery returns the memoized JSON body for a query key.
-func (g *Gateway) cachedQuery(key string) ([]byte, bool) {
+// queryBody is one qcache entry: a marshaled body and the tree it renders.
+type queryBody struct {
+	tree *conduit.Node
+	body []byte
+}
+
+// cachedQuery returns the memoized JSON body for a query key when it was
+// marshaled from this very tree. The pointer is the cache's only notion of
+// freshness: another request may have moved the client's memo on since the
+// body was stored, and then the stored body is the older tree's.
+func (g *Gateway) cachedQuery(key string, tree *conduit.Node) ([]byte, bool) {
 	g.qmu.Lock()
 	defer g.qmu.Unlock()
-	b, ok := g.qcache[key]
-	return b, ok
+	e, ok := g.qcache[key]
+	return e.body, ok && e.tree == tree
 }
 
 // storeQuery memoizes a marshaled query body, dropping the table wholesale
 // at the bound.
-func (g *Gateway) storeQuery(key string, body []byte) {
+func (g *Gateway) storeQuery(key string, tree *conduit.Node, body []byte) {
 	g.qmu.Lock()
 	defer g.qmu.Unlock()
 	if len(g.qcache) >= maxQueryCache {
-		g.qcache = map[string][]byte{}
+		g.qcache = map[string]queryBody{}
 	}
-	g.qcache[key] = body
+	g.qcache[key] = queryBody{tree, body}
 }

@@ -146,6 +146,32 @@ func TestQueryCacheHit(t *testing.T) {
 	}
 }
 
+// TestQueryCacheRacingRequest: a request that lands between another request's
+// QueryDelta (the shared client's memo already holds the new tree) and its
+// storeQuery is told "unchanged" — and must still not be served the body the
+// cache holds, which renders the tree before that.
+func TestQueryCacheRacingRequest(t *testing.T) {
+	tg := newTestGateway(t, Config{})
+	tg.publish(t, core.NSWorkflow, "RP/pilot/cores", 42)
+	if code, _ := tg.get(t, "/api/query?ns=workflow"); code != http.StatusOK { // warm: body for 42
+		t.Fatalf("warm-up query: %d", code)
+	}
+	tg.publish(t, core.NSWorkflow, "RP/pilot/cores", 43)
+	// The racing request's first half: the memo moves on, nothing is stored.
+	if _, changed, err := tg.gw.client.QueryDelta(core.NSWorkflow, ""); err != nil || !changed {
+		t.Fatalf("QueryDelta after a publish: changed=%v err=%v", changed, err)
+	}
+	resp, err := http.Get(tg.srv.URL + "/api/query?ns=workflow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !strings.Contains(string(body), `"cores":43`) || resp.Header.Get("X-Soma-Cache") != "miss" {
+		t.Fatalf("served a stale body (X-Soma-Cache %q): %s", resp.Header.Get("X-Soma-Cache"), body)
+	}
+}
+
 // TestDashboardDrive walks the HTTP surface exactly as the embedded
 // dashboard's app.js does: static assets first, then the poll loop's API
 // calls, checking shape (not just status) at each step.

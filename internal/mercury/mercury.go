@@ -272,13 +272,6 @@ func (e *Engine) install(name string, reg registration) {
 	e.handlers[name] = reg
 }
 
-// Deregister removes a handler.
-func (e *Engine) Deregister(name string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	delete(e.handlers, name)
-}
-
 func (e *Engine) handler(name string) (registration, bool, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -538,8 +531,6 @@ func lookupInproc(name string) (*Engine, bool) {
 // survives service restarts and transient network failures — the resilience
 // behaviour (timeouts, retries, breaker) is governed by its CallPolicy.
 type Endpoint struct {
-	addr string
-
 	// inproc
 	local *Engine
 
@@ -549,7 +540,7 @@ type Endpoint struct {
 	sess   *tcpSession
 	closed atomic.Bool
 
-	policy atomic.Pointer[CallPolicy]
+	policy *CallPolicy // fixed at lookup, never nil
 	brk    breaker
 
 	owner *Engine // for stats attribution and client-side injection; may be nil
@@ -769,11 +760,9 @@ func lookup(addr string, owner *Engine, policy *CallPolicy) (*Endpoint, error) {
 		if !ok {
 			return nil, fmt.Errorf("mercury: no inproc engine named %q", rest)
 		}
-		ep = &Endpoint{addr: addr, local: target, owner: owner}
-		ep.policy.Store(policy)
+		ep = &Endpoint{local: target, owner: owner, policy: policy}
 	case "tcp":
-		ep = &Endpoint{addr: addr, raw: rest, owner: owner}
-		ep.policy.Store(policy)
+		ep = &Endpoint{raw: rest, owner: owner, policy: policy}
 		// Dial eagerly so an unreachable service fails at Lookup, not at the
 		// first call — services publish their RPC addresses, and a bad one
 		// should be reported where it was resolved.
@@ -792,21 +781,9 @@ func lookup(addr string, owner *Engine, policy *CallPolicy) (*Endpoint, error) {
 	return ep, nil
 }
 
-// SetPolicy replaces the endpoint's call policy (applies to subsequent
-// calls; a nil policy resets to DefaultPolicy).
-func (ep *Endpoint) SetPolicy(p *CallPolicy) {
-	if p == nil {
-		p = DefaultPolicy()
-	}
-	ep.policy.Store(p)
-}
-
-// Policy returns the endpoint's current call policy.
-func (ep *Endpoint) Policy() *CallPolicy { return ep.policy.Load() }
-
 // BreakerState reports the endpoint's circuit-breaker state: "disabled",
 // "closed", "open" or "half-open".
-func (ep *Endpoint) BreakerState() string { return ep.brk.stateName(ep.policy.Load()) }
+func (ep *Endpoint) BreakerState() string { return ep.brk.stateName(ep.policy) }
 
 // session returns the current live session, dialing a new one (bounded by
 // the policy's connect timeout and ctx) when none exists. The dial happens
@@ -826,7 +803,7 @@ func (ep *Endpoint) session(ctx context.Context) (*tcpSession, error) {
 		}
 		ep.sess = nil
 	}
-	d := net.Dialer{Timeout: ep.policy.Load().connectTimeout()}
+	d := net.Dialer{Timeout: ep.policy.connectTimeout()}
 	conn, err := d.DialContext(ctx, "tcp", ep.raw)
 	if err != nil {
 		return nil, err
@@ -852,9 +829,6 @@ func (ep *Endpoint) dropSession(s *tcpSession, err error) {
 	ep.sessMu.Unlock()
 	s.fail(err)
 }
-
-// Addr returns the address this endpoint was looked up with.
-func (ep *Endpoint) Addr() string { return ep.addr }
 
 // Call invokes the named RPC and waits for the response. ctx cancellation
 // abandons the wait (the response, if any, is discarded). When ctx carries a
@@ -884,10 +858,10 @@ func (ep *Endpoint) Call(ctx context.Context, name string, input []byte) ([]byte
 		telClientInfl.Dec()
 	}()
 	if ep.local != nil {
-		if p := ep.policy.Load(); p != nil && p.CallTimeout > 0 {
+		if ep.policy.CallTimeout > 0 {
 			if _, has := ctx.Deadline(); !has {
 				var cancel context.CancelFunc
-				ctx, cancel = context.WithTimeout(ctx, p.CallTimeout)
+				ctx, cancel = context.WithTimeout(ctx, ep.policy.CallTimeout)
 				defer cancel()
 			}
 		}
@@ -1006,7 +980,7 @@ func appendRequestHeader(dst []byte, total uint32, id uint64, tc telemetry.Trace
 
 // callTCP drives the retry/breaker state machine around attemptTCP.
 func (ep *Endpoint) callTCP(ctx context.Context, name string, input []byte) ([]byte, error) {
-	p := ep.policy.Load()
+	p := ep.policy
 	if p.CallTimeout > 0 {
 		if _, has := ctx.Deadline(); !has {
 			var cancel context.CancelFunc

@@ -45,18 +45,23 @@ type Server struct {
 	buses map[string]*servedBus
 }
 
-// NewServer registers the RPC handlers on the engine and returns a server
-// to which queues are attached.
+// NewServer returns a server to which queues and buses are attached; an
+// engine exposes only the RPCs of what was attached.
 func NewServer(engine *mercury.Engine) *Server {
-	s := &Server{engine: engine, queues: map[string]*Queue{}}
-	engine.Register(rpcQueuePush, s.handlePush)
-	engine.Register(rpcQueuePull, s.handlePull)
-	engine.Register(rpcQueueLen, s.handleLen)
-	return s
+	return &Server{engine: engine}
 }
 
-// Attach makes q reachable by remote clients under its name.
-func (s *Server) Attach(q *Queue) { s.queues[q.Name()] = q }
+// Attach makes q reachable by remote clients under its name. The queue RPC
+// handlers are registered on first attach; attach before the engine serves.
+func (s *Server) Attach(q *Queue) {
+	if s.queues == nil {
+		s.queues = map[string]*Queue{}
+		s.engine.Register(rpcQueuePush, s.handlePush)
+		s.engine.Register(rpcQueuePull, s.handlePull)
+		s.engine.Register(rpcQueueLen, s.handleLen)
+	}
+	s.queues[q.Name()] = q
+}
 
 func (s *Server) queue(raw []byte) (*Queue, queueWire, error) {
 	var w queueWire
