@@ -47,7 +47,8 @@ bench-module:
 verify: build vet lint test race bench-module
 
 # verify-stream hammers the race-sensitive streaming paths (subscriptions,
-# long-poll serving, rollups, alerts), the cluster paths (placement, handoff,
+# the soma.updates.* rows' long-poll serving and lease table, the in-process
+# PubSub and Queue, rollups, alerts), the cluster paths (placement, handoff,
 # scattered reads, client routing, the RPC-table conformance and solo/fleet
 # parity tests), the client publish pipeline (coalescer, spill queue,
 # redelivery) and the in-process publish door (no retained tree, placed like
@@ -56,7 +57,7 @@ verify: build vet lint test race bench-module
 verify-stream:
 	$(GO) test ./internal/core/ ./internal/zmq/ ./internal/mercury/ ./internal/scenario/ \
 		-race -count=3 \
-		-run 'Subscribe|Watch|Stream|Series|Alert|Remote|Blocking|Flush|Fanout|Scenario|Scatter|Spill|Batch|Publish|Cluster|RPCTable|RPCSolo|Retain|PlacesLike'
+		-run 'Subscribe|Watch|Stream|Series|Alert|Updates|Lease|PubSub|Queue|Blocking|Flush|Fanout|Scenario|Scatter|Spill|Batch|Publish|Cluster|RPCTable|RPCSolo|Retain|PlacesLike'
 
 bench:
 	$(GO) test ./internal/core/ -run '^$$' \
@@ -131,15 +132,17 @@ scenarios:
 # fuzz-smoke runs each fuzz target briefly against its corpus plus fresh
 # inputs: the binary batch decoder with the wire readers ingest runs over its
 # entries, the envelope slicer, the byte-level tree union scattered reads
-# merge peer frames with, the wire-vs-tree ingest differential, the conduit
-# JSON codec round-trip, and the WebSocket frame decoder (hostile wire
-# input). One `go test -fuzz` invocation per target — the fuzzer accepts only
-# a single match.
+# merge peer frames with, the wire-vs-tree ingest differential, both ends of
+# soma.updates.recv (the client's frame reader and the handler's request
+# parsing), the conduit JSON codec round-trip, and the WebSocket frame decoder
+# (hostile wire input). One `go test -fuzz` invocation per target — the fuzzer
+# accepts only a single match.
 FUZZ_TIME ?= 20s
 fuzz-smoke:
 	$(GO) test ./internal/conduit/ -run '^$$' -fuzz 'FuzzDecodeBatch$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/conduit/ -run '^$$' -fuzz 'FuzzSliceFields$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/conduit/ -run '^$$' -fuzz 'FuzzMergeNodes$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/core/ -run '^$$' -fuzz 'FuzzWireIngest$$' -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/core/ -run '^$$' -fuzz 'FuzzUpdatesRecvFrame$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/conduit/ -run '^$$' -fuzz 'FuzzJSONRoundTrip$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/gateway/ -run '^$$' -fuzz 'FuzzWSFrame$$' -fuzztime $(FUZZ_TIME)

@@ -20,7 +20,7 @@ func sampleTree(i int) *Node {
 func encodeSampleBatch(namespaces []string) []byte {
 	buf := AppendBatchHeader(nil)
 	for i, ns := range namespaces {
-		buf = AppendBatchEntry(buf, ns, sampleTree(i))
+		buf = AppendBatchEntryEncoded(buf, ns, sampleTree(i).EncodeBinary())
 	}
 	return buf
 }
@@ -106,7 +106,7 @@ func TestBatchTruncations(t *testing.T) {
 
 func TestBatchCorruptTreeLength(t *testing.T) {
 	buf := AppendBatchHeader(nil)
-	buf = AppendBatchEntry(buf, "workflow", sampleTree(0))
+	buf = AppendBatchEntryEncoded(buf, "workflow", sampleTree(0).EncodeBinary())
 	// The u32 tree length sits right after the namespace string: magic(4) +
 	// nsLen uvarint(1) + ns(8).
 	lenAt := 4 + 1 + len("workflow")
@@ -136,8 +136,8 @@ func TestBatchCorruptTreeLength(t *testing.T) {
 	// Long-by-N declared length over a two-entry frame: entry 0 claims bytes
 	// belonging to entry 1, so its decode stops before the declared end.
 	two := AppendBatchHeader(nil)
-	two = AppendBatchEntry(two, "workflow", sampleTree(0))
-	two = AppendBatchEntry(two, "workflow", sampleTree(1))
+	two = AppendBatchEntryEncoded(two, "workflow", sampleTree(0).EncodeBinary())
+	two = AppendBatchEntryEncoded(two, "workflow", sampleTree(1).EncodeBinary())
 	long := append([]byte(nil), two...)
 	binary.LittleEndian.PutUint32(long[lenAt:], real+3)
 	if _, err := DecodeBatch(long); err == nil {
@@ -149,7 +149,7 @@ func TestBatchCorruptTreeLength(t *testing.T) {
 
 func TestBatchCorruptInnerMagic(t *testing.T) {
 	buf := AppendBatchHeader(nil)
-	buf = AppendBatchEntry(buf, "workflow", sampleTree(0))
+	buf = AppendBatchEntryEncoded(buf, "workflow", sampleTree(0).EncodeBinary())
 	innerMagicAt := 4 + 1 + len("workflow") + 4
 	buf[innerMagicAt] = 'X'
 	if _, err := DecodeBatch(buf); !errors.Is(err, ErrBadMagic) {
@@ -169,7 +169,7 @@ func TestBatchHugeNamespaceLength(t *testing.T) {
 func BenchmarkDecodeBatch(b *testing.B) {
 	buf := AppendBatchHeader(nil)
 	for i := 0; i < 512; i++ {
-		buf = AppendBatchEntry(buf, "workflow", sampleTree(i))
+		buf = AppendBatchEntryEncoded(buf, "workflow", sampleTree(i).EncodeBinary())
 	}
 	b.SetBytes(int64(len(buf)))
 	b.ReportAllocs()
@@ -189,7 +189,7 @@ func BenchmarkDecodeBatchSingleLeaf(b *testing.B) {
 	for i := 0; i < entries; i++ {
 		n := NewNode()
 		n.SetFloat(fmt.Sprintf("c%05d", i), float64(i))
-		frame = AppendBatchEntry(frame, "hardware", n)
+		frame = AppendBatchEntryEncoded(frame, "hardware", n.EncodeBinary())
 	}
 	b.SetBytes(int64(len(frame)))
 	b.ReportAllocs()
@@ -206,15 +206,16 @@ func BenchmarkDecodeBatchSingleLeaf(b *testing.B) {
 }
 
 // BenchmarkAppendBatchEntrySingleLeaf is the client coalescer's per-publish
-// encode cost for the same shape.
+// append cost for the same shape: it is handed encoded frames.
 func BenchmarkAppendBatchEntrySingleLeaf(b *testing.B) {
 	n := NewNode()
 	n.SetFloat("c00042", 42)
+	enc := n.EncodeBinary()
 	buf := AppendBatchHeader(nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = AppendBatchEntry(buf[:4], "hardware", n)
+		buf = AppendBatchEntryEncoded(buf[:4], "hardware", enc)
 	}
 }
 
@@ -269,7 +270,7 @@ func TestValidateBinaryRejectsHostileFrames(t *testing.T) {
 	}
 }
 
-// MergeBinaryInto must land exactly where Merge of the decoded tree lands,
+// MergeBinaryIntoCached must land exactly where Merge of the decoded tree lands,
 // across overwrites, re-shaping (leaf<->object), and every value kind.
 func TestMergeBinaryIntoMatchesMerge(t *testing.T) {
 	srcs := []*Node{richTree(1), richTree(2)}
@@ -286,7 +287,7 @@ func TestMergeBinaryIntoMatchesMerge(t *testing.T) {
 		if err := ValidateBinary(enc); err != nil {
 			t.Fatalf("step %d: validate: %v", i, err)
 		}
-		if err := MergeBinaryInto(viaWire, enc); err != nil {
+		if err := MergeBinaryIntoCached(viaWire, enc, nil); err != nil {
 			t.Fatalf("step %d: wire merge: %v", i, err)
 		}
 		viaMerge.Merge(src)
@@ -301,7 +302,7 @@ func TestForEachBatchEntryMatchesDecode(t *testing.T) {
 	frame := AppendBatchHeader(nil)
 	nss := []string{"workflow", "workflow", "hardware", "application"}
 	for i, ns := range nss {
-		frame = AppendBatchEntry(frame, ns, richTree(i))
+		frame = AppendBatchEntryEncoded(frame, ns, richTree(i).EncodeBinary())
 	}
 	want, err := DecodeBatch(frame)
 	if err != nil {

@@ -420,18 +420,6 @@ func IsBatchFrame(data []byte) bool {
 		data[2] == batchMagic[2] && data[3] == batchMagic[3]
 }
 
-// AppendBatchEntry appends one (namespace, tree) entry to a batch frame
-// started with AppendBatchHeader. The tree's length field is backfilled
-// after encoding, so the tree is walked exactly once.
-func AppendBatchEntry(dst []byte, ns string, n *Node) []byte {
-	dst = appendString(dst, ns)
-	lenAt := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
-	dst = n.AppendBinary(dst)
-	binary.LittleEndian.PutUint32(dst[lenAt:], uint32(len(dst)-lenAt-4))
-	return dst
-}
-
 // AppendBatchEntryEncoded appends one (namespace, tree) entry whose tree is
 // already encoded (EncodeBinary output). The bytes are copied verbatim, so a
 // publisher with a fixed tree shape can encode once and append the cached
@@ -542,8 +530,9 @@ func ForEachBatchEntry(data []byte, fn func(ns, enc []byte) error) error {
 // ValidateBinary structurally verifies a standard tree frame — every kind
 // tag, count, and length lands inside the frame and nothing trails — without
 // building a single node. A frame that validates is guaranteed to decode
-// (and MergeBinaryInto) without error, which is what lets the service defer
-// tree materialization on ingest and still reject hostile input at the door.
+// (and MergeBinaryIntoCached) without error, which is what lets the service
+// defer tree materialization on ingest and still reject hostile input at the
+// door.
 func ValidateBinary(data []byte) error {
 	if !hasTreeMagic(data) {
 		return ErrBadMagic
@@ -649,18 +638,6 @@ func validateNode(r *binReader, depth int) error {
 	return nil
 }
 
-// MergeBinaryInto merges an encoded tree frame into dst, producing exactly
-// the state dst.Merge(decodedTree) would, without materializing the source
-// tree: leaves are written straight from the wire walk, and the only
-// allocations are for paths dst has never seen (plus owned copies of string
-// and array values). dst must be a private, fully caller-owned tree — the
-// service's snapshot-rebuild fold accumulator, never a shared snapshot.
-// Callers should ValidateBinary the frame first: on a malformed frame the
-// merge errors out part-way with already-walked paths applied.
-func MergeBinaryInto(dst *Node, data []byte) error {
-	return MergeBinaryIntoCached(dst, data, nil)
-}
-
 // mergeCacheDepth bounds how many tree levels the resolution memo covers;
 // deeper levels fall back to the map lookup.
 const mergeCacheDepth = 8
@@ -674,7 +651,7 @@ const mergeCacheDepth = 8
 // overwritten by a leaf (object→scalar reshape), and callers must Reset
 // the cache whenever they mutate the accumulator outside
 // MergeBinaryIntoCached. The accumulator must be a plain owned tree (built
-// by NewNode/Merge/MergeBinaryInto), never a copy-on-write overlay.
+// by NewNode/Merge/MergeBinaryIntoCached), never a copy-on-write overlay.
 type MergeCache struct {
 	parent [mergeCacheDepth]*Node
 	name   [mergeCacheDepth]string
@@ -699,8 +676,15 @@ func (mc *MergeCache) invalidateFrom(d int) {
 	}
 }
 
-// MergeBinaryIntoCached is MergeBinaryInto with a resolution memo shared
-// across calls (see MergeCache); mc may be nil.
+// MergeBinaryIntoCached merges an encoded tree frame into dst, producing
+// exactly the state dst.Merge(decodedTree) would, without materializing the
+// source tree: leaves are written straight from the wire walk, and the only
+// allocations are for paths dst has never seen (plus owned copies of string
+// and array values). dst must be a private, fully caller-owned tree — the
+// service's snapshot-rebuild fold accumulator, never a shared snapshot.
+// Callers should ValidateBinary the frame first: on a malformed frame the
+// merge errors out part-way with already-walked paths applied. mc is a
+// resolution memo shared across calls (see MergeCache); it may be nil.
 func MergeBinaryIntoCached(dst *Node, data []byte, mc *MergeCache) error {
 	if !hasTreeMagic(data) {
 		return ErrBadMagic

@@ -16,11 +16,11 @@ import (
 func FuzzDecodeBatch(f *testing.F) {
 	// Valid frames: empty batch, one entry, a multi-namespace run.
 	f.Add(AppendBatchHeader(nil))
-	one := AppendBatchEntry(AppendBatchHeader(nil), "workflow", sampleTree(1))
+	one := AppendBatchEntryEncoded(AppendBatchHeader(nil), "workflow", sampleTree(1).EncodeBinary())
 	f.Add(one)
 	multi := AppendBatchHeader(nil)
 	for i, ns := range []string{"workflow", "workflow", "hardware", "performance"} {
-		multi = AppendBatchEntry(multi, ns, sampleTree(i))
+		multi = AppendBatchEntryEncoded(multi, ns, sampleTree(i).EncodeBinary())
 	}
 	f.Add(multi)
 	// Reshape seed: one path flips object→leaf→object across entries, the
@@ -33,7 +33,7 @@ func FuzzDecodeBatch(f *testing.F) {
 	rc := NewNode()
 	rc.SetInt("m/x/z", 2)
 	for _, n := range []*Node{ra, rb, rc} {
-		reshape = AppendBatchEntry(reshape, "workflow", n)
+		reshape = AppendBatchEntryEncoded(reshape, "workflow", n.EncodeBinary())
 	}
 	f.Add(reshape)
 	// Rollup-shaped seed: timestamped numeric leaves beside every other kind.
@@ -42,7 +42,7 @@ func FuzzDecodeBatch(f *testing.F) {
 	ro.SetInt("PROC/cn01/12.5/Uptime", 49902)
 	ro.SetString("PROC/cn01/12.5/State", "ok")
 	ro.SetFloatArray("PROC/cn01/prof", []float64{0.5})
-	f.Add(AppendBatchEntry(AppendBatchHeader(nil), "hardware", ro))
+	f.Add(AppendBatchEntryEncoded(AppendBatchHeader(nil), "hardware", ro.EncodeBinary()))
 	// Hostile seeds: truncations, corrupt length, corrupt magic.
 	f.Add(multi[:len(multi)-3])
 	f.Add(multi[:7])
@@ -77,13 +77,13 @@ func FuzzDecodeBatch(f *testing.F) {
 					t.Fatalf("entry %d validated false negative: %v", scanned, verr)
 				}
 				merged := NewNode()
-				if merr := MergeBinaryInto(merged, enc); merr != nil {
+				if merr := MergeBinaryIntoCached(merged, enc, nil); merr != nil {
 					t.Fatalf("entry %d wire-merge failed on validated bytes: %v", scanned, merr)
 				}
 				want := NewNode()
 				want.Merge(entries[scanned].Tree)
 				if !bytes.Equal(merged.EncodeBinary(), want.EncodeBinary()) {
-					t.Fatalf("entry %d: MergeBinaryInto differs from Merge of decoded tree", scanned)
+					t.Fatalf("entry %d: MergeBinaryIntoCached differs from Merge of decoded tree", scanned)
 				}
 				if merr := MergeBinaryIntoCached(accCached, enc, &mc); merr != nil {
 					t.Fatalf("entry %d cached wire-merge failed on validated bytes: %v", scanned, merr)
@@ -107,7 +107,7 @@ func FuzzDecodeBatch(f *testing.F) {
 		}
 		re := AppendBatchHeader(nil)
 		for _, e := range entries {
-			re = AppendBatchEntry(re, e.NS, e.Tree)
+			re = AppendBatchEntryEncoded(re, e.NS, e.Tree.EncodeBinary())
 		}
 		again, err := DecodeBatch(re)
 		if err != nil {

@@ -215,6 +215,42 @@ func AppendRawFrame(dst, node []byte) []byte {
 	return append(dst, node...)
 }
 
+// Raw node writers, the append side of SliceFields: a caller splicing nodes it
+// already holds encoded writes the envelope around them with these instead of
+// building a tree. An object is AppendRawObject followed by children times
+// AppendRawName and one node — a leaf below, or a raw node appended as is.
+
+// AppendRawObject appends the header of an object node with children children.
+func AppendRawObject(dst []byte, children int) []byte {
+	return appendUvarint(append(dst, byte(KindObject)), uint64(children))
+}
+
+// AppendRawName appends the name that precedes a child of an object.
+func AppendRawName(dst []byte, name string) []byte { return appendString(dst, name) }
+
+// AppendRawString appends a string leaf.
+func AppendRawString(dst []byte, s string) []byte {
+	return appendString(append(dst, byte(KindString)), s)
+}
+
+// AppendRawInt appends an int leaf.
+func AppendRawInt(dst []byte, v int64) []byte {
+	return appendVarint(append(dst, byte(KindInt)), v)
+}
+
+// AppendRawFloat appends a float leaf.
+func AppendRawFloat(dst []byte, f float64) []byte {
+	return appendFloat(append(dst, byte(KindFloat)), f)
+}
+
+// AppendRawBool appends a bool leaf.
+func AppendRawBool(dst []byte, b bool) []byte {
+	if b {
+		return append(dst, byte(KindBool), 1)
+	}
+	return append(dst, byte(KindBool), 0)
+}
+
 // RawString returns the bytes of a raw string node (as sliced by
 // SliceFields), aliasing node; ok is false for any other kind.
 func RawString(node []byte) (s []byte, ok bool) {

@@ -376,3 +376,32 @@ func checkSliceAgainstDecode(t testing.TB, frame []byte, names []string, out [][
 		}
 	}
 }
+
+// The raw writers emit what the encoder emits: an envelope written around a
+// spliced node is the frame of the tree holding that node.
+func TestAppendRawWritersMatchEncoder(t *testing.T) {
+	data := sampleTree(3)
+	want := NewNode()
+	want.SetInt("dropped", -7)
+	want.SetBool("closed", true)
+	want.SetString("msgs/000000/topic", "ns/hardware/")
+	want.SetFloat("msgs/000000/t", 98.25)
+	want.Fetch("msgs/000000").Attach("data", data)
+	want.SetBool("msgs/000001/ok", false)
+
+	b := AppendRawFrame(nil, nil)
+	b = AppendRawObject(b, 3)
+	b = AppendRawInt(AppendRawName(b, "dropped"), -7)
+	b = AppendRawBool(AppendRawName(b, "closed"), true)
+	b = AppendRawObject(AppendRawName(b, "msgs"), 2)
+	b = AppendRawObject(AppendRawName(b, "000000"), 3)
+	b = AppendRawString(AppendRawName(b, "topic"), "ns/hardware/")
+	b = AppendRawFloat(AppendRawName(b, "t"), 98.25)
+	b = append(AppendRawName(b, "data"), data.EncodeBinary()[4:]...)
+	b = AppendRawObject(AppendRawName(b, "000001"), 1)
+	b = AppendRawBool(AppendRawName(b, "ok"), false)
+	if !bytes.Equal(b, want.EncodeBinary()) {
+		got, err := DecodeBinary(b)
+		t.Fatalf("raw-written frame differs from the encoder's (%v):\n got %s\nwant %s", err, got.Format(), want.Format())
+	}
+}

@@ -135,8 +135,8 @@ func TestBatchUnknownNamespace(t *testing.T) {
 	}
 
 	frame := conduit.AppendBatchHeader(nil)
-	frame = conduit.AppendBatchEntry(frame, string(NSWorkflow), good)
-	frame = conduit.AppendBatchEntry(frame, "bogus", bad)
+	frame = conduit.AppendBatchEntryEncoded(frame, string(NSWorkflow), good.EncodeBinary())
+	frame = conduit.AppendBatchEntryEncoded(frame, "bogus", bad.EncodeBinary())
 	if _, err := c.ep.Call(context.Background(), RPCPublishBatch, frame); err == nil {
 		t.Fatal("service accepted a hand-built batch frame with a bogus namespace")
 	}
@@ -370,8 +370,8 @@ func TestBatchRejectsAtomically(t *testing.T) {
 
 	// Unknown namespace after a valid entry.
 	frame := conduit.AppendBatchHeader(nil)
-	frame = conduit.AppendBatchEntry(frame, string(NSWorkflow), good)
-	frame = conduit.AppendBatchEntry(frame, "bogus", good)
+	frame = conduit.AppendBatchEntryEncoded(frame, string(NSWorkflow), good.EncodeBinary())
+	frame = conduit.AppendBatchEntryEncoded(frame, "bogus", good.EncodeBinary())
 	if _, err := svc.handlePublishBatch(context.Background(), frame); err == nil {
 		t.Fatal("batch with unknown namespace accepted")
 	}
@@ -379,9 +379,9 @@ func TestBatchRejectsAtomically(t *testing.T) {
 	// Structurally corrupt tree bytes after a valid entry: flip the root kind
 	// byte of the second entry's tree to an unknown kind.
 	frame = conduit.AppendBatchHeader(nil)
-	frame = conduit.AppendBatchEntry(frame, string(NSWorkflow), good)
+	frame = conduit.AppendBatchEntryEncoded(frame, string(NSWorkflow), good.EncodeBinary())
 	mark := len(frame)
-	frame = conduit.AppendBatchEntry(frame, string(NSWorkflow), good)
+	frame = conduit.AppendBatchEntryEncoded(frame, string(NSWorkflow), good.EncodeBinary())
 	// Entry layout: uvarint nsLen, ns, u32 treeLen, 4-byte tree magic, kind.
 	kindOff := mark + 1 + len(NSWorkflow) + 4 + 4
 	frame[kindOff] = 0xEE

@@ -64,12 +64,6 @@ type Client struct {
 	// answers with a tiny "unchanged" frame and the memoized tree is reused.
 	deltaMu sync.Mutex
 	delta   map[string]*deltaMemo
-	// localRPCs switches reads to the ".local" single-shard RPC variants.
-	// ClusterClient sets it on its per-member clients so each shard poll is
-	// answered from that instance alone (with its own delta memo) instead of
-	// being scattered server-side across the whole fleet. Set before use,
-	// never flipped afterwards.
-	localRPCs bool
 	// Delta accounting for DeltaStats: polls answered "unchanged" and the
 	// wire bytes those answers saved versus re-sending the memoized frame.
 	deltaUnchanged  atomic.Int64
@@ -337,11 +331,7 @@ func (c *Client) QueryDelta(ns Namespace, path string) (tree *conduit.Node, chan
 	}
 	buf := conduit.GetEncodeBuffer()
 	*buf = req.AppendBinary(*buf)
-	rpc := RPCQueryDelta
-	if c.localRPCs {
-		rpc = RPCQueryDeltaLocal
-	}
-	out, err := c.ep.Call(ctx, rpc, *buf)
+	out, err := c.ep.Call(ctx, RPCQueryDelta, *buf)
 	conduit.PutEncodeBuffer(buf)
 	if err != nil {
 		return nil, false, err
@@ -411,11 +401,16 @@ func (c *Client) DeltaStats() DeltaStatsSnapshot {
 // the empty tree) goes out encoded and the answer comes back decoded.
 // publish* and query* stay out of it: they are byte-sliced on purpose.
 func (c *Client) call(ctx context.Context, rpc string, req *conduit.Node) (*conduit.Node, error) {
+	return callTree(ctx, c.ep, rpc, req)
+}
+
+// callTree is call over any endpoint (a subscription's redialled one).
+func callTree(ctx context.Context, ep *mercury.Endpoint, rpc string, req *conduit.Node) (*conduit.Node, error) {
 	payload := okFrame
 	if req != nil {
 		payload = req.EncodeBinary()
 	}
-	out, err := c.ep.Call(ctx, rpc, payload)
+	out, err := ep.Call(ctx, rpc, payload)
 	if err != nil {
 		return nil, err
 	}

@@ -20,13 +20,11 @@ import (
 // directly to the instance that owns its shard key: no proxy hop, one
 // pipelined connection (with its own batch coalescer) per peer.
 //
-// Reads fan out client-side: Query polls every member's ".local" variant —
-// each per-member Client keeps its own delta-query generation memo, so an
-// unchanged shard costs a ~30-byte frame — and merges the shards into one
-// tree. Routing is an optimization, not a correctness requirement: if the
-// client's ring lags the fleet's (a member just died or joined), a publish
-// sent to the wrong instance is forwarded server-side, and scattered reads
-// find data wherever it landed.
+// It only writes: any member answers a read with the union of all shards, so
+// readers dial one with a plain Client. Routing is an optimization, not a
+// correctness requirement: if the client's ring lags the fleet's (a member
+// just died or joined), a publish sent to the wrong instance is forwarded
+// server-side, and scattered reads find data wherever it landed.
 type ClusterClient struct {
 	engine *mercury.Engine
 	cfg    ClusterClientConfig
@@ -109,7 +107,6 @@ func (c *ClusterClient) client(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl.localRPCs = true
 	if c.cfg.Batch != nil {
 		cl.EnableBatch(*c.cfg.Batch)
 	}
@@ -228,29 +225,6 @@ func (c *ClusterClient) PublishEncoded(ns Namespace, leafPath string, enc []byte
 		return err
 	}
 	return cl.PublishEncoded(ns, enc)
-}
-
-// Query fetches the union of (ns, path) across every fleet member, polling
-// each member's single-shard RPC so per-member delta memos absorb unchanged
-// shards. Any member failure fails the query — a silently partial union
-// would be indistinguishable from missing data.
-func (c *ClusterClient) Query(ns Namespace, path string) (*conduit.Node, error) {
-	c.mu.Lock()
-	ring := c.ring
-	c.mu.Unlock()
-	merged := conduit.NewNode()
-	for _, m := range ring.Members() {
-		cl, err := c.client(m.Addr)
-		if err != nil {
-			return nil, fmt.Errorf("soma: cluster member %s: %w", m.Addr, err)
-		}
-		tree, err := cl.Query(ns, path)
-		if err != nil {
-			return nil, fmt.Errorf("soma: cluster member %s: %w", m.Addr, err)
-		}
-		merged.Merge(tree)
-	}
-	return merged, nil
 }
 
 // Flush drains every member connection's batch coalescer, returning the

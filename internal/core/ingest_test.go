@@ -490,15 +490,15 @@ func FuzzWireIngest(f *testing.F) {
 	tree.SetFloat("PROC/cn01/12.5/CPU Util", 73.5)
 	tree.SetInt("PROC/cn01/12.5/Uptime", 49902)
 	tree.SetString("PROC/cn01/12.5/State", "ok")
-	one := conduit.AppendBatchEntry(conduit.AppendBatchHeader(nil), string(NSHardware), tree)
+	one := conduit.AppendBatchEntryEncoded(conduit.AppendBatchHeader(nil), string(NSHardware), tree.EncodeBinary())
 	f.Add(one)
-	two := conduit.AppendBatchEntry(one[:len(one):len(one)], string(NSWorkflow), tree)
+	two := conduit.AppendBatchEntryEncoded(one[:len(one):len(one)], string(NSWorkflow), tree.EncodeBinary())
 	f.Add(two)
-	f.Add(conduit.AppendBatchEntry(two[:len(two):len(two)], "bogus", tree))
+	f.Add(conduit.AppendBatchEntryEncoded(two[:len(two):len(two)], "bogus", tree.EncodeBinary()))
 	f.Add(one[:len(one)-2])
 	scalar := conduit.NewNode()
 	scalar.SetInt("", 7)
-	f.Add(conduit.AppendBatchEntry(conduit.AppendBatchHeader(nil), string(NSHardware), scalar))
+	f.Add(conduit.AppendBatchEntryEncoded(conduit.AppendBatchHeader(nil), string(NSHardware), scalar.EncodeBinary()))
 
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		clock := &fakeClock{}

@@ -51,8 +51,7 @@ func (p part) bad(err error) error { return fmt.Errorf("cluster: peer %s: %w", p
 
 // rpcRow declares one RPC. Placed and scattered rows are also registered
 // under name+".local", which answers from the member dialled alone — what
-// forwards and scatters call (so neither can recurse) and what a routing
-// client polls per shard.
+// forwards and scatters call (so neither can recurse).
 type rpcRow struct {
 	name string
 	kind rpcKind
@@ -121,6 +120,11 @@ var rpcTable = []rpcRow{
 	// A retried capture would double-start a multi-second CPU profile (or
 	// burn the one-at-a-time gate): never readOnly.
 	{name: RPCProfile, local: plain((*Service).handleProfile), blocking: true},
+	// The update stream (subscribe.go), member-local. A retried recv would lose
+	// the batch the first attempt drained: never readOnly.
+	{name: rpcUpdatesSub, local: plain((*Service).handleUpdatesSub)},
+	{name: rpcUpdatesRecv, local: (*Service).handleUpdatesRecv, blocking: true},
+	{name: rpcUpdatesUnsub, local: plain((*Service).handleUpdatesUnsub)},
 }
 
 // plain adapts a handler whose response needs no release.

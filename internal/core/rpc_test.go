@@ -122,7 +122,8 @@ func TestRPCTable(t *testing.T) {
 			t.Errorf("IdempotentRPCs() = %v\nwant %v", got, want)
 		}
 		never := mercury.IdempotentSet(RPCProfile, RPCPublish, RPCPublishLocal, RPCPublishBatch,
-			RPCAlertSet, RPCAlertRemove, RPCReset, RPCShutdown)
+			RPCAlertSet, RPCAlertRemove, RPCReset, RPCShutdown,
+			rpcUpdatesSub, rpcUpdatesRecv, rpcUpdatesUnsub)
 		for _, name := range got {
 			if never(name) {
 				t.Errorf("%s must never be retried", name)
@@ -160,11 +161,14 @@ func TestRPCTable(t *testing.T) {
 		if !unknown("soma.nope") {
 			t.Error("an unknown soma.* name did not answer mercury.ErrUnknownRPC")
 		}
-		// The service attaches the update bus to its zmq server and no queue:
-		// the queue RPCs could answer nothing but "no queue named".
-		for _, rpc := range []string{"zmq.queue.push", "zmq.queue.pull", "zmq.queue.len"} {
+		// The table is everything a service registers: the zmq.* names an
+		// older somad answered are gone, not aliased.
+		for _, rpc := range []string{
+			"zmq.pubsub.sub", "zmq.pubsub.recv", "zmq.pubsub.unsub", "zmq.pubsub.stats",
+			"zmq.queue.push", "zmq.queue.pull", "zmq.queue.len",
+		} {
 			if !unknown(rpc) {
-				t.Errorf("a service that serves no queue registers %s", rpc)
+				t.Errorf("%s is registered outside the table", rpc)
 			}
 		}
 	})

@@ -536,9 +536,10 @@ type Service struct {
 	engine    *mercury.Engine
 	instances map[Namespace]*instance
 
-	// bus fans publishes and alert transitions out to subscribers; it is
-	// served remotely through the engine under UpdatesBusName.
+	// bus fans publishes and alert transitions out to subscribers; leases
+	// holds the remote ones, served by the soma.updates.* rows (subscribe.go).
 	bus    *zmq.PubSub
+	leases leaseTable
 	alerts *alertEngine
 
 	// started stamps service construction for soma.health's uptime.
@@ -637,8 +638,8 @@ func NewService(cfg ServiceConfig) *Service {
 		}
 	}
 	s.bus = zmq.NewPubSub()
+	s.leases = leaseTable{expiry: leaseExpiry, subs: map[int64]*lease{}}
 	s.alerts = newAlertEngine(s.publishAlertStream)
-	zmq.NewServer(s.engine).AttachBus(UpdatesBusName, s.bus)
 	for i := range rpcTable {
 		row := &rpcTable[i]
 		register := s.engine.RegisterOwned
@@ -647,8 +648,7 @@ func NewService(cfg ServiceConfig) *Service {
 		}
 		register(row.name, s.serve(row, false))
 		if row.kind != rpcLocal {
-			// On a solo service too, so a routing client talks to it the way
-			// it talks to a fleet.
+			// On a solo service too: it may yet join a fleet.
 			register(row.name+".local", s.serve(row, true))
 		}
 	}
@@ -967,7 +967,12 @@ func (s *Service) handleShutdown(_ context.Context, _ []byte) ([]byte, error) {
 // appendMatchKey builds "matches/NNNNNN" without fmt: the select response
 // envelope is on the analysis hot path.
 func appendMatchKey(dst []byte, i int) []byte {
-	dst = append(dst, "matches/"...)
+	return appendIndexKey(append(dst, "matches/"...), i)
+}
+
+// appendIndexKey appends i zero-padded to six digits: the child name of the
+// i-th entry of a list on the wire, so that names sort in list order.
+func appendIndexKey(dst []byte, i int) []byte {
 	var tmp [20]byte
 	num := strconv.AppendInt(tmp[:0], int64(i), 10)
 	for pad := 6 - len(num); pad > 0; pad-- {

@@ -2,9 +2,9 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -15,10 +15,12 @@ import (
 )
 
 // Live namespace subscriptions: every publish is fanned out over the
-// service's update bus (a zmq.PubSub served remotely through the engine, see
-// zmq/remotepubsub.go), so clients receive incremental updates pushed to
-// them instead of polling Query. Topics are "ns/<namespace>/" for publishes
-// and "alerts/<namespace>/" for threshold-alert transitions (the trailing
+// service's update bus (an in-process zmq.PubSub), and three rows of rpcTable
+// serve that bus to remote clients — soma.updates.sub registers a topic-prefix
+// subscription, soma.updates.recv long-polls it for a batch, soma.updates.unsub
+// releases it — so clients receive incremental updates pushed to them instead
+// of polling Query. Topics are "ns/<namespace>/" for publishes and
+// "alerts/<namespace>/" for threshold-alert transitions (the trailing
 // delimiter keeps the bus's prefix match segment-exact, so no namespace can
 // shadow another whose name it prefixes); the reserved NSAlerts
 // pseudo-namespace subscribes to the latter.
@@ -27,14 +29,26 @@ import (
 // buffers — a slow subscriber drops (counted, reported on every receive via
 // Update.Dropped) rather than stalling ingest. When nobody subscribes, the
 // publish path pays one atomic load and skips payload construction.
+//
+// Subscriptions are member-local: on a cluster a subscriber sees what the
+// member it dialled ingests.
 
-// UpdatesBusName is the served bus carrying publish updates and alert
-// transitions.
-const UpdatesBusName = "soma.updates"
+// The update-stream rows of rpcTable.
+const (
+	rpcUpdatesSub   = "soma.updates.sub"
+	rpcUpdatesRecv  = "soma.updates.recv"
+	rpcUpdatesUnsub = "soma.updates.unsub"
+)
 
-// telPushLatency tracks bus fan-out cost per publish (encode + enqueue to
-// every subscriber), observed only when subscribers exist.
-var telPushLatency = telemetry.Default().Histogram("core.stream.push.latency")
+var (
+	// telPushLatency tracks bus fan-out cost per publish (enqueue to every
+	// subscriber), observed only when subscribers exist.
+	telPushLatency = telemetry.Default().Histogram("core.stream.push.latency")
+	// The gauge tracks live leases across every service in the process;
+	// expiries count reclaimed dead subscribers.
+	telRemoteSubs    = telemetry.Default().Gauge("zmq.pubsub.remote.subscribers")
+	telRemoteExpired = telemetry.Default().Counter("zmq.pubsub.remote.expired")
+)
 
 // topicPrefix maps a subscription target onto a bus topic prefix: "" = all
 // namespaces, NSAlerts = the alert stream, otherwise one namespace.
@@ -50,15 +64,15 @@ func topicPrefix(ns Namespace) (string, error) {
 	return "", &ErrUnknownNamespace{NS: ns}
 }
 
-// updateWire is the bus payload: the published tree conduit-encoded (JSON
-// base64 over the remote path) plus its namespace and service timestamp. Data
-// is the publish's own frame — for a wire publish a subslice of the service's
-// retained copy of the request, shared with the history ring and immutable —
-// so fan-out encodes nothing.
+// updateWire is the bus payload: the published tree as a CDT1 frame plus its
+// namespace and service timestamp. Data is the publish's own frame — for a
+// wire publish a subslice of the service's retained copy of the request,
+// shared with the history ring and immutable — so fan-out encodes nothing, and
+// soma.updates.recv splices the same bytes into its answer.
 type updateWire struct {
-	NS   string  `json:"ns"`
-	T    float64 `json:"t"`
-	Data []byte  `json:"data"`
+	NS   string
+	T    float64
+	Data []byte
 }
 
 // fanOut pushes one publish onto the update bus; ingest calls it after the
@@ -103,23 +117,12 @@ type Update struct {
 	Dropped int64
 }
 
-// DecodeUpdate unpacks a bus message (local subscription or remote receive)
-// into an Update. Dropped is left for the caller (it is per-subscription,
-// not per-message).
+// DecodeUpdate unpacks a message of a SubscribeLocal subscription into an
+// Update. Dropped is left for the caller (it is per-subscription, not
+// per-message).
 func DecodeUpdate(m zmq.Message) (Update, error) {
-	var w updateWire
-	switch p := m.Payload.(type) {
-	case updateWire:
-		w = p
-	case json.RawMessage:
-		if err := json.Unmarshal(p, &w); err != nil {
-			return Update{}, err
-		}
-	case []byte:
-		if err := json.Unmarshal(p, &w); err != nil {
-			return Update{}, err
-		}
-	default:
+	w, ok := m.Payload.(updateWire)
+	if !ok {
 		return Update{}, fmt.Errorf("soma: unexpected update payload type %T", m.Payload)
 	}
 	tree, err := conduit.DecodeBinary(w.Data)
@@ -135,7 +138,290 @@ func DecodeUpdate(m zmq.Message) (Update, error) {
 }
 
 // ---------------------------------------------------------------------------
+// Service surface: the three stream rows and the leases behind them.
+//
+// Delivery semantics are exactly the bus's — per-subscriber buffers with
+// high-water-mark dropping — and each receive reports the subscription's
+// cumulative drop count, so a slow network consumer can see what it lost.
+// Subscriptions are leased: a subscriber that stops calling recv (crashed,
+// disconnected) is dropped after leaseExpiry of silence and its bus
+// subscription cancelled, reclaiming its buffer.
+
+// leaseExpiry is how long a remote subscription survives without a receive
+// call before the service reclaims it.
+const leaseExpiry = 60 * time.Second
+
+// maxRecvWait bounds how long one soma.updates.recv parks, whatever the
+// request asks for.
+const maxRecvWait = time.Minute
+
+// lease is the service side of one remote subscription: a bus subscription
+// plus lease bookkeeping.
+type lease struct {
+	ch       <-chan zmq.Message
+	cancel   func()
+	stats    func() zmq.SubStats
+	lastSeen time.Time
+	// inRecv counts receive calls currently parked on this subscription, so
+	// the sweep never expires a lease that is actively being polled.
+	inRecv int
+}
+
+// leaseTable is a service's remote subscriptions by id.
+type leaseTable struct {
+	expiry time.Duration // leaseExpiry; in-package tests shorten it
+
+	mu     sync.Mutex
+	subs   map[int64]*lease
+	nextID int64
+}
+
+// sweep reclaims leases idle beyond the expiry. Called from every stream
+// handler, so dead subscribers are collected as a side effect of live traffic
+// (no janitor goroutine to leak).
+func (lt *leaseTable) sweep(now time.Time) {
+	lt.mu.Lock()
+	defer lt.mu.Unlock()
+	for id, st := range lt.subs {
+		if st.inRecv == 0 && now.Sub(st.lastSeen) > lt.expiry {
+			st.cancel()
+			delete(lt.subs, id)
+			telRemoteSubs.Dec()
+			telRemoteExpired.Inc()
+		}
+	}
+}
+
+var updatesSubFields = []string{"prefix"}
+
+// handleUpdatesSub serves soma.updates.sub {prefix} → {id}.
+func (s *Service) handleUpdatesSub(_ context.Context, payload []byte) ([]byte, error) {
+	var f [1][]byte
+	if err := conduit.SliceFields(payload, updatesSubFields, f[:]); err != nil {
+		return nil, err
+	}
+	prefix, ok := conduit.RawString(f[0])
+	if !ok {
+		return nil, fmt.Errorf("soma: request missing prefix field")
+	}
+	lt := &s.leases
+	now := time.Now()
+	lt.sweep(now)
+	ch, cancel, stats := s.bus.SubscribeWithStats(string(prefix))
+	lt.mu.Lock()
+	lt.nextID++
+	id := lt.nextID
+	lt.subs[id] = &lease{ch: ch, cancel: cancel, stats: stats, lastSeen: now}
+	lt.mu.Unlock()
+	telRemoteSubs.Inc()
+	resp := conduit.NewNode()
+	resp.SetInt("id", id)
+	return resp.EncodeBinary(), nil
+}
+
+var updatesIDField = []string{"id"}
+
+// handleUpdatesUnsub serves soma.updates.unsub {id}.
+func (s *Service) handleUpdatesUnsub(_ context.Context, payload []byte) ([]byte, error) {
+	var f [1][]byte
+	if err := conduit.SliceFields(payload, updatesIDField, f[:]); err != nil {
+		return nil, err
+	}
+	id, _ := conduit.RawInt(f[0])
+	lt := &s.leases
+	lt.mu.Lock()
+	st, ok := lt.subs[id]
+	delete(lt.subs, id)
+	lt.mu.Unlock()
+	if ok {
+		st.cancel()
+		telRemoteSubs.Dec()
+	}
+	return okFrame, nil
+}
+
+var updatesRecvFields = []string{"id", "max", "wait_ms"}
+
+// handleUpdatesRecv serves soma.updates.recv {id, max, wait_ms} →
+// {dropped, closed, msgs/<NNNNNN>/{topic, ns, t, data}}, the long-poll receive:
+// it parks until a message is buffered for the subscription, the wait window
+// elapses, or the engine closes (the blocking-row context), then drains up to
+// max messages. The answer is written around the updates' own frames: data is
+// the bytes the publisher sent, validated at ingest and not encoded again.
+func (s *Service) handleUpdatesRecv(ctx context.Context, payload []byte) (mercury.Response, error) {
+	var f [3][]byte
+	if err := conduit.SliceFields(payload, updatesRecvFields, f[:]); err != nil {
+		return mercury.Response{}, err
+	}
+	id, _ := conduit.RawInt(f[0])
+	// Refresh the calling subscription's own lease before sweeping: a
+	// subscriber whose gap between recv calls just exceeded the expiry must
+	// not reap itself on the way in.
+	lt := &s.leases
+	now := time.Now()
+	lt.mu.Lock()
+	st, ok := lt.subs[id]
+	if ok {
+		st.lastSeen = now
+		st.inRecv++
+	}
+	lt.mu.Unlock()
+	lt.sweep(now)
+	if !ok {
+		return mercury.Response{}, fmt.Errorf("soma: no update subscription %d", id)
+	}
+	defer func() {
+		lt.mu.Lock()
+		st.inRecv--
+		st.lastSeen = time.Now()
+		lt.mu.Unlock()
+	}()
+
+	maxMsgs, _ := conduit.RawInt(f[1])
+	if maxMsgs < 1 {
+		maxMsgs = 64
+	}
+	waitMS, _ := conduit.RawInt(f[2])
+	wait := time.Duration(waitMS) * time.Millisecond
+	if waitMS <= 0 {
+		wait = time.Millisecond
+	} else if waitMS > maxRecvWait.Milliseconds() {
+		wait = maxRecvWait
+	}
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
+
+	// Park for the first message, then drain whatever else is buffered.
+	var few [8]zmq.Message // the usual batch stays on the stack
+	msgs, closed := few[:0], false
+	select {
+	case m, open := <-st.ch:
+		if open {
+			msgs = append(msgs, m)
+		} else {
+			closed = true
+		}
+	case <-timer.C:
+	case <-ctx.Done():
+	}
+drain:
+	for int64(len(msgs)) < maxMsgs && !closed {
+		select {
+		case m, open := <-st.ch:
+			if open {
+				msgs = append(msgs, m)
+			} else {
+				closed = true
+			}
+		default:
+			break drain
+		}
+	}
+
+	bp := conduit.GetEncodeBuffer()
+	b := conduit.AppendRawFrame(*bp, nil) // the magic; the root node follows
+	b = conduit.AppendRawObject(b, 3)
+	b = conduit.AppendRawName(b, "dropped")
+	b = conduit.AppendRawInt(b, st.stats().Dropped)
+	b = conduit.AppendRawName(b, "closed")
+	b = conduit.AppendRawBool(b, closed)
+	b = conduit.AppendRawName(b, "msgs")
+	b = conduit.AppendRawObject(b, len(msgs))
+	var key [20]byte
+	for i, m := range msgs {
+		// Only fanOut and publishAlertStream publish on the service's bus.
+		w := m.Payload.(updateWire)
+		b = conduit.AppendRawName(b, string(appendIndexKey(key[:0], i)))
+		b = conduit.AppendRawObject(b, 4)
+		b = conduit.AppendRawName(b, "topic")
+		b = conduit.AppendRawString(b, m.Topic)
+		b = conduit.AppendRawName(b, "ns")
+		b = conduit.AppendRawString(b, w.NS)
+		b = conduit.AppendRawName(b, "t")
+		b = conduit.AppendRawFloat(b, w.T)
+		b = conduit.AppendRawName(b, "data")
+		b = append(b, w.Data[4:]...) // the frame's root node, past its magic
+	}
+	*bp = b
+	return mercury.Response{Payload: b, Release: func() { conduit.PutEncodeBuffer(bp) }}, nil
+}
+
+// ---------------------------------------------------------------------------
 // Client surface.
+
+// stream is the client side of one lease: the endpoint it was registered over
+// and its id there.
+type stream struct {
+	ep *mercury.Endpoint
+	id int64
+}
+
+// openStream registers a subscription for prefix over ep.
+func openStream(ep *mercury.Endpoint, prefix string) (stream, error) {
+	req := conduit.NewNode()
+	req.SetString("prefix", prefix)
+	resp, err := callTree(context.Background(), ep, rpcUpdatesSub, req)
+	if err != nil {
+		return stream{}, err
+	}
+	id, ok := resp.Int("id")
+	if !ok {
+		return stream{}, fmt.Errorf("soma: %s answer carries no id", rpcUpdatesSub)
+	}
+	return stream{ep: ep, id: id}, nil
+}
+
+// recv long-polls for the next batch: the answer frame comes back as soon as
+// at least one update is available (up to max per call), or empty after wait.
+func (st stream) recv(ctx context.Context, max int, wait time.Duration) ([]byte, error) {
+	req := conduit.NewNode()
+	req.SetInt("id", st.id)
+	req.SetInt("max", int64(max))
+	req.SetInt("wait_ms", wait.Milliseconds())
+	return st.ep.Call(ctx, rpcUpdatesRecv, req.EncodeBinary())
+}
+
+// unsub releases the lease, best effort: the connection may be gone, and the
+// service reclaims an abandoned lease by itself.
+func (st stream) unsub() {
+	req := conduit.NewNode()
+	req.SetInt("id", st.id)
+	_, _ = callTree(context.Background(), st.ep, rpcUpdatesUnsub, req)
+}
+
+// decodeUpdates reads one soma.updates.recv answer: the updates in wire order,
+// the lease's cumulative drop count, and whether the bus has shut down. The
+// frame is network input: DecodeBinary rejects a malformed one whole, and an
+// entry without a string topic, a numeric t or a data subtree is skipped.
+func decodeUpdates(frame []byte) (ups []Update, dropped int64, closed bool, err error) {
+	resp, err := conduit.DecodeBinary(frame)
+	if err != nil {
+		return nil, 0, false, fmt.Errorf("soma: decode updates: %w", err)
+	}
+	dropped, _ = resp.Int("dropped")
+	closed, _ = resp.Bool("closed")
+	msgs := resp.Child("msgs")
+	if msgs == nil {
+		return nil, dropped, closed, nil
+	}
+	for _, name := range msgs.ChildNames() {
+		m := msgs.Child(name)
+		topic, okTopic := m.StringVal("topic")
+		t, okT := m.Float("t")
+		data := m.Child("data")
+		if !okTopic || !okT || data == nil {
+			continue
+		}
+		ns, _ := m.StringVal("ns")
+		ups = append(ups, Update{
+			NS:    Namespace(ns),
+			Time:  t,
+			Alert: strings.HasPrefix(topic, "alerts/"),
+			Tree:  data,
+		})
+	}
+	return ups, dropped, closed, nil
+}
 
 // Subscription is a live client-side subscription. Consume pushed updates
 // from C; the channel closes when the subscription ends (Close, or the
@@ -176,27 +462,28 @@ func (c *Client) Subscribe(ctx context.Context, ns Namespace, pattern string) (*
 		return nil, err
 	}
 	// First subscribe over the client's own endpoint, synchronously, so a
-	// service without a served update bus fails fast.
-	rs, err := zmq.SubscribeRemote(c.ep, UpdatesBusName, prefix)
+	// service that does not serve the stream fails fast.
+	st, err := openStream(c.ep, prefix)
 	if err != nil {
 		return nil, fmt.Errorf("soma: subscribe %s: %w", ns, err)
 	}
 	ctx, cancel := context.WithCancel(ctx)
-	ch := make(chan Update, 64)
+	ch := make(chan Update, 64) // one full recv batch
 	sub := &Subscription{C: ch, cancel: cancel, done: make(chan struct{})}
-	go c.subscribeLoop(ctx, sub, ch, rs, prefix, pattern)
+	go c.subscribeLoop(ctx, sub, ch, st, prefix, pattern)
 	return sub, nil
 }
 
 // subscribeLoop is the receive pump: long-poll batches, decode, filter,
 // deliver; on transport failure, redial + resubscribe with backoff.
-func (c *Client) subscribeLoop(ctx context.Context, sub *Subscription, ch chan<- Update, rs *zmq.RemoteSub, prefix, pattern string) {
+func (c *Client) subscribeLoop(ctx context.Context, sub *Subscription, ch chan<- Update, st stream, prefix, pattern string) {
 	defer close(sub.done)
 	defer close(ch)
+	live := true                // st holds a lease
 	var ownEP *mercury.Endpoint // reconnect endpoint; nil while on c.ep
 	defer func() {
-		if rs != nil {
-			rs.Unsubscribe() // best effort; the connection may be gone
+		if live {
+			st.unsub()
 		}
 		if ownEP != nil {
 			ownEP.Close()
@@ -209,8 +496,17 @@ func (c *Client) subscribeLoop(ctx context.Context, sub *Subscription, ch chan<-
 		if ctx.Err() != nil {
 			return
 		}
-		msgs, dropped, err := rs.Recv(ctx, 64, 30*time.Second)
-		if err != nil {
+		var ups []Update
+		closed := false
+		frame, err := st.recv(ctx, 64, 30*time.Second)
+		if err == nil {
+			var dropped int64
+			if ups, dropped, closed, err = decodeUpdates(frame); err == nil {
+				droppedLease = dropped
+				sub.dropped.Store(droppedBase + droppedLease)
+			}
+		}
+		if err != nil || (closed && len(ups) == 0) {
 			if ctx.Err() != nil {
 				return
 			}
@@ -220,16 +516,16 @@ func (c *Client) subscribeLoop(ctx context.Context, sub *Subscription, ch chan<-
 			// lockstep).
 			droppedBase += droppedLease
 			droppedLease = 0
-			rs = nil
+			live = false
 			bo := mercury.Backoff{Base: 100 * time.Millisecond, Max: 5 * time.Second}
-			for attempt := 0; rs == nil; attempt++ {
+			for attempt := 0; !live; attempt++ {
 				if ownEP != nil {
 					ownEP.Close()
 					ownEP = nil
 				}
 				if ep, derr := c.redial(); derr == nil {
-					if nrs, serr := zmq.SubscribeRemote(ep, UpdatesBusName, prefix); serr == nil {
-						ownEP, rs = ep, nrs
+					if nst, serr := openStream(ep, prefix); serr == nil {
+						ownEP, st, live = ep, nst, true
 						break
 					}
 					ep.Close()
@@ -240,13 +536,7 @@ func (c *Client) subscribeLoop(ctx context.Context, sub *Subscription, ch chan<-
 			}
 			continue
 		}
-		droppedLease = dropped
-		sub.dropped.Store(droppedBase + droppedLease)
-		for _, m := range msgs {
-			u, derr := DecodeUpdate(m)
-			if derr != nil {
-				continue
-			}
+		for _, u := range ups {
 			if pattern != "" && pattern != "**" && len(u.Tree.Select(pattern)) == 0 {
 				continue
 			}

@@ -37,8 +37,9 @@ func (g *Gateway) handleWS(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	pattern := r.URL.Query().Get("pattern")
-	// Subscribe before upgrading: a service without an update bus should
-	// fail as a plain HTTP error the client can read, not a torn socket.
+	// Subscribe before upgrading: a service that does not serve the update
+	// stream should fail as a plain HTTP error the client can read, not a
+	// torn socket.
 	sub, err := g.client.Subscribe(g.ctx, ns, pattern)
 	if err != nil {
 		g.fail(w, http.StatusBadGateway, err)

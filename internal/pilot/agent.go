@@ -408,11 +408,13 @@ func (a *Agent) execute(t *Task, p Placement, coreIDs []int) {
 
 	execStart := start + a.cfg.LaunchDelaySec
 	rankStart := execStart + a.cfg.RankSpawnSec
+	// Stamped with their scheduled times, like the stop events below: on a
+	// real runtime a timer that fires late must not shrink the rank interval.
 	rt.AfterFunc(a.cfg.LaunchDelaySec, func() {
-		prof.RecordEvent(rt.Now(), t.UID, EvExecStart)
+		prof.RecordEvent(execStart, t.UID, EvExecStart)
 	})
 	rt.AfterFunc(rankStart-start, func() {
-		prof.RecordEvent(rt.Now(), t.UID, EvRankStart)
+		prof.RecordEvent(rankStart, t.UID, EvRankStart)
 	})
 
 	if t.Description.Service {

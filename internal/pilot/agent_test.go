@@ -543,3 +543,48 @@ func TestNegativeStagingRejected(t *testing.T) {
 		t.Fatal("negative output staging accepted")
 	}
 }
+
+// lateRuntime fires every timer shorter than a second `lag` seconds late —
+// a loaded box whose launch timers slip while the long stop timer does not.
+type lateRuntime struct {
+	*des.Engine
+	lag float64
+}
+
+func (r lateRuntime) AfterFunc(d float64, fn func()) (cancel func()) {
+	if d < 1 {
+		d += r.lag
+	}
+	return r.Engine.AfterFunc(d, fn)
+}
+
+// TestLateStartTimersKeepRankInterval: exec_start and rank_start carry their
+// scheduled times, as rank_stop and exec_stop do, so timers that fire late do
+// not shrink the interval analyses read as the task's execution time.
+func TestLateStartTimersKeepRankInterval(t *testing.T) {
+	const dur, lag = 10.0, 5.0
+	eng := des.NewEngine()
+	a, err := NewAgent(AgentConfig{Runtime: lateRuntime{eng, lag}, Nodes: summitNodes(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Start()
+	task, err := a.Submit(TaskDescription{Name: "late", Ranks: 4, Duration: fixedDur(dur)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	if task.State() != StateDone {
+		t.Fatalf("state = %s", task.State())
+	}
+	at := map[string]float64{}
+	for _, e := range a.Profiler().EntityEvents(task.UID) {
+		at[e.Name] = e.Time
+	}
+	if got := at[EvRankStop] - at[EvRankStart]; got < dur {
+		t.Fatalf("rank interval = %.3f s with start timers %.0f s late, want >= the task's %.0f s", got, lag, dur)
+	}
+	if got := at[EvExecStop] - at[EvExecStart]; got < dur {
+		t.Fatalf("exec interval = %.3f s, want >= %.0f s", got, dur)
+	}
+}
