@@ -12,7 +12,7 @@ GO ?= go
 GOFMT ?= gofmt
 BENCH_COUNT ?= 5
 
-.PHONY: build test vet race lint bench-module bench benchdiff perf telemetry-overhead verify verify-stream chaos load load-smoke cluster-smoke gateway-smoke fuzz-smoke scenario scenarios
+.PHONY: build test vet race lint bench-module bench benchdiff perf heap telemetry-overhead verify verify-stream chaos load load-smoke cluster-smoke gateway-smoke fuzz-smoke scenario scenarios
 
 build:
 	$(GO) build ./...
@@ -69,6 +69,11 @@ benchdiff:
 
 perf:
 	$(GO) run -C bench ./somaperf
+
+# heap prints what a default-flag somad's memory is holding, by owner: a live
+# heap profile taken over soma.profile while `somabench pub` drives it.
+heap:
+	scripts/heap_by_owner.sh
 
 telemetry-overhead:
 	scripts/benchdiff.sh --telemetry
@@ -134,7 +139,8 @@ scenarios:
 # entries, the envelope slicer, the byte-level tree union scattered reads
 # merge peer frames with, the wire-vs-tree ingest differential, both ends of
 # soma.updates.recv (the client's frame reader and the handler's request
-# parsing), the conduit JSON codec round-trip, and the WebSocket frame decoder
+# parsing), the growable rollup ring against the fixed-size ring it replaced,
+# the conduit JSON codec round-trip, and the WebSocket frame decoder
 # (hostile wire input). One `go test -fuzz` invocation per target — the fuzzer
 # accepts only a single match.
 FUZZ_TIME ?= 20s
@@ -144,5 +150,6 @@ fuzz-smoke:
 	$(GO) test ./internal/conduit/ -run '^$$' -fuzz 'FuzzMergeNodes$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/core/ -run '^$$' -fuzz 'FuzzWireIngest$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/core/ -run '^$$' -fuzz 'FuzzUpdatesRecvFrame$$' -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/core/ -run '^$$' -fuzz 'FuzzBucketRing$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/conduit/ -run '^$$' -fuzz 'FuzzJSONRoundTrip$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/gateway/ -run '^$$' -fuzz 'FuzzWSFrame$$' -fuzztime $(FUZZ_TIME)

@@ -87,13 +87,13 @@ func main() {
 			if !ok {
 				continue
 			}
-			fmt.Printf("%-12s ranks=%d stripes=%d publishes=%d leaves=%d bytes_in=%d last=%.3f\n",
-				ns, st.Ranks, st.Stripes, st.Publishes, st.Leaves, st.BytesIn, st.LastTime)
+			fmt.Printf("%-12s ranks=%d stripes=%d publishes=%d leaves=%d bytes_in=%d last=%.3f %s\n",
+				ns, st.Ranks, st.Stripes, st.Publishes, st.Leaves, st.BytesIn, st.LastTime, st.Occupancy())
 		}
 		// Shared-instance services report under "shared".
 		if st, ok := stats["shared"]; ok {
-			fmt.Printf("%-12s ranks=%d stripes=%d publishes=%d leaves=%d bytes_in=%d\n",
-				"shared", st.Ranks, st.Stripes, st.Publishes, st.Leaves, st.BytesIn)
+			fmt.Printf("%-12s ranks=%d stripes=%d publishes=%d leaves=%d bytes_in=%d %s\n",
+				"shared", st.Ranks, st.Stripes, st.Publishes, st.Leaves, st.BytesIn, st.Occupancy())
 		}
 	case "telemetry":
 		spanRows := 20

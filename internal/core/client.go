@@ -437,6 +437,14 @@ func (c *Client) Stats() (map[Namespace]InstanceStats, error) {
 		st.Leaves, _ = sub.Int("leaves")
 		st.BytesIn, _ = sub.Int("bytes_in")
 		st.LastTime, _ = sub.Float("last_time")
+		if v, ok := sub.Int("series"); ok {
+			st.Series = int(v)
+		}
+		if v, ok := sub.Int("series_cap"); ok {
+			st.SeriesCap = int(v)
+		}
+		st.SeriesBytes, _ = sub.Int("series_bytes")
+		st.HistoryBytes, _ = sub.Int("history_bytes")
 		stats[st.Namespace] = st
 	}
 	return stats, nil

@@ -61,6 +61,7 @@ func (in *instance) append(now float64, run []pub, rawBytes int) {
 	for k := range run {
 		rec := record{time: now, seq: in.seq.Add(1), enc: run[k].enc}
 		st.pending = append(st.pending, rec)
+		st.histLen += int64(len(rec.enc) - len(st.history[st.head].enc))
 		st.history[st.head] = rec
 		st.head = (st.head + 1) % len(st.history)
 		if st.count < len(st.history) {

@@ -56,17 +56,29 @@ func RenderSummary(w io.Writer, a Analysis, stats map[Namespace]InstanceStats) {
 
 	if len(stats) > 0 {
 		fmt.Fprintln(w, "\nservice instances:")
-		for _, ns := range Namespaces {
-			if st, ok := stats[ns]; ok {
-				fmt.Fprintf(w, "  %-12s ranks=%-3d stripes=%-2d publishes=%-8d leaves=%-9d bytes_in=%d\n",
-					ns, st.Ranks, st.Stripes, st.Publishes, st.Leaves, st.BytesIn)
+		for _, ns := range append(append([]Namespace(nil), Namespaces...), "shared") {
+			st, ok := stats[ns]
+			if !ok {
+				continue
+			}
+			fmt.Fprintf(w, "  %-12s ranks=%-3d stripes=%-2d publishes=%-8d leaves=%-9d bytes_in=%d\n",
+				ns, st.Ranks, st.Stripes, st.Publishes, st.Leaves, st.BytesIn)
+			if occ := st.Occupancy(); occ != "" {
+				fmt.Fprintf(w, "  %-12s %s\n", "", occ)
 			}
 		}
-		if st, ok := stats["shared"]; ok {
-			fmt.Fprintf(w, "  %-12s ranks=%-3d stripes=%-2d publishes=%-8d leaves=%-9d bytes_in=%d\n",
-				"shared", st.Ranks, st.Stripes, st.Publishes, st.Leaves, st.BytesIn)
-		}
 	}
+}
+
+// Occupancy renders the instance's bounded stores against their bounds, in
+// the key=value style of the stats line it follows; "" when the service
+// reported none (rollups disabled, or a service that predates the fields).
+func (st InstanceStats) Occupancy() string {
+	if st.SeriesCap == 0 && st.HistoryBytes == 0 {
+		return ""
+	}
+	return fmt.Sprintf("series=%d/%d series_bytes=%d history_bytes=%d",
+		st.Series, st.SeriesCap, st.SeriesBytes, st.HistoryBytes)
 }
 
 // RenderTelemetry writes the service's self-telemetry panel: latency

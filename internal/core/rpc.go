@@ -279,12 +279,25 @@ var scatterEnvelope = func() []byte {
 // queryDataField is the one field mergeQueries slices out of a query frame.
 var queryDataField = []string{"data"}
 
-// scatterBufPool recycles the buffers scattered soma.query responses are
-// built in; a whole-tree union is hundreds of KiB per read.
-var scatterBufPool = sync.Pool{New: func() interface{} { return new([]byte) }}
+// frameBufPool recycles the buffers whole-tree soma.query frames are built
+// in — a member's own (queryFrameAt) and the union of a scattered read — at
+// hundreds of KiB each.
+var frameBufPool = sync.Pool{New: func() interface{} { return new([]byte) }}
 
-// maxPooledScatterBuf bounds what goes back into scatterBufPool.
-const maxPooledScatterBuf = 4 << 20
+// maxPooledFrameBuf bounds what goes back into frameBufPool.
+const maxPooledFrameBuf = 4 << 20
+
+func getFrameBuf() *[]byte {
+	bp := frameBufPool.Get().(*[]byte)
+	*bp = (*bp)[:0]
+	return bp
+}
+
+func putFrameBuf(bp *[]byte) {
+	if cap(*bp) <= maxPooledFrameBuf {
+		frameBufPool.Put(bp)
+	}
+}
 
 // mergeQueries unions soma.query answers in the plain soma.query envelope:
 // the data subtrees are unioned as bytes (conduit.MergeNodes) — a later part
@@ -305,18 +318,14 @@ func mergeQueries(ctx context.Context, parts []part) (mercury.Response, error) {
 	}
 	start := time.Now()
 	sp := telemetry.LeafSpanAt(ctx, "cluster.scatter.merge", start)
-	bp := scatterBufPool.Get().(*[]byte)
+	bp := getFrameBuf()
 	var err error
-	*bp, err = conduit.MergeNodes(append((*bp)[:0], scatterEnvelope...), nodes)
+	*bp, err = conduit.MergeNodes(append(*bp, scatterEnvelope...), nodes)
 	now := time.Now()
 	telScatterMerge.Observe(now.Sub(start))
 	sp.EndAt(now)
 	// The engine releases an owned response on the error path too.
-	return mercury.Response{Payload: *bp, Release: func() {
-		if cap(*bp) <= maxPooledScatterBuf {
-			scatterBufPool.Put(bp)
-		}
-	}}, err
+	return mercury.Response{Payload: *bp, Release: func() { putFrameBuf(bp) }}, err
 }
 
 // mergeSeriesAnswers unions soma.series answers: single-key answers merge raw

@@ -2,13 +2,16 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"github.com/hpcobs/gosoma/internal/conduit"
 	"github.com/hpcobs/gosoma/internal/mercury"
@@ -19,8 +22,9 @@ import (
 // publish time, off the stripe append. Every numeric leaf of a published
 // tree becomes one sample of a series; consecutive samples of the same
 // series are downsampled into 1 s and 10 s min/max/mean/count buckets held
-// in fixed-size rings, so somatop can render sparklines (and the alert
-// evaluator can judge windows) without ever re-merging publish history.
+// in bounded rings that grow with the data they hold, so somatop can render
+// sparklines (and the alert evaluator can judge windows) without ever
+// re-merging publish history.
 //
 // Series identity: the paper's layouts embed the sample timestamp in the
 // leaf path (PROC/<host>/<ts>/CPU Util, RP/summary/<ts>/running), which
@@ -35,11 +39,16 @@ import (
 // timestamp segment are stamped with the publish arrival time.
 
 // Rollup ring geometry. Retention = capacity × bucket width: ~8.5 min of 1 s
-// buckets, ~85 min of 10 s buckets, plus the newest rawCap raw points.
+// buckets, ~85 min of 10 s buckets, plus the newest rawCap raw points. The
+// capacities are bounds, not allocations: a ring grows with the data it holds
+// (rawRing.push, bucketRing.add), so a series costs what it has seen — about
+// 1 KB after ten seconds, 48 KiB once all three rings are full.
 const (
-	rawCap = 512
-	b1Cap  = 512
-	b10Cap = 512
+	rawCap    = 512
+	bucketCap = 512 // slots per bucket ring; a power of two
+
+	pointBytes  = 16 // unsafe.Sizeof(SeriesPoint{})
+	bucketBytes = 40 // unsafe.Sizeof(bucket{})
 
 	// defaultMaxSeries bounds distinct series per namespace instance; leaves
 	// beyond the cap are skipped and counted (core.series.dropped).
@@ -60,6 +69,10 @@ const (
 var (
 	telSeriesPoints  = telemetry.Default().Counter("core.series.points")
 	telSeriesDropped = telemetry.Default().Counter("core.series.dropped")
+	// Occupancy of every rollup store in the process, next to its bound
+	// (defaultMaxSeries per namespace instance; 48 KiB per full series).
+	telSeriesCount = telemetry.Default().Gauge("core.series.count")
+	telSeriesBytes = telemetry.Default().Gauge("core.series.bytes")
 )
 
 // SeriesLevel selects a rollup resolution.
@@ -98,18 +111,31 @@ type SeriesBucket struct {
 	Count int64
 }
 
+// rawRing keeps the newest rawCap raw samples: it grows by append until it
+// holds rawCap points and only then wraps, overwriting the oldest.
 type rawRing struct {
-	pts  [rawCap]SeriesPoint
-	head int // next write slot
-	n    int
+	pts  []SeriesPoint
+	head int // oldest point once len(pts) == rawCap, where the next one lands
 }
 
 func (r *rawRing) push(p SeriesPoint) {
+	if len(r.pts) < rawCap {
+		r.pts = append(r.pts, p)
+		return
+	}
 	r.pts[r.head] = p
 	r.head = (r.head + 1) % rawCap
-	if r.n < rawCap {
-		r.n++
+}
+
+// since returns the held points with Time >= after, oldest first.
+func (r *rawRing) since(after float64) []SeriesPoint {
+	out := make([]SeriesPoint, 0, len(r.pts))
+	for i := range r.pts {
+		if p := r.pts[(r.head+i)%len(r.pts)]; p.Time >= after {
+			out = append(out, p)
+		}
 	}
+	return out
 }
 
 // bucket is one rollup window; start < 0 marks an empty slot.
@@ -120,61 +146,137 @@ type bucket struct {
 	count    int64
 }
 
+// bucketRing is a direct-mapped ring of at most bucketCap windows: window w
+// lives in slot w mod len(slots), with the stored start telling generations
+// apart. It answers exactly as a ring of bucketCap slots would, but starts
+// empty and doubles only when two windows that the full ring keeps apart
+// (their distance is not a multiple of bucketCap) would share a slot — so its
+// size follows the span of windows it holds, up to the same bound.
 type bucketRing struct {
 	width int64
-	slots []bucket
+	slots []bucket // len is 0 or a power of two <= bucketCap
 }
 
-func newBucketRing(width int64, cap_ int) bucketRing {
-	slots := make([]bucket, cap_)
-	for i := range slots {
-		slots[i].start = -1
-	}
-	return bucketRing{width: width, slots: slots}
-}
-
-// add folds one sample into its window. Slots are addressed by
-// (start/width) mod cap, with the stored start disambiguating generations:
-// a newer window evicts the slot, an older (late) sample is dropped.
+// add folds one sample into its window, growing the ring when it must. Two
+// windows that share a slot of the full ring are generations of it: the newer
+// one evicts, an older (late) sample is dropped.
 func (br *bucketRing) add(t, v float64) {
 	if !(t >= 0 && t <= maxSeriesTime) { // also rejects NaN
 		return
 	}
-	start := int64(math.Floor(t/float64(br.width))) * br.width
-	n := int64(len(br.slots))
-	slot := &br.slots[int(((start/br.width)%n+n)%n)]
-	switch {
-	case slot.start == start:
-		if v < slot.min {
-			slot.min = v
+	w := int64(math.Floor(t / float64(br.width)))
+	start := w * br.width
+	if len(br.slots) == 0 {
+		br.grow()
+	}
+	for {
+		slot := &br.slots[w%int64(len(br.slots))]
+		switch {
+		case slot.start == start:
+			if v < slot.min {
+				slot.min = v
+			}
+			if v > slot.max {
+				slot.max = v
+			}
+			slot.sum += v
+			slot.count++
+		case slot.start >= 0 && (w-slot.start/br.width)%bucketCap != 0:
+			br.grow()
+			continue
+		case slot.start < start:
+			*slot = bucket{start: start, min: v, max: v, sum: v, count: 1}
+		default:
+			// Late sample whose window was already evicted by the ring: drop.
 		}
-		if v > slot.max {
-			slot.max = v
-		}
-		slot.sum += v
-		slot.count++
-	case slot.start < start:
-		*slot = bucket{start: start, min: v, max: v, sum: v, count: 1}
-	default:
-		// Late sample whose window was already evicted by the ring: drop.
+		return
 	}
 }
 
-// collect returns the non-empty buckets with Start >= after, oldest first.
-func (br *bucketRing) collect(after float64) []SeriesBucket {
-	out := make([]SeriesBucket, 0, 64)
+// grow doubles the ring (from nothing to two slots) and re-slots the live
+// windows: windows apart modulo n stay apart modulo 2n, so none is lost.
+func (br *bucketRing) grow() {
+	old := br.slots
+	br.slots = make([]bucket, max(2, 2*len(old)))
 	for i := range br.slots {
-		b := &br.slots[i]
-		if b.start < 0 || float64(b.start) < after || b.count == 0 {
+		br.slots[i].start = -1
+	}
+	n := int64(len(br.slots))
+	for _, b := range old {
+		if b.start >= 0 {
+			br.slots[b.start/br.width%n] = b
+		}
+	}
+}
+
+// live returns the non-empty buckets with start >= after, oldest first.
+func (br *bucketRing) live(after float64) []bucket {
+	out := make([]bucket, 0, len(br.slots))
+	for _, b := range br.slots {
+		if b.start < 0 || float64(b.start) < after {
 			continue
 		}
-		out = append(out, SeriesBucket{
+		out = append(out, b)
+	}
+	slices.SortFunc(out, func(a, b bucket) int { return cmp.Compare(a.start, b.start) })
+	return out
+}
+
+// collect returns live(after) in the form soma.series reports.
+func (br *bucketRing) collect(after float64) []SeriesBucket {
+	live := br.live(after)
+	out := make([]SeriesBucket, len(live))
+	for i, b := range live {
+		out[i] = SeriesBucket{
 			Start: float64(b.start), Min: b.min, Max: b.max,
 			Mean: b.sum / float64(b.count), Count: b.count,
-		})
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
 	return out
+}
+
+// window aggregates the buckets with from <= start <= to into one
+// min/max/mean — the alert evaluator's view of a rule window — oldest first,
+// so the sum does not depend on how the ring is laid out. A window no wider
+// than the ring addresses its slots directly; a wider one walks the ring.
+func (br *bucketRing) window(from, to float64) (SeriesBucket, bool) {
+	agg := SeriesBucket{Start: from, Min: math.Inf(1), Max: math.Inf(-1)}
+	var sum float64
+	fold := func(b *bucket) {
+		if b.min < agg.Min {
+			agg.Min = b.min
+		}
+		if b.max > agg.Max {
+			agg.Max = b.max
+		}
+		sum += b.sum
+		agg.Count += b.count
+	}
+	// Starts are whole seconds, so the bounds round inward to integers.
+	lo, hi := math.Max(math.Ceil(from), 0), math.Min(math.Floor(to), maxSeriesTime)
+	if lo > hi {
+		return SeriesBucket{}, false
+	}
+	if n := int64(len(br.slots)); hi-lo < float64(n*br.width) {
+		for w := (int64(lo) + br.width - 1) / br.width; w*br.width <= int64(hi); w++ {
+			if b := &br.slots[w%n]; b.start == w*br.width {
+				fold(b)
+			}
+		}
+	} else {
+		live := br.live(from)
+		for i := range live {
+			if float64(live[i].start) > to {
+				break
+			}
+			fold(&live[i])
+		}
+	}
+	if agg.Count == 0 {
+		return SeriesBucket{}, false
+	}
+	agg.Mean = sum / float64(agg.Count)
+	return agg, true
 }
 
 // series is one metric's rollup state. Guarded by its shard's lock.
@@ -184,8 +286,9 @@ type series struct {
 	b10 bucketRing
 }
 
-func newSeries() *series {
-	return &series{b1: newBucketRing(1, b1Cap), b10: newBucketRing(10, b10Cap)}
+// bytes is the memory the series' three rings hold.
+func (se *series) bytes() int64 {
+	return int64(cap(se.raw.pts))*pointBytes + int64(len(se.b1.slots)+len(se.b10.slots))*bucketBytes
 }
 
 type seriesShard struct {
@@ -198,6 +301,7 @@ type seriesStore struct {
 	maxSeries int
 	count     int // total series across shards; guarded by countMu
 	countMu   sync.Mutex
+	bytes     atomic.Int64 // Σ series.bytes(), moved by observe as rings grow
 	shards    [seriesShards]seriesShard
 }
 
@@ -240,14 +344,30 @@ func (st *seriesStore) observe(key []byte, t, v float64) bool {
 		}
 		st.count++
 		st.countMu.Unlock()
-		se = newSeries()
+		telSeriesCount.Inc()
+		se = &series{b1: bucketRing{width: 1}, b10: bucketRing{width: 10}}
 		sh.m[string(key)] = se
 	}
+	before := se.bytes()
 	se.raw.push(SeriesPoint{Time: t, Value: v})
 	se.b1.add(t, v)
 	se.b10.add(t, v)
+	grew := se.bytes() - before
 	sh.mu.Unlock()
+	if grew != 0 {
+		st.bytes.Add(grew)
+		telSeriesBytes.Add(grew)
+	}
 	return true
+}
+
+// occupancy reports how many series the store holds and the bytes of their
+// rings, for soma.stats.
+func (st *seriesStore) occupancy() (series int, bytes int64) {
+	st.countMu.Lock()
+	series = st.count
+	st.countMu.Unlock()
+	return series, st.bytes.Load()
 }
 
 // splitSeriesPath derives (key, sampleTime) from one leaf path: the last
@@ -359,14 +479,7 @@ func (st *seriesStore) query(key string, level SeriesLevel, after float64) (pts 
 	}
 	switch level {
 	case LevelRaw:
-		pts = make([]SeriesPoint, 0, se.raw.n)
-		for i := 0; i < se.raw.n; i++ {
-			p := se.raw.pts[(se.raw.head-se.raw.n+i+rawCap)%rawCap]
-			if p.Time >= after {
-				pts = append(pts, p)
-			}
-		}
-		return pts, nil, true
+		return se.raw.since(after), nil, true
 	case Level10s:
 		return nil, se.b10.collect(after), true
 	default:
@@ -374,33 +487,17 @@ func (st *seriesStore) query(key string, level SeriesLevel, after float64) (pts 
 	}
 }
 
-// window aggregates the 1 s buckets of [from, to] into one min/max/mean —
-// the alert evaluator's view of a rule window.
+// window aggregates one series' 1 s buckets of [from, to]; see
+// bucketRing.window.
 func (st *seriesStore) window(key string, from, to float64) (SeriesBucket, bool) {
-	_, buckets, ok := st.query(key, Level1s, from)
-	if !ok || len(buckets) == 0 {
+	sh := &st.shards[fnv1a(key)%seriesShards]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	se, found := sh.m[key]
+	if !found {
 		return SeriesBucket{}, false
 	}
-	agg := SeriesBucket{Start: from, Min: math.Inf(1), Max: math.Inf(-1)}
-	var sum float64
-	for _, b := range buckets {
-		if b.Start > to {
-			continue
-		}
-		if b.Min < agg.Min {
-			agg.Min = b.Min
-		}
-		if b.Max > agg.Max {
-			agg.Max = b.Max
-		}
-		sum += b.Mean * float64(b.Count)
-		agg.Count += b.Count
-	}
-	if agg.Count == 0 {
-		return SeriesBucket{}, false
-	}
-	agg.Mean = sum / float64(agg.Count)
-	return agg, true
+	return se.b1.window(from, to)
 }
 
 // keysMatching returns the sorted series keys matching a '/'-separated glob
@@ -427,11 +524,18 @@ func (st *seriesStore) reset() {
 		sh := &st.shards[i]
 		sh.mu.Lock()
 		n := len(sh.m)
+		var freed int64
+		for _, se := range sh.m {
+			freed += se.bytes()
+		}
 		sh.m = map[string]*series{}
 		sh.mu.Unlock()
 		st.countMu.Lock()
 		st.count -= n
 		st.countMu.Unlock()
+		st.bytes.Add(-freed)
+		telSeriesCount.Add(-int64(n))
+		telSeriesBytes.Add(-freed)
 	}
 }
 

@@ -103,6 +103,17 @@ type InstanceStats struct {
 	Leaves    int64 // leaves currently in the merged snapshot
 	BytesIn   int64
 	LastTime  float64
+
+	// Occupancy of the instance's two bounded stores, to be read against
+	// their bounds before those bite: rollup series held of SeriesCap (past
+	// it new series are dropped and counted) with the bytes their rings hold
+	// (at most 48 KiB each), and the bytes of publisher frames in the history
+	// ring (MaxRecords entries of whatever size publishers send). All zero
+	// from a service without rollups or one that predates the fields.
+	Series       int
+	SeriesCap    int
+	SeriesBytes  int64
+	HistoryBytes int64
 }
 
 // record is one raw publish as stored in a stripe's history ring. seq gives
@@ -137,6 +148,7 @@ type stripe struct {
 	history []record // ring buffer of raw publishes
 	head    int
 	count   int
+	histLen int64 // Σ len(enc) over the ring's records
 	pubs    int64
 	bytesIn int64
 	last    float64
@@ -415,7 +427,15 @@ func (in *instance) queryFrameAt(s *snapshot, path string) []byte {
 	// Attach the immutable snapshot subtree instead of deep-merging it into
 	// the envelope: encoding only reads the tree.
 	resp.Attach("data", sub)
-	return s.store(k, resp.EncodeBinaryStable())
+	// A whole-tree frame is hundreds of KiB: built in the large pooled buffer
+	// (conduit's encode pool keeps nothing above 64 KiB, so it would regrow
+	// by doubling on every snapshot), kept as one exact-size copy.
+	bp := getFrameBuf()
+	*bp = resp.AppendBinary(*bp)
+	frame := make([]byte, len(*bp))
+	copy(frame, *bp)
+	putFrameBuf(bp)
+	return s.store(k, frame)
 }
 
 // selectFrame returns the wire-ready soma.select response frame for
@@ -467,10 +487,15 @@ func (in *instance) stats() InstanceStats {
 		st.mu.Lock()
 		out.Publishes += st.pubs
 		out.BytesIn += st.bytesIn
+		out.HistoryBytes += st.histLen
 		if st.last > out.LastTime {
 			out.LastTime = st.last
 		}
 		st.mu.Unlock()
+	}
+	if in.rollup != nil {
+		out.SeriesCap = in.rollup.maxSeries
+		out.Series, out.SeriesBytes = in.rollup.occupancy()
 	}
 	return out
 }
@@ -519,7 +544,7 @@ func (in *instance) reset() {
 		for i := range st.history {
 			st.history[i] = record{}
 		}
-		st.head, st.count = 0, 0
+		st.head, st.count, st.histLen = 0, 0, 0
 		st.mu.Unlock()
 	}
 	in.snap.Store(&snapshot{epoch: in.epoch.Load(), gen: g, tree: conduit.NewNode()})
@@ -571,7 +596,7 @@ type Service struct {
 // was built against. Stale entries never match current stamps, so races
 // between capture and encode self-heal on the next request.
 type statsCache struct {
-	stamps []uint64 // (epoch, gen) per instance, in Stats() order
+	stamps []uint64 // statsStamps() at build time
 	frame  []byte
 }
 
@@ -915,17 +940,27 @@ func queryHandler(delta bool) rpcHandler {
 	}
 }
 
-// statsStamps captures every instance's current (epoch, gen) stamp in
-// Stats() order — the statsFrame cache key.
+// statsStamps captures, in Stats() order, what every instance's soma.stats row
+// is a function of — the statsFrame cache key: the snapshot's (epoch, gen)
+// stamp, which every publish and reset moves, and the rollup store's
+// occupancy, which moves a moment later (the fold follows the stripe append
+// that bumps gen) and would otherwise be cached one publish stale.
 func (s *Service) statsStamps() []uint64 {
-	if s.cfg.Shared {
-		sn := s.instances[NSWorkflow].currentSnapshot()
-		return []uint64{sn.epoch, sn.gen}
-	}
-	out := make([]uint64, 0, 2*len(Namespaces))
-	for _, ns := range Namespaces {
-		sn := s.instances[ns].currentSnapshot()
+	out := make([]uint64, 0, 4*len(Namespaces))
+	stamp := func(in *instance) {
+		sn := in.currentSnapshot()
 		out = append(out, sn.epoch, sn.gen)
+		if in.rollup != nil {
+			n, b := in.rollup.occupancy()
+			out = append(out, uint64(n), uint64(b))
+		}
+	}
+	if s.cfg.Shared {
+		stamp(s.instances[NSWorkflow])
+		return out
+	}
+	for _, ns := range Namespaces {
+		stamp(s.instances[ns])
 	}
 	return out
 }
@@ -948,6 +983,10 @@ func (s *Service) handleStats(ctx context.Context, _ []byte) ([]byte, error) {
 		resp.SetInt(base+"/leaves", st.Leaves)
 		resp.SetInt(base+"/bytes_in", st.BytesIn)
 		resp.SetFloat(base+"/last_time", st.LastTime)
+		resp.SetInt(base+"/series", int64(st.Series))
+		resp.SetInt(base+"/series_cap", int64(st.SeriesCap))
+		resp.SetInt(base+"/series_bytes", st.SeriesBytes)
+		resp.SetInt(base+"/history_bytes", st.HistoryBytes)
 	}
 	// A publish between statsStamps() and here makes this frame carry data
 	// newer than its stamp; that only causes one extra rebuild next request,

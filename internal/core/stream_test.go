@@ -90,7 +90,7 @@ func TestMatchSeriesKey(t *testing.T) {
 }
 
 func TestBucketRingDownsample(t *testing.T) {
-	br := newBucketRing(1, 8)
+	br := bucketRing{width: 1}
 	// Four samples in window [2,3), two in [3,4).
 	for _, p := range []SeriesPoint{{2.1, 10}, {2.4, 30}, {2.6, 20}, {2.9, 40}, {3.2, 5}, {3.8, 15}} {
 		br.add(p.Time, p.Value)
@@ -109,14 +109,14 @@ func TestBucketRingDownsample(t *testing.T) {
 	}
 	// A much newer sample evicts the wrapped slot; the late sample for the
 	// evicted window is dropped silently.
-	br.add(2+8, 99) // same slot as window [2,3)
-	br.add(2.5, 77) // late: its window is gone
+	br.add(2+bucketCap, 99) // a generation on from window [2,3): same slot at any size
+	br.add(2.5, 77)         // late: its window is gone
 	got = br.collect(0)
 	for _, b := range got {
 		if b.Start == 2 {
 			t.Fatalf("evicted window still present: %+v", b)
 		}
-		if b.Start == 10 && (b.Count != 1 || b.Min != 99) {
+		if b.Start == 2+bucketCap && (b.Count != 1 || b.Min != 99) {
 			t.Fatalf("evicting sample mis-bucketed: %+v", b)
 		}
 	}
@@ -126,7 +126,7 @@ func TestBucketRingHostileTimestamps(t *testing.T) {
 	// Defense in depth below the path parsing: samples with timestamps that
 	// cannot be real (negative, beyond maxSeriesTime, NaN, ±Inf) are dropped
 	// instead of indexing out of the ring.
-	br := newBucketRing(1, 8)
+	br := bucketRing{width: 1}
 	for _, bad := range []float64{-5, -0.001, 1e30, math.MaxFloat64, math.NaN(), math.Inf(1), math.Inf(-1)} {
 		br.add(bad, 1)
 	}
