@@ -140,8 +140,9 @@ scenarios:
 # merge peer frames with, the wire-vs-tree ingest differential, both ends of
 # soma.updates.recv (the client's frame reader and the handler's request
 # parsing), the growable rollup ring against the fixed-size ring it replaced,
-# the conduit JSON codec round-trip, and the WebSocket frame decoder
-# (hostile wire input). One `go test -fuzz` invocation per target — the fuzzer
+# the conduit JSON codec round-trip, a built conduit tree against its decoded
+# twin under random operations, and the WebSocket frame decoder (hostile wire
+# input). One `go test -fuzz` invocation per target — the fuzzer
 # accepts only a single match.
 FUZZ_TIME ?= 20s
 fuzz-smoke:
@@ -152,4 +153,5 @@ fuzz-smoke:
 	$(GO) test ./internal/core/ -run '^$$' -fuzz 'FuzzUpdatesRecvFrame$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/core/ -run '^$$' -fuzz 'FuzzBucketRing$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/conduit/ -run '^$$' -fuzz 'FuzzJSONRoundTrip$$' -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/conduit/ -run '^$$' -fuzz 'FuzzNodeOps$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/gateway/ -run '^$$' -fuzz 'FuzzWSFrame$$' -fuzztime $(FUZZ_TIME)

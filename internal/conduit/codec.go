@@ -126,31 +126,28 @@ func (n *Node) encodeBinary(buf []byte) []byte {
 	switch n.kind {
 	case KindEmpty:
 	case KindObject:
-		buf = appendUvarint(buf, uint64(len(n.order)))
-		for _, name := range n.order {
+		names := n.names()
+		buf = appendUvarint(buf, uint64(len(names)))
+		for i, name := range names {
 			buf = appendString(buf, name)
-			buf = n.lookup(name).encodeBinary(buf)
+			buf = n.at(i).encodeBinary(buf)
 		}
 	case KindInt:
-		buf = appendVarint(buf, n.i)
+		buf = appendVarint(buf, int64(n.num))
 	case KindFloat:
-		buf = appendFloat(buf, n.f)
+		buf = binary.LittleEndian.AppendUint64(buf, n.num)
 	case KindString:
 		buf = appendString(buf, n.s)
 	case KindBool:
-		if n.b {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
+		buf = append(buf, byte(n.num))
 	case KindIntArray:
-		buf = appendUvarint(buf, uint64(len(n.ia)))
-		for _, v := range n.ia {
+		buf = appendUvarint(buf, uint64(len(n.ext.ia)))
+		for _, v := range n.ext.ia {
 			buf = appendVarint(buf, v)
 		}
 	case KindFloatArray:
-		buf = appendUvarint(buf, uint64(len(n.fa)))
-		for _, v := range n.fa {
+		buf = appendUvarint(buf, uint64(len(n.ext.fa)))
+		for _, v := range n.ext.fa {
 			buf = appendFloat(buf, v)
 		}
 	}
@@ -160,44 +157,75 @@ func (n *Node) encodeBinary(buf []byte) []byte {
 type binReader struct {
 	data []byte
 	pos  int
-	// arena is a bump allocator for decoded nodes: one []Node chunk serves
-	// many *Node results, cutting decode allocations by the chunk size. The
-	// nodes escape into the decoded tree, so chunks are never reused — only
-	// the per-node allocation is amortized.
-	arena []Node
 	// strArena, when non-empty, is one string copy of data: str() then
-	// returns substrings instead of allocating per name/value. Batch decode
-	// enables it (hundreds of entries per frame make the single copy pay
-	// for itself many times over); the decoded strings keep the arena alive,
-	// which is fine for batch trees — their strings share the frame's
-	// lifetime anyway, and merged-tree map keys are only retained for paths
-	// seen for the first time.
+	// returns substrings instead of allocating per name/value. Every tree
+	// decode enables it — the one copy replaces an allocation per name — at
+	// the price that a name or string value kept from a decoded tree keeps
+	// that frame's copy alive.
 	strArena string
-	// ordArena bump-allocates the per-object child-order slices. Each carve
-	// is capped at its exact count, so a later append on a decoded node
-	// reallocates instead of clobbering a neighbour's carve.
-	ordArena []string
+	// The arenas are bump allocators for what a decoded tree is made of:
+	// one chunk serves many nodes, cutting decode allocations by the chunk
+	// size. Everything carved escapes into the tree, so chunks are never
+	// reused — only the per-node allocation is amortized. Name and child
+	// slices are carved capped at their exact count, so a later append on a
+	// decoded node reallocates instead of clobbering a neighbour's carve.
+	nodes []Node
+	exts  []nodeExt
+	names []string
+	vals  []*Node
 	// emptyObjs counts the zero-child objects validateNode has stepped over;
 	// MergeNodes reads it to tell whether a subtree may be copied verbatim.
 	emptyObjs int
+	// claimed is the least number of wire bytes the counts read so far stand
+	// for (see count).
+	claimed int
 }
 
-// arenaChunk is the node-arena chunk size; frames smaller than that are
-// bounded by their encoded size (every node costs at least 2 wire bytes).
+// arenaChunk is the arena chunk size in elements; frames smaller than that
+// are bounded by the bytes that remain (every node costs at least 2).
 const arenaChunk = 64
 
-func (r *binReader) newNode() *Node {
-	if len(r.arena) == 0 {
-		n := arenaChunk
-		if rem := (len(r.data)-r.pos)/2 + 1; rem < n {
-			n = rem
-		}
-		r.arena = make([]Node, n)
+// carve returns n fresh elements, capped at n, from one of r's arenas.
+func carve[T any](r *binReader, arena *[]T, n int) []T {
+	if len(*arena) < n {
+		*arena = make([]T, max(n, min(arenaChunk, (len(r.data)-r.pos)/2+1)))
 	}
-	nd := &r.arena[0]
-	r.arena = r.arena[1:]
-	return nd
+	s := (*arena)[:n:n]
+	*arena = (*arena)[n:]
+	return s
 }
+
+// count reads an element count and bounds it by what the rest of the frame
+// can hold at minBytes per element, so that no reader sizes anything — and
+// no two readers disagree — on a number the frame cannot back. Nested counts
+// could each pass that test and still multiply (every level of a deep frame
+// claiming half of what remains), so the claims are also summed: elements
+// occupy distinct bytes, and an honest frame never claims more than it is
+// long.
+func (r *binReader) count(minBytes int) (int, error) {
+	c, err := r.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if c > maxDecodeItems {
+		return 0, fmt.Errorf("conduit: item count %d too large", c)
+	}
+	if c > uint64(len(r.data)-r.pos)/uint64(minBytes) {
+		return 0, ErrTruncated
+	}
+	if r.claimed += int(c) * minBytes; r.claimed > len(r.data) {
+		return 0, ErrTruncated
+	}
+	return int(c), nil
+}
+
+// Least wire bytes per element: a child is a name length and a kind tag, an
+// array int a one-byte varint, an array float its eight bytes.
+const (
+	minChildBytes = 2
+	minIntBytes   = 1
+	floatBytes    = 8
+)
 
 func (r *binReader) u8() (byte, error) {
 	if r.pos >= len(r.data) {
@@ -244,20 +272,6 @@ func (r *binReader) str() (string, error) {
 	return s, nil
 }
 
-// newOrder carves an exactly-capped child-order slice from the order arena.
-func (r *binReader) newOrder(count int) []string {
-	if len(r.ordArena) < count {
-		n := arenaChunk * 2
-		if n < count {
-			n = count
-		}
-		r.ordArena = make([]string, n)
-	}
-	s := r.ordArena[0:0:count]
-	r.ordArena = r.ordArena[count:]
-	return s
-}
-
 func (r *binReader) f64() (float64, error) {
 	if len(r.data)-r.pos < 8 {
 		return 0, ErrTruncated
@@ -273,13 +287,14 @@ func hasTreeMagic(data []byte) bool {
 		data[2] == binMagic[2] && data[3] == binMagic[3]
 }
 
-// DecodeBinary parses a frame produced by EncodeBinary.
+// DecodeBinary parses a frame produced by EncodeBinary. The tree's names and
+// string values are substrings of one copy of the frame (see binReader).
 func DecodeBinary(data []byte) (*Node, error) {
 	if !hasTreeMagic(data) {
 		return nil, ErrBadMagic
 	}
-	r := binReader{data: data, pos: 4}
-	n, err := decodeNode(&r, 0)
+	r := binReader{data: data, pos: 4, strArena: string(data)}
+	n, err := r.decodeTree()
 	if err != nil {
 		return nil, err
 	}
@@ -292,100 +307,121 @@ func DecodeBinary(data []byte) (*Node, error) {
 // maxDepth bounds recursion so a malicious frame cannot blow the stack.
 const maxDepth = 512
 
-func decodeNode(r *binReader, depth int) (*Node, error) {
+func (r *binReader) decodeTree() (*Node, error) {
+	n := &carve(r, &r.nodes, 1)[0]
+	return n, decodeNode(r, n, 0)
+}
+
+// decodeNode fills the zeroed node n from the wire.
+func decodeNode(r *binReader, n *Node, depth int) error {
 	if depth > maxDepth {
-		return nil, errors.New("conduit: tree too deep")
+		return errors.New("conduit: tree too deep")
 	}
 	kb, err := r.u8()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	n := r.newNode()
 	n.kind = Kind(kb)
 	switch n.kind {
 	case KindEmpty:
 	case KindObject:
-		count, err := r.uvarint()
-		if err != nil {
-			return nil, err
+		count, err := r.count(minChildBytes)
+		if err != nil || count == 0 {
+			return err
 		}
-		if count > maxDecodeItems {
-			return nil, fmt.Errorf("conduit: child count %d too large", count)
+		e := &carve(r, &r.exts, 1)[0]
+		e.names = carve(r, &r.names, count)[:0]
+		e.vals = carve(r, &r.vals, count)[:0]
+		if count > smallObject {
+			e.index = make(map[string]int, count)
 		}
-		if count > 0 {
-			n.children = make(map[string]*Node, count)
-			n.order = r.newOrder(int(count))
-		}
-		for i := uint64(0); i < count; i++ {
+		n.ext = e
+		// Repeated names have to be found, and in an object of up to
+		// smallObject children finding out costs a scan per child. While the
+		// names so far form a strictly ascending run (timestamps and
+		// zero-padded ids appended in order do; "State" after "Uptime" does
+		// not) a name above its predecessor is above all of them, hence
+		// new, and the scan is skipped. Measured both ways on the same 20 000
+		// leaves: with every name looked up BenchmarkDecodeWide (ascending)
+		// takes 1.3–1.45× as long, which is what BenchmarkDecodeWideShuffled
+		// (no ascending run) costs beside it — 1.85 against 2.6 ms, where
+		// the map-per-object decoder this replaced took 4.0 ms on either.
+		ascending := true
+		for i := 0; i < count; i++ {
 			name, err := r.str()
 			if err != nil {
-				return nil, err
+				return err
 			}
-			c, err := decodeNode(r, depth+1)
-			if err != nil {
-				return nil, err
+			c := &carve(r, &r.nodes, 1)[0]
+			if err := decodeNode(r, c, depth+1); err != nil {
+				return err
 			}
-			// A duplicate name in one encoded object merges into the earlier
-			// child (leaves still overwrite), matching the wire-merge path —
-			// honest encoders never emit duplicates, but a hostile frame
-			// must mean the same thing on every ingest path.
-			if prev, dup := n.children[name]; dup {
-				prev.Merge(c)
-			} else {
-				n.order = append(n.order, name)
-				n.children[name] = c
+			if last := len(e.names) - 1; last >= 0 && !(ascending && name > e.names[last]) {
+				ascending = false
+				// A duplicate name in one encoded object merges into the
+				// earlier child (leaves still overwrite), matching the
+				// wire-merge path — a hostile frame must mean the same thing
+				// on every ingest path.
+				if prev := lookup(n, name); prev != nil {
+					prev.Merge(c)
+					continue
+				}
 			}
+			e.add(name, c)
 		}
 	case KindInt:
-		if n.i, err = r.varint(); err != nil {
-			return nil, err
-		}
+		v, err := r.varint()
+		n.num = uint64(v)
+		return err
 	case KindFloat:
-		if n.f, err = r.f64(); err != nil {
-			return nil, err
-		}
+		v, err := r.f64()
+		n.num = math.Float64bits(v)
+		return err
 	case KindString:
-		if n.s, err = r.str(); err != nil {
-			return nil, err
-		}
+		n.s, err = r.str()
+		return err
 	case KindBool:
 		b, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		n.b = b != 0
+		n.num = boolBits(b != 0)
+		return err
 	case KindIntArray:
-		count, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if count > maxDecodeItems {
-			return nil, fmt.Errorf("conduit: array count %d too large", count)
-		}
-		n.ia = make([]int64, count)
-		for i := range n.ia {
-			if n.ia[i], err = r.varint(); err != nil {
-				return nil, err
-			}
-		}
+		ia, err := r.intArray()
+		n.ext = &nodeExt{ia: ia}
+		return err
 	case KindFloatArray:
-		count, err := r.uvarint()
-		if err != nil {
+		fa, err := r.floatArray()
+		n.ext = &nodeExt{fa: fa}
+		return err
+	default:
+		return fmt.Errorf("conduit: unknown kind %d", kb)
+	}
+	return nil
+}
+
+func (r *binReader) intArray() ([]int64, error) {
+	count, err := r.count(minIntBytes)
+	if err != nil {
+		return nil, err
+	}
+	ia := make([]int64, count)
+	for i := range ia {
+		if ia[i], err = r.varint(); err != nil {
 			return nil, err
 		}
-		if count > maxDecodeItems {
-			return nil, fmt.Errorf("conduit: array count %d too large", count)
-		}
-		n.fa = make([]float64, count)
-		for i := range n.fa {
-			if n.fa[i], err = r.f64(); err != nil {
-				return nil, err
-			}
-		}
-	default:
-		return nil, fmt.Errorf("conduit: unknown kind %d", kb)
 	}
-	return n, nil
+	return ia, nil
+}
+
+func (r *binReader) floatArray() ([]float64, error) {
+	count, err := r.count(floatBytes)
+	if err != nil {
+		return nil, err
+	}
+	fa := make([]float64, count)
+	for i := range fa {
+		fa[i], _ = r.f64() // count was bounded by the bytes that remain
+	}
+	return fa, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -474,7 +510,7 @@ func DecodeBatch(data []byte) ([]BatchEntry, error) {
 			return nil, ErrBadMagic
 		}
 		r.pos += 4
-		n, err := decodeNode(&r, 0)
+		n, err := r.decodeTree()
 		if err != nil {
 			return nil, err
 		}
@@ -572,17 +608,14 @@ func validateNode(r *binReader, depth int) error {
 	switch Kind(kb) {
 	case KindEmpty:
 	case KindObject:
-		count, err := r.uvarint()
+		count, err := r.count(minChildBytes)
 		if err != nil {
 			return err
-		}
-		if count > maxDecodeItems {
-			return fmt.Errorf("conduit: child count %d too large", count)
 		}
 		if count == 0 {
 			r.emptyObjs++
 		}
-		for i := uint64(0); i < count; i++ {
+		for i := 0; i < count; i++ {
 			if err := r.strSkip(); err != nil {
 				return err
 			}
@@ -591,51 +624,33 @@ func validateNode(r *binReader, depth int) error {
 			}
 		}
 	case KindInt:
-		if _, err := r.varint(); err != nil {
-			return err
-		}
+		_, err = r.varint()
 	case KindFloat:
-		if len(r.data)-r.pos < 8 {
-			return ErrTruncated
-		}
-		r.pos += 8
+		_, err = r.f64()
 	case KindString:
-		if err := r.strSkip(); err != nil {
-			return err
-		}
+		err = r.strSkip()
 	case KindBool:
-		if _, err := r.u8(); err != nil {
-			return err
-		}
+		_, err = r.u8()
 	case KindIntArray:
-		count, err := r.uvarint()
+		count, err := r.count(minIntBytes)
 		if err != nil {
 			return err
 		}
-		if count > maxDecodeItems {
-			return fmt.Errorf("conduit: array count %d too large", count)
-		}
-		for i := uint64(0); i < count; i++ {
+		for i := 0; i < count; i++ {
 			if _, err := r.varint(); err != nil {
 				return err
 			}
 		}
 	case KindFloatArray:
-		count, err := r.uvarint()
+		count, err := r.count(floatBytes)
 		if err != nil {
 			return err
 		}
-		if count > maxDecodeItems {
-			return fmt.Errorf("conduit: array count %d too large", count)
-		}
-		if uint64(len(r.data)-r.pos) < count*8 {
-			return ErrTruncated
-		}
-		r.pos += int(count) * 8
+		r.pos += count * floatBytes
 	default:
 		return fmt.Errorf("conduit: unknown kind %d", kb)
 	}
-	return nil
+	return err
 }
 
 // mergeCacheDepth bounds how many tree levels the resolution memo covers;
@@ -720,26 +735,18 @@ func mergeNode(r *binReader, dst *Node, depth int, mc *MergeCache) error {
 	switch k {
 	case KindEmpty:
 	case KindObject:
-		count, err := r.uvarint()
+		count, err := r.count(minChildBytes)
 		if err != nil {
 			return err
 		}
-		if count > maxDecodeItems {
-			return fmt.Errorf("conduit: child count %d too large", count)
-		}
-		for i := uint64(0); i < count; i++ {
-			ln, err := r.uvarint()
+		for i := 0; i < count; i++ {
+			nameB, err := r.strBytes()
 			if err != nil {
 				return err
 			}
-			if uint64(len(r.data)-r.pos) < ln {
-				return ErrTruncated
-			}
-			nameB := r.data[r.pos : r.pos+int(ln)]
-			r.pos += int(ln)
 			// The depth memo first: consecutive single-leaf frames usually
 			// share their ancestor path, making this a pointer compare
-			// instead of a map probe into a wide fan-out level.
+			// instead of a lookup in a wide fan-out level.
 			if mc != nil && depth < mergeCacheDepth &&
 				mc.parent[depth] == dst && mc.name[depth] == string(nameB) {
 				if err := mergeNode(r, mc.child[depth], depth+1, mc); err != nil {
@@ -747,23 +754,7 @@ func mergeNode(r *binReader, dst *Node, depth int, mc *MergeCache) error {
 				}
 				continue
 			}
-			// Inline ensureChild with a byte-slice key: the map probe on the
-			// hot repeated-path case allocates nothing.
-			if dst.kind != KindObject {
-				dst.kind = KindObject
-				dst.i, dst.f, dst.s, dst.b, dst.ia, dst.fa = 0, 0, "", false, nil, nil
-			}
-			dst.flatten()
-			if dst.children == nil {
-				dst.children = make(map[string]*Node)
-			}
-			c, ok := dst.children[string(nameB)]
-			if !ok {
-				c = &Node{}
-				name := string(nameB)
-				dst.children[name] = c
-				dst.order = append(dst.order, name)
-			}
+			c := ensureChild(dst, nameB)
 			if mc != nil && depth < mergeCacheDepth {
 				mc.parent[depth] = dst
 				mc.name[depth] = string(nameB) // copy on memo refresh only
@@ -778,61 +769,37 @@ func mergeNode(r *binReader, dst *Node, depth int, mc *MergeCache) error {
 		if err != nil {
 			return err
 		}
-		dst.setLeaf(k)
-		dst.i, dst.f, dst.s, dst.b, dst.ia, dst.fa = v, 0, "", false, nil, nil
+		dst.setScalar(k, uint64(v), "")
 	case KindFloat:
 		v, err := r.f64()
 		if err != nil {
 			return err
 		}
-		dst.setLeaf(k)
-		dst.i, dst.f, dst.s, dst.b, dst.ia, dst.fa = 0, v, "", false, nil, nil
+		dst.setScalar(k, math.Float64bits(v), "")
 	case KindString:
 		v, err := r.str()
 		if err != nil {
 			return err
 		}
-		dst.setLeaf(k)
-		dst.i, dst.f, dst.s, dst.b, dst.ia, dst.fa = 0, 0, v, false, nil, nil
+		dst.setScalar(k, 0, v)
 	case KindBool:
 		bv, err := r.u8()
 		if err != nil {
 			return err
 		}
-		dst.setLeaf(k)
-		dst.i, dst.f, dst.s, dst.b, dst.ia, dst.fa = 0, 0, "", bv != 0, nil, nil
+		dst.setScalar(k, boolBits(bv != 0), "")
 	case KindIntArray:
-		count, err := r.uvarint()
+		ia, err := r.intArray()
 		if err != nil {
 			return err
 		}
-		if count > maxDecodeItems {
-			return fmt.Errorf("conduit: array count %d too large", count)
-		}
-		ia := make([]int64, count)
-		for i := range ia {
-			if ia[i], err = r.varint(); err != nil {
-				return err
-			}
-		}
-		dst.setLeaf(k)
-		dst.i, dst.f, dst.s, dst.b, dst.ia, dst.fa = 0, 0, "", false, ia, nil
+		dst.setArray(k, ia, nil)
 	case KindFloatArray:
-		count, err := r.uvarint()
+		fa, err := r.floatArray()
 		if err != nil {
 			return err
 		}
-		if count > maxDecodeItems {
-			return fmt.Errorf("conduit: array count %d too large", count)
-		}
-		fa := make([]float64, count)
-		for i := range fa {
-			if fa[i], err = r.f64(); err != nil {
-				return err
-			}
-		}
-		dst.setLeaf(k)
-		dst.i, dst.f, dst.s, dst.b, dst.ia, dst.fa = 0, 0, "", false, nil, fa
+		dst.setArray(k, nil, fa)
 	default:
 		return fmt.Errorf("conduit: unknown kind %d", kb)
 	}
@@ -845,9 +812,9 @@ func mergeNode(r *binReader, dst *Node, depth int, mc *MergeCache) error {
 func (n *Node) jsonValue() interface{} {
 	switch n.kind {
 	case KindObject:
-		m := make(map[string]interface{}, len(n.order))
-		for _, name := range n.order {
-			m[name] = n.lookup(name).jsonValue()
+		m := make(map[string]interface{}, n.NumChildren())
+		for i, name := range n.names() {
+			m[name] = n.at(i).jsonValue()
 		}
 		return m
 	case KindEmpty:
@@ -899,29 +866,24 @@ func (n *Node) fromJSONValue(v interface{}) error {
 	case map[string]interface{}:
 		n.kind = KindObject
 		for name, cv := range x {
-			c := n.ensureChild(name)
-			if err := c.fromJSONValue(cv); err != nil {
+			if err := ensureChild(n, name).fromJSONValue(cv); err != nil {
 				return err
 			}
 		}
 	case json.Number:
 		if i, ok := jsonInt(x); ok {
-			n.setLeaf(KindInt)
-			n.i = i
+			n.setScalar(KindInt, uint64(i), "")
 			return nil
 		}
 		f, err := x.Float64()
 		if err != nil {
 			return err
 		}
-		n.setLeaf(KindFloat)
-		n.f = f
+		n.setScalar(KindFloat, math.Float64bits(f), "")
 	case string:
-		n.setLeaf(KindString)
-		n.s = x
+		n.setScalar(KindString, 0, x)
 	case bool:
-		n.setLeaf(KindBool)
-		n.b = x
+		n.setScalar(KindBool, boolBits(x), "")
 	case []interface{}:
 		// Arrays decode as float arrays unless every element is integral.
 		allInt := true
@@ -935,21 +897,21 @@ func (n *Node) fromJSONValue(v interface{}) error {
 			}
 		}
 		if allInt {
-			n.setLeaf(KindIntArray)
-			n.ia = make([]int64, len(x))
+			ia := make([]int64, len(x))
 			for i, e := range x {
-				n.ia[i], _ = e.(json.Number).Int64()
+				ia[i], _ = e.(json.Number).Int64()
 			}
+			n.setArray(KindIntArray, ia, nil)
 		} else {
-			n.setLeaf(KindFloatArray)
-			n.fa = make([]float64, len(x))
+			fa := make([]float64, len(x))
 			for i, e := range x {
 				f, err := e.(json.Number).Float64()
 				if err != nil {
 					return err
 				}
-				n.fa[i] = f
+				fa[i] = f
 			}
+			n.setArray(KindFloatArray, nil, fa)
 		}
 	default:
 		return fmt.Errorf("conduit: unsupported JSON value %T", v)

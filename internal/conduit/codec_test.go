@@ -2,6 +2,7 @@ package conduit
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -178,7 +179,7 @@ func randomNode(r *rand.Rand, depth int) *Node {
 			n.SetFloatArray(name, arr)
 		case 5:
 			sub := randomNode(r, depth+1)
-			n.ensureChild(name).Merge(sub)
+			ensureChild(n, name).Merge(sub)
 		}
 	}
 	return n
@@ -277,4 +278,59 @@ func BenchmarkConduitCodecs(b *testing.B) {
 			}
 		}
 	})
+}
+
+// loadTree builds the shape the repository benchmark reads back whole:
+// LOAD/cn%05d/s%02d float leaves, hosts × perHost of them (1 250 × 16 is the
+// 20 000-leaf, 266 KiB frame of `soma.query LOAD`).
+func loadTree(hosts, perHost int) *Node {
+	n := NewNode()
+	for h := 0; h < hosts; h++ {
+		for s := 0; s < perHost; s++ {
+			n.SetFloat(fmt.Sprintf("LOAD/cn%05d/s%02d", h, s), float64(h)+float64(s)/100)
+		}
+	}
+	return n
+}
+
+// shuffledLoadTree is loadTree with hosts, and the metrics of each host,
+// inserted in a seeded random order: the same leaves in a frame of the same
+// size, no run of ascending names in it.
+func shuffledLoadTree(hosts, perHost int) *Node {
+	r := rand.New(rand.NewSource(1))
+	n := NewNode()
+	for _, h := range r.Perm(hosts) {
+		for _, s := range r.Perm(perHost) {
+			n.SetFloat(fmt.Sprintf("LOAD/cn%05d/s%02d", h, s), float64(h)+float64(s)/100)
+		}
+	}
+	return n
+}
+
+// BenchmarkDecodeWide / BenchmarkEncodeWide are the client's and the
+// service's half of one whole-namespace read of the 20 000-leaf tree.
+// BenchmarkDecodeWideShuffled is the decode when sibling names do not ascend
+// and decodeNode has to look every one of them up (see there).
+func BenchmarkDecodeWide(b *testing.B)         { benchDecode(b, loadTree(1250, 16)) }
+func BenchmarkDecodeWideShuffled(b *testing.B) { benchDecode(b, shuffledLoadTree(1250, 16)) }
+
+func benchDecode(b *testing.B, n *Node) {
+	enc := n.EncodeBinary()
+	b.SetBytes(int64(len(enc)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeBinary(enc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkEncodeWide(b *testing.B) {
+	n := loadTree(1250, 16)
+	buf := n.EncodeBinary()
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf = n.AppendBinary(buf[:0])
+	}
 }

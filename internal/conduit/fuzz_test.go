@@ -52,6 +52,16 @@ func FuzzDecodeBatch(f *testing.F) {
 	badMagic := append([]byte(nil), one...)
 	badMagic[0] = 'X'
 	f.Add(badMagic)
+	// A root child named "" has the empty path, like a bare scalar root (found
+	// by this target: the tree-walk oracle took the one for the other).
+	f.Add([]byte("CDB\x01\b00000000 \x00\x00\x00CDT\x01\x01\x03\x03000\x00\x00\x0300000000\x010\x0300000000"))
+	// Counts of 1<<24 with nothing behind them (see
+	// TestHostileCountsAllocateNothing).
+	// ... and counts that each fit what remains but nest (see
+	// TestNestedCountsAllocateOnce).
+	for _, hostile := range append(hostileCountFrames(), nestedCountFrame(4<<10)) {
+		f.Add(AppendBatchEntryEncoded(AppendBatchHeader(nil), "hardware", hostile))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		entries, err := DecodeBatch(data)

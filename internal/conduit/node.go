@@ -15,6 +15,8 @@ package conduit
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -54,31 +56,54 @@ func (k Kind) String() string {
 }
 
 // Node is one vertex of the hierarchy. The zero value is an empty node.
+//
+// The header is 40 bytes and is all a scalar leaf — nearly every node of a
+// monitoring tree — ever allocates. Children, arrays and copy-on-write state
+// live behind ext, which only non-empty objects and array leaves carry.
 type Node struct {
 	kind Kind
+	// num is the scalar payload: an int64's bits, a float64's IEEE 754 bits,
+	// or 0/1 for a bool.
+	num uint64
+	s   string
+	ext *nodeExt
+}
 
-	i int64
-	f float64
-	s string
-	b bool
+// nodeExt is what an object or an array leaf holds beyond the header.
+type nodeExt struct {
+	// names and vals hold an object's children positionally, in insertion
+	// order — which matters for deterministic serialization and for
+	// timeline-like layouts whose child names are timestamps appended in
+	// order: vals[i] is the child named names[i]. A names slice may be shared
+	// between nodes (MergeCOW results alias their base's), so it is only ever
+	// appended to through a capacity-pinned slice and never shifted in place.
+	names []string
+	vals  []*Node
+	// index maps a child's name to its position in vals. A plain object has
+	// one only past smallObject children; a copy-on-write overlay always.
+	index map[string]int
+	// base, when non-nil, is the shared layer under a MergeCOW overlay. vals
+	// is then just the node's delta — the additions to and overrides of base,
+	// in no particular order, found through index — while names covers base
+	// and delta together, base's own names being a prefix of it, so position
+	// i means the same child name in every layer of a chain. Overlays are
+	// immutable by contract; the mutating entry points flatten them into
+	// plain objects first (own).
+	base *Node
 	// ia and fa are stored by reference; callers that need isolation should
 	// pass copies (Set*Array copies by default, see below).
 	ia []int64
 	fa []float64
-
-	children map[string]*Node
-	// order preserves insertion order of children, which matters for
-	// deterministic serialization and for timeline-like layouts where the
-	// child names are timestamps appended in order.
-	order []string
-	// cowBase, when non-nil, is the shared base layer of a copy-on-write
-	// object node produced by MergeCOW: children then holds only this node's
-	// delta (additions and overrides of the base), while order covers base
-	// and delta names together in insertion order. Overlay nodes are
-	// immutable by contract; the mutating entry points (ensureChild, Attach,
-	// Remove) flatten them into plain nodes first.
-	cowBase *Node
 }
+
+// smallObject is the widest object resolved by scanning names instead of
+// through an index map. Measured either side of it, on 3-byte ("s07"),
+// 7-byte ("cn00042") and 17-byte (timestamp) names alike: a hit by scan costs
+// 16 / 24 / 36 / 72 ns at 4 / 8 / 16 / 32 names against a flat 15–18 ns by
+// index, so at 32 the scan loses 4×; at 8 every 16-metric host of the
+// repository benchmark's LOAD tree would carry a map, and decoding that
+// 1 250 × 16 frame goes 1.9 → 3.0 ms and 1.95 → 3.19 MB.
+const smallObject = 16
 
 // NewNode returns an empty node ready for use.
 func NewNode() *Node { return &Node{} }
@@ -93,75 +118,160 @@ func (n *Node) IsLeaf() bool { return n.kind != KindObject && n.kind != KindEmpt
 func (n *Node) IsEmpty() bool { return n.kind == KindEmpty }
 
 // NumChildren returns the number of direct children.
-func (n *Node) NumChildren() int { return len(n.order) }
+func (n *Node) NumChildren() int { return len(n.names()) }
 
 // ChildNames returns the direct child names in insertion order. The returned
 // slice is a copy.
 func (n *Node) ChildNames() []string {
-	out := make([]string, len(n.order))
-	copy(out, n.order)
-	return out
+	return append([]string{}, n.names()...)
 }
 
-// reset clears any held value but keeps children intact only when the node
-// is already an object.
-func (n *Node) setLeaf(k Kind) {
-	n.kind = k
-	n.children = nil
-	n.order = nil
-	n.cowBase = nil
+// names returns the child names in insertion order without copying; nil for
+// anything but a non-empty object.
+func (n *Node) names() []string {
+	if n.ext == nil {
+		return nil
+	}
+	return n.ext.names
 }
 
-// lookup resolves a direct child through the copy-on-write chain: the node's
-// own delta first, then each base layer. Plain nodes resolve in one map
-// probe; overlay chains are kept at most two layers deep by MergeCOW.
-func (n *Node) lookup(name string) *Node {
-	for cur := n; cur != nil; cur = cur.cowBase {
-		if c, ok := cur.children[name]; ok {
-			return c
+// at returns the child at position i of names(). On a plain object that is
+// one slice load; on an overlay the delta of each layer is probed by name
+// and the flat base at the bottom of the chain answers by position.
+func (n *Node) at(i int) *Node {
+	e := n.ext
+	if e.base == nil {
+		return e.vals[i]
+	}
+	name := e.names[i]
+	for ; e.base != nil; e = e.base.ext {
+		if j, ok := e.index[name]; ok {
+			return e.vals[j]
+		}
+	}
+	return e.vals[i]
+}
+
+// pos returns where in e.vals the child called name sits, or -1: through the
+// index when e has one, else by scanning the names of a small plain object.
+func pos[S string | []byte](e *nodeExt, name S) int {
+	if e.index != nil {
+		if j, ok := e.index[string(name)]; ok {
+			return j
+		}
+		return -1
+	}
+	for i, nm := range e.names {
+		if nm == string(name) {
+			return i
+		}
+	}
+	return -1
+}
+
+// lookup resolves a direct child by name, through the copy-on-write chain
+// when there is one: each layer's delta first, then the flat base. Overlay
+// chains are kept at most cowMaxChain layers deep by MergeCOW. Nothing is
+// ever built or cached here: a tree nobody mutates is safe to read from any
+// number of goroutines.
+func lookup[S string | []byte](n *Node, name S) *Node {
+	for e := n.ext; e != nil; e = e.base.ext {
+		if j := pos(e, name); j >= 0 {
+			return e.vals[j]
+		}
+		if e.base == nil {
+			return nil
 		}
 	}
 	return nil
 }
 
-// flatten materializes a copy-on-write overlay node into a plain node,
-// resolving the base chain into one owned children map. A no-op on plain
-// nodes.
+// setScalar makes n a scalar leaf (or, with KindEmpty, nothing), dropping any
+// children or array it held.
+func (n *Node) setScalar(k Kind, num uint64, s string) {
+	n.kind, n.num, n.s, n.ext = k, num, s, nil
+}
+
+// setArray makes n an array leaf; exactly one of ia and fa is meaningful.
+func (n *Node) setArray(k Kind, ia []int64, fa []float64) {
+	n.kind, n.num, n.s, n.ext = k, 0, "", &nodeExt{ia: ia, fa: fa}
+}
+
+func boolBits(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func (n *Node) float() float64 { return math.Float64frombits(n.num) }
+
+// own makes n a plain object its caller may add children to — a leaf is
+// re-shaped (assigning children to a leaf converts it, mirroring Conduit's
+// behaviour of re-shaping on assignment), an overlay flattened — and returns
+// its ext.
+func (n *Node) own() *nodeExt {
+	if n.kind != KindObject || n.ext == nil {
+		n.kind, n.num, n.s, n.ext = KindObject, 0, "", &nodeExt{}
+	}
+	n.flatten()
+	return n.ext
+}
+
+// flatten materializes a copy-on-write overlay node into a plain object,
+// resolving the base chain into owned vals (and an index when wide). A no-op
+// on plain nodes.
 func (n *Node) flatten() {
-	if n.cowBase == nil {
+	e := n.ext
+	if e == nil || e.base == nil {
 		return
 	}
-	m := make(map[string]*Node, len(n.order))
-	for _, name := range n.order {
-		m[name] = n.lookup(name)
+	vals := make([]*Node, len(e.names))
+	for i := range vals {
+		vals[i] = n.at(i)
 	}
-	n.children = m
-	n.cowBase = nil
+	*e = nodeExt{names: e.names[:len(e.names):len(e.names)], vals: vals}
+	e.reindex()
+}
+
+// reindex gives a plain object the index its width calls for.
+func (e *nodeExt) reindex() {
+	e.index = nil
+	if len(e.names) <= smallObject {
+		return
+	}
+	e.index = make(map[string]int, len(e.names))
+	for i, name := range e.names {
+		e.index[name] = i
+	}
+}
+
+// add appends a child the plain object e does not hold yet.
+func (e *nodeExt) add(name string, c *Node) {
+	e.names = append(e.names, name)
+	e.vals = append(e.vals, c)
+	if e.index != nil {
+		e.index[name] = len(e.vals) - 1
+	} else if len(e.names) > smallObject {
+		e.reindex()
+	}
 }
 
 // Child returns the direct child with the given name, or nil.
 func (n *Node) Child(name string) *Node {
-	return n.lookup(name)
+	return lookup(n, name)
 }
 
 // ensureChild returns the direct child with the given name, creating it (and
-// converting n into an object node) when absent.
-func (n *Node) ensureChild(name string) *Node {
-	if n.kind != KindObject {
-		// Overwrite any leaf value: assigning children to a leaf converts it,
-		// mirroring Conduit's behaviour of re-shaping on assignment.
-		n.kind = KindObject
-		n.i, n.f, n.s, n.b, n.ia, n.fa = 0, 0, "", false, nil, nil
-	}
-	n.flatten()
-	if n.children == nil {
-		n.children = make(map[string]*Node)
-	}
-	c, ok := n.children[name]
-	if !ok {
+// converting n into an object node) when absent. A byte-slice name is copied
+// only when the child is new, so the wire merge's lookup of a path it has
+// seen allocates nothing.
+func ensureChild[S string | []byte](n *Node, name S) *Node {
+	e := n.own()
+	c := lookup(n, name)
+	if c == nil {
 		c = &Node{}
-		n.children[name] = c
-		n.order = append(n.order, name)
+		e.add(string(name), c)
 	}
 	return c
 }
@@ -201,7 +311,7 @@ func nextSeg(path string) (seg, rest string) {
 func (n *Node) Fetch(path string) *Node {
 	cur := n
 	for seg, rest := nextSeg(path); seg != ""; seg, rest = nextSeg(rest) {
-		cur = cur.ensureChild(seg)
+		cur = ensureChild(cur, seg)
 	}
 	return cur
 }
@@ -239,64 +349,53 @@ func (n *Node) Remove(path string) bool {
 			return false
 		}
 	}
-	name := segs[len(segs)-1]
 	parent.flatten()
-	if parent.children == nil {
+	e := parent.ext
+	if e == nil {
 		return false
 	}
-	if _, ok := parent.children[name]; !ok {
+	i := pos(e, segs[len(segs)-1])
+	if i < 0 {
 		return false
 	}
-	delete(parent.children, name)
-	for i, nm := range parent.order {
-		if nm == name {
-			parent.order = append(parent.order[:i], parent.order[i+1:]...)
-			break
-		}
+	// The head is capacity-pinned so the append copies: names may be shared
+	// with the node this one was merged from.
+	e.names = append(e.names[:i:i], e.names[i+1:]...)
+	e.vals = append(e.vals[:i], e.vals[i+1:]...)
+	if e.index != nil {
+		e.reindex()
 	}
 	return true
 }
 
 // SetInt stores an int64 leaf at path.
 func (n *Node) SetInt(path string, v int64) {
-	c := n.Fetch(path)
-	c.setLeaf(KindInt)
-	c.i = v
+	n.Fetch(path).setScalar(KindInt, uint64(v), "")
 }
 
 // SetFloat stores a float64 leaf at path.
 func (n *Node) SetFloat(path string, v float64) {
-	c := n.Fetch(path)
-	c.setLeaf(KindFloat)
-	c.f = v
+	n.Fetch(path).setScalar(KindFloat, math.Float64bits(v), "")
 }
 
 // SetString stores a string leaf at path.
 func (n *Node) SetString(path, v string) {
-	c := n.Fetch(path)
-	c.setLeaf(KindString)
-	c.s = v
+	n.Fetch(path).setScalar(KindString, 0, v)
 }
 
 // SetBool stores a bool leaf at path.
 func (n *Node) SetBool(path string, v bool) {
-	c := n.Fetch(path)
-	c.setLeaf(KindBool)
-	c.b = v
+	n.Fetch(path).setScalar(KindBool, boolBits(v), "")
 }
 
 // SetIntArray stores a copy of v as an int64 array leaf at path.
 func (n *Node) SetIntArray(path string, v []int64) {
-	c := n.Fetch(path)
-	c.setLeaf(KindIntArray)
-	c.ia = append([]int64(nil), v...)
+	n.Fetch(path).setArray(KindIntArray, append([]int64(nil), v...), nil)
 }
 
 // SetFloatArray stores a copy of v as a float64 array leaf at path.
 func (n *Node) SetFloatArray(path string, v []float64) {
-	c := n.Fetch(path)
-	c.setLeaf(KindFloatArray)
-	c.fa = append([]float64(nil), v...)
+	n.Fetch(path).setArray(KindFloatArray, nil, append([]float64(nil), v...))
 }
 
 // Int returns the int64 at path. Float leaves are truncated. ok is false
@@ -308,9 +407,9 @@ func (n *Node) Int(path string) (v int64, ok bool) {
 	}
 	switch c.kind {
 	case KindInt:
-		return c.i, true
+		return int64(c.num), true
 	case KindFloat:
-		return int64(c.f), true
+		return int64(c.float()), true
 	default:
 		return 0, false
 	}
@@ -324,9 +423,9 @@ func (n *Node) Float(path string) (v float64, ok bool) {
 	}
 	switch c.kind {
 	case KindFloat:
-		return c.f, true
+		return c.float(), true
 	case KindInt:
-		return float64(c.i), true
+		return float64(int64(c.num)), true
 	default:
 		return 0, false
 	}
@@ -347,7 +446,7 @@ func (n *Node) Bool(path string) (v bool, ok bool) {
 	if !ok || c.kind != KindBool {
 		return false, false
 	}
-	return c.b, true
+	return c.num != 0, true
 }
 
 // IntArray returns the int64 array stored at path. The returned slice is the
@@ -357,7 +456,7 @@ func (n *Node) IntArray(path string) (v []int64, ok bool) {
 	if !ok || c.kind != KindIntArray {
 		return nil, false
 	}
-	return c.ia, true
+	return c.ext.ia, true
 }
 
 // FloatArray returns the float64 array stored at path; read-only.
@@ -366,46 +465,56 @@ func (n *Node) FloatArray(path string) (v []float64, ok bool) {
 	if !ok || c.kind != KindFloatArray {
 		return nil, false
 	}
-	return c.fa, true
+	return c.ext.fa, true
 }
 
 // Value returns the leaf value as an interface{} (nil for object/empty).
 func (n *Node) Value() interface{} {
 	switch n.kind {
 	case KindInt:
-		return n.i
+		return int64(n.num)
 	case KindFloat:
-		return n.f
+		return n.float()
 	case KindString:
 		return n.s
 	case KindBool:
-		return n.b
+		return n.num != 0
 	case KindIntArray:
-		return n.ia
+		return n.ext.ia
 	case KindFloatArray:
-		return n.fa
+		return n.ext.fa
 	default:
 		return nil
 	}
 }
 
+// setLeafFrom makes n a copy of the leaf src, arrays included.
+func (n *Node) setLeafFrom(src *Node) {
+	switch src.kind {
+	case KindIntArray, KindFloatArray:
+		n.setArray(src.kind, append([]int64(nil), src.ext.ia...), append([]float64(nil), src.ext.fa...))
+	default:
+		n.setScalar(src.kind, src.num, src.s)
+	}
+}
+
 // Clone returns a deep copy of the subtree rooted at n.
 func (n *Node) Clone() *Node {
-	out := &Node{kind: n.kind, i: n.i, f: n.f, s: n.s, b: n.b}
-	if n.ia != nil {
-		out.ia = append([]int64(nil), n.ia...)
+	if n.kind != KindObject {
+		out := &Node{}
+		out.setLeafFrom(n)
+		return out
 	}
-	if n.fa != nil {
-		out.fa = append([]float64(nil), n.fa...)
+	names := n.names()
+	if len(names) == 0 {
+		return &Node{kind: KindObject}
 	}
-	if n.children != nil || n.cowBase != nil {
-		out.children = make(map[string]*Node, len(n.order))
-		out.order = append([]string(nil), n.order...)
-		for _, name := range n.order {
-			out.children[name] = n.lookup(name).Clone()
-		}
+	e := &nodeExt{names: append([]string(nil), names...), vals: make([]*Node, len(names))}
+	for i := range names {
+		e.vals[i] = n.at(i).Clone()
 	}
-	return out
+	e.reindex()
+	return &Node{kind: KindObject, ext: e}
 }
 
 // Merge copies every leaf of src into n, overwriting leaves that collide and
@@ -418,15 +527,12 @@ func (n *Node) Merge(src *Node) {
 	}
 	if src.kind != KindObject {
 		if src.kind != KindEmpty {
-			n.setLeaf(src.kind)
-			n.i, n.f, n.s, n.b = src.i, src.f, src.s, src.b
-			n.ia = append([]int64(nil), src.ia...)
-			n.fa = append([]float64(nil), src.fa...)
+			n.setLeafFrom(src)
 		}
 		return
 	}
-	for _, name := range src.order {
-		n.ensureChild(name).Merge(src.lookup(name))
+	for i, name := range src.names() {
+		ensureChild(n, name).Merge(src.at(i))
 	}
 }
 
@@ -436,25 +542,19 @@ func (n *Node) Merge(src *Node) {
 // must not mutate it afterwards. SOMA's hot paths use it to wrap published
 // trees in RPC envelopes and snapshot subtrees in responses.
 func (n *Node) Attach(name string, child *Node) {
-	if n.kind != KindObject {
-		n.kind = KindObject
-		n.i, n.f, n.s, n.b, n.ia, n.fa = 0, 0, "", false, nil, nil
+	e := n.own()
+	if i := pos(e, name); i >= 0 {
+		e.vals[i] = child
+	} else {
+		e.add(name, child)
 	}
-	n.flatten()
-	if n.children == nil {
-		n.children = make(map[string]*Node)
-	}
-	if _, ok := n.children[name]; !ok {
-		n.order = append(n.order, name)
-	}
-	n.children[name] = child
 }
 
 // Overlay bounds for MergeCOW. A chain deeper than cowMaxChain is collapsed
 // into a single delta over the flat base (so lookups stay a handful of map
 // probes); a delta holding more than max(cowFlattenMin, total/cowFlattenFrac)
-// entries is materialized into a flat map (so a delta never dwarfs the base
-// it shadows).
+// entries is materialized into a plain object (so a delta never dwarfs the
+// base it shadows).
 const (
 	cowFlattenMin  = 16
 	cowFlattenFrac = 8
@@ -464,14 +564,17 @@ const (
 // compact enforces the overlay bounds on a freshly built MergeCOW node; n is
 // owned by the caller at this point, so rewriting it in place is safe.
 func (n *Node) compact() {
+	// Every base was itself compacted, so the chain is at most one layer
+	// over the bound.
+	var layers [cowMaxChain + 1]*nodeExt
 	depth, deltaTotal := 0, 0
-	base := n
-	for base.cowBase != nil {
+	flat := n
+	for ; flat.ext.base != nil; flat = flat.ext.base {
+		layers[depth] = flat.ext
 		depth++
-		deltaTotal += len(base.children)
-		base = base.cowBase
+		deltaTotal += len(flat.ext.vals)
 	}
-	if deltaTotal > cowFlattenMin && deltaTotal*cowFlattenFrac > len(n.order) {
+	if deltaTotal > cowFlattenMin && deltaTotal*cowFlattenFrac > len(n.ext.names) {
 		n.flatten()
 		return
 	}
@@ -480,29 +583,31 @@ func (n *Node) compact() {
 	}
 	// Collapse the chain into one delta over the flat base: apply layers
 	// oldest-first so newer entries shadow older ones.
-	layers := make([]*Node, 0, depth)
-	for cur := n; cur.cowBase != nil; cur = cur.cowBase {
-		layers = append(layers, cur)
-	}
-	m := make(map[string]*Node, deltaTotal)
-	for i := len(layers) - 1; i >= 0; i-- {
-		for name, c := range layers[i].children {
-			m[name] = c
+	vals := make([]*Node, 0, deltaTotal)
+	index := make(map[string]int, deltaTotal)
+	for i := depth - 1; i >= 0; i-- {
+		for name, j := range layers[i].index {
+			if k, ok := index[name]; ok {
+				vals[k] = layers[i].vals[j]
+			} else {
+				index[name] = len(vals)
+				vals = append(vals, layers[i].vals[j])
+			}
 		}
 	}
-	n.children = m
-	n.cowBase = base
+	n.ext.vals, n.ext.index, n.ext.base = vals, index, flat
 }
 
 // MergeCOW returns a tree with the same contents dst would have after
-// dst.Merge(src), without mutating dst: nodes along paths touched by src
-// become thin overlays (a small delta map layered over dst's node via
-// cowBase), everything untouched is shared by reference with dst, and
-// subtrees unique to src are shared by reference with src. Both inputs must
-// be treated as immutable afterwards. This is the copy-on-read primitive
-// behind the SOMA service's merge snapshots: building generation N+1 costs
-// O(paths touched by src), not O(fan-out of dst) — a 10k-child host node is
-// never recopied just because one sample under it changed.
+// dst.Merge(src), without mutating dst: everything untouched is shared by
+// reference with dst, and subtrees unique to src are shared by reference with
+// src. Along the paths src touches, a small object (no index) is copied — at
+// most smallObject pointers — and a wide one becomes a thin overlay (a small
+// delta map layered over dst's node via base). Both inputs must be treated
+// as immutable afterwards. This is the copy-on-read primitive behind the
+// SOMA service's merge snapshots: building generation N+1 costs O(paths
+// touched by src), not O(fan-out of dst) — a 10k-child host node is never
+// recopied just because one sample under it changed.
 func MergeCOW(dst, src *Node) *Node {
 	if src == nil || src.kind == KindEmpty {
 		return dst
@@ -516,28 +621,46 @@ func MergeCOW(dst, src *Node) *Node {
 		// semantics). Either way the result equals src, which can be shared.
 		return src
 	}
-	if len(dst.order) == 0 {
+	if dst.NumChildren() == 0 {
 		// Merging onto an empty object yields exactly src's contents.
 		return src
 	}
-	// dst's order is shared with its capacity pinned: appending a new name
-	// then reallocates instead of scribbling on the shared backing array.
-	// The new layer's delta holds only the children src touches — dst's own
-	// delta is layered behind it via the cowBase chain, never recopied.
-	out := &Node{
-		kind:     KindObject,
-		order:    dst.order[:len(dst.order):len(dst.order)],
-		cowBase:  dst,
-		children: make(map[string]*Node, len(src.order)),
+	if src.NumChildren() == 0 {
+		return dst
 	}
-	for _, name := range src.order {
-		sc := src.lookup(name)
-		if existing := dst.lookup(name); existing != nil {
-			out.children[name] = MergeCOW(existing, sc)
-		} else {
-			out.children[name] = sc
-			out.order = append(out.order, name)
+	// dst's names are shared with their capacity pinned: appending a new name
+	// then reallocates instead of scribbling on the shared backing array.
+	de := dst.ext
+	e := &nodeExt{names: de.names[:len(de.names):len(de.names)]}
+	out := &Node{kind: KindObject, ext: e}
+	sn := src.ext.names
+	if de.index == nil {
+		// Small plain dst: an owned copy of its child pointers is cheaper
+		// than a delta, and leaves no chain behind.
+		e.vals = append(make([]*Node, 0, len(de.vals)+1), de.vals...)
+		for i, name := range sn {
+			if j := pos(de, name); j >= 0 {
+				e.vals[j] = MergeCOW(de.vals[j], src.at(i))
+			} else {
+				e.add(name, src.at(i))
+			}
 		}
+		return out
+	}
+	// Wide dst: the new layer's delta holds only the children src touches —
+	// dst's own delta is layered behind it via the base chain, never recopied.
+	e.base = dst
+	e.vals = make([]*Node, 0, len(sn))
+	e.index = make(map[string]int, len(sn))
+	for i, name := range sn {
+		sc := src.at(i)
+		if existing := lookup(dst, name); existing != nil {
+			sc = MergeCOW(existing, sc)
+		} else {
+			e.names = append(e.names, name)
+		}
+		e.index[name] = len(e.vals)
+		e.vals = append(e.vals, sc)
 	}
 	out.compact()
 	return out
@@ -565,13 +688,13 @@ func (n *Node) WalkBytes(fn func(path []byte, leaf *Node) bool) {
 }
 
 func (n *Node) walk(buf []byte, fn func([]byte, *Node) bool) bool {
-	for _, name := range n.order {
+	for i, name := range n.names() {
 		mark := len(buf)
 		if mark > 0 {
 			buf = append(buf, '/')
 		}
 		buf = append(buf, name...)
-		c := n.lookup(name)
+		c := n.at(i)
 		if c.kind == KindObject {
 			if !c.walk(buf, fn) {
 				return false
@@ -594,10 +717,23 @@ func (n *Node) Leaves() []string {
 	return out
 }
 
-// NumLeaves counts the leaves under n.
+// NumLeaves counts the leaves under n — what Walk would visit — without
+// building a single path.
 func (n *Node) NumLeaves() int {
+	if n.kind == KindEmpty {
+		return 0
+	}
+	return n.countLeaves()
+}
+
+func (n *Node) countLeaves() int {
+	if n.kind != KindObject {
+		return 1
+	}
 	c := 0
-	n.Walk(func(string, *Node) bool { c++; return true })
+	for i := range n.names() {
+		c += n.at(i).countLeaves()
+	}
 	return c
 }
 
@@ -613,46 +749,32 @@ func (n *Node) Equal(other *Node) bool {
 	}
 	switch n.kind {
 	case KindObject:
-		if len(n.order) != len(other.order) {
+		names, onames := n.names(), other.names()
+		if len(names) != len(onames) {
 			return false
 		}
-		for _, name := range n.order {
-			oc := other.lookup(name)
-			if oc == nil || !n.lookup(name).Equal(oc) {
+		for i, name := range names {
+			// Same insertion order on both sides is the common case and
+			// needs no lookup.
+			var oc *Node
+			if onames[i] == name {
+				oc = other.at(i)
+			} else if oc = lookup(other, name); oc == nil {
+				return false
+			}
+			if !n.at(i).Equal(oc) {
 				return false
 			}
 		}
 		return true
-	case KindInt:
-		return n.i == other.i
 	case KindFloat:
-		return n.f == other.f
-	case KindString:
-		return n.s == other.s
-	case KindBool:
-		return n.b == other.b
+		return n.float() == other.float()
 	case KindIntArray:
-		if len(n.ia) != len(other.ia) {
-			return false
-		}
-		for i := range n.ia {
-			if n.ia[i] != other.ia[i] {
-				return false
-			}
-		}
-		return true
+		return slices.Equal(n.ext.ia, other.ext.ia)
 	case KindFloatArray:
-		if len(n.fa) != len(other.fa) {
-			return false
-		}
-		for i := range n.fa {
-			if n.fa[i] != other.fa[i] {
-				return false
-			}
-		}
-		return true
+		return slices.Equal(n.ext.fa, other.ext.fa)
 	default:
-		return true
+		return n.num == other.num && n.s == other.s
 	}
 }
 
@@ -700,8 +822,8 @@ func (n *Node) format(sb *strings.Builder, depth int, name string) {
 		if name != "" {
 			sb.WriteString("\n")
 		}
-		for _, cn := range n.order {
-			n.lookup(cn).format(sb, depth+1, cn)
+		for i, cn := range n.names() {
+			n.at(i).format(sb, depth+1, cn)
 		}
 	case KindEmpty:
 		sb.WriteString(" ~\n")

@@ -192,8 +192,7 @@ func TestMergeLeafIntoNode(t *testing.T) {
 	leaf := NewNode()
 	leaf.SetString("", "") // stays empty: SetString("") sets the node itself
 	b := NewNode()
-	b.Fetch("v").setLeaf(KindString)
-	b.Fetch("v").s = "now-a-string"
+	b.Fetch("v").setScalar(KindString, 0, "now-a-string")
 	a.Merge(b)
 	if v, ok := a.StringVal("v"); !ok || v != "now-a-string" {
 		t.Errorf("leaf type overwrite failed: %q %v", v, ok)

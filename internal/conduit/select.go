@@ -50,7 +50,7 @@ func (n *Node) selectWalk(prefix string, pattern []string, out *[]string) {
 	if n.kind != KindObject {
 		return
 	}
-	for _, name := range n.order {
+	for i, name := range n.names() {
 		if seg != "*" && seg != name {
 			continue
 		}
@@ -58,7 +58,7 @@ func (n *Node) selectWalk(prefix string, pattern []string, out *[]string) {
 		if prefix != "" {
 			p = prefix + "/" + name
 		}
-		n.lookup(name).selectWalk(p, pattern[1:], out)
+		n.at(i).selectWalk(p, pattern[1:], out)
 	}
 }
 

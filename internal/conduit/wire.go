@@ -53,15 +53,12 @@ func (w *leafWalk) node(depth int, fn func(path []byte, v float64)) (stop bool, 
 	}
 	switch k {
 	case KindObject:
-		count, err := r.uvarint()
+		count, err := r.count(minChildBytes)
 		if err != nil {
 			return false, err
 		}
-		if count > maxDecodeItems {
-			return false, fmt.Errorf("conduit: child count %d too large", count)
-		}
 		mark := len(w.path)
-		for i := uint64(0); i < count; i++ {
+		for i := 0; i < count; i++ {
 			name, err := r.strBytes()
 			if err != nil {
 				return false, err
@@ -174,14 +171,11 @@ func SliceFields(frame []byte, names []string, out [][]byte) error {
 		}
 	} else {
 		r.pos++
-		count, err := r.uvarint()
+		count, err := r.count(minChildBytes)
 		if err != nil {
 			return err
 		}
-		if count > maxDecodeItems {
-			return fmt.Errorf("conduit: child count %d too large", count)
-		}
-		for i := uint64(0); i < count; i++ {
+		for i := 0; i < count; i++ {
 			name, err := r.strBytes()
 			if err != nil {
 				return err
@@ -456,14 +450,11 @@ func (m *nodeMerger) emit(dst []byte, head int32, depth int) ([]byte, error) {
 // every child on the way (that walk is also what finds where each one ends).
 func (m *nodeMerger) index(e mergeEnt, depth int) error {
 	r := binReader{data: m.srcs[e.src], pos: int(e.node) + 1}
-	count, err := r.uvarint()
+	count, err := r.count(minChildBytes)
 	if err != nil {
 		return err
 	}
-	if count > maxDecodeItems {
-		return fmt.Errorf("conduit: child count %d too large", count)
-	}
-	for c := uint64(0); c < count; c++ {
+	for c := 0; c < count; c++ {
 		name, err := r.strBytes()
 		if err != nil {
 			return err

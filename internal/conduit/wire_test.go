@@ -22,14 +22,14 @@ type leafSample struct {
 func treeNumericLeaves(n *Node) []leafSample {
 	var out []leafSample
 	n.WalkBytes(func(path []byte, leaf *Node) bool {
-		if len(path) == 0 {
-			return true // a bare scalar root has no series
+		if leaf == n {
+			return true // a bare scalar root has no series (a child named "" does)
 		}
 		switch leaf.Kind() {
 		case KindFloat:
-			out = append(out, leafSample{string(path), leaf.f})
+			out = append(out, leafSample{string(path), leaf.float()})
 		case KindInt:
-			out = append(out, leafSample{string(path), float64(leaf.i)})
+			out = append(out, leafSample{string(path), float64(int64(leaf.num))})
 		}
 		return true
 	})

@@ -499,6 +499,10 @@ func FuzzWireIngest(f *testing.F) {
 	scalar := conduit.NewNode()
 	scalar.SetInt("", 7)
 	f.Add(conduit.AppendBatchEntryEncoded(conduit.AppendBatchHeader(nil), string(NSHardware), scalar.EncodeBinary()))
+	// A child object whose count of zero is spelled 0x80 0x00: both folds must
+	// leave the child as absent as a one-byte zero does.
+	f.Add(conduit.AppendBatchEntryEncoded(conduit.AppendBatchHeader(nil), string(NSHardware),
+		[]byte{'C', 'D', 'T', 1, byte(conduit.KindObject), 1, 1, 'a', byte(conduit.KindObject), 0x80, 0x00}))
 
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		clock := &fakeClock{}

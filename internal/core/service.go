@@ -714,6 +714,7 @@ func (s *Service) Close() error {
 		cl.shutdown()
 	}
 	err := s.engine.Close()
+	s.leases.closeAll()
 	if s.bus != nil {
 		s.bus.Close()
 	}

@@ -192,6 +192,18 @@ func (lt *leaseTable) sweep(now time.Time) {
 	}
 }
 
+// closeAll cancels and forgets every lease: the service is closing, and
+// neither a sweep nor an unsub will come to reclaim them.
+func (lt *leaseTable) closeAll() {
+	lt.mu.Lock()
+	defer lt.mu.Unlock()
+	for id, st := range lt.subs {
+		st.cancel()
+		delete(lt.subs, id)
+		telRemoteSubs.Dec()
+	}
+}
+
 var updatesSubFields = []string{"prefix"}
 
 // handleUpdatesSub serves soma.updates.sub {prefix} → {id}.

@@ -209,6 +209,37 @@ func TestLeaseExpiry(t *testing.T) {
 	}
 }
 
+func TestCloseReleasesLeases(t *testing.T) {
+	// Service.Close is the last chance to reclaim a lease: every one is
+	// cancelled and forgotten, and the process-wide gauge gives each back.
+	svc, addr := streamService(t, "inproc")
+	gauge := telRemoteSubs.Value()
+	dialStream(t, addr, "ns/")
+	dialStream(t, addr, "alerts/")
+	if got := telRemoteSubs.Value() - gauge; got != 2 {
+		t.Fatalf("zmq.pubsub.remote.subscribers moved by %v with two subscribers, want 2", got)
+	}
+	cancelled := 0
+	svc.leases.mu.Lock()
+	for _, st := range svc.leases.subs {
+		cancel := st.cancel
+		st.cancel = func() { cancelled++; cancel() }
+	}
+	svc.leases.mu.Unlock()
+
+	svc.Close()
+	if got := telRemoteSubs.Value(); got != gauge {
+		t.Fatalf("zmq.pubsub.remote.subscribers = %v after Close, want %v (where it started)", got, gauge)
+	}
+	if cancelled != 2 || len(svc.leases.subs) != 0 {
+		t.Fatalf("Close cancelled %d bus subscriptions and left %d leases, want 2 and 0", cancelled, len(svc.leases.subs))
+	}
+	svc.Close() // the cleanup's second Close finds nothing to give back twice
+	if got := telRemoteSubs.Value(); got != gauge {
+		t.Fatalf("zmq.pubsub.remote.subscribers = %v after a second Close, want %v", got, gauge)
+	}
+}
+
 func TestLeaseSurvivesIdleGapWhenPolled(t *testing.T) {
 	// Regression: recv used to sweep before refreshing the caller's own
 	// lastSeen, so a subscriber whose gap between recv calls just exceeded
