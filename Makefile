@@ -53,11 +53,16 @@ verify: build vet lint test race bench-module
 # parity tests), the client publish pipeline (coalescer, spill queue,
 # redelivery) and the in-process publish door (no retained tree, placed like
 # a wire publish) repeatedly under the race detector, plus the in-process
-# fleet scenarios (kill/restart, fault timelines).
+# fleet scenarios (kill/restart, fault timelines). The whole output is kept
+# in verify-stream.log (CI uploads it when the job fails): a -race report is
+# hundreds of lines and a failure here may not recur for dozens of runs.
+verify-stream: SHELL := bash
+verify-stream: .SHELLFLAGS := -o pipefail -c
 verify-stream:
 	$(GO) test ./internal/core/ ./internal/zmq/ ./internal/mercury/ ./internal/scenario/ \
 		-race -count=3 \
-		-run 'Subscribe|Watch|Stream|Series|Alert|Updates|Lease|PubSub|Queue|Blocking|Flush|Fanout|Scenario|Scatter|Spill|Batch|Publish|Cluster|RPCTable|RPCSolo|Retain|PlacesLike'
+		-run 'Subscribe|Watch|Stream|Series|Alert|Updates|Lease|PubSub|Queue|Blocking|Flush|Fanout|Scenario|Scatter|Spill|Batch|Publish|Cluster|RPCTable|RPCSolo|Retain|PlacesLike' \
+		2>&1 | tee verify-stream.log
 
 bench:
 	$(GO) test ./internal/core/ -run '^$$' \

@@ -95,9 +95,6 @@ func runLoad(argv []string) int {
 	addrs := make([]string, *peers)
 	for i := range svcs {
 		svcs[i] = core.NewService(core.ServiceConfig{
-			// Bounded history: at load rates the ring is a sliding window, and
-			// keeping it short keeps retained records (and GC scan) flat.
-			MaxRecords:     4096,
 			DisableRollups: !*rollups,
 		})
 		defer svcs[i].Close()

@@ -12,7 +12,7 @@ import (
 
 // Publishes coalesced into batches must land on the server in publish order,
 // including across flush boundaries: with MaxLeaves=4 a run of 50 publishes
-// spans many batch frames, and the merged history must still be monotonic.
+// spans many batch frames, and the stored records must still be monotonic.
 func TestBatchOrderingAcrossFlushBoundaries(t *testing.T) {
 	svc, addr := newTestService(t, ServiceConfig{})
 	c, err := Connect(addr, nil)
@@ -37,26 +37,28 @@ func TestBatchOrderingAcrossFlushBoundaries(t *testing.T) {
 		t.Fatalf("Published() = %d, want %d", got, total)
 	}
 
-	// Last writer wins in the merged tree.
+	// The pending records preserve publish order across every flush boundary
+	// (read before the query below folds them away).
+	pend := pendingRecords(svc.instances[NSWorkflow])
+	if len(pend) != total {
+		t.Fatalf("service holds %d records, want %d", len(pend), total)
+	}
+	for i, rec := range pend {
+		tree, err := conduit.DecodeBinary(rec.enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := tree.Int("order/seq"); !ok || v != int64(i) {
+			t.Fatalf("record[%d] seq = %d (%v), want %d", i, v, ok, i)
+		}
+	}
+	// And last writer wins in the merged tree.
 	tree, err := svc.Query(NSWorkflow, "order")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v, ok := tree.Int("seq"); !ok || v != total-1 {
 		t.Fatalf("merged seq = %d (%v), want %d", v, ok, total-1)
-	}
-	// And the raw history preserves publish order across every flush boundary.
-	hist, err := svc.History(NSWorkflow, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hist) != total {
-		t.Fatalf("history has %d records, want %d", len(hist), total)
-	}
-	for i, rec := range hist {
-		if v, ok := rec.Int("order/seq"); !ok || v != int64(i) {
-			t.Fatalf("history[%d] seq = %d (%v), want %d", i, v, ok, i)
-		}
 	}
 }
 
@@ -127,8 +129,8 @@ func TestBatchUnknownNamespace(t *testing.T) {
 	if err := c.Flush(); err != nil {
 		t.Fatalf("flush: the rejected publish voided its neighbour: %v", err)
 	}
-	if hist, err := svc.History(NSWorkflow, 0); err != nil || len(hist) != 1 {
-		t.Fatalf("service holds %d records (err=%v), want the 1 valid neighbour", len(hist), err)
+	if pend := pendingRecords(svc.instances[NSWorkflow]); len(pend) != 1 {
+		t.Fatalf("service holds %d records, want the 1 valid neighbour", len(pend))
 	}
 	if got := c.Published(); got != 1 {
 		t.Fatalf("Published() = %d, want 1", got)
@@ -140,8 +142,8 @@ func TestBatchUnknownNamespace(t *testing.T) {
 	if _, err := c.ep.Call(context.Background(), RPCPublishBatch, frame); err == nil {
 		t.Fatal("service accepted a hand-built batch frame with a bogus namespace")
 	}
-	if hist, err := svc.History(NSWorkflow, 0); err != nil || len(hist) != 1 {
-		t.Fatalf("atomically-rejected frame leaked: service holds %d records (err=%v), want 1", len(hist), err)
+	if pend := pendingRecords(svc.instances[NSWorkflow]); len(pend) != 1 {
+		t.Fatalf("atomically-rejected frame leaked: service holds %d records, want 1", len(pend))
 	}
 }
 
@@ -240,24 +242,25 @@ func TestSpillDrainsThroughBatchRedelivery(t *testing.T) {
 		t.Fatalf("Published() = %d, want %d (zero loss, exactly-once counting)", got, before+during)
 	}
 	// The restarted service received every outage publish, in order.
-	hist, err := svc2.History(NSWorkflow, 0)
-	if err != nil {
-		t.Fatal(err)
+	pend := pendingRecords(svc2.instances[NSWorkflow])
+	if len(pend) != during {
+		t.Fatalf("restarted service has %d records, want %d", len(pend), during)
 	}
-	if len(hist) != during {
-		t.Fatalf("restarted service has %d records, want %d", len(hist), during)
-	}
-	for i, rec := range hist {
-		if v, ok := rec.Int("restart/seq"); !ok || v != int64(before+i) {
-			t.Fatalf("history[%d] seq = %d (%v), want %d", i, v, ok, before+i)
+	for i, rec := range pend {
+		tree, err := conduit.DecodeBinary(rec.enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := tree.Int("restart/seq"); !ok || v != int64(before+i) {
+			t.Fatalf("record[%d] seq = %d (%v), want %d", i, v, ok, before+i)
 		}
 	}
 }
 
 // The server's one ingest path is decode-free: batch entries are validated
 // and stored as wire bytes, folded straight into snapshots, rolled up from
-// the bytes, and only decoded lazily for History — in the shipped
-// configuration, rollups on.
+// the bytes, and never decoded by the service — in the shipped configuration,
+// rollups on.
 func TestBatchRawIngestPath(t *testing.T) {
 	svc, addr := newTestService(t, ServiceConfig{})
 	c, err := Connect(addr, nil)
@@ -288,6 +291,25 @@ func TestBatchRawIngestPath(t *testing.T) {
 		t.Fatalf("Published() = %d, want %d", got, total)
 	}
 
+	// Every pending record is a validated subslice of the retained wire frame,
+	// in publish order (read before the query below folds them away).
+	pend := pendingRecords(svc.instances[NSHardware])
+	if len(pend) != total {
+		t.Fatalf("service holds %d records, want %d", len(pend), total)
+	}
+	for i, rec := range pend {
+		tree, err := conduit.DecodeBinary(rec.enc)
+		if err != nil {
+			t.Fatalf("record %d is not a raw wire frame: %v", i, err)
+		}
+		if v, ok := tree.Int("raw/seq"); !ok || v != int64(i) {
+			t.Fatalf("record[%d] seq = %d (%v), want %d", i, v, ok, i)
+		}
+		if ia, ok := tree.IntArray("raw/hist"); !ok || len(ia) != 2 || ia[0] != int64(i) {
+			t.Fatalf("record[%d] hist = %v (%v)", i, ia, ok)
+		}
+	}
+
 	// Query folds the raw records into the snapshot without materializing.
 	tree, err := svc.Query(NSHardware, "raw")
 	if err != nil {
@@ -306,31 +328,7 @@ func TestBatchRawIngestPath(t *testing.T) {
 		t.Fatalf("state = %q (%v), want ok", s, ok)
 	}
 
-	// History decodes the stored wire bytes lazily, preserving order.
-	hist, err := svc.History(NSHardware, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hist) != total {
-		t.Fatalf("history has %d records, want %d", len(hist), total)
-	}
-	for i, rec := range hist {
-		if v, ok := rec.Int("raw/seq"); !ok || v != int64(i) {
-			t.Fatalf("history[%d] seq = %d (%v), want %d", i, v, ok, i)
-		}
-		if ia, ok := rec.IntArray("raw/hist"); !ok || len(ia) != 2 || ia[0] != int64(i) {
-			t.Fatalf("history[%d] hist = %v (%v)", i, ia, ok)
-		}
-	}
-
-	// Every record holds wire bytes, and the rollups saw every numeric leaf.
-	for _, st := range svc.instances[NSHardware].stripes {
-		for i := 0; i < st.count; i++ {
-			if st.history[i].enc == nil {
-				t.Fatalf("history record %d is not raw wire bytes", i)
-			}
-		}
-	}
+	// The rollups saw every numeric leaf.
 	se, err := svc.QuerySeries(NSHardware, "raw/seq", LevelRaw, 0)
 	if err != nil || len(se.Points) != total || se.Points[total-1].Value != total-1 {
 		t.Fatalf("rollup of raw/seq: %d points (err=%v), want %d ending at %d", len(se.Points), err, total, total-1)
@@ -347,6 +345,31 @@ func TestBatchRawIngestPath(t *testing.T) {
 		if st.BytesIn == 0 {
 			t.Fatal("stats bytes_in = 0 on the raw path")
 		}
+	}
+}
+
+// A publisher's frame is retained from the door to the fold and no longer: once
+// a read has folded the batch into the snapshot, no stripe holds a record of it.
+func TestFoldReleasesRecords(t *testing.T) {
+	svc, _ := newTestService(t, ServiceConfig{})
+	frame := conduit.AppendBatchHeader(nil)
+	const total = 16
+	for i := 0; i < total; i++ {
+		frame = conduit.AppendBatchEntryEncoded(frame, string(NSHardware), seqTree(i).EncodeBinary())
+	}
+	if _, err := svc.handlePublishBatch(context.Background(), frame); err != nil {
+		t.Fatal(err)
+	}
+	in := svc.instances[NSHardware]
+	if pend := pendingRecords(in); len(pend) != total {
+		t.Fatalf("%d records pending before the fold, want %d", len(pend), total)
+	}
+	tree, err := svc.Query(NSHardware, "")
+	if err != nil || tree.NumLeaves() == 0 {
+		t.Fatalf("query after the batch: %d leaves (err=%v)", tree.NumLeaves(), err)
+	}
+	if pend := pendingRecords(in); len(pend) != 0 {
+		t.Fatalf("%d records still pending after the fold", len(pend))
 	}
 }
 
@@ -389,8 +412,8 @@ func TestBatchRejectsAtomically(t *testing.T) {
 		t.Fatal("batch with corrupt tree bytes accepted")
 	}
 
-	if hist, err := svc.History(NSWorkflow, 0); err != nil || len(hist) != 0 {
-		t.Fatalf("rejected batch leaked %d records (err=%v)", len(hist), err)
+	if pend := pendingRecords(svc.instances[NSWorkflow]); len(pend) != 0 {
+		t.Fatalf("rejected batch leaked %d records", len(pend))
 	}
 	if st := svc.Stats()[0]; st.Publishes != 0 || st.Leaves != 0 {
 		t.Fatalf("rejected batch counted: %+v", st)

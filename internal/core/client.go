@@ -444,7 +444,6 @@ func (c *Client) Stats() (map[Namespace]InstanceStats, error) {
 			st.SeriesCap = int(v)
 		}
 		st.SeriesBytes, _ = sub.Int("series_bytes")
-		st.HistoryBytes, _ = sub.Int("history_bytes")
 		stats[st.Namespace] = st
 	}
 	return stats, nil

@@ -27,8 +27,9 @@ import (
 //
 // Trees are materialized only where something reads them as trees: the
 // snapshot rebuild folds raw records straight from their bytes into its
-// accumulator (conduit.MergeBinaryIntoCached), History reads decode a record
-// lazily (record.tree), Service.Query hands out the snapshot's tree.
+// accumulator (conduit.MergeBinaryIntoCached), Service.Query hands out the
+// snapshot's tree. A publish's bytes live in a stripe's pending list until
+// that fold and nowhere after.
 
 // pub is one publish on its way through the pipeline: enc is a complete,
 // validated CDT1 frame that the service owns — a subslice of its private copy
@@ -49,9 +50,9 @@ func runEnd(pubs []pub, i int) int {
 }
 
 // append adds a run of publishes to one stripe under a SINGLE lock
-// acquisition: per publish it costs two ring stores and a seq bump. Sequence
-// numbers are taken inside the lock so the run occupies a contiguous seq
-// range (and one stripe's records stay seq-ordered); the generation bumps
+// acquisition: per publish it costs one pending append and a seq bump.
+// Sequence numbers are taken inside the lock so the run occupies a contiguous
+// seq range (and one stripe's records stay seq-ordered); the generation bumps
 // once, after every record is visible, so a snapshot stamped with the new
 // gen contains the whole run. No tree is merged here; merging is deferred to
 // the next snapshot rebuild.
@@ -59,14 +60,7 @@ func (in *instance) append(now float64, run []pub, rawBytes int) {
 	st := in.stripes[int(in.rr.Add(1))%len(in.stripes)]
 	st.mu.Lock()
 	for k := range run {
-		rec := record{time: now, seq: in.seq.Add(1), enc: run[k].enc}
-		st.pending = append(st.pending, rec)
-		st.histLen += int64(len(rec.enc) - len(st.history[st.head].enc))
-		st.history[st.head] = rec
-		st.head = (st.head + 1) % len(st.history)
-		if st.count < len(st.history) {
-			st.count++
-		}
+		st.pending = append(st.pending, record{seq: in.seq.Add(1), enc: run[k].enc})
 	}
 	st.pubs += int64(len(run))
 	st.bytesIn += int64(rawBytes)
@@ -177,7 +171,7 @@ func (s *Service) PublishCtx(ctx context.Context, ns Namespace, n *conduit.Node,
 		return errNilTree
 	}
 	// The door: from here on the publish is the frame a client would have
-	// sent, exact-size because the history ring retains it.
+	// sent, exact-size because the pending queue retains it until the next fold.
 	enc := n.EncodeBinaryStable()
 	if cl := s.cl.Load(); cl != nil {
 		if done, err := cl.forwardPublish(ctx, ns, enc, nil); done {

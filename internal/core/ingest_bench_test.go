@@ -193,8 +193,7 @@ func BenchmarkSelectSnapshot(b *testing.B) {
 // 1e9/ns_per_op is the sustained publishes/sec a single connection carries —
 // the number scripts/benchdiff.sh gates against min_batch_publishes_per_sec.
 func BenchmarkPublishBatch(b *testing.B) {
-	// The shipped configuration: rollups on, default history ring (raw
-	// records are flat byte slices, so the ring costs the collector little).
+	// The shipped configuration: rollups on.
 	svc := NewService(ServiceConfig{})
 	addr, err := svc.Listen("inproc://bench-publish-batch")
 	if err != nil {

@@ -24,8 +24,8 @@ type observed struct {
 	Query   map[Namespace]string // soma.query "" per namespace, formatted
 	Series  map[string]Series    // "<ns> <key> <level>" → soma.series answer
 	Alerts  []AlertState
-	History map[Namespace][]string // Service.History, formatted, in order
-	Records map[Namespace][][]byte // the stored records' frames, in arrival order
+	Pending map[Namespace][]string // the pending records decoded and formatted, in arrival order
+	Records map[Namespace][][]byte // the pending records' frames, in arrival order
 	Updates []string               // what a Client.Subscribe consumer decoded, in order
 }
 
@@ -63,7 +63,7 @@ func observe(t *testing.T, pubs []pubCase, send func(t *testing.T, svc *Service,
 
 	send(t, svc, addr, pubs)
 
-	out := observed{Query: map[Namespace]string{}, Series: map[string]Series{}, History: map[Namespace][]string{},
+	out := observed{Query: map[Namespace]string{}, Series: map[string]Series{}, Pending: map[Namespace][]string{},
 		Records: map[Namespace][][]byte{}}
 	for len(out.Updates) < len(pubs) {
 		select {
@@ -71,6 +71,17 @@ func observe(t *testing.T, pubs []pubCase, send func(t *testing.T, svc *Service,
 			out.Updates = append(out.Updates, fmt.Sprintf("%s t=%g alert=%v\n%s", u.NS, u.Time, u.Alert, u.Tree.Format()))
 		case <-time.After(5 * time.Second):
 			t.Fatalf("subscriber received %d of %d updates", len(out.Updates), len(pubs))
+		}
+	}
+	// The pending records first: the queries below fold them away.
+	for _, ns := range Namespaces {
+		for _, rec := range pendingRecords(svc.instances[ns]) {
+			tree, err := conduit.DecodeBinary(rec.enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out.Pending[ns] = append(out.Pending[ns], tree.Format())
+			out.Records[ns] = append(out.Records[ns], rec.enc)
 		}
 	}
 	for _, ns := range Namespaces {
@@ -91,18 +102,6 @@ func observe(t *testing.T, pubs []pubCase, send func(t *testing.T, svc *Service,
 				}
 				out.Series[fmt.Sprintf("%s %s %s", ns, key, level)] = se
 			}
-		}
-		hist, err := svc.History(ns, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, h := range hist {
-			out.History[ns] = append(out.History[ns], h.Format())
-		}
-		// The default config has one stripe, and these cases never wrap its ring.
-		st := svc.instances[ns].stripes[0]
-		for _, rec := range st.history[:st.count] {
-			out.Records[ns] = append(out.Records[ns], rec.enc)
 		}
 	}
 	if _, out.Alerts, err = c.Alerts(); err != nil {
@@ -247,8 +246,8 @@ func TestWireEntryPointsAgree(t *testing.T) {
 }
 
 // A mis-placed soma.publish is forwarded to its owner verbatim and lands
-// there through the same pipeline: the owner's history holds the publish, no
-// other member's does, and a scattered query finds it from anywhere.
+// there through the same pipeline: the owner's pending queue holds the publish,
+// no other member's does, and a scattered query finds it from anywhere.
 func TestClusterForwardIsVerbatim(t *testing.T) {
 	svcs, addrs := startFleet(t, 3)
 	c, err := Connect(addrs[0], nil)
@@ -266,17 +265,14 @@ func TestClusterForwardIsVerbatim(t *testing.T) {
 	}
 	held, holders := 0, 0
 	for _, svc := range svcs {
-		hist, err := svc.History(NSHardware, -1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		held += len(hist)
-		if len(hist) > 0 {
+		pend := pendingRecords(svc.instances[NSHardware])
+		held += len(pend)
+		if len(pend) > 0 {
 			holders++
 		}
 		keys, _ := svc.SeriesKeys(NSHardware, "FWD/**")
-		if len(keys) != len(hist) {
-			t.Fatalf("member holds %d publishes but %d rollup series", len(hist), len(keys))
+		if len(keys) != len(pend) {
+			t.Fatalf("member holds %d publishes but %d rollup series", len(pend), len(keys))
 		}
 	}
 	if held != n || holders < 2 {
@@ -313,16 +309,20 @@ func TestPublishDoesNotRetainTree(t *testing.T) {
 			t.Errorf("%s shows the tree as mutated after the publish:\n%s", reader, got.Format())
 		}
 	}
+	pend := pendingRecords(svc.instances[NSHardware]) // before the query folds it away
+	if len(pend) != 1 {
+		t.Fatalf("service holds %d records, want 1", len(pend))
+	}
+	stored, err := conduit.DecodeBinary(pend[0].enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("pending record", stored)
 	snap, err := svc.Query(NSHardware, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	check("Query", snap)
-	hist, err := svc.History(NSHardware, -1)
-	if err != nil || len(hist) != 1 {
-		t.Fatalf("history holds %d records (err=%v), want 1", len(hist), err)
-	}
-	check("History", hist[0])
 	u, err := DecodeUpdate(<-ch)
 	if err != nil {
 		t.Fatal(err)
@@ -355,8 +355,8 @@ func TestPublishNilTree(t *testing.T) {
 	if err := c.Publish(NSHardware, nil); err == nil {
 		t.Error("Client.Publish accepted a nil tree")
 	}
-	if hist, _ := svc.History(NSHardware, -1); len(hist) != 0 {
-		t.Errorf("%d publishes ingested from refused requests", len(hist))
+	if pend := pendingRecords(svc.instances[NSHardware]); len(pend) != 0 {
+		t.Errorf("%d publishes ingested from refused requests", len(pend))
 	}
 }
 
@@ -384,17 +384,14 @@ func TestInprocPublishPlacesLikeWire(t *testing.T) {
 	}
 	holders := 0
 	for i, svc := range svcs {
-		hist, err := svc.History(NSHardware, -1)
-		if err != nil {
-			t.Fatal(err)
-		}
 		copies := map[string]int{}
-		for _, h := range hist {
-			copies[h.Format()]++
+		for _, rec := range pendingRecords(svc.instances[NSHardware]) {
+			copies[string(rec.enc)]++
 		}
-		for tree, k := range copies {
+		for enc, k := range copies {
 			if k != 2 {
-				t.Errorf("member %d holds %d of the 2 publishes of\n%s", i, k, tree)
+				tree, _ := conduit.DecodeBinary([]byte(enc))
+				t.Errorf("member %d holds %d of the 2 publishes of\n%s", i, k, tree.Format())
 			}
 		}
 		if len(copies) > 0 {
@@ -507,7 +504,7 @@ func FuzzWireIngest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		clock := &fakeClock{}
 		clock.set(50)
-		wire := NewService(ServiceConfig{Clock: clock, MaxRecords: 64})
+		wire := NewService(ServiceConfig{Clock: clock})
 		defer wire.Close()
 		_, err := wire.handlePublishBatch(context.Background(), frame)
 		entries, derr := conduit.DecodeBatch(frame)
@@ -527,7 +524,7 @@ func FuzzWireIngest(f *testing.F) {
 			}
 			return
 		}
-		ref := NewService(ServiceConfig{Clock: clock, MaxRecords: 64})
+		ref := NewService(ServiceConfig{Clock: clock})
 		defer ref.Close()
 		if err := ref.PublishBatch(entries, len(frame)); err != nil {
 			t.Fatal(err)

@@ -128,13 +128,14 @@ func (h *pipeHarness) wantSpill(buffered int, spilled, redelivered, dropped int6
 
 // wantHeld checks that the services together hold exactly Published()
 // records and that the last one holds seq from..to-1 in publish order. It
-// reads the history ring directly so stopped and closed services count too.
+// reads the pending queues directly (nothing here ever folds them) so stopped
+// and closed services count too.
 func (h *pipeHarness) wantHeld(from, to int, svcs ...*Service) {
 	h.t.Helper()
 	total := 0
-	var last []*conduit.Node
+	var last []record
 	for _, svc := range svcs {
-		last, _ = svc.instances[NSWorkflow].historySince(0)
+		last = pendingRecords(svc.instances[NSWorkflow])
 		total += len(last)
 	}
 	if got := h.c.Published(); got != int64(total) {
@@ -144,7 +145,11 @@ func (h *pipeHarness) wantHeld(from, to int, svcs ...*Service) {
 		h.t.Fatalf("service holds %d records, want seq %d..%d", len(last), from, to-1)
 	}
 	for i, rec := range last {
-		if v, ok := rec.Int("pipe/seq"); !ok || v != int64(from+i) {
+		tree, err := conduit.DecodeBinary(rec.enc)
+		if err != nil {
+			h.t.Fatal(err)
+		}
+		if v, ok := tree.Int("pipe/seq"); !ok || v != int64(from+i) {
 			h.t.Fatalf("record %d has seq %d (%v), want %d: order lost", i, v, ok, from+i)
 		}
 	}

@@ -70,15 +70,14 @@ func RenderSummary(w io.Writer, a Analysis, stats map[Namespace]InstanceStats) {
 	}
 }
 
-// Occupancy renders the instance's bounded stores against their bounds, in
+// Occupancy renders the instance's bounded store against its bound, in
 // the key=value style of the stats line it follows; "" when the service
 // reported none (rollups disabled, or a service that predates the fields).
 func (st InstanceStats) Occupancy() string {
-	if st.SeriesCap == 0 && st.HistoryBytes == 0 {
+	if st.SeriesCap == 0 {
 		return ""
 	}
-	return fmt.Sprintf("series=%d/%d series_bytes=%d history_bytes=%d",
-		st.Series, st.SeriesCap, st.SeriesBytes, st.HistoryBytes)
+	return fmt.Sprintf("series=%d/%d series_bytes=%d", st.Series, st.SeriesCap, st.SeriesBytes)
 }
 
 // RenderTelemetry writes the service's self-telemetry panel: latency

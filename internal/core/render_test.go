@@ -64,7 +64,7 @@ func TestRenderSummaryGolden(t *testing.T) {
 		// Occupancy as a service with rollups reports it; the row above is
 		// what an older service (or one without rollups) sends.
 		NSPerformance: {Namespace: NSPerformance, Ranks: 1, Stripes: 2, Publishes: 7, Leaves: 3, BytesIn: 640,
-			Series: 3, SeriesCap: 8192, SeriesBytes: 1536, HistoryBytes: 420},
+			Series: 3, SeriesCap: 8192, SeriesBytes: 1536},
 	}
 	var sb strings.Builder
 	RenderSummary(&sb, a, stats)
@@ -79,7 +79,7 @@ hardware   2 node(s):
 service instances:
   hardware     ranks=4   stripes=2  publishes=128      leaves=1024      bytes_in=4096
   performance  ranks=1   stripes=2  publishes=7        leaves=3         bytes_in=640
-               series=3/8192 series_bytes=1536 history_bytes=420
+               series=3/8192 series_bytes=1536
 `
 	if got := sb.String(); got != want {
 		t.Errorf("RenderSummary mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)

@@ -24,7 +24,7 @@ import (
 // series are downsampled into 1 s and 10 s min/max/mean/count buckets held
 // in bounded rings that grow with the data they hold, so somatop can render
 // sparklines (and the alert evaluator can judge windows) without ever
-// re-merging publish history.
+// re-merging what was published.
 //
 // Series identity: the paper's layouts embed the sample timestamp in the
 // leaf path (PROC/<host>/<ts>/CPU Util, RP/summary/<ts>/running), which

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -11,6 +12,7 @@ import (
 	"unsafe"
 
 	"github.com/hpcobs/gosoma/internal/conduit"
+	"github.com/hpcobs/gosoma/internal/mercury"
 )
 
 // fixedRing is the rollup ring as it shipped before rings grew with their
@@ -334,29 +336,21 @@ func TestSeriesFootprintFollowsData(t *testing.T) {
 }
 
 func TestStatsReportOccupancy(t *testing.T) {
-	// MaxRecords 4 (one rank, so one stripe): the history ring wraps during the test, so
-	// history_bytes has to give back what an overwritten record held.
-	svc, addr := newTestService(t, ServiceConfig{MaxRecords: 4})
+	svc, addr := newTestService(t, ServiceConfig{})
 	c, err := Connect(addr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	countBefore, bytesBefore := telSeriesCount.Value(), telSeriesBytes.Value()
-	var frames []int
 	for i := 0; i < 7; i++ {
 		n := conduit.NewNode()
 		for m := 0; m <= i; m++ { // growing frames, one more series each
 			n.SetFloat(fmt.Sprintf("PROC/cn01/%d.5/metric%d", i, m), float64(i))
 		}
-		frames = append(frames, len(n.EncodeBinaryStable()))
 		if err := c.Publish(NSHardware, n); err != nil {
 			t.Fatal(err)
 		}
-	}
-	var held int64
-	for _, n := range frames[len(frames)-4:] {
-		held += int64(n)
 	}
 	var ringBytes int64
 	st := svc.instances[NSHardware].rollup
@@ -370,10 +364,10 @@ func TestStatsReportOccupancy(t *testing.T) {
 		t.Fatal(err)
 	}
 	hw := stats[NSHardware]
-	if hw.Series != 7 || hw.SeriesCap != defaultMaxSeries || hw.SeriesBytes != ringBytes || ringBytes == 0 || hw.HistoryBytes != held {
-		t.Fatalf("hardware stats = %+v, want 7/%d series holding %d B and %d B of history", hw, defaultMaxSeries, ringBytes, held)
+	if hw.Series != 7 || hw.SeriesCap != defaultMaxSeries || hw.SeriesBytes != ringBytes || ringBytes == 0 {
+		t.Fatalf("hardware stats = %+v, want 7/%d series holding %d B", hw, defaultMaxSeries, ringBytes)
 	}
-	if wf := stats[NSWorkflow]; wf.Series != 0 || wf.SeriesCap != defaultMaxSeries || wf.SeriesBytes != 0 || wf.HistoryBytes != 0 {
+	if wf := stats[NSWorkflow]; wf.Series != 0 || wf.SeriesCap != defaultMaxSeries || wf.SeriesBytes != 0 {
 		t.Fatalf("idle workflow stats = %+v", wf)
 	}
 	if dc, db := telSeriesCount.Value()-countBefore, telSeriesBytes.Value()-bytesBefore; dc != 7 || db != ringBytes {
@@ -386,11 +380,40 @@ func TestStatsReportOccupancy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hw := stats[NSHardware]; hw.Series != 0 || hw.SeriesBytes != 0 || hw.HistoryBytes != 0 {
+	if hw := stats[NSHardware]; hw.Series != 0 || hw.SeriesBytes != 0 {
 		t.Fatalf("hardware stats after reset = %+v", hw)
 	}
 	if dc, db := telSeriesCount.Value()-countBefore, telSeriesBytes.Value()-bytesBefore; dc != 0 || db != 0 {
 		t.Fatalf("gauges after reset still hold %d series, %d B", dc, db)
+	}
+
+	// A server from before the history ring was deleted still sends
+	// history_bytes: the client ignores the field it no longer knows and reads
+	// the rest of the row.
+	old := mercury.NewEngine()
+	defer old.Close()
+	old.Register(RPCStats, func(context.Context, []byte) ([]byte, error) {
+		resp := conduit.NewNode()
+		resp.SetInt("hardware/publishes", 7)
+		resp.SetInt("hardware/series", 3)
+		resp.SetInt("hardware/series_cap", 8192)
+		resp.SetInt("hardware/series_bytes", 1536)
+		resp.SetInt("hardware/history_bytes", 420)
+		return resp.EncodeBinary(), nil
+	})
+	oldAddr, err := old.Listen("inproc://stats-old-server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	oc, err := Connect(oldAddr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer oc.Close()
+	stats, err = oc.Stats()
+	want := InstanceStats{Namespace: NSHardware, Publishes: 7, Series: 3, SeriesCap: 8192, SeriesBytes: 1536}
+	if err != nil || len(stats) != 1 || stats[NSHardware] != want {
+		t.Fatalf("stats from an older server = %+v (err=%v), want %+v", stats, err, want)
 	}
 }
 

@@ -54,8 +54,9 @@ type ServiceConfig struct {
 	// then contend for one instance's stripes instead of each owning its
 	// own set.
 	Shared bool
-	// MaxRecords bounds each instance's publish history ring, split evenly
-	// across its stripes; 0 means the default (65536).
+	// Deprecated: has no effect since the history ring was deleted; kept only
+	// so bench/somaperf compiles — remove with replayHistory in the next
+	// benchmark PR.
 	MaxRecords int
 	// Clock stamps arrivals; defaults to a real clock.
 	Clock des.Clock
@@ -71,9 +72,6 @@ type ServiceConfig struct {
 func (c *ServiceConfig) defaults() {
 	if c.RanksPerNamespace < 1 {
 		c.RanksPerNamespace = 1
-	}
-	if c.MaxRecords == 0 {
-		c.MaxRecords = 65536
 	}
 	if c.Clock == nil {
 		c.Clock = des.NewRealClock()
@@ -104,51 +102,34 @@ type InstanceStats struct {
 	BytesIn   int64
 	LastTime  float64
 
-	// Occupancy of the instance's two bounded stores, to be read against
-	// their bounds before those bite: rollup series held of SeriesCap (past
-	// it new series are dropped and counted) with the bytes their rings hold
-	// (at most 48 KiB each), and the bytes of publisher frames in the history
-	// ring (MaxRecords entries of whatever size publishers send). All zero
-	// from a service without rollups or one that predates the fields.
-	Series       int
-	SeriesCap    int
-	SeriesBytes  int64
-	HistoryBytes int64
+	// Occupancy of the instance's bounded store, to be read against its
+	// bound before that bites: rollup series held of SeriesCap (past it new
+	// series are dropped and counted) with the bytes their rings hold (at
+	// most 48 KiB each). All zero from a service without rollups or one that
+	// predates the fields.
+	Series      int
+	SeriesCap   int
+	SeriesBytes int64
 }
 
-// record is one raw publish as stored in a stripe's history ring. seq gives
-// the global arrival order within the instance (ring entries from different
-// stripes are re-interleaved by seq when history is read). enc is the
-// publish's validated tree frame — for a wire publish a subslice of one
-// retained copy of the request frame. No tree is built at ingest — the fold
-// merges the bytes, a history read decodes them — so thousands of pending
-// publishes cost the garbage collector a handful of flat byte buffers instead
-// of a map-and-string forest.
+// record is one raw publish waiting in a stripe's pending list, from the
+// door to the next fold and no longer. seq gives the global arrival order
+// within the instance (records drained from different stripes are
+// re-interleaved by seq before they are folded). enc is the publish's
+// validated tree frame — for a wire publish a subslice of one retained copy
+// of the request frame. No tree is built at ingest — the fold merges the
+// bytes — so thousands of pending publishes cost the garbage collector a
+// handful of flat byte buffers instead of a map-and-string forest.
 type record struct {
-	time float64
-	seq  uint64
-	enc  []byte
+	seq uint64
+	enc []byte
 }
 
-// tree decodes the record's publish tree. enc was validated at ingest, so
-// decode failure is impossible.
-func (r *record) tree() *conduit.Node {
-	n, err := conduit.DecodeBinary(r.enc)
-	if err != nil {
-		return conduit.NewNode() // unreachable: enc is pre-validated
-	}
-	return n
-}
-
-// stripe is one lock-striped shard of an instance: a publish appends here in
-// O(1) and never touches the merged tree.
+// stripe is one lock-striped shard of an instance — a lock and a pending
+// list: a publish appends here in O(1) and never touches the merged tree.
 type stripe struct {
 	mu      sync.Mutex
 	pending []record // publishes not yet folded into the snapshot
-	history []record // ring buffer of raw publishes
-	head    int
-	count   int
-	histLen int64 // Σ len(enc) over the ring's records
 	pubs    int64
 	bytesIn int64
 	last    float64
@@ -267,14 +248,10 @@ type instance struct {
 	rollup *seriesStore
 }
 
-func newInstance(ns Namespace, ranks, maxRecords, stripes int) *instance {
+func newInstance(ns Namespace, ranks, stripes int) *instance {
 	in := &instance{ns: ns, ranks: ranks, stripes: make([]*stripe, stripes)}
-	per := maxRecords / stripes
-	if per < 1 {
-		per = 1
-	}
 	for i := range in.stripes {
-		in.stripes[i] = &stripe{history: make([]record, per)}
+		in.stripes[i] = &stripe{}
 	}
 	in.epoch.Store(newEpoch())
 	in.snap.Store(&snapshot{epoch: in.epoch.Load(), tree: conduit.NewNode()})
@@ -370,9 +347,9 @@ func (in *instance) currentSnapshot() *snapshot {
 // that a full second of million-publish/sec ingest between query folds
 // recycles without reallocating (past the cap every rebuild regrows the
 // slice from zero — repeated doubling, large-alloc zeroing, and copy were
-// a fifth of the profile), small enough (records are 56 bytes, so the cap
-// is ~120MB) that an idle instance isn't sitting on an unbounded spike's
-// memory forever.
+// a fifth of the profile), small enough (a record is 32 bytes — pinned by
+// TestRecordLayout — so the cap is 64 MiB) that an idle instance isn't
+// sitting on an unbounded spike's memory forever.
 const pendingKeepCap = 1 << 21
 
 // foldRecords merges the seq-sorted drained batch into one delta tree,
@@ -487,7 +464,6 @@ func (in *instance) stats() InstanceStats {
 		st.mu.Lock()
 		out.Publishes += st.pubs
 		out.BytesIn += st.bytesIn
-		out.HistoryBytes += st.histLen
 		if st.last > out.LastTime {
 			out.LastTime = st.last
 		}
@@ -500,32 +476,8 @@ func (in *instance) stats() InstanceStats {
 	return out
 }
 
-// historySince returns raw publishes with time > after in arrival order,
-// re-interleaving the per-stripe rings by sequence number.
-func (in *instance) historySince(after float64) ([]*conduit.Node, []float64) {
-	var recs []record
-	for _, st := range in.stripes {
-		st.mu.Lock()
-		for i := 0; i < st.count; i++ {
-			idx := (st.head - st.count + i + len(st.history)) % len(st.history)
-			if st.history[idx].time > after {
-				recs = append(recs, st.history[idx])
-			}
-		}
-		st.mu.Unlock()
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].seq < recs[j].seq })
-	nodes := make([]*conduit.Node, len(recs))
-	times := make([]float64, len(recs))
-	for i, r := range recs {
-		nodes[i] = r.tree()
-		times[i] = r.time
-	}
-	return nodes, times
-}
-
-// reset discards merged state, pending batches and history, keeping the
-// publish counters.
+// reset discards merged state and pending batches, keeping the publish
+// counters.
 func (in *instance) reset() {
 	in.rebuildMu.Lock()
 	// Capture the generation before clearing: a publish overlapping the
@@ -541,10 +493,6 @@ func (in *instance) reset() {
 	for _, st := range in.stripes {
 		st.mu.Lock()
 		st.pending = nil
-		for i := range st.history {
-			st.history[i] = record{}
-		}
-		st.head, st.count, st.histLen = 0, 0, 0
 		st.mu.Unlock()
 	}
 	in.snap.Store(&snapshot{epoch: in.epoch.Load(), gen: g, tree: conduit.NewNode()})
@@ -644,13 +592,13 @@ func NewService(cfg ServiceConfig) *Service {
 	}
 	stripes := stripeCount(cfg.RanksPerNamespace)
 	if cfg.Shared {
-		shared := newInstance("shared", cfg.RanksPerNamespace*len(Namespaces), cfg.MaxRecords, stripes)
+		shared := newInstance("shared", cfg.RanksPerNamespace*len(Namespaces), stripes)
 		for _, ns := range Namespaces {
 			s.instances[ns] = shared
 		}
 	} else {
 		for _, ns := range Namespaces {
-			s.instances[ns] = newInstance(ns, cfg.RanksPerNamespace, cfg.MaxRecords, stripes)
+			s.instances[ns] = newInstance(ns, cfg.RanksPerNamespace, stripes)
 		}
 	}
 	if !cfg.DisableRollups {
@@ -803,17 +751,6 @@ func (s *Service) QueryDeltaEncoded(ns Namespace, path string, epoch, gen uint64
 	return in.queryFrameAt(sn, path), nil
 }
 
-// History returns the raw publishes into ns newer than the given service
-// timestamp, oldest first.
-func (s *Service) History(ns Namespace, after float64) ([]*conduit.Node, error) {
-	in, err := s.running(ns)
-	if err != nil {
-		return nil, err
-	}
-	nodes, _ := in.historySince(after)
-	return nodes, nil
-}
-
 // Select returns the leaf paths in ns matching a '/'-separated glob
 // pattern ('*' = one segment, '**' = any tail), with the numeric values
 // where leaves are numeric. Analyses use it to slice a namespace without
@@ -834,8 +771,8 @@ func (s *Service) Select(ns Namespace, pattern string) (paths []string, values m
 	return paths, values, nil
 }
 
-// ResetNamespace discards a namespace's merged tree and publish history,
-// keeping the counters. Long-running deployments call this at phase
+// ResetNamespace discards a namespace's merged tree, pending publishes and
+// rollup series, keeping the counters. Long-running deployments call this at phase
 // boundaries (after a snapshot) to bound the merged tree's growth.
 func (s *Service) ResetNamespace(ns Namespace) error {
 	in, err := s.running(ns)
@@ -987,7 +924,6 @@ func (s *Service) handleStats(ctx context.Context, _ []byte) ([]byte, error) {
 		resp.SetInt(base+"/series", int64(st.Series))
 		resp.SetInt(base+"/series_cap", int64(st.SeriesCap))
 		resp.SetInt(base+"/series_bytes", st.SeriesBytes)
-		resp.SetInt(base+"/history_bytes", st.HistoryBytes)
 	}
 	// A publish between statsStamps() and here makes this frame carry data
 	// newer than its stamp; that only causes one extra rebuild next request,

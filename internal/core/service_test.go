@@ -3,12 +3,14 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/hpcobs/gosoma/internal/conduit"
-	"github.com/hpcobs/gosoma/internal/des"
 	"github.com/hpcobs/gosoma/internal/mercury"
 )
 
@@ -21,6 +23,21 @@ func newTestService(t *testing.T, cfg ServiceConfig) (*Service, string) {
 	}
 	t.Cleanup(func() { svc.Close() })
 	return svc, addr
+}
+
+// pendingRecords returns the publishes waiting in in's stripes in arrival
+// (seq) order: the tests' probe for what the service stored, byte for byte and
+// in what order. Read it before anything folds (a query, a select, stats) —
+// the fold drains the stripes and the records are gone.
+func pendingRecords(in *instance) []record {
+	var recs []record
+	for _, st := range in.stripes {
+		st.mu.Lock()
+		recs = append(recs, st.pending...)
+		st.mu.Unlock()
+	}
+	sort.Slice(recs, func(i, j int) bool { return recs[i].seq < recs[j].seq })
+	return recs
 }
 
 func TestNamespaceValidity(t *testing.T) {
@@ -120,31 +137,25 @@ func TestSharedInstanceMode(t *testing.T) {
 	}
 }
 
-func TestHistoryRingBuffer(t *testing.T) {
-	clock := des.NewEngine() // virtual clock pinned at 0 unless advanced
-	svc := NewService(ServiceConfig{MaxRecords: 4, Clock: clock})
-	for i := 0; i < 6; i++ {
-		clock.RunUntil(float64(i + 1))
-		n := conduit.NewNode()
-		n.SetInt("seq", int64(i))
-		svc.Publish(NSWorkflow, n, 0)
+// The comment on pendingKeepCap prices the cap in bytes from this size.
+func TestRecordLayout(t *testing.T) {
+	if got := unsafe.Sizeof(record{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(record{}) = %d, want 32 (seq + enc): restate pendingKeepCap's comment", got)
 	}
-	all, err := svc.History(NSWorkflow, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 4 {
-		t.Fatalf("ring kept %d records, want 4", len(all))
-	}
-	if v, _ := all[0].Int("seq"); v != 2 {
-		t.Fatalf("oldest retained = %d want 2", v)
-	}
-	recent, _ := svc.History(NSWorkflow, 5)
-	if len(recent) != 1 {
-		t.Fatalf("recent = %d", len(recent))
-	}
-	if _, err := svc.History("bogus", 0); err == nil {
-		t.Fatal("bogus namespace accepted")
+}
+
+// A service that has ingested nothing holds next to nothing: no store is
+// sized up front for publishes that may never come.
+func TestIdleServiceFootprint(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	svc := NewService(ServiceConfig{})
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	defer svc.Close()
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 1<<20 {
+		t.Fatalf("an idle service holds %d B of heap, want under 1 MiB", grew)
 	}
 }
 
@@ -445,13 +456,12 @@ func TestResetNamespace(t *testing.T) {
 	if err := c.Reset(NSWorkflow); err != nil {
 		t.Fatal(err)
 	}
+	if pend := pendingRecords(svc.instances[NSWorkflow]); len(pend) != 0 {
+		t.Fatal("pending publishes not cleared")
+	}
 	got, _ := svc.Query(NSWorkflow, "")
 	if got.NumLeaves() != 0 {
 		t.Fatal("workflow namespace not cleared")
-	}
-	hist, _ := svc.History(NSWorkflow, 0)
-	if len(hist) != 0 {
-		t.Fatal("history not cleared")
 	}
 	// Other namespaces untouched; counters survive.
 	hw, _ := svc.Query(NSHardware, "")

@@ -67,7 +67,7 @@ func topicPrefix(ns Namespace) (string, error) {
 // updateWire is the bus payload: the published tree as a CDT1 frame plus its
 // namespace and service timestamp. Data is the publish's own frame — for a
 // wire publish a subslice of the service's retained copy of the request,
-// shared with the history ring and immutable — so fan-out encodes nothing, and
+// shared with the pending record and immutable — so fan-out encodes nothing, and
 // soma.updates.recv splices the same bytes into its answer.
 type updateWire struct {
 	NS   string

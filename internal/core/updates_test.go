@@ -409,10 +409,8 @@ func TestUpdateCarriesPublishedBytes(t *testing.T) {
 			if err := publish(svc, c); err != nil {
 				t.Fatal(err)
 			}
-			hist := svc.instances[NSHardware].stripes[0] // one stripe by default, ring not wrapped
-			hist.mu.Lock()
-			count, stored := hist.count, hist.history[hist.count-1].enc
-			hist.mu.Unlock()
+			pend := pendingRecords(svc.instances[NSHardware]) // nothing here folds
+			count, stored := len(pend), pend[len(pend)-1].enc
 			if !bytes.Equal(stored, tree.EncodeBinary()) {
 				t.Fatal("the last stored record is not the published tree")
 			}

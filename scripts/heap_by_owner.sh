@@ -7,7 +7,8 @@
 # own in-process service and cannot be pointed at this one), and mid-run
 # pulls a live heap profile over soma.profile, prints the service's own
 # occupancy line (soma.stats) and then the in-use bytes by allocating
-# function: the table ROADMAP item 3 asks for.
+# function — the by-owner table ROADMAP item 3's remaining byte caps (series,
+# pending, trace store) are read against.
 #
 #   HEAP_PATHS   series per publish (default 8192, the per-namespace cap)
 #   HEAP_ROUNDS  publishes, 100 ms apart (default 80; the profile is taken
