@@ -47,13 +47,14 @@ bench-module:
 verify: build vet lint test race bench-module
 
 # verify-stream hammers the race-sensitive streaming paths (subscriptions,
-# the soma.updates.* rows' long-poll serving and lease table, the in-process
-# PubSub and Queue, rollups, alerts), the cluster paths (placement, handoff,
-# scattered reads, client routing, the RPC-table conformance and solo/fleet
-# parity tests), the client publish pipeline (coalescer, spill queue,
-# redelivery) and the in-process publish door (no retained tree, placed like
-# a wire publish) repeatedly under the race detector, plus the in-process
-# fleet scenarios (kill/restart, fault timelines). The whole output is kept
+# the soma.updates.* rows' long-poll serving and leases, the update log and
+# its byte budget, pilot's PubSub and Queue, rollups, alerts), the cluster
+# paths (placement, handoff, scattered reads, client routing, the RPC-table
+# conformance and solo/fleet parity tests), the client publish pipeline
+# (coalescer, spill queue, redelivery) and the in-process publish door (no
+# retained tree, placed like a wire publish) repeatedly under the race
+# detector, plus the in-process fleet scenarios (kill/restart, fault
+# timelines). The whole output is kept
 # in verify-stream.log (CI uploads it when the job fails): a -race report is
 # hundreds of lines and a failure here may not recur for dozens of runs.
 verify-stream: SHELL := bash
@@ -61,7 +62,7 @@ verify-stream: .SHELLFLAGS := -o pipefail -c
 verify-stream:
 	$(GO) test ./internal/core/ ./internal/zmq/ ./internal/mercury/ ./internal/scenario/ \
 		-race -count=3 \
-		-run 'Subscribe|Watch|Stream|Series|Alert|Updates|Lease|PubSub|Queue|Blocking|Flush|Fanout|Scenario|Scatter|Spill|Batch|Publish|Cluster|RPCTable|RPCSolo|Retain|PlacesLike' \
+		-run 'Subscribe|Watch|Stream|Series|Alert|Updates|UpdateLog|PrefixMask|Lease|PubSub|Queue|Blocking|Flush|Fanout|Scenario|Scatter|Spill|Batch|Publish|Cluster|RPCTable|RPCSolo|Retain|PlacesLike' \
 		2>&1 | tee verify-stream.log
 
 bench:

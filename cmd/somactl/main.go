@@ -303,8 +303,8 @@ func main() {
 }
 
 // watch streams live updates for a namespace (or the soma.alerts stream, or
-// every namespace with ns == ""). The push path subscribes over the
-// service's update bus; if the service has no stream support, watch
+// every namespace with ns == ""). The push path subscribes to the
+// service's update log; if the service has no stream support, watch
 // degrades to polling the merged tree every interval and printing the leaf
 // paths whose values changed.
 func watch(client *core.Client, ns core.Namespace, pattern string, interval time.Duration) {

@@ -450,8 +450,8 @@ func AppendBatchHeader(dst []byte) []byte {
 	return append(dst, batchMagic[:]...)
 }
 
-// IsBatchFrame reports whether data starts with the batch magic.
-func IsBatchFrame(data []byte) bool {
+// isBatchFrame reports whether data starts with the batch magic.
+func isBatchFrame(data []byte) bool {
 	return len(data) >= 4 && data[0] == batchMagic[0] && data[1] == batchMagic[1] &&
 		data[2] == batchMagic[2] && data[3] == batchMagic[3]
 }
@@ -474,7 +474,7 @@ func AppendBatchEntryEncoded(dst []byte, ns string, enc []byte) []byte {
 // the same namespace reuses a single NS string, so decoding a batch of N
 // same-namespace publishes costs far less than N DecodeBinary calls.
 func DecodeBatch(data []byte) ([]BatchEntry, error) {
-	if !IsBatchFrame(data) {
+	if !isBatchFrame(data) {
 		return nil, ErrBadMagic
 	}
 	// One string copy of the frame serves every decoded name and value as a
@@ -529,7 +529,7 @@ func DecodeBatch(data []byte) ([]BatchEntry, error) {
 // ValidateBinary when the bytes will be retained and decoded later. This is
 // the allocation-free half of the server's raw batch ingest.
 func ForEachBatchEntry(data []byte, fn func(ns, enc []byte) error) error {
-	if !IsBatchFrame(data) {
+	if !isBatchFrame(data) {
 		return ErrBadMagic
 	}
 	pos := 4

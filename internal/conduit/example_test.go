@@ -37,7 +37,8 @@ func ExampleNode_Select() {
 	n.SetFloat("PROC/cn0001/10.0/CPU Util", 20)
 	n.SetFloat("PROC/cn0002/10.0/CPU Util", 60)
 
-	for _, v := range n.SelectFloats("PROC/*/*/CPU Util") {
+	for _, path := range n.Select("PROC/*/*/CPU Util") {
+		v, _ := n.Float(path)
 		fmt.Println(v)
 	}
 	// Output:

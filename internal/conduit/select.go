@@ -1,7 +1,5 @@
 package conduit
 
-import "strings"
-
 // Select returns the leaf paths under n matching a '/'-separated pattern,
 // where '*' matches exactly one path segment and '**' matches any number of
 // trailing segments. Analyses use this to slice namespace trees without
@@ -60,39 +58,4 @@ func (n *Node) selectWalk(prefix string, pattern []string, out *[]string) {
 		}
 		n.at(i).selectWalk(p, pattern[1:], out)
 	}
-}
-
-// SelectFloats returns the float64 values at every leaf matching pattern
-// (non-numeric matches are skipped) — the common analysis shape of "all
-// CPU Util values" or "all MPI_Recv times".
-func (n *Node) SelectFloats(pattern string) []float64 {
-	var out []float64
-	for _, path := range n.Select(pattern) {
-		if v, ok := n.Float(path); ok {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// HasPrefixPath reports whether any leaf lives under the given path prefix.
-func (n *Node) HasPrefixPath(prefix string) bool {
-	sub, ok := n.Get(prefix)
-	if !ok {
-		return false
-	}
-	return sub.IsLeaf() || sub.NumLeaves() > 0
-}
-
-// PathJoin joins path segments with '/', skipping empties — a convenience
-// for building namespace paths without caring about separators.
-func PathJoin(segs ...string) string {
-	var parts []string
-	for _, s := range segs {
-		s = strings.Trim(s, "/")
-		if s != "" {
-			parts = append(parts, s)
-		}
-	}
-	return strings.Join(parts, "/")
 }

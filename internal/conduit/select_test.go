@@ -57,59 +57,3 @@ func TestSelectExactAndMisses(t *testing.T) {
 		t.Fatalf("interior match: %v", got)
 	}
 }
-
-func TestSelectFloats(t *testing.T) {
-	n := selectFixture()
-	got := n.SelectFloats("PROC/*/*/CPU Util")
-	want := []float64{20, 40, 60}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %v want %v", got, want)
-	}
-	// Non-numeric leaves are skipped, numeric ints convert.
-	if got := n.SelectFloats("RP/task.000007/*"); got != nil {
-		t.Fatalf("string leaves gave floats: %v", got)
-	}
-	if got := n.SelectFloats("PROC/cn0002/10.0/*"); !reflect.DeepEqual(got, []float64{60, 5}) {
-		t.Fatalf("mixed leaves = %v", got)
-	}
-}
-
-func TestHasPrefixPath(t *testing.T) {
-	n := selectFixture()
-	if !n.HasPrefixPath("PROC/cn0001") {
-		t.Fatal("existing prefix not found")
-	}
-	if !n.HasPrefixPath("PROC/cn0001/10.0/CPU Util") {
-		t.Fatal("leaf prefix not found")
-	}
-	if n.HasPrefixPath("PROC/cn0009") {
-		t.Fatal("missing prefix found")
-	}
-	// An explicitly created empty node is a placeholder leaf and counts as
-	// present (it round-trips through the codecs too).
-	empty := NewNode()
-	empty.Fetch("a/b")
-	if !empty.HasPrefixPath("a") {
-		t.Fatal("empty placeholder should count as present")
-	}
-	if empty.HasPrefixPath("z") {
-		t.Fatal("absent path found")
-	}
-}
-
-func TestPathJoin(t *testing.T) {
-	cases := []struct {
-		in   []string
-		want string
-	}{
-		{[]string{"PROC", "cn0001", "10.0"}, "PROC/cn0001/10.0"},
-		{[]string{"/PROC/", "", "/x"}, "PROC/x"},
-		{[]string{}, ""},
-		{[]string{"", "/"}, ""},
-	}
-	for _, c := range cases {
-		if got := PathJoin(c.in...); got != c.want {
-			t.Errorf("PathJoin(%v) = %q want %q", c.in, got, c.want)
-		}
-	}
-}

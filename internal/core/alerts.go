@@ -119,8 +119,8 @@ type alertEngine struct {
 	rules  map[string]*armedRule
 	states map[string]map[string]*alertState // rule name → series key → state
 
-	// notify publishes a transition tree onto the update bus under the
-	// reserved alerts stream; set by the owning Service.
+	// notify logs a transition tree on the update log's alert topics (the
+	// reserved alerts stream); set by the owning Service.
 	notify func(ns Namespace, tree *conduit.Node)
 }
 

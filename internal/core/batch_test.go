@@ -376,7 +376,7 @@ func TestFoldReleasesRecords(t *testing.T) {
 // Batch ingest must reject a frame atomically on validation failure: an
 // unknown namespace or a structurally corrupt entry anywhere in the frame
 // means nothing of it is applied — no record, no rollup sample, no alert
-// transition, no bus message — even for the valid entries ahead of it.
+// transition, no update-log entry — even for the valid entries ahead of it.
 func TestBatchRejectsAtomically(t *testing.T) {
 	svc, _ := newTestService(t, ServiceConfig{})
 	if err := svc.SetAlert(AlertRule{Name: "hot", NS: NSWorkflow, Pattern: "atomic/*", Op: ">", Threshold: 0}); err != nil {
@@ -424,9 +424,15 @@ func TestBatchRejectsAtomically(t *testing.T) {
 	if _, states := svc.Alerts(); len(states) != 0 {
 		t.Fatalf("rejected batch moved alert standings: %+v", states)
 	}
+	svc.updates.mu.Lock()
+	logged := svc.updates.tail
+	svc.updates.mu.Unlock()
+	if logged != 0 {
+		t.Fatalf("rejected batch reached the update log: %d entries", logged)
+	}
 	select {
-	case m := <-updates:
-		t.Fatalf("rejected batch reached the bus: topic %q", m.Topic)
+	case u := <-updates:
+		t.Fatalf("rejected batch reached a subscriber: %s update", u.NS)
 	default:
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/hpcobs/gosoma/internal/conduit"
@@ -22,8 +23,8 @@ import (
 //     publish is appended to a stripe as a raw record (record.enc) under one
 //     lock acquisition per same-namespace run — no tree is built;
 //  3. stream: the rollup, alert and fan-out stages run over the same bytes
-//     (conduit.WalkNumericLeaves feeds the series store, subscribers receive
-//     the entry's wire subslice).
+//     (conduit.WalkNumericLeaves feeds the series store, the update log keeps
+//     the entry's wire subslice for subscribers).
 //
 // Trees are materialized only where something reads them as trees: the
 // snapshot rebuild folds raw records straight from their bytes into its
@@ -110,10 +111,10 @@ func (s *Service) ingest(ctx context.Context, pubs []pub, batch bool, rawBytes i
 	sp.EndAt(end)
 
 	// Stream side: fold each run into the rollup buckets, re-judge the alert
-	// rules its series touch, and fan it out to live subscribers. Each stage
-	// short-circuits to an atomic load when unused.
+	// rules its series touch, and log it for the subscriptions that want its
+	// topic. Each stage short-circuits to an atomic load when unused.
 	armed := s.alerts.armedRules()
-	fan := s.bus != nil && s.bus.Subscribers() > 0
+	want := s.updates.want.Load()
 	for i := 0; i < len(pubs); {
 		j := runEnd(pubs, i)
 		run := pubs[i:j]
@@ -123,9 +124,9 @@ func (s *Service) ingest(ctx context.Context, pubs []pub, batch bool, rawBytes i
 				s.alerts.evaluate(run[0].ns, st, keys, maxT)
 			}
 		}
-		if fan {
-			for k := range run {
-				s.fanOut(now, &run[k])
+		if want != 0 {
+			if tp := slices.Index(Namespaces, run[0].ns); tp >= 0 && want&(1<<tp) != 0 {
+				s.updates.appendRun(tp, now, run)
 			}
 		}
 		i = j

@@ -323,10 +323,7 @@ func TestPublishDoesNotRetainTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("Query", snap)
-	u, err := DecodeUpdate(<-ch)
-	if err != nil {
-		t.Fatal(err)
-	}
+	u := <-ch
 	check("subscriber", u.Tree)
 	se, err := svc.QuerySeries(NSHardware, key, LevelRaw, 0)
 	if err != nil || len(se.Points) != 1 || se.Points[0].Value != 41 {

@@ -17,7 +17,6 @@ import (
 	"github.com/hpcobs/gosoma/internal/des"
 	"github.com/hpcobs/gosoma/internal/mercury"
 	"github.com/hpcobs/gosoma/internal/telemetry"
-	"github.com/hpcobs/gosoma/internal/zmq"
 )
 
 // Service-side telemetry: ingest and rebuild latency histograms, shared by
@@ -509,11 +508,10 @@ type Service struct {
 	engine    *mercury.Engine
 	instances map[Namespace]*instance
 
-	// bus fans publishes and alert transitions out to subscribers; leases
-	// holds the remote ones, served by the soma.updates.* rows (subscribe.go).
-	bus    *zmq.PubSub
-	leases leaseTable
-	alerts *alertEngine
+	// updates logs publishes and alert transitions for subscribers, local
+	// and remote (the soma.updates.* rows; subscribe.go).
+	updates updateLog
+	alerts  *alertEngine
 
 	// started stamps service construction for soma.health's uptime.
 	started time.Time
@@ -610,8 +608,7 @@ func NewService(cfg ServiceConfig) *Service {
 			}
 		}
 	}
-	s.bus = zmq.NewPubSub()
-	s.leases = leaseTable{expiry: leaseExpiry, subs: map[int64]*lease{}}
+	s.updates = updateLog{expiry: leaseExpiry, budget: logBudget, cursors: map[int64]*cursor{}}
 	s.alerts = newAlertEngine(s.publishAlertStream)
 	for i := range rpcTable {
 		row := &rpcTable[i]
@@ -653,7 +650,8 @@ func (s *Service) Addrs() []string {
 func (s *Service) Engine() *mercury.Engine { return s.engine }
 
 // Close shuts the service down: the engine close wakes any long-polling
-// subscribers, then the update bus closes their channels.
+// subscribers, then the update log releases every cursor, which closes the
+// local subscriptions' channels.
 func (s *Service) Close() error {
 	s.mu.Lock()
 	s.stopped = true
@@ -662,10 +660,7 @@ func (s *Service) Close() error {
 		cl.shutdown()
 	}
 	err := s.engine.Close()
-	s.leases.closeAll()
-	if s.bus != nil {
-		s.bus.Close()
-	}
+	s.updates.closeAll()
 	return err
 }
 

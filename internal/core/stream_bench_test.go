@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
+	"time"
 )
 
 // Streaming benchmarks: the rollup query path somatop leans on and the
@@ -44,24 +46,27 @@ func BenchmarkSeriesQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkSubscribeFanout measures the publish path with one live local
-// subscriber — stripe append + rollup ingest + bus fan-out (encode and
-// enqueue). The delta against BenchmarkPublishIngest is the price of a
-// watcher.
+// BenchmarkSubscribeFanout measures the publish path with one live
+// subscriber — stripe append + rollup ingest + the update-log append — while
+// a goroutine reads the subscriber's cursor as soma.updates.recv does,
+// without decoding. The delta against BenchmarkPublishIngest is the price of
+// a watcher.
 func BenchmarkSubscribeFanout(b *testing.B) {
 	svc := NewService(ServiceConfig{})
 	defer svc.Close()
 	lp := LocalPublisher{Service: svc}
 
-	ch, cancel, err := svc.SubscribeLocal(NSHardware)
+	id, c, err := svc.updates.open(prefixMask("ns/hardware/"), false, time.Time{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer cancel()
+	ctx, stop := context.WithCancel(context.Background())
 	drained := make(chan struct{})
 	go func() {
 		defer close(drained)
-		for range ch {
+		var batch [64]logEntry
+		for ctx.Err() == nil {
+			svc.updates.read(ctx, c, len(batch), time.Second, batch[:0])
 		}
 	}()
 
@@ -73,6 +78,7 @@ func BenchmarkSubscribeFanout(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	cancel()
+	stop()
+	svc.updates.remove(id, false)
 	<-drained
 }

@@ -364,11 +364,7 @@ func TestAlertFiringResolvedTransitions(t *testing.T) {
 	nextTransition := func() Update {
 		t.Helper()
 		select {
-		case m := <-ch:
-			u, err := DecodeUpdate(m)
-			if err != nil {
-				t.Fatal(err)
-			}
+		case u := <-ch:
 			return u
 		case <-time.After(2 * time.Second):
 			t.Fatal("no alert transition pushed")
@@ -479,23 +475,31 @@ func TestResetClearsAlertStandings(t *testing.T) {
 // Subscriptions.
 
 func TestTopicPrefixDelimited(t *testing.T) {
-	// The bus matches subscriptions by raw string prefix, so per-namespace
+	// Subscriptions match topics by raw string prefix, so per-namespace
 	// topics must end in a delimiter: without it a namespace would also
 	// receive any future namespace whose name it prefixes.
-	p, err := topicPrefix(NSHardware)
+	p, err := subPrefix(NSHardware)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p != "ns/hardware/" {
-		t.Fatalf("topicPrefix(hardware) = %q, want trailing delimiter", p)
+		t.Fatalf("subPrefix(hardware) = %q, want trailing delimiter", p)
 	}
 	if strings.HasPrefix("ns/hardware2/", p) {
 		t.Fatalf("prefix %q cross-matches a prefixed namespace's topic", p)
 	}
 	for ns, want := range map[Namespace]string{"": "ns/", NSAlerts: "alerts/"} {
-		if got, err := topicPrefix(ns); err != nil || got != want {
-			t.Fatalf("topicPrefix(%q) = %q, %v; want %q", ns, got, err, want)
+		if got, err := subPrefix(ns); err != nil || got != want {
+			t.Fatalf("subPrefix(%q) = %q, %v; want %q", ns, got, err, want)
 		}
+	}
+	for _, topic := range topics {
+		if !strings.HasSuffix(topic, "/") {
+			t.Fatalf("topic %q has no trailing delimiter", topic)
+		}
+	}
+	if _, err := subPrefix("bogus"); err == nil {
+		t.Fatal("subPrefix accepted an unknown namespace")
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,24 +12,28 @@ import (
 	"github.com/hpcobs/gosoma/internal/conduit"
 	"github.com/hpcobs/gosoma/internal/mercury"
 	"github.com/hpcobs/gosoma/internal/telemetry"
-	"github.com/hpcobs/gosoma/internal/zmq"
 )
 
-// Live namespace subscriptions: every publish is fanned out over the
-// service's update bus (an in-process zmq.PubSub), and three rows of rpcTable
-// serve that bus to remote clients — soma.updates.sub registers a topic-prefix
-// subscription, soma.updates.recv long-polls it for a batch, soma.updates.unsub
-// releases it — so clients receive incremental updates pushed to them instead
-// of polling Query. Topics are "ns/<namespace>/" for publishes and
-// "alerts/<namespace>/" for threshold-alert transitions (the trailing
-// delimiter keeps the bus's prefix match segment-exact, so no namespace can
-// shadow another whose name it prefixes); the reserved NSAlerts
-// pseudo-namespace subscribes to the latter.
+// Live namespace subscriptions. The service keeps one update log: an
+// append-only sequence of the publishes and alert transitions somebody
+// subscribes to, each entry referencing the publish's own immutable CDT1
+// frame. A subscription is a cursor into it: the next sequence number to
+// read, what it lost, and for a remote one a lease. Three rows of rpcTable
+// serve the log — soma.updates.sub opens a cursor for a topic prefix,
+// soma.updates.recv long-polls it, soma.updates.unsub releases it — and
+// SubscribeLocal reads it in process through the same function.
 //
-// Backpressure: fan-out is fire-and-forget with per-subscriber high-water
-// buffers — a slow subscriber drops (counted, reported on every receive via
-// Update.Dropped) rather than stalling ingest. When nobody subscribes, the
-// publish path pays one atomic load and skips payload construction.
+// Topics are "ns/<namespace>/" for publishes and "alerts/<namespace>/" for
+// threshold-alert transitions. A prefix is matched against the eight of them
+// once, when its cursor opens, and kept as a bitmask; the trailing delimiter
+// keeps plain prefix matching segment-exact.
+//
+// Backpressure: an append never waits for a reader. Past logBudget bytes it
+// drops the oldest entries and charges each to every cursor that had not read
+// it and whose mask covers it, so every receive reports its subscription's
+// exact loss (Update.Dropped). Entries no cursor wants never enter the log;
+// with no cursor open, a publish pays one atomic load. What every cursor has
+// read is released, and the last cursor's release empties the log.
 //
 // Subscriptions are member-local: on a cluster a subscriber sees what the
 // member it dialled ingests.
@@ -40,112 +45,22 @@ const (
 	rpcUpdatesUnsub = "soma.updates.unsub"
 )
 
+// Process-wide stream telemetry, summed over every service in the process:
+// open cursors, reclaimed dead subscribers, entries shed unread (once per
+// cursor that lost them) and the bytes the logs hold.
 var (
-	// telPushLatency tracks bus fan-out cost per publish (enqueue to every
-	// subscriber), observed only when subscribers exist.
-	telPushLatency = telemetry.Default().Histogram("core.stream.push.latency")
-	// The gauge tracks live leases across every service in the process;
-	// expiries count reclaimed dead subscribers.
-	telRemoteSubs    = telemetry.Default().Gauge("zmq.pubsub.remote.subscribers")
-	telRemoteExpired = telemetry.Default().Counter("zmq.pubsub.remote.expired")
+	telCursors    = telemetry.Default().Gauge("core.subscribe.cursors")
+	telExpired    = telemetry.Default().Counter("core.subscribe.expired")
+	telSubDropped = telemetry.Default().Counter("core.subscribe.dropped")
+	telLogBytes   = telemetry.Default().Gauge("core.subscribe.log_bytes")
 )
 
-// topicPrefix maps a subscription target onto a bus topic prefix: "" = all
-// namespaces, NSAlerts = the alert stream, otherwise one namespace.
-func topicPrefix(ns Namespace) (string, error) {
-	switch {
-	case ns == "":
-		return "ns/", nil
-	case ns == NSAlerts:
-		return "alerts/", nil
-	case ns.Valid():
-		return "ns/" + string(ns) + "/", nil
-	}
-	return "", &ErrUnknownNamespace{NS: ns}
-}
-
-// updateWire is the bus payload: the published tree as a CDT1 frame plus its
-// namespace and service timestamp. Data is the publish's own frame — for a
-// wire publish a subslice of the service's retained copy of the request,
-// shared with the pending record and immutable — so fan-out encodes nothing, and
-// soma.updates.recv splices the same bytes into its answer.
-type updateWire struct {
-	NS   string
-	T    float64
-	Data []byte
-}
-
-// fanOut pushes one publish onto the update bus; ingest calls it after the
-// stripe append, and only while somebody subscribes.
-func (s *Service) fanOut(now float64, p *pub) {
-	start := time.Now()
-	s.bus.Publish("ns/"+string(p.ns)+"/", updateWire{NS: string(p.ns), T: now, Data: p.enc})
-	telPushLatency.ObserveSince(start)
-}
-
-// publishAlertStream pushes one alert transition onto the reserved alerts
-// stream (the alertEngine's notify hook).
-func (s *Service) publishAlertStream(ns Namespace, tree *conduit.Node) {
-	if s.bus == nil || s.bus.Subscribers() == 0 {
-		return
-	}
-	t, _ := tree.Float("time")
-	s.bus.Publish("alerts/"+string(ns)+"/", updateWire{NS: string(ns), T: t, Data: tree.EncodeBinary()})
-}
-
-// SubscribeLocal registers an in-process subscription on the update bus (ns
-// semantics as Client.Subscribe: "" = every namespace, NSAlerts = alert
-// transitions). Decode received messages with DecodeUpdate.
-func (s *Service) SubscribeLocal(ns Namespace) (<-chan zmq.Message, func(), error) {
-	prefix, err := topicPrefix(ns)
-	if err != nil {
-		return nil, nil, err
-	}
-	ch, cancel := s.bus.Subscribe(prefix)
-	return ch, cancel, nil
-}
-
-// Update is one pushed increment: a publish into a subscribed namespace, or
-// (Alert true) a threshold-alert transition.
-type Update struct {
-	NS    Namespace
-	Time  float64
-	Alert bool
-	Tree  *conduit.Node
-	// Dropped is the cumulative count of updates this subscription lost to
-	// the server-side high-water mark (slow-consumer accounting).
-	Dropped int64
-}
-
-// DecodeUpdate unpacks a message of a SubscribeLocal subscription into an
-// Update. Dropped is left for the caller (it is per-subscription, not
-// per-message).
-func DecodeUpdate(m zmq.Message) (Update, error) {
-	w, ok := m.Payload.(updateWire)
-	if !ok {
-		return Update{}, fmt.Errorf("soma: unexpected update payload type %T", m.Payload)
-	}
-	tree, err := conduit.DecodeBinary(w.Data)
-	if err != nil {
-		return Update{}, fmt.Errorf("soma: decode update: %w", err)
-	}
-	return Update{
-		NS:    Namespace(w.NS),
-		Time:  w.T,
-		Alert: strings.HasPrefix(m.Topic, "alerts/"),
-		Tree:  tree,
-	}, nil
-}
-
-// ---------------------------------------------------------------------------
-// Service surface: the three stream rows and the leases behind them.
-//
-// Delivery semantics are exactly the bus's — per-subscriber buffers with
-// high-water-mark dropping — and each receive reports the subscription's
-// cumulative drop count, so a slow network consumer can see what it lost.
-// Subscriptions are leased: a subscriber that stops calling recv (crashed,
-// disconnected) is dropped after leaseExpiry of silence and its bus
-// subscription cancelled, reclaiming its buffer.
+// logBudget bounds the update log: every retained frame plus the ring slots
+// it charges. It is no smaller than what the message-counted per-subscriber
+// buffer it replaced held for the one shipped subscriber shape, a hardware
+// subscription beside node-monitor publishes: 1024 updates × (3 190 B per
+// 200-leaf monitor frame + 80 B of slots) = 3.2 MiB.
+const logBudget = 1024 * (3190 + entryBytes)
 
 // leaseExpiry is how long a remote subscription survives without a receive
 // call before the service reclaims it.
@@ -155,54 +70,385 @@ const leaseExpiry = 60 * time.Second
 // request asks for.
 const maxRecvWait = time.Minute
 
-// lease is the service side of one remote subscription: a bus subscription
-// plus lease bookkeeping.
-type lease struct {
-	ch       <-chan zmq.Message
-	cancel   func()
-	stats    func() zmq.SubStats
+// topics names the stream's topics by index: Namespaces[i]'s publishes are
+// topic i, its alert transitions topic 4+i.
+var topics = func() (t [8]string) {
+	for i, ns := range Namespaces {
+		t[i] = "ns/" + string(ns) + "/"
+		t[len(Namespaces)+i] = "alerts/" + string(ns) + "/"
+	}
+	return t
+}()
+
+// prefixMask compiles a soma.updates.sub prefix into the topics it matches:
+// bit i is set iff topics[i] begins with prefix.
+func prefixMask(prefix string) uint32 {
+	var m uint32
+	for i, t := range topics {
+		if strings.HasPrefix(t, prefix) {
+			m |= 1 << i
+		}
+	}
+	return m
+}
+
+// subPrefix is the soma.updates.sub prefix that follows ns: "" = every
+// namespace's publishes, NSAlerts = every alert transition, otherwise one
+// namespace's update topic.
+func subPrefix(ns Namespace) (string, error) {
+	if i := slices.Index(Namespaces, ns); i >= 0 {
+		return topics[i], nil
+	}
+	switch ns {
+	case "":
+		return "ns/", nil
+	case NSAlerts:
+		return "alerts/", nil
+	}
+	return "", &ErrUnknownNamespace{NS: ns}
+}
+
+// logEntry is one logged update: its topic, its service timestamp and its
+// frame. Its sequence number is its position in the log.
+type logEntry struct {
+	topic uint8
+	t     float64
+	data  []byte
+}
+
+// entryBytes is what an entry charges against the budget beside its frame:
+// its slot and, since the ring doubles when full, up to one spare slot, so
+// the budget bounds the ring too.
+const entryBytes = 2 * 40 // 2 × unsafe.Sizeof(logEntry{})
+
+func (e *logEntry) charge() int { return entryBytes + len(e.data) }
+
+func (e *logEntry) ns() Namespace { return Namespaces[int(e.topic)%len(Namespaces)] }
+
+// ringKeep is the most slots a drained ring keeps (40 KiB): enough for a
+// reader that keeps up, so steady appends allocate nothing.
+const ringKeep = 1024
+
+// cursor is one subscription's place in the log, guarded by the log's mutex.
+// A remote cursor is leased: the sweep reclaims it after the log's expiry
+// without a receive, unless a receive is parked on it (inRecv).
+type cursor struct {
+	mask     uint32 // prefixMask of the subscription
+	next     uint64 // sequence number of the next entry to read
+	dropped  int64  // entries its mask covers that the budget shed unread
+	closed   bool   // released: unsubscribed, expired or the service closed
+	remote   bool
 	lastSeen time.Time
-	// inRecv counts receive calls currently parked on this subscription, so
-	// the sweep never expires a lease that is actively being polled.
-	inRecv int
+	inRecv   int
 }
 
-// leaseTable is a service's remote subscriptions by id.
-type leaseTable struct {
+// updateLog is a service's update stream: a ring of entries under one mutex,
+// read through cursors.
+type updateLog struct {
+	// want is the OR of every open cursor's mask, written under mu: the
+	// publish path's one load.
+	want atomic.Uint32
+
 	expiry time.Duration // leaseExpiry; in-package tests shorten it
+	budget int           // logBudget; in-package tests shrink it
 
-	mu     sync.Mutex
-	subs   map[int64]*lease
-	nextID int64
+	mu      sync.Mutex
+	ring    []logEntry // power-of-two length; sequence s lives at ring[s&(len-1)]
+	head    uint64     // oldest retained sequence number
+	tail    uint64     // next sequence number to append
+	bytes   int        // Σ charge() over the retained entries
+	cursors map[int64]*cursor
+	nextID  int64
+	wake    chan struct{} // closed by the next append; nil while no read waits
+	closed  bool
 }
 
-// sweep reclaims leases idle beyond the expiry. Called from every stream
-// handler, so dead subscribers are collected as a side effect of live traffic
+func (l *updateLog) slot(seq uint64) *logEntry { return &l.ring[seq&uint64(len(l.ring)-1)] }
+
+// open sweeps, then registers a cursor that reads from the log's tail on. A
+// remote one is leased from now.
+func (l *updateLog) open(mask uint32, remote bool, now time.Time) (int64, *cursor, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return 0, nil, ErrServiceStopped
+	}
+	l.sweepLocked(now)
+	l.nextID++
+	c := &cursor{mask: mask, next: l.tail, remote: remote, lastSeen: now}
+	l.cursors[l.nextID] = c
+	l.want.Store(l.want.Load() | mask)
+	telCursors.Inc()
+	return l.nextID, c, nil
+}
+
+// lease finds remote cursor id for a receive, refreshing its lease before
+// sweeping so a subscriber whose gap between receives just exceeded the
+// expiry does not reap itself on the way in.
+func (l *updateLog) lease(id int64, now time.Time) (*cursor, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	c, ok := l.cursors[id]
+	if ok = ok && c.remote; ok {
+		c.lastSeen = now
+	}
+	l.sweepLocked(now)
+	return c, ok
+}
+
+// remove releases cursor id if it exists and is remote or local as asked: a
+// remote client cannot release an in-process subscription by guessing its id.
+func (l *updateLog) remove(id int64, remote bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if c, ok := l.cursors[id]; ok && c.remote == remote {
+		l.removeLocked(id, c)
+	}
+}
+
+// removeLocked releases a cursor: a read parked on it answers closed, and the
+// entries only it held are released.
+func (l *updateLog) removeLocked(id int64, c *cursor) {
+	delete(l.cursors, id)
+	c.closed = true
+	telCursors.Dec()
+	var want uint32
+	for _, o := range l.cursors {
+		want |= o.mask
+	}
+	l.want.Store(want)
+	l.wakeLocked()
+	l.trimLocked()
+}
+
+// closeAll releases every cursor and refuses new ones: the service is
+// closing, and neither a sweep nor an unsub will come to reclaim them.
+func (l *updateLog) closeAll() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.closed = true
+	for id, c := range l.cursors {
+		l.removeLocked(id, c)
+	}
+}
+
+// sweepLocked reclaims remote cursors idle beyond the expiry. Stream handlers
+// call it, so dead subscribers are collected as a side effect of live traffic
 // (no janitor goroutine to leak).
-func (lt *leaseTable) sweep(now time.Time) {
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
-	for id, st := range lt.subs {
-		if st.inRecv == 0 && now.Sub(st.lastSeen) > lt.expiry {
-			st.cancel()
-			delete(lt.subs, id)
-			telRemoteSubs.Dec()
-			telRemoteExpired.Inc()
+func (l *updateLog) sweepLocked(now time.Time) {
+	for id, c := range l.cursors {
+		if c.remote && c.inRecv == 0 && now.Sub(c.lastSeen) > l.expiry {
+			l.removeLocked(id, c)
+			telExpired.Inc()
 		}
 	}
 }
 
-// closeAll cancels and forgets every lease: the service is closing, and
-// neither a sweep nor an unsub will come to reclaim them.
-func (lt *leaseTable) closeAll() {
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
-	for id, st := range lt.subs {
-		st.cancel()
-		delete(lt.subs, id)
-		telRemoteSubs.Dec()
+// appendRun logs a run of publishes (or one alert transition) on topic tp
+// under one lock acquisition, if a cursor wants the topic, then sheds what
+// exceeds the budget and wakes the parked reads.
+func (l *updateLog) appendRun(tp int, t float64, run []pub) {
+	l.mu.Lock()
+	if l.want.Load()&(1<<tp) == 0 { // the last cursor for tp closed since the caller looked
+		l.mu.Unlock()
+		return
+	}
+	before := l.bytes
+	for k := range run {
+		if l.tail-l.head == uint64(len(l.ring)) {
+			old := l.ring
+			l.ring = make([]logEntry, max(64, 2*len(old)))
+			for s := l.head; s < l.tail; s++ {
+				*l.slot(s) = old[s&uint64(len(old)-1)]
+			}
+		}
+		e := l.slot(l.tail)
+		*e = logEntry{topic: uint8(tp), t: t, data: run[k].enc}
+		l.tail++
+		l.bytes += e.charge()
+	}
+	telLogBytes.Add(int64(l.bytes - before))
+	// Shed: charge each entry dropped to the cursors that lose it, moving
+	// them past it; this per-cursor work runs only on overflow.
+	to := l.head
+	for over := l.bytes - l.budget; over > 0 && to < l.tail; to++ {
+		e := l.slot(to)
+		over -= e.charge()
+		for _, c := range l.cursors {
+			if c.next <= to {
+				if c.mask&(1<<e.topic) != 0 {
+					c.dropped++
+					telSubDropped.Inc()
+				}
+				c.next = to + 1
+			}
+		}
+	}
+	l.releaseLocked(to)
+	wake := l.wake
+	l.wake = nil
+	l.mu.Unlock()
+	if wake != nil {
+		close(wake) // past the unlock, so the woken reads do not queue on it
 	}
 }
+
+// trimLocked releases every entry all cursors have read. A drained ring is
+// dropped once the last cursor has gone, or once a backlog grew it past
+// ringKeep slots, so a burst's slots do not stay resident.
+func (l *updateLog) trimLocked() {
+	to := l.tail
+	for _, c := range l.cursors {
+		to = min(to, c.next)
+	}
+	l.releaseLocked(to)
+	if l.head == l.tail && (len(l.cursors) == 0 || len(l.ring) > ringKeep) {
+		l.ring = nil
+	}
+}
+
+// releaseLocked drops the entries before sequence number to, zeroing their
+// slots so no frame stays pinned.
+func (l *updateLog) releaseLocked(to uint64) {
+	freed := 0
+	for ; l.head < to; l.head++ {
+		e := l.slot(l.head)
+		freed += e.charge()
+		*e = logEntry{}
+	}
+	l.bytes -= freed
+	telLogBytes.Add(-int64(freed))
+}
+
+func (l *updateLog) wakeLocked() {
+	if l.wake != nil {
+		close(l.wake)
+		l.wake = nil
+	}
+}
+
+// read is the one reader of the log, behind both soma.updates.recv and
+// SubscribeLocal. It parks until c has an entry its mask covers, wait
+// elapses, ctx ends or c is released, then appends up to max of those
+// entries to dst and advances c past them — under the log's mutex, so two
+// reads on one cursor never return the same entry. While it runs, the sweep
+// leaves c alone. dropped is c's cumulative loss; closed reports a released
+// cursor.
+func (l *updateLog) read(ctx context.Context, c *cursor, max int, wait time.Duration, dst []logEntry) (ents []logEntry, dropped int64, closed bool) {
+	var timer *time.Timer
+	expired := false
+	l.mu.Lock()
+	c.inRecv++
+	defer func() {
+		c.inRecv--
+		c.lastSeen = time.Now()
+		l.mu.Unlock()
+	}()
+	for !c.closed {
+		from := c.next
+		for ; c.next < l.tail && len(dst) < max; c.next++ {
+			if e := l.slot(c.next); c.mask&(1<<e.topic) != 0 {
+				dst = append(dst, *e)
+			}
+		}
+		if c.next != from {
+			l.trimLocked()
+		}
+		if len(dst) > 0 || expired {
+			return dst, c.dropped, false
+		}
+		if l.wake == nil {
+			l.wake = make(chan struct{})
+		}
+		wake := l.wake
+		l.mu.Unlock()
+		if timer == nil {
+			timer = time.NewTimer(wait)
+			defer timer.Stop()
+		}
+		select {
+		case <-wake:
+		case <-timer.C:
+			expired = true
+		case <-ctx.Done():
+			expired = true
+		}
+		l.mu.Lock()
+	}
+	return dst, c.dropped, true
+}
+
+// publishAlertStream logs one alert transition on its namespace's alert
+// topic (the alertEngine's notify hook).
+func (s *Service) publishAlertStream(ns Namespace, tree *conduit.Node) {
+	i := slices.Index(Namespaces, ns)
+	if tp := i + len(Namespaces); i >= 0 && s.updates.want.Load()&(1<<tp) != 0 {
+		t, _ := tree.Float("time")
+		s.updates.appendRun(tp, t, []pub{{ns: ns, enc: tree.EncodeBinary()}})
+	}
+}
+
+// SubscribeLocal opens an in-process subscription (ns semantics as
+// Client.Subscribe: "" = every namespace, NSAlerts = alert transitions). A
+// goroutine reads its cursor and delivers decoded updates on the channel;
+// cancel releases the cursor and returns once the channel is closed, as does
+// closing the service.
+func (s *Service) SubscribeLocal(ns Namespace) (<-chan Update, func(), error) {
+	prefix, err := subPrefix(ns)
+	if err != nil {
+		return nil, nil, err
+	}
+	id, c, err := s.updates.open(prefixMask(prefix), false, time.Now())
+	if err != nil {
+		return nil, nil, err
+	}
+	ctx, stop := context.WithCancel(context.Background())
+	ch := make(chan Update, 64) // one read batch
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer close(ch)
+		var batch [64]logEntry
+		for ctx.Err() == nil {
+			ents, dropped, closed := s.updates.read(ctx, c, len(batch), maxRecvWait, batch[:0])
+			for _, e := range ents {
+				tree, err := conduit.DecodeBinary(e.data)
+				if err != nil {
+					continue // ingest validated every frame; unreachable
+				}
+				select {
+				case ch <- Update{NS: e.ns(), Time: e.t, Alert: int(e.topic) >= len(Namespaces), Tree: tree, Dropped: dropped}:
+				case <-ctx.Done():
+					return
+				}
+			}
+			if closed {
+				return
+			}
+		}
+	}()
+	return ch, func() {
+		stop()
+		s.updates.remove(id, false)
+		<-done
+	}, nil
+}
+
+// Update is one pushed increment: a publish into a subscribed namespace, or
+// (Alert true) a threshold-alert transition.
+type Update struct {
+	NS    Namespace
+	Time  float64
+	Alert bool
+	Tree  *conduit.Node
+	// Dropped is the cumulative count of updates this subscription lost
+	// because the service's update log shed them past its byte budget before
+	// they were read (slow-consumer accounting).
+	Dropped int64
+}
+
+// ---------------------------------------------------------------------------
+// Service surface: the three stream rows.
 
 var updatesSubFields = []string{"prefix"}
 
@@ -216,16 +462,10 @@ func (s *Service) handleUpdatesSub(_ context.Context, payload []byte) ([]byte, e
 	if !ok {
 		return nil, fmt.Errorf("soma: request missing prefix field")
 	}
-	lt := &s.leases
-	now := time.Now()
-	lt.sweep(now)
-	ch, cancel, stats := s.bus.SubscribeWithStats(string(prefix))
-	lt.mu.Lock()
-	lt.nextID++
-	id := lt.nextID
-	lt.subs[id] = &lease{ch: ch, cancel: cancel, stats: stats, lastSeen: now}
-	lt.mu.Unlock()
-	telRemoteSubs.Inc()
+	id, _, err := s.updates.open(prefixMask(string(prefix)), true, time.Now())
+	if err != nil {
+		return nil, err
+	}
 	resp := conduit.NewNode()
 	resp.SetInt("id", id)
 	return resp.EncodeBinary(), nil
@@ -240,15 +480,7 @@ func (s *Service) handleUpdatesUnsub(_ context.Context, payload []byte) ([]byte,
 		return nil, err
 	}
 	id, _ := conduit.RawInt(f[0])
-	lt := &s.leases
-	lt.mu.Lock()
-	st, ok := lt.subs[id]
-	delete(lt.subs, id)
-	lt.mu.Unlock()
-	if ok {
-		st.cancel()
-		telRemoteSubs.Dec()
-	}
+	s.updates.remove(id, true)
 	return okFrame, nil
 }
 
@@ -256,38 +488,21 @@ var updatesRecvFields = []string{"id", "max", "wait_ms"}
 
 // handleUpdatesRecv serves soma.updates.recv {id, max, wait_ms} →
 // {dropped, closed, msgs/<NNNNNN>/{topic, ns, t, data}}, the long-poll receive:
-// it parks until a message is buffered for the subscription, the wait window
-// elapses, or the engine closes (the blocking-row context), then drains up to
-// max messages. The answer is written around the updates' own frames: data is
-// the bytes the publisher sent, validated at ingest and not encoded again.
+// it reads the subscription's cursor, parking until an update is logged for
+// it, the wait window elapses, or the engine closes (the blocking-row
+// context), and answers up to max updates. The answer is written around the
+// updates' own frames: data is the bytes the publisher sent, validated at
+// ingest and not encoded again.
 func (s *Service) handleUpdatesRecv(ctx context.Context, payload []byte) (mercury.Response, error) {
 	var f [3][]byte
 	if err := conduit.SliceFields(payload, updatesRecvFields, f[:]); err != nil {
 		return mercury.Response{}, err
 	}
 	id, _ := conduit.RawInt(f[0])
-	// Refresh the calling subscription's own lease before sweeping: a
-	// subscriber whose gap between recv calls just exceeded the expiry must
-	// not reap itself on the way in.
-	lt := &s.leases
-	now := time.Now()
-	lt.mu.Lock()
-	st, ok := lt.subs[id]
-	if ok {
-		st.lastSeen = now
-		st.inRecv++
-	}
-	lt.mu.Unlock()
-	lt.sweep(now)
+	c, ok := s.updates.lease(id, time.Now())
 	if !ok {
 		return mercury.Response{}, fmt.Errorf("soma: no update subscription %d", id)
 	}
-	defer func() {
-		lt.mu.Lock()
-		st.inRecv--
-		st.lastSeen = time.Now()
-		lt.mu.Unlock()
-	}()
 
 	maxMsgs, _ := conduit.RawInt(f[1])
 	if maxMsgs < 1 {
@@ -300,59 +515,31 @@ func (s *Service) handleUpdatesRecv(ctx context.Context, payload []byte) (mercur
 	} else if waitMS > maxRecvWait.Milliseconds() {
 		wait = maxRecvWait
 	}
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
-
-	// Park for the first message, then drain whatever else is buffered.
-	var few [8]zmq.Message // the usual batch stays on the stack
-	msgs, closed := few[:0], false
-	select {
-	case m, open := <-st.ch:
-		if open {
-			msgs = append(msgs, m)
-		} else {
-			closed = true
-		}
-	case <-timer.C:
-	case <-ctx.Done():
-	}
-drain:
-	for int64(len(msgs)) < maxMsgs && !closed {
-		select {
-		case m, open := <-st.ch:
-			if open {
-				msgs = append(msgs, m)
-			} else {
-				closed = true
-			}
-		default:
-			break drain
-		}
-	}
+	var few [8]logEntry // the usual batch stays on the stack
+	ents, dropped, closed := s.updates.read(ctx, c, int(maxMsgs), wait, few[:0])
 
 	bp := conduit.GetEncodeBuffer()
 	b := conduit.AppendRawFrame(*bp, nil) // the magic; the root node follows
 	b = conduit.AppendRawObject(b, 3)
 	b = conduit.AppendRawName(b, "dropped")
-	b = conduit.AppendRawInt(b, st.stats().Dropped)
+	b = conduit.AppendRawInt(b, dropped)
 	b = conduit.AppendRawName(b, "closed")
 	b = conduit.AppendRawBool(b, closed)
 	b = conduit.AppendRawName(b, "msgs")
-	b = conduit.AppendRawObject(b, len(msgs))
+	b = conduit.AppendRawObject(b, len(ents))
 	var key [20]byte
-	for i, m := range msgs {
-		// Only fanOut and publishAlertStream publish on the service's bus.
-		w := m.Payload.(updateWire)
+	for i := range ents {
+		e := &ents[i]
 		b = conduit.AppendRawName(b, string(appendIndexKey(key[:0], i)))
 		b = conduit.AppendRawObject(b, 4)
 		b = conduit.AppendRawName(b, "topic")
-		b = conduit.AppendRawString(b, m.Topic)
+		b = conduit.AppendRawString(b, topics[e.topic])
 		b = conduit.AppendRawName(b, "ns")
-		b = conduit.AppendRawString(b, w.NS)
+		b = conduit.AppendRawString(b, string(e.ns()))
 		b = conduit.AppendRawName(b, "t")
-		b = conduit.AppendRawFloat(b, w.T)
+		b = conduit.AppendRawFloat(b, e.t)
 		b = conduit.AppendRawName(b, "data")
-		b = append(b, w.Data[4:]...) // the frame's root node, past its magic
+		b = append(b, e.data[4:]...) // the frame's root node, past its magic
 	}
 	*bp = b
 	return mercury.Response{Payload: b, Release: func() { conduit.PutEncodeBuffer(bp) }}, nil
@@ -402,9 +589,10 @@ func (st stream) unsub() {
 }
 
 // decodeUpdates reads one soma.updates.recv answer: the updates in wire order,
-// the lease's cumulative drop count, and whether the bus has shut down. The
-// frame is network input: DecodeBinary rejects a malformed one whole, and an
-// entry without a string topic, a numeric t or a data subtree is skipped.
+// the lease's cumulative drop count, and whether the subscription was
+// released. The frame is network input: DecodeBinary rejects a malformed one
+// whole, and an entry without a string topic, a numeric t or a data subtree
+// is skipped.
 func decodeUpdates(frame []byte) (ups []Update, dropped int64, closed bool, err error) {
 	resp, err := conduit.DecodeBinary(frame)
 	if err != nil {
@@ -447,8 +635,9 @@ type Subscription struct {
 	dropped atomic.Int64
 }
 
-// Dropped reports the cumulative server-side high-water drops across the
-// subscription's lifetime (surviving reconnects).
+// Dropped reports the cumulative updates the service's byte budget shed
+// before this subscription read them, across its lifetime (surviving
+// reconnects).
 func (sub *Subscription) Dropped() int64 { return sub.dropped.Load() }
 
 // Close ends the subscription and waits for C to close.
@@ -462,14 +651,14 @@ func (sub *Subscription) Close() {
 // A non-empty pattern keeps only updates whose tree has at least one leaf
 // path matching the glob ('*' one segment, '**' any tail).
 //
-// Delivery is push: the service fans publishes out as they arrive and the
-// subscription long-polls the stream (no Query polling). If the connection
+// Delivery is push: the service logs publishes as they arrive and the
+// subscription long-polls its cursor (no Query polling). If the connection
 // drops, the subscription redials the service address and resubscribes with
 // exponential backoff until the context is cancelled; updates published
-// while disconnected are lost (and not counted in Dropped — only the
-// server's high-water drops are).
+// while disconnected are lost (and not counted in Dropped — only what the
+// server's byte budget shed is).
 func (c *Client) Subscribe(ctx context.Context, ns Namespace, pattern string) (*Subscription, error) {
-	prefix, err := topicPrefix(ns)
+	prefix, err := subPrefix(ns)
 	if err != nil {
 		return nil, err
 	}
@@ -522,10 +711,10 @@ func (c *Client) subscribeLoop(ctx context.Context, sub *Subscription, ch chan<-
 			if ctx.Err() != nil {
 				return
 			}
-			// Connection lost or bus closed: redial and resubscribe on the
-			// shared backoff policy (exponential with full jitter, so a
-			// fleet of subscribers does not redial a healing service in
-			// lockstep).
+			// Connection lost or subscription released: redial and
+			// resubscribe on the shared backoff policy (exponential with full
+			// jitter, so a fleet of subscribers does not redial a healing
+			// service in lockstep).
 			droppedBase += droppedLease
 			droppedLease = 0
 			live = false

@@ -5,17 +5,17 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"github.com/hpcobs/gosoma/internal/conduit"
 	"github.com/hpcobs/gosoma/internal/mercury"
-	"github.com/hpcobs/gosoma/internal/zmq"
 )
 
 // The update stream at the level of its three RPC rows: what a remote
-// subscriber sees of the service's bus, driven through the client's own
-// stream helpers over a bare endpoint.
+// subscriber sees of the service's update log, driven through the client's
+// own stream helpers over a bare endpoint.
 
 // streamService boots a service at scheme ("inproc" picks a per-test address)
 // and closes it with the test.
@@ -33,15 +33,21 @@ func streamService(t *testing.T, scheme string) (*Service, string) {
 	return svc, addr
 }
 
-// dialStream subscribes to prefix over a fresh endpoint, released with the test.
-func dialStream(t *testing.T, addr, prefix string) stream {
+// dialEndpoint looks addr up over a fresh endpoint, released with the test.
+func dialEndpoint(t *testing.T, addr string) *mercury.Endpoint {
 	t.Helper()
 	ep, err := mercury.Lookup(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ep.Close() })
-	st, err := openStream(ep, prefix)
+	return ep
+}
+
+// dialStream subscribes to prefix over a fresh endpoint, released with the test.
+func dialStream(t *testing.T, addr, prefix string) stream {
+	t.Helper()
+	st, err := openStream(dialEndpoint(t, addr), prefix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,18 +125,26 @@ func TestUpdatesRecvWakesOnPublish(t *testing.T) {
 	}
 }
 
-func TestUpdatesHighWaterDrops(t *testing.T) {
-	// A slow remote consumer loses updates to the high-water mark, and the
-	// reported drop count plus delivered count stays consistent with what was
-	// published.
-	const hw, published = 4, 20
+// cursorCount is how many subscriptions svc's update log holds.
+func cursorCount(svc *Service) int {
+	svc.updates.mu.Lock()
+	defer svc.updates.mu.Unlock()
+	return len(svc.updates.cursors)
+}
+
+func TestUpdatesByteBudgetDrops(t *testing.T) {
+	// A slow remote consumer loses the oldest updates to the log's byte
+	// budget, and the reported drop count plus delivered count is exactly
+	// what was published.
+	const kept, published = 4, 20
 	svc, addr := streamService(t, "inproc")
-	svc.bus = zmq.NewPubSubHW(hw)
+	svc.updates.budget = kept * (entryBytes + len(seqTree(0).EncodeBinary()))
+	counted := telSubDropped.Value()
 	st := dialStream(t, addr, "ns/")
 	for i := 0; i < published; i++ {
 		svc.Publish(NSHardware, seqTree(i), 0)
 	}
-	received := 0
+	var got []int64
 	var dropped int64
 	for {
 		ups, d, _, err := recvUpdates(st, 64, 50*time.Millisecond)
@@ -141,30 +155,33 @@ func TestUpdatesHighWaterDrops(t *testing.T) {
 		if len(ups) == 0 {
 			break
 		}
-		received += len(ups)
+		for _, u := range ups {
+			v, _ := u.Tree.Int("SEQ/cn01/v")
+			got = append(got, v)
+		}
 	}
-	if received != hw {
-		t.Fatalf("received %d, want the high-water %d", received, hw)
+	if len(got) != kept || got[0] != published-kept {
+		t.Fatalf("received %v, want the newest %d", got, kept)
 	}
-	if dropped != published-hw {
-		t.Fatalf("dropped = %d, want %d", dropped, published-hw)
+	if dropped != published-kept {
+		t.Fatalf("dropped = %d, want %d", dropped, published-kept)
 	}
-	// The bus's own accounting agrees with what the subscriber was told.
-	if svc.bus.Dropped() != dropped {
-		t.Fatalf("bus.Dropped() = %d, subscriber saw %d", svc.bus.Dropped(), dropped)
+	// The service's own counter agrees with what the subscriber was told.
+	if n := telSubDropped.Value() - counted; n != dropped {
+		t.Fatalf("core.subscribe.dropped moved by %d, subscriber saw %d", n, dropped)
 	}
 }
 
 func TestUpdatesUnsubAndResubscribe(t *testing.T) {
-	// A subscriber that goes away (unsub) is removed from the bus; a new dial
+	// A subscriber that goes away (unsub) is removed from the log; a new dial
 	// re-establishes delivery with fresh drop accounting.
 	svc, addr := streamService(t, "tcp://127.0.0.1:0")
 	st1 := dialStream(t, addr, "ns/")
-	if n := svc.bus.Subscribers(); n != 1 {
+	if n := cursorCount(svc); n != 1 {
 		t.Fatalf("subscribers after sub = %d", n)
 	}
 	st1.unsub()
-	if n := svc.bus.Subscribers(); n != 0 {
+	if n := cursorCount(svc); n != 0 {
 		t.Fatalf("subscribers after unsub = %d; the service kept a dead subscriber", n)
 	}
 	// Receiving on the released id fails rather than hanging.
@@ -188,21 +205,21 @@ func TestLeaseExpiry(t *testing.T) {
 	// after the lease expiry; the sweep runs on other stream traffic so no
 	// janitor goroutine is involved.
 	svc, addr := streamService(t, "inproc")
-	svc.leases.expiry = 20 * time.Millisecond
-	expired := telRemoteExpired.Value()
+	svc.updates.expiry = 20 * time.Millisecond
+	expired := telExpired.Value()
 	dead := dialStream(t, addr, "ns/")
-	if n := svc.bus.Subscribers(); n != 1 {
+	if n := cursorCount(svc); n != 1 {
 		t.Fatalf("subscribers = %d", n)
 	}
 	time.Sleep(50 * time.Millisecond)
 
 	// Any stream RPC triggers the sweep — here a new subscription.
 	dialStream(t, addr, "ns/")
-	if n := svc.bus.Subscribers(); n != 1 {
+	if n := cursorCount(svc); n != 1 {
 		t.Fatalf("subscribers after sweep = %d, want 1 (dead lease reclaimed)", n)
 	}
-	if got := telRemoteExpired.Value() - expired; got != 1 {
-		t.Fatalf("zmq.pubsub.remote.expired moved by %d, want 1", got)
+	if got := telExpired.Value() - expired; got != 1 {
+		t.Fatalf("core.subscribe.expired moved by %d, want 1", got)
 	}
 	if _, _, _, err := recvUpdates(dead, 1, 10*time.Millisecond); err == nil {
 		t.Fatal("expired subscription still serviced")
@@ -210,33 +227,40 @@ func TestLeaseExpiry(t *testing.T) {
 }
 
 func TestCloseReleasesLeases(t *testing.T) {
-	// Service.Close is the last chance to reclaim a lease: every one is
-	// cancelled and forgotten, and the process-wide gauge gives each back.
+	// Service.Close is the last chance to reclaim a lease: every cursor is
+	// released and forgotten, and the process-wide gauge gives each back.
 	svc, addr := streamService(t, "inproc")
-	gauge := telRemoteSubs.Value()
+	gauge := telCursors.Value()
 	dialStream(t, addr, "ns/")
 	dialStream(t, addr, "alerts/")
-	if got := telRemoteSubs.Value() - gauge; got != 2 {
-		t.Fatalf("zmq.pubsub.remote.subscribers moved by %v with two subscribers, want 2", got)
+	if got := telCursors.Value() - gauge; got != 2 {
+		t.Fatalf("core.subscribe.cursors moved by %v with two subscribers, want 2", got)
 	}
-	cancelled := 0
-	svc.leases.mu.Lock()
-	for _, st := range svc.leases.subs {
-		cancel := st.cancel
-		st.cancel = func() { cancelled++; cancel() }
+	svc.updates.mu.Lock()
+	var cursors []*cursor
+	for _, c := range svc.updates.cursors {
+		cursors = append(cursors, c)
 	}
-	svc.leases.mu.Unlock()
+	svc.updates.mu.Unlock()
 
 	svc.Close()
-	if got := telRemoteSubs.Value(); got != gauge {
-		t.Fatalf("zmq.pubsub.remote.subscribers = %v after Close, want %v (where it started)", got, gauge)
+	if got := telCursors.Value(); got != gauge {
+		t.Fatalf("core.subscribe.cursors = %v after Close, want %v (where it started)", got, gauge)
 	}
-	if cancelled != 2 || len(svc.leases.subs) != 0 {
-		t.Fatalf("Close cancelled %d bus subscriptions and left %d leases, want 2 and 0", cancelled, len(svc.leases.subs))
+	for _, c := range cursors {
+		if !c.closed {
+			t.Fatal("Close left a cursor open")
+		}
+	}
+	if n := cursorCount(svc); n != 0 {
+		t.Fatalf("Close left %d cursors, want 0", n)
 	}
 	svc.Close() // the cleanup's second Close finds nothing to give back twice
-	if got := telRemoteSubs.Value(); got != gauge {
-		t.Fatalf("zmq.pubsub.remote.subscribers = %v after a second Close, want %v", got, gauge)
+	if got := telCursors.Value(); got != gauge {
+		t.Fatalf("core.subscribe.cursors = %v after a second Close, want %v", got, gauge)
+	}
+	if _, _, err := svc.SubscribeLocal(""); err == nil {
+		t.Fatal("a closed service opened a subscription")
 	}
 }
 
@@ -247,7 +271,7 @@ func TestLeaseSurvivesIdleGapWhenPolled(t *testing.T) {
 	// The receive must refresh the lease first and deliver normally — and a
 	// recv parked past the expiry must not be swept from under itself.
 	svc, addr := streamService(t, "inproc")
-	svc.leases.expiry = 20 * time.Millisecond
+	svc.updates.expiry = 20 * time.Millisecond
 	st := dialStream(t, addr, "ns/")
 	time.Sleep(50 * time.Millisecond) // idle past the lease expiry
 
@@ -275,13 +299,38 @@ func TestLeaseSurvivesIdleGapWhenPolled(t *testing.T) {
 	}
 }
 
-func TestUpdatesClosedBus(t *testing.T) {
+func TestUpdatesClosedLog(t *testing.T) {
+	// A recv parked on a subscription answers closed, at once, when the
+	// subscription is released under it: by an unsub, or by the log closing.
 	svc, addr := streamService(t, "inproc")
-	st := dialStream(t, addr, "ns/")
-	svc.bus.Close()
-	ups, _, closed, err := recvUpdates(st, 1, 50*time.Millisecond)
-	if err != nil || !closed || len(ups) != 0 {
-		t.Fatalf("recv on a closed bus = %d updates, closed %v, %v; want closed", len(ups), closed, err)
+	for _, release := range []func(stream){
+		func(st stream) { st.unsub() },
+		func(stream) { svc.updates.closeAll() },
+	} {
+		st := dialStream(t, addr, "ns/")
+		type answer struct {
+			n      int
+			closed bool
+			err    error
+		}
+		parked := make(chan answer, 1)
+		go func() {
+			ups, _, closed, err := recvUpdates(st, 1, 10*time.Second)
+			parked <- answer{len(ups), closed, err}
+		}()
+		waitParked(t, svc, 1)
+		start := time.Now()
+		release(st)
+		a := <-parked
+		if a.err != nil || !a.closed || a.n != 0 {
+			t.Fatalf("parked recv on a released subscription = %d updates, closed %v, %v; want closed", a.n, a.closed, a.err)
+		}
+		if elapsed := time.Since(start); elapsed > 2*time.Second {
+			t.Fatalf("parked recv took %s to see its release", elapsed)
+		}
+	}
+	if _, err := openStream(dialEndpoint(t, addr), "ns/"); err == nil {
+		t.Fatal("a closed log opened a subscription")
 	}
 }
 
@@ -438,15 +487,18 @@ func TestUpdateCarriesPublishedBytes(t *testing.T) {
 // FuzzUpdatesRecvFrame holds both ends of soma.updates.recv to hostile bytes:
 // the client's frame reader never panics, delivers nothing from a frame
 // DecodeBinary rejects and skips entries without a string topic, a numeric t
-// or a data subtree; the handler survives any request.
+// or a data subtree; the handler survives any request. The same bytes go to
+// soma.updates.sub, whose prefix is parsed from them: any subscription it
+// accepts answers a recv the client accepts.
 func FuzzUpdatesRecvFrame(f *testing.F) {
 	svc := NewService(ServiceConfig{})
 	f.Cleanup(func() { svc.Close() })
-	sub, err := svc.handleUpdatesSub(context.Background(), func() []byte {
+	subReq := func(prefix string) []byte {
 		req := conduit.NewNode()
-		req.SetString("prefix", "ns/")
+		req.SetString("prefix", prefix)
 		return req.EncodeBinary()
-	}())
+	}
+	sub, err := svc.handleUpdatesSub(context.Background(), subReq("ns/"))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -460,8 +512,9 @@ func FuzzUpdatesRecvFrame(f *testing.F) {
 		return req.EncodeBinary()
 	}
 	// One real frame, and requests with hostile id / max / wait_ms.
-	update := updateWire{NS: string(NSHardware), T: 1, Data: seqTree(1).EncodeBinary()}
-	svc.bus.Publish("ns/hardware/", update)
+	hardware := slices.Index(Namespaces, NSHardware)
+	update := []pub{{ns: NSHardware, enc: seqTree(1).EncodeBinary()}}
+	svc.updates.appendRun(hardware, 1, update)
 	real, err := svc.handleUpdatesRecv(context.Background(), recvReq(id, 8, 1))
 	if err != nil {
 		f.Fatal(err)
@@ -479,6 +532,13 @@ func FuzzUpdatesRecvFrame(f *testing.F) {
 	mistyped.SetString("msgs/000000/t", "now")
 	mistyped.SetInt("msgs/000001/data/x", 1)
 	f.Add(mistyped.EncodeBinary())
+	// Subscription requests: a prefix no topic has, one matching part of a
+	// namespace name, and a prefix of the wrong type.
+	f.Add(subReq("bogus"))
+	f.Add(subReq("ns/hard"))
+	wrong := conduit.NewNode()
+	wrong.SetInt("prefix", 7)
+	f.Add(wrong.EncodeBinary())
 
 	// A parked recv ends with its context: hostile waits cost nothing here.
 	done, cancel := context.WithCancel(context.Background())
@@ -510,12 +570,35 @@ func FuzzUpdatesRecvFrame(f *testing.F) {
 				t.Fatalf("%d updates from %d complete entries", len(ups), complete)
 			}
 		}
-		svc.bus.Publish("ns/hardware/", update) // something to answer with
+		svc.updates.appendRun(hardware, 1, update) // something to answer with
 		if out, err := svc.handleUpdatesRecv(done, data); err == nil {
 			if _, _, _, err := decodeUpdates(out.Payload); err != nil {
 				t.Fatalf("handler answered a frame its client rejects: %v", err)
 			}
 			out.Release()
+		}
+
+		out, err := svc.handleUpdatesSub(done, data)
+		if err != nil {
+			return
+		}
+		resp, err := conduit.DecodeBinary(out)
+		if err != nil {
+			t.Fatalf("soma.updates.sub accepted with an undecodable answer: %v", err)
+		}
+		id, ok := resp.Int("id")
+		if !ok {
+			t.Fatal("soma.updates.sub accepted with an answer carrying no id")
+		}
+		defer svc.updates.remove(id, true)
+		svc.updates.appendRun(hardware, 1, update)
+		frame, err := svc.handleUpdatesRecv(done, recvReq(id, 8, 1))
+		if err != nil {
+			t.Fatalf("accepted subscription %d refuses a recv: %v", id, err)
+		}
+		defer frame.Release()
+		if _, _, closed, err := decodeUpdates(frame.Payload); err != nil || closed {
+			t.Fatalf("accepted subscription %d answers closed %v, %v", id, closed, err)
 		}
 	})
 }

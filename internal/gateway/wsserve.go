@@ -11,10 +11,11 @@ import (
 )
 
 // wsUpdateJSON is one pushed update on the wire. The three drop counters
-// make loss first-class in the stream itself: dropped_upstream is the
-// subscription's server-side high-water loss, dropped_ws is what this
-// socket shed because the browser read too slowly, dropped is their sum —
-// a dashboard can render "N updates lost" without a side channel.
+// make loss first-class in the stream itself: dropped_upstream is what the
+// service's update log shed past its byte budget before this socket's
+// subscription read it, dropped_ws is what this socket shed because the
+// browser read too slowly, dropped is their sum — a dashboard can render
+// "N updates lost" without a side channel.
 type wsUpdateJSON struct {
 	NS              core.Namespace `json:"ns"`
 	Time            float64        `json:"time"`
@@ -27,9 +28,9 @@ type wsUpdateJSON struct {
 
 // handleWS upgrades GET /ws?ns=<ns|soma.alerts|empty>&pattern=<glob> and
 // bridges one upstream subscription onto the socket. Each socket gets its
-// own core.Subscription, so it rides the machinery PR 5 built: a
-// server-side lease with high-water drop accounting, and redial +
-// resubscribe through the shared Backoff when somad restarts.
+// own core.Subscription: a leased cursor on the service's update log with
+// exact byte-budget drop accounting, and redial + resubscribe through the
+// shared Backoff when somad restarts.
 func (g *Gateway) handleWS(w http.ResponseWriter, r *http.Request) {
 	ns, err := parseNS(r, true)
 	if err != nil {

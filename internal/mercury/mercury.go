@@ -1120,8 +1120,15 @@ func (ep *Endpoint) readLoop(s *tcpSession) {
 		id := binary.LittleEndian.Uint64(body[0:8])
 		status := body[8]
 		payload := body[9:]
+		// A response leaves the pending table as it is taken, under the lock:
+		// fail closes only channels still in the table, so it can never
+		// close one this loop is sending on (the buffered send never blocks).
 		s.mu.Lock()
 		ch := s.pend[id]
+		if ch != nil {
+			delete(s.pend, id)
+			telPipelineDepth.Dec()
+		}
 		s.mu.Unlock()
 		if ch != nil {
 			ch <- rpcResponse{status: status, payload: payload}

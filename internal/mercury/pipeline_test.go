@@ -2,7 +2,10 @@ package mercury
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -122,4 +125,36 @@ func TestPipelinedOutOfOrderCompletion(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("slow call never completed after release")
 	}
+}
+
+// A response the reader delivers leaves the pending table as it is taken, so
+// a session failure racing the delivery can never close the channel the
+// reader is sending on: that send would panic the client process.
+func TestDeliveredResponseLeavesPendingTable(t *testing.T) {
+	client, server := net.Pipe()
+	defer server.Close()
+	ep := &Endpoint{}
+	s := newTCPSession(client, false)
+	go ep.readLoop(s)
+	id, respCh, err := s.register()
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := binary.LittleEndian.AppendUint32(nil, 9+2)
+	frame = binary.LittleEndian.AppendUint64(frame, id)
+	frame = append(frame, statusOK, 'o', 'k')
+	if _, err := server.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	if resp := <-respCh; string(resp.payload) != "ok" {
+		t.Fatalf("response payload %q, want ok", resp.payload)
+	}
+	s.mu.Lock()
+	pending := len(s.pend)
+	s.mu.Unlock()
+	if pending != 0 {
+		t.Fatalf("%d delivered responses still pending; a session failure would close their channels", pending)
+	}
+	s.fail(errors.New("severed"))
+	s.unregister(id)
 }

@@ -100,9 +100,9 @@ type Workload struct {
 	Line       int
 }
 
-// SubscriberGroup is Count live update-bus subscribers attached from fleet
-// start — the "live WS subscribers" a kill/restart must not strand. Their
-// server-side high-water drops feed the max_dropped budget.
+// SubscriberGroup is Count live update-log subscribers attached from fleet
+// start — the "live WS subscribers" a kill/restart must not strand. What the
+// log's byte budget shed before they read it feeds the max_dropped budget.
 type SubscriberGroup struct {
 	Name     string
 	Instance string

@@ -222,7 +222,7 @@ func (w *workloadRT) ledger() (issued map[string]float64, acks []ackRecord) {
 }
 
 // ---------------------------------------------------------------------------
-// Subscriber groups: live update-bus subscriptions (fleet-start groups and
+// Subscriber groups: live update-log subscriptions (fleet-start groups and
 // mid-run thundering herds), consumed continuously, drop-accounted.
 
 type subGroupRT struct {

@@ -35,13 +35,13 @@ func promName(name string) string {
 var helpByPrefix = []struct{ prefix, help string }{
 	{"core.publish", "SOMA publish-path activity on this process."},
 	{"core.query", "SOMA query-path activity, including snapshot-cache effectiveness."},
-	{"core.subscribe", "SOMA update-bus subscription activity."},
+	{"core.subscribe", "SOMA update-log subscriptions: open cursors, lease expiries, updates shed unread, and the bytes the log holds."},
 	{"core.alerts", "Threshold-alert evaluation on the service."},
 	{"core.series", "Time-series rollup store activity."},
 	{"core.spill", "Client-side disk spill while the service is unreachable."},
 	{"core.", "SOMA service/client internals."},
 	{"mercury.", "Mercury RPC engine activity (calls, retries, breakers)."},
-	{"zmq.", "Wire transport activity (framing, batching, connections)."},
+	{"zmq.", "Pilot component messaging (work queues and pub/sub)."},
 	{"pilot.", "Pilot runtime scheduling activity."},
 	{"gateway.http", "HTTP gateway request handling per route."},
 	{"gateway.query", "HTTP gateway query-response cache effectiveness."},

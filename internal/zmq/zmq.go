@@ -1,7 +1,7 @@
-// Package zmq provides the component-coordination messaging layer that the
-// RADICAL-Pilot analog uses, modelled on how RP itself uses ZeroMQ: every
-// component gets its inputs from a queue and pushes outputs to another
-// component's queue, and state notifications fan out over pub/sub.
+// Package zmq is the component messaging of the RADICAL-Pilot analog
+// (internal/pilot), modelled on how RP itself uses ZeroMQ: every component
+// gets its inputs from a queue and pushes outputs to another component's
+// queue, and state notifications fan out over pub/sub.
 //
 // Two socket patterns are implemented:
 //
@@ -11,24 +11,21 @@
 //     matches receives a copy; slow subscribers drop (ZeroMQ's high-water
 //     mark behaviour) rather than stall the publisher.
 //
-// Queues are in-process (the pilot Agent components run in one process in
-// this reproduction — as they do in RP's Agent). The tcp deployment path for
-// cross-process coordination is covered by internal/mercury.
+// Queues are in-process: the pilot Agent components run in one process in
+// this reproduction, as they do in RP's Agent. Nothing of this package
+// crosses a socket.
 package zmq
 
 import (
 	"errors"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"github.com/hpcobs/gosoma/internal/telemetry"
 )
 
 // Process-wide pub/sub telemetry; per-queue depth gauges are created per
-// queue name in NewQueue. Per-subscriber drop counts stay out of the
-// registry (their cardinality is unbounded) and are surfaced via
-// PubSub.Stats and the PubSub.Close return value instead.
+// queue name in NewQueue.
 var (
 	telPubPublished = telemetry.Default().Counter("zmq.pubsub.published")
 	telPubDelivered = telemetry.Default().Counter("zmq.pubsub.delivered")
@@ -51,9 +48,8 @@ type Message struct {
 // ---------------------------------------------------------------------------
 // Push/Pull
 
-// Queue is a named push/pull work queue.
+// Queue is a push/pull work queue.
 type Queue struct {
-	name  string
 	mu    sync.Mutex
 	cond  *sync.Cond
 	buf   []interface{}
@@ -61,15 +57,12 @@ type Queue struct {
 	depth *telemetry.Gauge // queue backpressure, by queue name
 }
 
-// NewQueue creates an unbounded push/pull queue.
+// NewQueue creates an unbounded push/pull queue; name labels its depth gauge.
 func NewQueue(name string) *Queue {
-	q := &Queue{name: name, depth: telemetry.Default().Gauge("zmq.queue." + name + ".depth")}
+	q := &Queue{depth: telemetry.Default().Gauge("zmq.queue." + name + ".depth")}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
-
-// Name returns the queue name.
-func (q *Queue) Name() string { return q.name }
 
 // Push enqueues a message; it never blocks. Push on a closed queue returns
 // ErrClosed.
@@ -115,13 +108,6 @@ func (q *Queue) TryPull() (v interface{}, ok bool) {
 	return v, true
 }
 
-// Len reports the queued message count.
-func (q *Queue) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.buf)
-}
-
 // Close marks the queue closed; pullers drain remaining messages and then
 // observe ok == false.
 func (q *Queue) Close() {
@@ -136,90 +122,48 @@ func (q *Queue) Close() {
 
 // PubSub is a topic-prefix fan-out bus.
 type PubSub struct {
-	mu        sync.Mutex
-	subs      map[int]*subscription
-	nextID    int
-	highWater int
-	closed    bool
-	dropped   int64
-	// nsubs mirrors len(subs) atomically so publishers can skip payload
-	// construction without taking the bus lock (see Subscribers).
-	nsubs atomic.Int64
+	mu     sync.Mutex
+	subs   map[int]*subscription
+	nextID int
+	closed bool
 }
 
 type subscription struct {
-	prefix  string
-	ch      chan Message
-	dropped int64 // messages discarded for this subscriber (guarded by PubSub.mu)
+	prefix string
+	ch     chan Message
 }
 
-// SubStats describes one subscriber's standing at snapshot time: its topic
-// prefix, how many messages sit unconsumed in its buffer, and how many were
-// dropped because the buffer hit the high-water mark.
-type SubStats struct {
-	Prefix  string
-	Queued  int
-	Dropped int64
-}
-
-// NewPubSub creates a bus with the default high-water mark.
-func NewPubSub() *PubSub { return NewPubSubHW(DefaultHighWater) }
-
-// NewPubSubHW creates a bus whose subscribers buffer up to hw messages.
-func NewPubSubHW(hw int) *PubSub {
-	if hw < 1 {
-		hw = 1
-	}
-	return &PubSub{subs: map[int]*subscription{}, highWater: hw}
-}
+// NewPubSub creates a bus whose subscribers buffer up to DefaultHighWater
+// messages each.
+func NewPubSub() *PubSub { return &PubSub{subs: map[int]*subscription{}} }
 
 // Subscribe registers interest in every topic beginning with prefix (""
 // subscribes to everything). cancel removes the subscription and closes the
 // channel.
 func (b *PubSub) Subscribe(prefix string) (ch <-chan Message, cancel func()) {
-	ch, cancel, _ = b.SubscribeWithStats(prefix)
-	return ch, cancel
-}
-
-// SubscribeWithStats is Subscribe plus a stats accessor for this one
-// subscription — the per-subscriber drop accounting of Stats, addressable
-// without scanning the whole bus. Remote subscription serving reports these
-// counts back to the network subscriber.
-func (b *PubSub) SubscribeWithStats(prefix string) (ch <-chan Message, cancel func(), stats func() SubStats) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	id := b.nextID
-	b.nextID++
-	sub := &subscription{prefix: prefix, ch: make(chan Message, b.highWater)}
-	stats = func() SubStats {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		return SubStats{Prefix: sub.prefix, Queued: len(sub.ch), Dropped: sub.dropped}
-	}
+	sub := &subscription{prefix: prefix, ch: make(chan Message, DefaultHighWater)}
 	if b.closed {
 		close(sub.ch)
-		return sub.ch, func() {}, stats
+		return sub.ch, func() {}
 	}
+	id := b.nextID
+	b.nextID++
 	b.subs[id] = sub
-	b.nsubs.Store(int64(len(b.subs)))
 	return sub.ch, func() {
 		b.mu.Lock()
 		defer b.mu.Unlock()
 		if s, ok := b.subs[id]; ok {
 			delete(b.subs, id)
-			b.nsubs.Store(int64(len(b.subs)))
 			close(s.ch)
 		}
-	}, stats
+	}
 }
 
-// Subscribers reports the current subscription count without locking the
-// bus; publishers use it to skip message construction entirely when nobody
-// is listening.
-func (b *PubSub) Subscribers() int { return int(b.nsubs.Load()) }
-
-// Publish fans msg out to every matching subscriber. Full subscribers drop
-// the message (counted in Dropped) instead of blocking the publisher.
+// Publish fans msg out to every matching subscriber. A full subscriber drops
+// the message (counted in zmq.pubsub.dropped) instead of blocking the
+// publisher.
 func (b *PubSub) Publish(topic string, payload interface{}) error {
 	msg := Message{Topic: topic, Payload: payload}
 	b.mu.Lock()
@@ -236,53 +180,23 @@ func (b *PubSub) Publish(topic string, payload interface{}) error {
 		case sub.ch <- msg:
 			telPubDelivered.Inc()
 		default:
-			sub.dropped++
-			b.dropped++
 			telPubDropped.Inc()
 		}
 	}
 	return nil
 }
 
-// Dropped reports how many messages were discarded due to full subscribers.
-func (b *PubSub) Dropped() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.dropped
-}
-
-// Stats reports per-subscriber queue depth and drop counts for the live
-// subscriptions. Ordering is unspecified.
-func (b *PubSub) Stats() []SubStats {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.statsLocked()
-}
-
-func (b *PubSub) statsLocked() []SubStats {
-	out := make([]SubStats, 0, len(b.subs))
-	for _, sub := range b.subs {
-		out = append(out, SubStats{Prefix: sub.prefix, Queued: len(sub.ch), Dropped: sub.dropped})
-	}
-	return out
-}
-
-// Close shuts the bus down and closes all subscriber channels. It returns the
-// final per-subscriber stats so callers can log which subscribers fell behind
-// (Queued counts messages still in flight at close; subscribers may yet drain
-// them before seeing the channel close).
-func (b *PubSub) Close() []SubStats {
+// Close shuts the bus down and closes all subscriber channels; subscribers
+// drain what their buffers hold before seeing the close.
+func (b *PubSub) Close() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
-		return nil
+		return
 	}
-	final := b.statsLocked()
 	b.closed = true
 	for id, sub := range b.subs {
 		close(sub.ch)
 		delete(b.subs, id)
 	}
-	b.nsubs.Store(0)
-	return final
 }

@@ -8,16 +8,10 @@ import (
 
 func TestQueuePushPullOrder(t *testing.T) {
 	q := NewQueue("agent_scheduling_queue")
-	if q.Name() != "agent_scheduling_queue" {
-		t.Fatalf("name = %q", q.Name())
-	}
 	for i := 0; i < 5; i++ {
 		if err := q.Push(i); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if q.Len() != 5 {
-		t.Fatalf("Len = %d", q.Len())
 	}
 	for i := 0; i < 5; i++ {
 		v, ok := q.Pull()
@@ -111,10 +105,7 @@ func TestQueueConcurrentProducersConsumers(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	for q.Len() > 0 {
-		time.Sleep(time.Millisecond)
-	}
-	q.Close()
+	q.Close() // pullers drain what is queued before they see the close
 	cwg.Wait()
 	if len(seen) != producers*perProducer {
 		t.Fatalf("delivered %d of %d", len(seen), producers*perProducer)
@@ -164,82 +155,24 @@ func TestPubSubCancelClosesChannel(t *testing.T) {
 }
 
 func TestPubSubHighWaterDrops(t *testing.T) {
-	b := NewPubSubHW(2)
+	// A subscriber that does not read keeps the first DefaultHighWater
+	// messages; the rest drop rather than block the publisher.
+	b := NewPubSub()
 	defer b.Close()
 	ch, cancel := b.Subscribe("")
-	defer cancel()
-	for i := 0; i < 5; i++ {
+	for i := 0; i < DefaultHighWater+3; i++ {
 		b.Publish("t", i)
 	}
-	if b.Dropped() != 3 {
-		t.Fatalf("Dropped = %d want 3", b.Dropped())
-	}
-	if m := <-ch; m.Payload.(int) != 0 {
-		t.Fatalf("first = %+v", m)
-	}
-}
-
-// TestPubSubPerSubscriberDropStats drives one subscriber past its high-water
-// mark while a second keeps up, and asserts the drops are attributed to the
-// slow subscriber — via Stats while the bus is live, and again via the Close
-// return value.
-func TestPubSubPerSubscriberDropStats(t *testing.T) {
-	b := NewPubSubHW(2)
-	slow, cancelSlow := b.Subscribe("task.")
-	defer cancelSlow()
-	fast, cancelFast := b.Subscribe("task.")
-	defer cancelFast()
-
-	const published = 6
-	for i := 0; i < published; i++ {
-		if err := b.Publish("task.x", i); err != nil {
-			t.Fatal(err)
-		}
-		// The fast subscriber drains as it goes; the slow one never reads.
-		<-fast
-	}
-
-	stats := b.Stats()
-	if len(stats) != 2 {
-		t.Fatalf("Stats returned %d entries, want 2", len(stats))
-	}
-	var slowStats, fastStats *SubStats
-	for i := range stats {
-		switch {
-		case stats[i].Queued == 2:
-			slowStats = &stats[i]
-		case stats[i].Queued == 0:
-			fastStats = &stats[i]
-		}
-	}
-	if slowStats == nil || fastStats == nil {
-		t.Fatalf("could not identify slow/fast subscribers in %+v", stats)
-	}
-	if want := int64(published - 2); slowStats.Dropped != want {
-		t.Errorf("slow subscriber Dropped = %d, want %d", slowStats.Dropped, want)
-	}
-	if fastStats.Dropped != 0 {
-		t.Errorf("fast subscriber Dropped = %d, want 0", fastStats.Dropped)
-	}
-	if b.Dropped() != slowStats.Dropped {
-		t.Errorf("bus Dropped = %d, per-sub total = %d", b.Dropped(), slowStats.Dropped)
-	}
-
-	final := b.Close()
-	var totalDropped int64
-	for _, s := range final {
-		totalDropped += s.Dropped
-	}
-	if totalDropped != slowStats.Dropped {
-		t.Errorf("Close stats dropped total = %d, want %d", totalDropped, slowStats.Dropped)
-	}
-	// Drain the slow subscriber: its buffered messages survive the close.
+	cancel()
 	n := 0
-	for range slow {
+	for m := range ch {
+		if m.Payload.(int) != n {
+			t.Fatalf("message %d = %+v", n, m)
+		}
 		n++
 	}
-	if n != 2 {
-		t.Errorf("slow subscriber drained %d buffered messages, want 2", n)
+	if n != DefaultHighWater {
+		t.Fatalf("received %d, want the high-water %d", n, DefaultHighWater)
 	}
 }
 
@@ -261,7 +194,7 @@ func TestPubSubClose(t *testing.T) {
 }
 
 func TestPubSubConcurrentPublish(t *testing.T) {
-	b := NewPubSubHW(10_000)
+	b := NewPubSub()
 	defer b.Close()
 	ch, cancel := b.Subscribe("task.")
 	defer cancel()
