@@ -147,8 +147,9 @@ scenarios:
 # soma.updates.recv (the client's frame reader and the handler's request
 # parsing), the growable rollup ring against the fixed-size ring it replaced,
 # the conduit JSON codec round-trip, a built conduit tree against its decoded
-# twin under random operations, and the WebSocket frame decoder (hostile wire
-# input). One `go test -fuzz` invocation per target — the fuzzer
+# twin under random operations, the control-plane codec (Unmarshal of any
+# decoded tree into every control-plane type), and the WebSocket frame decoder
+# (hostile wire input). One `go test -fuzz` invocation per target — the fuzzer
 # accepts only a single match.
 FUZZ_TIME ?= 20s
 fuzz-smoke:
@@ -160,4 +161,5 @@ fuzz-smoke:
 	$(GO) test ./internal/core/ -run '^$$' -fuzz 'FuzzBucketRing$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/conduit/ -run '^$$' -fuzz 'FuzzJSONRoundTrip$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/conduit/ -run '^$$' -fuzz 'FuzzNodeOps$$' -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/conduit/ -run '^$$' -fuzz 'FuzzUnmarshal$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/gateway/ -run '^$$' -fuzz 'FuzzWSFrame$$' -fuzztime $(FUZZ_TIME)

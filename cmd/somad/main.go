@@ -56,26 +56,10 @@ func main() {
 	metricsAddr := flag.String("metrics", "", "serve Prometheus-style text metrics at http://<addr>/metrics (e.g. :9091; empty = off)")
 	hwmon := flag.Bool("hwmon", false, "sample the local /proc tree into the hardware namespace (live stream source)")
 	hwmonEvery := flag.Duration("hwmon-interval", 30*time.Second, "local /proc sampling period (with -hwmon)")
-	spanRing := flag.Int("span-ring", 0, "recent-span ring capacity (0 = default 256)")
-	traceMax := flag.Int("trace-max", 0, "kept traces retained by the tail sampler (0 = default 128)")
-	traceHead := flag.Int("trace-head", 0, "head-sample 1 in N unremarkable traces (0 = default 64, negative = off)")
 	peers := flag.String("peers", "", "comma-separated peer addresses: join a sharded SOMA cluster with these instances")
 	clusterID := flag.String("id", "", "stable cluster member id (with -peers; default: the listen address)")
 	pingEvery := flag.Duration("ping", 0, "cluster liveness ping interval (0 = default 250ms)")
 	flag.Parse()
-
-	// Tracing knobs reconfigure the Default registry before the service
-	// starts publishing spans into it; zero values keep the baked-in bounds.
-	if *spanRing > 0 || *traceMax > 0 || *traceHead != 0 {
-		opts := telemetry.Options{SpanRingCapacity: *spanRing}
-		if *traceMax > 0 || *traceHead != 0 {
-			opts.TraceStore = &telemetry.TraceStoreOptions{
-				MaxTraces:       *traceMax,
-				HeadSampleEvery: *traceHead,
-			}
-		}
-		telemetry.Default().Configure(opts)
-	}
 
 	svc := core.NewService(core.ServiceConfig{
 		RanksPerNamespace: *ranks,

@@ -21,8 +21,8 @@ import (
 // lists are address lists). ID is a human label for health panels and logs;
 // it defaults to the address when not configured.
 type Member struct {
-	ID   string
-	Addr string
+	ID   string `conduit:"id"`
+	Addr string `conduit:"addr"`
 }
 
 // DefaultVnodes is the virtual-node count per member. 160 points per member

@@ -111,8 +111,8 @@ func NewNode() *Node { return &Node{} }
 // Kind reports what the node currently holds.
 func (n *Node) Kind() Kind { return n.kind }
 
-// IsLeaf reports whether the node holds a value rather than children.
-func (n *Node) IsLeaf() bool { return n.kind != KindObject && n.kind != KindEmpty }
+// isLeaf reports whether the node holds a value rather than children.
+func (n *Node) isLeaf() bool { return n.kind != KindObject && n.kind != KindEmpty }
 
 // IsEmpty reports whether the node holds nothing at all.
 func (n *Node) IsEmpty() bool { return n.kind == KindEmpty }
@@ -670,13 +670,13 @@ func MergeCOW(dst, src *Node) *Node {
 // '/'-joined path from n and the leaf node. Returning false from fn stops
 // the walk early.
 func (n *Node) Walk(fn func(path string, leaf *Node) bool) {
-	n.WalkBytes(func(p []byte, leaf *Node) bool { return fn(string(p), leaf) })
+	n.walkBytes(func(p []byte, leaf *Node) bool { return fn(string(p), leaf) })
 }
 
-// WalkBytes is Walk without the per-leaf string allocation: path aliases an
+// walkBytes is Walk without the per-leaf string allocation: path aliases an
 // internal buffer that is overwritten as the traversal advances, so callers
 // must copy it if they retain it beyond the callback.
-func (n *Node) WalkBytes(fn func(path []byte, leaf *Node) bool) {
+func (n *Node) walkBytes(fn func(path []byte, leaf *Node) bool) {
 	if n.kind != KindObject {
 		if n.kind != KindEmpty {
 			fn(nil, n)

@@ -11,7 +11,7 @@ func TestEmptyNode(t *testing.T) {
 	if !n.IsEmpty() {
 		t.Fatal("new node should be empty")
 	}
-	if n.IsLeaf() {
+	if n.isLeaf() {
 		t.Fatal("empty node is not a leaf")
 	}
 	if n.NumChildren() != 0 {

@@ -22,7 +22,7 @@ func (n *Node) Select(pattern string) []string {
 func (n *Node) selectWalk(prefix string, pattern []string, out *[]string) {
 	if len(pattern) == 0 {
 		// Pattern exhausted: match only if this is a leaf.
-		if n.IsLeaf() {
+		if n.isLeaf() {
 			*out = append(*out, prefix)
 		}
 		return

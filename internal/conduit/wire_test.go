@@ -10,7 +10,7 @@ import (
 )
 
 // Reference side of the byte-walk differentials: the leaf stream of the
-// DECODED tree (Node.WalkBytes, numeric kinds only — what the service's
+// DECODED tree (Node.walkBytes, numeric kinds only — what the service's
 // tree-walk rollup ingest consumed before it read wire bytes), and a small
 // rollup fold over such a stream.
 
@@ -21,7 +21,7 @@ type leafSample struct {
 
 func treeNumericLeaves(n *Node) []leafSample {
 	var out []leafSample
-	n.WalkBytes(func(path []byte, leaf *Node) bool {
+	n.walkBytes(func(path []byte, leaf *Node) bool {
 		if leaf == n {
 			return true // a bare scalar root has no series (a child named "" does)
 		}

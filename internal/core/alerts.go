@@ -37,13 +37,13 @@ const DefaultAlertSeverity = "warning"
 // of NS whose key matches Pattern and fires when the mean over the trailing
 // WindowSec seconds satisfies "value Op Threshold".
 type AlertRule struct {
-	Name      string // unique rule name
-	NS        Namespace
-	Pattern   string // series-key glob: '*' one segment, '**' any tail
-	Op        string // one of > < >= <=
-	Threshold float64
-	WindowSec float64 // trailing window width; min 1 (one rollup bucket)
-	Severity  string  // free-form label carried on transitions (default "warning")
+	Name      string    `conduit:"name"` // unique rule name
+	NS        Namespace `conduit:"ns"`
+	Pattern   string    `conduit:"pattern"` // series-key glob: '*' one segment, '**' any tail
+	Op        string    `conduit:"op"`      // one of > < >= <=
+	Threshold float64   `conduit:"threshold"`
+	WindowSec float64   `conduit:"window"`   // trailing window width; min 1 (one rollup bucket)
+	Severity  string    `conduit:"severity"` // free-form label carried on transitions (default "warning")
 }
 
 func (r *AlertRule) validate() error {
@@ -85,13 +85,13 @@ func (r *AlertRule) eval(v float64) bool {
 
 // AlertState is the current standing of one (rule, series) pair.
 type AlertState struct {
-	Rule     string
-	NS       Namespace
-	Key      string
-	Severity string
-	Firing   bool
-	Value    float64 // windowed mean at the last transition or evaluation
-	Since    float64 // service time of the last transition
+	Rule     string    `conduit:"rule"`
+	NS       Namespace `conduit:"ns"`
+	Key      string    `conduit:"key"`
+	Severity string    `conduit:"severity"`
+	Firing   bool      `conduit:"firing"`
+	Value    float64   `conduit:"value"` // windowed mean at the last transition or evaluation
+	Since    float64   `conduit:"since"` // service time of the last transition
 }
 
 type alertState struct {
@@ -339,25 +339,21 @@ func (s *Service) Alerts() ([]AlertRule, []AlertState) {
 }
 
 // ---------------------------------------------------------------------------
-// RPC surface.
-//
-//	alert.set req : {ns, name, pattern, op, threshold, window, severity} → {}
-//	alert.rm  req : {name}                                               → {}
-//	alert.list    : {} → {rules/<name>/..., states/NNNNNN/...}
+// RPC surface. soma.alert.set sends the AlertRule itself, soma.alert.rm a rule
+// holding only its Name, and soma.alert.list answers an alertList.
+
+// alertList is the soma.alert.list answer: the rules and the per-series
+// standings, both sorted.
+type alertList struct {
+	Rules  []AlertRule  `conduit:"rules"`
+	States []AlertState `conduit:"states"`
+}
 
 func (s *Service) handleAlertSet(_ context.Context, payload []byte) ([]byte, error) {
-	req, ns, err := nsRequest(payload)
-	if err != nil {
+	var r AlertRule
+	if err := unmarshalFrame(payload, &r); err != nil {
 		return nil, err
 	}
-	var r AlertRule
-	r.NS = ns
-	r.Name, _ = req.StringVal("name")
-	r.Pattern, _ = req.StringVal("pattern")
-	r.Op, _ = req.StringVal("op")
-	r.Threshold, _ = req.Float("threshold")
-	r.WindowSec, _ = req.Float("window")
-	r.Severity, _ = req.StringVal("severity")
 	if err := s.SetAlert(r); err != nil {
 		return nil, err
 	}
@@ -365,12 +361,11 @@ func (s *Service) handleAlertSet(_ context.Context, payload []byte) ([]byte, err
 }
 
 func (s *Service) handleAlertRemove(_ context.Context, payload []byte) ([]byte, error) {
-	req, err := conduit.DecodeBinary(payload)
-	if err != nil {
+	var r AlertRule
+	if err := unmarshalFrame(payload, &r); err != nil {
 		return nil, err
 	}
-	name, _ := req.StringVal("name")
-	if err := s.RemoveAlert(name); err != nil {
+	if err := s.RemoveAlert(r.Name); err != nil {
 		return nil, err
 	}
 	return okFrame, nil
@@ -380,37 +375,8 @@ func (s *Service) handleAlertList(_ context.Context, _ []byte) ([]byte, error) {
 	if s.Stopped() {
 		return nil, ErrServiceStopped
 	}
-	return encodeAlertListResp(s.Alerts()), nil
-}
-
-// encodeAlertListResp builds the soma.alert.list response frame — shared by
-// the handler and the cluster scatter-gather merge.
-func encodeAlertListResp(rules []AlertRule, states []AlertState) []byte {
-	resp := conduit.NewNode()
-	for _, r := range rules {
-		base := "rules/" + r.Name
-		resp.SetString(base+"/ns", string(r.NS))
-		resp.SetString(base+"/pattern", r.Pattern)
-		resp.SetString(base+"/op", r.Op)
-		resp.SetFloat(base+"/threshold", r.Threshold)
-		resp.SetFloat(base+"/window", r.WindowSec)
-		resp.SetString(base+"/severity", r.Severity)
-	}
-	for i, st := range states {
-		base := fmt.Sprintf("states/%06d", i)
-		resp.SetString(base+"/rule", st.Rule)
-		resp.SetString(base+"/ns", string(st.NS))
-		resp.SetString(base+"/key", st.Key)
-		resp.SetString(base+"/severity", st.Severity)
-		if st.Firing {
-			resp.SetString(base+"/state", "firing")
-		} else {
-			resp.SetString(base+"/state", "ok")
-		}
-		resp.SetFloat(base+"/value", st.Value)
-		resp.SetFloat(base+"/since", st.Since)
-	}
-	return resp.EncodeBinary()
+	rules, states := s.Alerts()
+	return conduit.Marshal(alertList{rules, states}).EncodeBinary(), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -418,73 +384,19 @@ func encodeAlertListResp(rules []AlertRule, states []AlertState) []byte {
 
 // SetAlert installs (or replaces) a threshold alert rule on the service.
 func (c *Client) SetAlert(r AlertRule) error {
-	req := conduit.NewNode()
-	req.SetString("ns", string(r.NS))
-	req.SetString("name", r.Name)
-	req.SetString("pattern", r.Pattern)
-	req.SetString("op", r.Op)
-	req.SetFloat("threshold", r.Threshold)
-	req.SetFloat("window", r.WindowSec)
-	req.SetString("severity", r.Severity)
-	_, err := c.call(context.Background(), RPCAlertSet, req)
-	return err
+	return c.call(context.Background(), RPCAlertSet, r, nil)
 }
 
 // RemoveAlert deletes a rule by name.
 func (c *Client) RemoveAlert(name string) error {
-	req := conduit.NewNode()
-	req.SetString("name", name)
-	_, err := c.call(context.Background(), RPCAlertRemove, req)
-	return err
+	return c.call(context.Background(), RPCAlertRemove, AlertRule{Name: name}, nil)
 }
 
 // Alerts fetches the service's installed rules and per-series standings.
 func (c *Client) Alerts() ([]AlertRule, []AlertState, error) {
-	resp, err := c.call(context.Background(), RPCAlertList, nil)
-	if err != nil {
+	var l alertList
+	if err := c.call(context.Background(), RPCAlertList, nil, &l); err != nil {
 		return nil, nil, err
 	}
-	rules, states := decodeAlertListResp(resp)
-	return rules, states, nil
-}
-
-// decodeAlertListResp decodes a soma.alert.list response frame — shared by
-// the client stub and the cluster scatter-gather merge.
-func decodeAlertListResp(resp *conduit.Node) ([]AlertRule, []AlertState) {
-	var rules []AlertRule
-	if rn, ok := resp.Get("rules"); ok {
-		for _, name := range rn.ChildNames() {
-			sub := rn.Child(name)
-			r := AlertRule{Name: name}
-			if v, ok := sub.StringVal("ns"); ok {
-				r.NS = Namespace(v)
-			}
-			r.Pattern, _ = sub.StringVal("pattern")
-			r.Op, _ = sub.StringVal("op")
-			r.Threshold, _ = sub.Float("threshold")
-			r.WindowSec, _ = sub.Float("window")
-			r.Severity, _ = sub.StringVal("severity")
-			rules = append(rules, r)
-		}
-	}
-	var states []AlertState
-	if sn, ok := resp.Get("states"); ok {
-		for _, name := range sn.ChildNames() {
-			sub := sn.Child(name)
-			st := AlertState{}
-			st.Rule, _ = sub.StringVal("rule")
-			if v, ok := sub.StringVal("ns"); ok {
-				st.NS = Namespace(v)
-			}
-			st.Key, _ = sub.StringVal("key")
-			st.Severity, _ = sub.StringVal("severity")
-			if v, ok := sub.StringVal("state"); ok {
-				st.Firing = v == "firing"
-			}
-			st.Value, _ = sub.Float("value")
-			st.Since, _ = sub.Float("since")
-			states = append(states, st)
-		}
-	}
-	return rules, states
+	return l.Rules, l.States, nil
 }

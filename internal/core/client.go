@@ -397,14 +397,21 @@ func (c *Client) DeltaStats() DeltaStatsSnapshot {
 	}
 }
 
-// call is the control-plane round trip every stub below shares: req (nil =
-// the empty tree) goes out encoded and the answer comes back decoded.
-// publish* and query* stay out of it: they are byte-sliced on purpose.
-func (c *Client) call(ctx context.Context, rpc string, req *conduit.Node) (*conduit.Node, error) {
-	return callTree(ctx, c.ep, rpc, req)
+// call is the control-plane round trip every stub below shares: req goes out
+// through conduit.Marshal (nil = the empty tree) and the answer comes back
+// through conduit.Unmarshal into resp (nil = discarded). publish*, query* and
+// a single-key Series stay out of it: they are laid out by hand on purpose.
+func (c *Client) call(ctx context.Context, rpc string, req, resp any) error {
+	out, err := callTree(ctx, c.ep, rpc, conduit.Marshal(req))
+	if err != nil || resp == nil {
+		return err
+	}
+	return conduit.Unmarshal(out, resp)
 }
 
-// callTree is call over any endpoint (a subscription's redialled one).
+// callTree sends the tree req (nil = the empty tree) over ep and decodes the
+// answer: call's round trip, and that of the hand-laid stubs (a single-key
+// Series, a subscription over its redialled endpoint).
 func callTree(ctx context.Context, ep *mercury.Endpoint, rpc string, req *conduit.Node) (*conduit.Node, error) {
 	payload := okFrame
 	if req != nil {
@@ -419,94 +426,46 @@ func callTree(ctx context.Context, ep *mercury.Endpoint, rpc string, req *condui
 
 // Stats fetches per-instance service statistics.
 func (c *Client) Stats() (map[Namespace]InstanceStats, error) {
-	resp, err := c.call(context.Background(), RPCStats, nil)
-	if err != nil {
+	var stats map[Namespace]InstanceStats
+	if err := c.call(context.Background(), RPCStats, nil, &stats); err != nil {
 		return nil, err
 	}
-	stats := map[Namespace]InstanceStats{}
-	for _, nsName := range resp.ChildNames() {
-		sub := resp.Child(nsName)
-		st := InstanceStats{Namespace: Namespace(nsName)}
-		if v, ok := sub.Int("ranks"); ok {
-			st.Ranks = int(v)
-		}
-		if v, ok := sub.Int("stripes"); ok {
-			st.Stripes = int(v)
-		}
-		st.Publishes, _ = sub.Int("publishes")
-		st.Leaves, _ = sub.Int("leaves")
-		st.BytesIn, _ = sub.Int("bytes_in")
-		st.LastTime, _ = sub.Float("last_time")
-		if v, ok := sub.Int("series"); ok {
-			st.Series = int(v)
-		}
-		if v, ok := sub.Int("series_cap"); ok {
-			st.SeriesCap = int(v)
-		}
-		st.SeriesBytes, _ = sub.Int("series_bytes")
-		stats[st.Namespace] = st
+	for ns, st := range stats {
+		st.Namespace = ns
+		stats[ns] = st
 	}
 	return stats, nil
 }
 
-// Telemetry fetches the service process's full telemetry registry snapshot
-// (RPC latency histograms, queue gauges, counters, recent spans) via the
-// soma.telemetry RPC.
-func (c *Client) Telemetry() (*telemetry.Snapshot, error) {
-	resp, err := c.call(context.Background(), RPCTelemetry, nil)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeTelemetry(resp), nil
-}
-
-// SelectMatch is one result of a pattern select.
+// SelectMatch is one result of a pattern select; soma.select answers a list
+// of them.
 type SelectMatch struct {
-	Path string
+	Path string `conduit:"path"`
 	// Value holds the leaf's numeric value; HasValue is false for
 	// non-numeric leaves.
-	Value    float64
-	HasValue bool
+	Value    float64 `conduit:"value"`
+	HasValue bool    `conduit:"has_value"`
 }
 
 // Select returns the leaf paths (and numeric values) matching a glob
 // pattern in a namespace, evaluated service-side.
 func (c *Client) Select(ns Namespace, pattern string) ([]SelectMatch, error) {
-	req := conduit.NewNode()
-	req.SetString("ns", string(ns))
-	req.SetString("pattern", pattern)
-	resp, err := c.call(context.Background(), RPCSelect, req)
-	if err != nil {
+	var matches []SelectMatch
+	if err := c.call(context.Background(), RPCSelect, nsReq{NS: ns, Pattern: pattern}, &matches); err != nil {
 		return nil, err
 	}
-	matches, ok := resp.Get("matches")
-	if !ok {
-		return nil, nil
-	}
-	var result []SelectMatch
-	for _, name := range matches.ChildNames() {
-		sub := matches.Child(name)
-		m := SelectMatch{}
-		m.Path, _ = sub.StringVal("path")
-		m.Value, m.HasValue = sub.Float("value")
-		result = append(result, m)
-	}
-	return result, nil
+	return matches, nil
 }
 
 // Reset asks the service to discard a namespace's stored data (after a
 // snapshot, at phase boundaries).
 func (c *Client) Reset(ns Namespace) error {
-	req := conduit.NewNode()
-	req.SetString("ns", string(ns))
-	_, err := c.call(context.Background(), RPCReset, req)
-	return err
+	return c.call(context.Background(), RPCReset, nsReq{NS: ns}, nil)
 }
 
 // Shutdown asks the service to stop accepting data.
 func (c *Client) Shutdown() error {
-	_, err := c.call(context.Background(), RPCShutdown, nil)
-	return err
+	return c.call(context.Background(), RPCShutdown, nil, nil)
 }
 
 // Close gives the coalescer's pending batch its final delivery attempt,

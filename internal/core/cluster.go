@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -252,60 +252,42 @@ func (cl *svcCluster) pingOne(m cluster.Member) bool {
 	if err != nil {
 		return cl.tracker.ReportFailure(m.Addr)
 	}
-	req := conduit.NewNode()
-	req.SetString("addr", cl.self.Addr)
-	req.SetString("id", cl.self.ID)
-	req.SetInt("epoch", int64(cl.tracker.Ring().Epoch()))
 	timeout := 2 * cl.cfg.PingInterval
 	if timeout < 500*time.Millisecond {
 		timeout = 500 * time.Millisecond
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	out, err := ep.Call(ctx, RPCPeerPing, req.EncodeBinary())
+	out, err := ep.Call(ctx, RPCPeerPing, conduit.Marshal(cl.self).EncodeBinary())
 	cancel()
 	if err != nil {
 		return cl.tracker.ReportFailure(m.Addr)
 	}
-	resp, err := conduit.DecodeBinary(out)
-	if err != nil {
+	var view ringAnswer
+	if err := unmarshalFrame(out, &view); err != nil {
 		return cl.tracker.ReportFailure(m.Addr)
 	}
-	return cl.tracker.ReportSuccess(m.Addr, decodeRingMembers(resp))
+	return cl.tracker.ReportSuccess(m.Addr, view.members())
 }
 
-// ringFrame encodes this instance's membership view: the ring epoch, the
-// vnode count (so routing clients build the identical ring), and the live
-// members. soma.peer.ping and soma.ring both answer with it.
+// ringAnswer is a membership view, the answer of soma.ring and of
+// soma.peer.ping (whose request is the caller's cluster.Member): the ring
+// epoch, 0 when the instance is not clustered; the vnode count, so routing
+// clients build the identical ring; and the live members.
+type ringAnswer struct {
+	Epoch   uint64           `conduit:"epoch"`
+	Vnodes  int              `conduit:"vnodes"`
+	Members []cluster.Member `conduit:"members"`
+}
+
+// members returns the view's members, dropping any without an address.
+func (a ringAnswer) members() []cluster.Member {
+	return slices.DeleteFunc(a.Members, func(m cluster.Member) bool { return m.Addr == "" })
+}
+
+// ringFrame encodes this instance's membership view.
 func (cl *svcCluster) ringFrame() []byte {
 	ring := cl.tracker.Ring()
-	resp := conduit.NewNode()
-	resp.SetInt("epoch", int64(ring.Epoch()))
-	resp.SetInt("vnodes", cluster.DefaultVnodes)
-	resp.SetString("self", cl.self.Addr)
-	for i, m := range ring.Members() {
-		base := fmt.Sprintf("members/%03d", i)
-		resp.SetString(base+"/addr", m.Addr)
-		resp.SetString(base+"/id", m.ID)
-	}
-	return resp.EncodeBinary()
-}
-
-func decodeRingMembers(resp *conduit.Node) []cluster.Member {
-	list, ok := resp.Get("members")
-	if !ok {
-		return nil
-	}
-	var out []cluster.Member
-	for _, name := range list.ChildNames() {
-		sub := list.Child(name)
-		m := cluster.Member{}
-		m.Addr, _ = sub.StringVal("addr")
-		m.ID, _ = sub.StringVal("id")
-		if m.Addr != "" {
-			out = append(out, m)
-		}
-	}
-	return out
+	return conduit.Marshal(ringAnswer{Epoch: ring.Epoch(), Vnodes: cluster.DefaultVnodes, Members: ring.Members()}).EncodeBinary()
 }
 
 // handlePeerPing serves liveness probes: hearing from a peer proves it
@@ -316,15 +298,13 @@ func (s *Service) handlePeerPing(_ context.Context, payload []byte) ([]byte, err
 	if cl == nil {
 		return nil, errors.New("soma: not clustered")
 	}
-	req, err := conduit.DecodeBinary(payload)
-	if err != nil {
+	var from cluster.Member
+	if err := unmarshalFrame(payload, &from); err != nil {
 		return nil, err
 	}
-	addr, _ := req.StringVal("addr")
-	id, _ := req.StringVal("id")
-	if addr != "" {
-		added := cl.tracker.Add(cluster.Member{ID: id, Addr: addr})
-		revived := cl.tracker.ReportSuccess(addr, nil)
+	if from.Addr != "" {
+		added := cl.tracker.Add(from)
+		revived := cl.tracker.ReportSuccess(from.Addr, nil)
 		if added || revived {
 			cl.updateGauges()
 			telRingChanges.Inc()
@@ -340,9 +320,7 @@ func (s *Service) handlePeerPing(_ context.Context, payload []byte) ([]byte, err
 func (s *Service) handleRing(_ context.Context, _ []byte) ([]byte, error) {
 	cl := s.cl.Load()
 	if cl == nil {
-		resp := conduit.NewNode()
-		resp.SetInt("epoch", 0)
-		return resp.EncodeBinary(), nil
+		return conduit.Marshal(ringAnswer{}).EncodeBinary(), nil
 	}
 	return cl.ringFrame(), nil
 }

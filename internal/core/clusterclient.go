@@ -151,8 +151,8 @@ func (c *ClusterClient) RefreshRing() error {
 			lastErr = err
 			continue
 		}
-		resp, err := cl.call(context.Background(), RPCRing, nil)
-		if err != nil {
+		var view ringAnswer
+		if err := cl.call(context.Background(), RPCRing, nil, &view); err != nil {
 			if errors.Is(err, mercury.ErrUnknownRPC) {
 				// Pre-cluster server: permanently a cluster of one.
 				return nil
@@ -160,22 +160,21 @@ func (c *ClusterClient) RefreshRing() error {
 			lastErr = err
 			continue
 		}
-		c.applyRingFrame(addr, resp)
+		c.applyRing(addr, view)
 		return nil
 	}
 	return lastErr
 }
 
-// applyRingFrame folds one soma.ring response into the cached ring. Epoch 0
-// means the answering instance is not clustered: it alone is the fleet.
-func (c *ClusterClient) applyRingFrame(from string, resp *conduit.Node) {
-	epoch, _ := resp.Int("epoch")
-	members := decodeRingMembers(resp)
-	if epoch == 0 || len(members) == 0 {
+// applyRing folds one soma.ring answer into the cached ring. Epoch 0 means
+// the answering instance is not clustered: it alone is the fleet.
+func (c *ClusterClient) applyRing(from string, view ringAnswer) {
+	members := view.members()
+	if view.Epoch == 0 || len(members) == 0 {
 		members = []cluster.Member{{Addr: from}}
 	}
-	if v, ok := resp.Int("vnodes"); ok && v > 0 {
-		c.vnodes = int(v)
+	if view.Vnodes > 0 {
+		c.vnodes = view.Vnodes
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"io"
 	"time"
 
+	"github.com/hpcobs/gosoma/internal/cluster"
 	"github.com/hpcobs/gosoma/internal/conduit"
 )
 
@@ -21,118 +22,76 @@ import (
 const RPCHealth = "soma.health"
 
 // HealthReport combines the service's self-reported health with the
-// reporting client's local resilience state.
+// reporting client's local resilience state. The service half is the
+// soma.health answer, its fields named on the wire by the conduit tags.
 type HealthReport struct {
 	// Service side; zero/empty when Status is "unreachable".
-	Status      string  // "ok", "stopped" or "unreachable"
-	UptimeSec   float64 // seconds since the service was constructed
-	Publishes   int64   // total publishes ingested across instances
-	CallsServed int64   // RPCs served by the engine
-	ShedExpired int64   // calls shed because the caller's deadline had passed
-	Err         string  // transport error when unreachable
+	Status      string  `conduit:"status"`       // "ok", "stopped" or "unreachable"
+	UptimeSec   float64 `conduit:"uptime_sec"`   // seconds since the service was constructed
+	Publishes   int64   `conduit:"publishes"`    // total publishes ingested across instances
+	CallsServed int64   `conduit:"calls_served"` // RPCs served by the engine
+	ShedExpired int64   `conduit:"shed_expired"` // calls shed because the caller's deadline had passed
+	Err         string  `conduit:"-"`            // transport error when unreachable
 
 	// Client side; always populated.
-	Breaker  string // endpoint circuit-breaker state (see mercury.BreakerState)
-	Degraded bool   // publishes currently buffered in the spill
-	Spill    SpillStats
+	Breaker  string     `conduit:"-"` // endpoint circuit-breaker state (see mercury.BreakerState)
+	Degraded bool       `conduit:"-"` // publishes currently buffered in the spill
+	Spill    SpillStats `conduit:"-"`
 
 	// Cluster side; zero/empty unless the service joined a cluster
 	// (Service.JoinCluster).
-	ClusterSelf  string // this instance's address on the ring
-	ClusterEpoch uint64 // current ring epoch
-	ClusterAlive int    // live members including self
-	ClusterPeers []ClusterPeerHealth
+	ClusterSelf  string              `conduit:"cluster_self"`  // this instance's address on the ring
+	ClusterEpoch uint64              `conduit:"cluster_epoch"` // current ring epoch
+	ClusterAlive int                 `conduit:"cluster_alive"` // live members including self
+	ClusterPeers []ClusterPeerHealth `conduit:"cluster_peers"`
 }
 
 // ClusterPeerHealth is one peer's liveness as seen by the reporting instance.
 type ClusterPeerHealth struct {
-	ID     string
-	Addr   string
-	Alive  bool
-	Misses int // consecutive failed pings
+	ID     string `conduit:"id"`
+	Addr   string `conduit:"addr"`
+	Alive  bool   `conduit:"alive"`
+	Misses int    `conduit:"misses"` // consecutive failed pings
 }
 
 // handleHealth serves the service half of the report.
 func (s *Service) handleHealth(_ context.Context, _ []byte) ([]byte, error) {
-	resp := conduit.NewNode()
-	status := "ok"
+	h := HealthReport{
+		Status:      "ok",
+		UptimeSec:   time.Since(s.started).Seconds(),
+		CallsServed: s.engine.Stats.CallsServed.Load(),
+		ShedExpired: s.engine.Stats.ShedExpired.Load(),
+	}
 	if s.Stopped() {
-		status = "stopped"
+		h.Status = "stopped"
 	}
-	resp.SetString("status", status)
-	resp.SetFloat("uptime_sec", time.Since(s.started).Seconds())
-	var pubs int64
 	for _, st := range s.Stats() {
-		pubs += st.Publishes
+		h.Publishes += st.Publishes
 	}
-	resp.SetInt("publishes", pubs)
-	resp.SetInt("calls_served", s.engine.Stats.CallsServed.Load())
-	resp.SetInt("shed_expired", s.engine.Stats.ShedExpired.Load())
 	if cl := s.cl.Load(); cl != nil {
-		resp.SetString("cluster/self", cl.self.Addr)
-		resp.SetInt("cluster/epoch", int64(cl.tracker.Ring().Epoch()))
-		peers, alive := cl.tracker.Snapshot()
-		resp.SetInt("cluster/alive", int64(alive))
-		for i, p := range peers {
-			base := fmt.Sprintf("cluster/peers/%03d", i)
-			resp.SetString(base+"/id", p.ID)
-			resp.SetString(base+"/addr", p.Addr)
-			resp.SetBool(base+"/alive", p.Alive)
-			resp.SetInt(base+"/misses", int64(p.Misses))
+		h.ClusterSelf = cl.self.Addr
+		h.ClusterEpoch = cl.tracker.Ring().Epoch()
+		var peers []cluster.PeerState
+		peers, h.ClusterAlive = cl.tracker.Snapshot()
+		for _, p := range peers {
+			h.ClusterPeers = append(h.ClusterPeers, ClusterPeerHealth{ID: p.ID, Addr: p.Addr, Alive: p.Alive, Misses: p.Misses})
 		}
 	}
-	return resp.EncodeBinary(), nil
+	return conduit.Marshal(h).EncodeBinary(), nil
 }
 
-// LocalHealth returns the client-side half of the report — breaker state and
-// spill statistics — without touching the network. This is what remains
-// observable while the service is down.
-func (c *Client) LocalHealth() HealthReport {
-	return HealthReport{
-		Breaker:  c.ep.BreakerState(),
-		Degraded: c.Degraded(),
-		Spill:    c.Spill(),
-	}
-}
-
-// Health queries soma.health and merges the client's local state. When the
-// service cannot be reached the report still carries the local half, with
-// Status "unreachable" and the transport error — callers (somactl health,
-// somatop) render the degraded view instead of failing.
+// Health queries soma.health and merges the client's local state — breaker
+// and spill statistics, which need no network and so stay observable while
+// the service is down. When the service cannot be reached the report still
+// carries the local half, with Status "unreachable" and the transport error —
+// callers (somactl health, somatop) render the degraded view instead of
+// failing.
 func (c *Client) Health() (HealthReport, error) {
-	h := c.LocalHealth()
-	resp, err := c.call(context.Background(), RPCHealth, nil)
-	if err != nil {
+	h := HealthReport{Breaker: c.ep.BreakerState(), Degraded: c.Degraded(), Spill: c.Spill()}
+	if err := c.call(context.Background(), RPCHealth, nil, &h); err != nil {
 		h.Status = "unreachable"
 		h.Err = err.Error()
 		return h, err
-	}
-	h.Status, _ = resp.StringVal("status")
-	h.UptimeSec, _ = resp.Float("uptime_sec")
-	h.Publishes, _ = resp.Int("publishes")
-	h.CallsServed, _ = resp.Int("calls_served")
-	h.ShedExpired, _ = resp.Int("shed_expired")
-	if cn, ok := resp.Get("cluster"); ok {
-		h.ClusterSelf, _ = cn.StringVal("self")
-		if v, ok := cn.Int("epoch"); ok {
-			h.ClusterEpoch = uint64(v)
-		}
-		if v, ok := cn.Int("alive"); ok {
-			h.ClusterAlive = int(v)
-		}
-		if pn, ok := cn.Get("peers"); ok {
-			for _, name := range pn.ChildNames() {
-				sub := pn.Child(name)
-				p := ClusterPeerHealth{}
-				p.ID, _ = sub.StringVal("id")
-				p.Addr, _ = sub.StringVal("addr")
-				p.Alive, _ = sub.Bool("alive")
-				if v, ok := sub.Int("misses"); ok {
-					p.Misses = int(v)
-				}
-				h.ClusterPeers = append(h.ClusterPeers, p)
-			}
-		}
 	}
 	return h, nil
 }

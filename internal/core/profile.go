@@ -23,13 +23,10 @@ import (
 //     caller's propagated frame-header deadline,
 //   - result size capped well under mercury.MaxFrame.
 //
-// Wire format:
-//
-//	req  {kind("cpu"|"heap"|"goroutine"|"allocs"|"block"|"mutex"), duration_ns?}
-//	resp {kind, duration_ns, size, data}
-//
-// The profile bytes travel in the "data" string leaf — conduit strings are
-// length-prefixed and binary-safe, so the gzipped protobuf rides unmodified.
+// The request and the answer are both a Profile: the request names Kind and,
+// for "cpu", the Duration to sample; the answer adds the Data. The profile
+// bytes travel in a string leaf — conduit strings are length-prefixed and
+// binary-safe, so the gzipped protobuf rides unmodified.
 const RPCProfile = "soma.profile"
 
 const (
@@ -50,9 +47,9 @@ var ErrProfileBusy = errors.New("soma: a profile capture is already in progress"
 
 // Profile is a captured pprof profile as returned by Client.Profile.
 type Profile struct {
-	Kind     string
-	Duration time.Duration // actual capture window (CPU only)
-	Data     []byte        // pprof protobuf, gzip-compressed
+	Kind     string        `conduit:"kind"`
+	Duration time.Duration `conduit:"duration_ns"` // actual capture window (CPU only)
+	Data     []byte        `conduit:"data"`        // pprof protobuf, gzip-compressed
 }
 
 // handleProfile serves soma.profile. Its rpcTable row is blocking: a CPU
@@ -63,14 +60,13 @@ func (s *Service) handleProfile(ctx context.Context, payload []byte) ([]byte, er
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	req, err := conduit.DecodeBinary(payload)
-	if err != nil {
+	var req Profile
+	if err := unmarshalFrame(payload, &req); err != nil {
 		return nil, err
 	}
-	kind, _ := req.StringVal("kind")
-	dur := 2 * time.Second
-	if v, ok := req.Int("duration_ns"); ok && v > 0 {
-		dur = time.Duration(v)
+	kind, dur := req.Kind, 2*time.Second
+	if req.Duration > 0 {
+		dur = req.Duration
 	}
 
 	if !s.profileBusy.CompareAndSwap(false, true) {
@@ -126,12 +122,7 @@ func (s *Service) handleProfile(ctx context.Context, payload []byte) ([]byte, er
 		return nil, fmt.Errorf("soma: profile is %d bytes, exceeds the %d cap", buf.Len(), maxProfileBytes)
 	}
 
-	resp := conduit.NewNode()
-	resp.SetString("kind", kind)
-	resp.SetInt("duration_ns", int64(actual))
-	resp.SetInt("size", int64(buf.Len()))
-	resp.SetString("data", buf.String())
-	return resp.EncodeBinary(), nil
+	return conduit.Marshal(Profile{Kind: kind, Duration: actual, Data: buf.Bytes()}).EncodeBinary(), nil
 }
 
 // Profile captures a profile from the service. For kind "cpu" the service
@@ -144,26 +135,14 @@ func (s *Service) handleProfile(ctx context.Context, payload []byte) ([]byte, er
 // IdempotentRPCs): a retry after an ambiguous failure would double-start a
 // capture or trip the busy gate.
 func (c *Client) Profile(kind string, dur time.Duration) (Profile, error) {
-	req := conduit.NewNode()
-	req.SetString("kind", kind)
-	if dur > 0 {
-		req.SetInt("duration_ns", int64(dur))
-	}
 	// Give the wire call room for the full capture window plus transfer.
 	timeout := dur + 10*time.Second
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	resp, err := c.call(ctx, RPCProfile, req)
-	if err != nil {
+	var p Profile
+	if err := c.call(ctx, RPCProfile, Profile{Kind: kind, Duration: dur}, &p); err != nil {
 		return Profile{}, err
 	}
-	var p Profile
-	p.Kind, _ = resp.StringVal("kind")
-	if v, ok := resp.Int("duration_ns"); ok {
-		p.Duration = time.Duration(v)
-	}
-	data, _ := resp.StringVal("data")
-	p.Data = []byte(data)
 	if len(p.Data) == 0 {
 		return Profile{}, errors.New("soma: service returned an empty profile")
 	}

@@ -341,15 +341,20 @@ func mergeSeriesAnswers(_ context.Context, parts []part) (mercury.Response, erro
 		}
 		if _, ok := resp.StringVal("key"); ok {
 			series = append(series, decodeSeriesResp(resp))
+			continue
 		}
-		for _, k := range decodeSeriesKeys(resp) {
+		var part []string
+		if err := conduit.Unmarshal(resp, &part); err != nil {
+			return mercury.Response{}, p.bad(err)
+		}
+		for _, k := range part {
 			keys[k] = struct{}{}
 		}
 	}
 	if len(series) > 0 {
 		return ownedFrame(encodeSeriesResp(mergeSeries(series[0].Key, series[0].Level, series)))
 	}
-	return ownedFrame(encodeSeriesKeys(sortedKeys(keys)))
+	return ownedFrame(conduit.Marshal(sortedKeys(keys)))
 }
 
 // isNoSeries reports whether a member's soma.series failure is "no such
@@ -368,17 +373,16 @@ func mergeAlertLists(_ context.Context, parts []part) (mercury.Response, error) 
 	ruleByName := map[string]AlertRule{}
 	stateByKey := map[string]AlertState{}
 	for _, p := range parts {
-		resp, err := conduit.DecodeBinary(p.frame)
-		if err != nil {
+		var part alertList
+		if err := unmarshalFrame(p.frame, &part); err != nil {
 			return mercury.Response{}, p.bad(err)
 		}
-		rules, states := decodeAlertListResp(resp)
-		for _, r := range rules {
+		for _, r := range part.Rules {
 			if _, ok := ruleByName[r.Name]; !ok {
 				ruleByName[r.Name] = r
 			}
 		}
-		for _, st := range states {
+		for _, st := range part.States {
 			k := st.Rule + "\x00" + string(st.NS) + "\x00" + st.Key
 			prev, ok := stateByKey[k]
 			if !ok || (st.Firing && !prev.Firing) || (st.Firing == prev.Firing && st.Since > prev.Since) {
@@ -394,7 +398,7 @@ func mergeAlertLists(_ context.Context, parts []part) (mercury.Response, error) 
 	for _, k := range sortedKeys(stateByKey) {
 		states = append(states, stateByKey[k])
 	}
-	return mercury.Response{Payload: encodeAlertListResp(rules, states)}, nil
+	return mercury.Response{Payload: conduit.Marshal(alertList{rules, states}).EncodeBinary()}, nil
 }
 
 func sortedKeys[V any](m map[string]V) []string {

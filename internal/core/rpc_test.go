@@ -213,12 +213,14 @@ func TestRPCTable(t *testing.T) {
 				data, _ := got.Get("data")
 				checkTruth(t, data, truth)
 			case RPCSeries:
-				if n := len(decodeSeriesKeys(got)); n != len(truth) {
-					t.Errorf("%s lists %d keys, want %d", rpc, n, len(truth))
+				var keys []string
+				if err := conduit.Unmarshal(got, &keys); err != nil || len(keys) != len(truth) {
+					t.Errorf("%s lists %d keys (%v), want %d", rpc, len(keys), err, len(truth))
 				}
 			case RPCAlertList:
-				if rules, states := decodeAlertListResp(got); len(rules) != 1 || len(states) == 0 {
-					t.Errorf("%s: %d rules and %d standings, want the one rule and member 0's standings", rpc, len(rules), len(states))
+				var l alertList
+				if err := conduit.Unmarshal(got, &l); err != nil || len(l.Rules) != 1 || len(l.States) == 0 {
+					t.Errorf("%s: %d rules and %d standings (%v), want the one rule and member 0's standings", rpc, len(l.Rules), len(l.States), err)
 				}
 			default:
 				t.Errorf("scattered row %s has no check here", rpc)

@@ -650,64 +650,43 @@ func (s *Service) SeriesKeys(ns Namespace, pattern string) ([]string, error) {
 
 // ---------------------------------------------------------------------------
 // RPC surface.
-//
-//	series req : {ns, key, level, after}        → resp: {key, level, times[], min[], max[], mean[], count[]}
-//	             {ns, pattern}                  → resp: {keys[...]}
+
+// nsReq is the request of every control-plane RPC scoped to one namespace.
+// soma.series reads one Key at a Level (default 1s) from After on — answered
+// hand-laid by encodeSeriesResp, the columnar frame monitors poll on their
+// timed read — or, with Key empty, lists the keys matching Pattern as a
+// []string. soma.select reads NS and Pattern, soma.reset NS alone.
+type nsReq struct {
+	NS      Namespace   `conduit:"ns"`
+	Pattern string      `conduit:"pattern"`
+	Key     string      `conduit:"key"`
+	Level   SeriesLevel `conduit:"level"`
+	After   float64     `conduit:"after"`
+}
 
 // handleSeries answers over a pooled encode buffer (ownedFrame): series
 // responses carry per-request bucket arrays, so they are rebuilt every call
 // but no longer allocate a fresh wire buffer each time.
 func (s *Service) handleSeries(_ context.Context, payload []byte) (mercury.Response, error) {
-	req, ns, err := nsRequest(payload)
-	if err != nil {
+	var req nsReq
+	if err := unmarshalFrame(payload, &req); err != nil {
 		return mercury.Response{}, err
 	}
 	if s.Stopped() {
 		return mercury.Response{}, ErrServiceStopped
 	}
-	if key, ok := req.StringVal("key"); ok {
-		level := Level1s
-		if lv, ok := req.StringVal("level"); ok && lv != "" {
-			level = SeriesLevel(lv)
-		}
-		after, _ := req.Float("after")
-		se, err := s.QuerySeries(ns, key, level, after)
+	if req.Key != "" {
+		se, err := s.QuerySeries(req.NS, req.Key, cmp.Or(req.Level, Level1s), req.After)
 		if err != nil {
 			return mercury.Response{}, err
 		}
 		return ownedFrame(encodeSeriesResp(se))
 	}
-	pattern, _ := req.StringVal("pattern")
-	keys, err := s.SeriesKeys(ns, pattern)
+	keys, err := s.SeriesKeys(req.NS, req.Pattern)
 	if err != nil {
 		return mercury.Response{}, err
 	}
-	return ownedFrame(encodeSeriesKeys(keys))
-}
-
-// encodeSeriesKeys builds the soma.series pattern response: matches/NNNNNN.
-func encodeSeriesKeys(keys []string) *conduit.Node {
-	resp := conduit.NewNode()
-	var keyBuf [32]byte
-	for i, k := range keys {
-		resp.SetString(string(appendMatchKey(keyBuf[:0], i)), k)
-	}
-	return resp
-}
-
-// decodeSeriesKeys is the inverse of encodeSeriesKeys.
-func decodeSeriesKeys(resp *conduit.Node) []string {
-	matches, ok := resp.Get("matches")
-	if !ok {
-		return nil
-	}
-	var keys []string
-	for _, name := range matches.ChildNames() {
-		if k, ok := matches.StringVal(name); ok {
-			keys = append(keys, k)
-		}
-	}
-	return keys
+	return ownedFrame(conduit.Marshal(keys))
 }
 
 // ---------------------------------------------------------------------------
@@ -716,12 +695,8 @@ func decodeSeriesKeys(resp *conduit.Node) []string {
 // Series fetches one series' rollup data via soma.series: raw points, or
 // 1s/10s min/max/mean/count buckets, with Time/Start >= after.
 func (c *Client) Series(ns Namespace, key string, level SeriesLevel, after float64) (Series, error) {
-	req := conduit.NewNode()
-	req.SetString("ns", string(ns))
-	req.SetString("key", key)
-	req.SetString("level", string(level))
-	req.SetFloat("after", after)
-	resp, err := c.call(context.Background(), RPCSeries, req)
+	req := conduit.Marshal(nsReq{NS: ns, Key: key, Level: level, After: after})
+	resp, err := callTree(context.Background(), c.ep, RPCSeries, req)
 	if err != nil {
 		return Series{}, err
 	}
@@ -731,12 +706,9 @@ func (c *Client) Series(ns Namespace, key string, level SeriesLevel, after float
 // SeriesKeys lists a namespace's rollup series keys matching a glob pattern
 // ("" = all), sorted.
 func (c *Client) SeriesKeys(ns Namespace, pattern string) ([]string, error) {
-	req := conduit.NewNode()
-	req.SetString("ns", string(ns))
-	req.SetString("pattern", pattern)
-	resp, err := c.call(context.Background(), RPCSeries, req)
-	if err != nil {
+	var keys []string
+	if err := c.call(context.Background(), RPCSeries, nsReq{NS: ns, Pattern: pattern}, &keys); err != nil {
 		return nil, err
 	}
-	return decodeSeriesKeys(resp), nil
+	return keys, nil
 }

@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -91,24 +90,26 @@ func stripeCount(ranks int) int {
 	return n
 }
 
-// InstanceStats summarizes one namespace instance's activity.
+// InstanceStats summarizes one namespace instance's activity. soma.stats
+// answers a map of them keyed by namespace, their fields named on the wire by
+// the conduit tags.
 type InstanceStats struct {
-	Namespace Namespace
-	Ranks     int
-	Stripes   int
-	Publishes int64
-	Leaves    int64 // leaves currently in the merged snapshot
-	BytesIn   int64
-	LastTime  float64
+	Namespace Namespace `conduit:"-"` // the answer's map key
+	Ranks     int       `conduit:"ranks"`
+	Stripes   int       `conduit:"stripes"`
+	Publishes int64     `conduit:"publishes"`
+	Leaves    int64     `conduit:"leaves"` // leaves currently in the merged snapshot
+	BytesIn   int64     `conduit:"bytes_in"`
+	LastTime  float64   `conduit:"last_time"`
 
 	// Occupancy of the instance's bounded store, to be read against its
 	// bound before that bites: rollup series held of SeriesCap (past it new
 	// series are dropped and counted) with the bytes their rings hold (at
 	// most 48 KiB each). All zero from a service without rollups or one that
 	// predates the fields.
-	Series      int
-	SeriesCap   int
-	SeriesBytes int64
+	Series      int   `conduit:"series"`
+	SeriesCap   int   `conduit:"series_cap"`
+	SeriesBytes int64 `conduit:"series_bytes"`
 }
 
 // record is one raw publish waiting in a stripe's pending list, from the
@@ -425,16 +426,12 @@ func (in *instance) selectFrame(pattern string) []byte {
 	}
 	telQueryCacheMisses.Inc()
 	paths := s.tree.Select(pattern)
-	resp := conduit.NewNode()
-	var keyBuf [32]byte
+	matches := make([]SelectMatch, len(paths))
 	for i, p := range paths {
-		base := string(appendMatchKey(keyBuf[:0], i))
-		resp.SetString(base+"/path", p)
-		if v, ok := s.tree.Float(p); ok {
-			resp.SetFloat(base+"/value", v)
-		}
+		matches[i].Path = p
+		matches[i].Value, matches[i].HasValue = s.tree.Float(p)
 	}
-	return s.store(k, resp.EncodeBinaryStable())
+	return s.store(k, conduit.Marshal(matches).EncodeBinaryStable())
 }
 
 // unchangedFrame returns the tiny {epoch, gen, unchanged: true} frame the
@@ -803,33 +800,23 @@ func (s *Service) Stats() []InstanceStats {
 
 // ---------------------------------------------------------------------------
 // RPC surface. Requests and responses are themselves Conduit trees on the
-// wire (the service eats its own data model):
-//
-//	publish req : {ns: string, data: <tree>}
-//	query   req : {ns: string, path: string}  → resp: {data: <tree>}
-//	stats   req : {}                          → resp: {<ns>/{publishes,leaves,...}}
-//	shutdown    : {}                          → resp: {}
+// wire (the service eats its own data model). The data path — publish, query,
+// the update stream, a single series — is laid out by hand (queryFields,
+// appendPublishEnvelope, encodeSeriesResp); every other request and answer is
+// a Go value carried by conduit.Marshal and unmarshalFrame.
 
 // okFrame is the constant empty-tree response frame shared by ack-only
 // handlers; responses are never mutated by callers.
 var okFrame = conduit.NewNode().EncodeBinary()
 
-// nsRequest decodes a control-plane request tree and its mandatory ns field —
-// the server half of Client.call.
-func nsRequest(payload []byte) (*conduit.Node, Namespace, error) {
-	req, err := conduit.DecodeBinary(payload)
+// unmarshalFrame decodes a control-plane frame into v: the server half of
+// Client.call, and how a scatter merge reads its parts.
+func unmarshalFrame(frame []byte, v any) error {
+	n, err := conduit.DecodeBinary(frame)
 	if err != nil {
-		return nil, "", err
+		return err
 	}
-	nsStr, ok := req.StringVal("ns")
-	if !ok {
-		return nil, "", fmt.Errorf("soma: request missing ns field")
-	}
-	ns := Namespace(nsStr)
-	if !ns.Valid() {
-		return nil, "", &ErrUnknownNamespace{NS: ns}
-	}
-	return req, ns, nil
+	return conduit.Unmarshal(n, v)
 }
 
 // Query request fields, in the order queryHandler slices them: soma.query and
@@ -907,23 +894,14 @@ func (s *Service) handleStats(ctx context.Context, _ []byte) ([]byte, error) {
 		return c.frame, nil
 	}
 	telQueryCacheMisses.Inc()
-	resp := conduit.NewNode()
+	stats := map[Namespace]InstanceStats{}
 	for _, st := range s.Stats() {
-		base := string(st.Namespace)
-		resp.SetInt(base+"/ranks", int64(st.Ranks))
-		resp.SetInt(base+"/stripes", int64(st.Stripes))
-		resp.SetInt(base+"/publishes", st.Publishes)
-		resp.SetInt(base+"/leaves", st.Leaves)
-		resp.SetInt(base+"/bytes_in", st.BytesIn)
-		resp.SetFloat(base+"/last_time", st.LastTime)
-		resp.SetInt(base+"/series", int64(st.Series))
-		resp.SetInt(base+"/series_cap", int64(st.SeriesCap))
-		resp.SetInt(base+"/series_bytes", st.SeriesBytes)
+		stats[st.Namespace] = st
 	}
 	// A publish between statsStamps() and here makes this frame carry data
 	// newer than its stamp; that only causes one extra rebuild next request,
 	// never a stale hit (the stamp it would need to match is already gone).
-	frame := resp.EncodeBinaryStable()
+	frame := conduit.Marshal(stats).EncodeBinaryStable()
 	s.statsFrame.Store(&statsCache{stamps: stamps, frame: frame})
 	return frame, nil
 }
@@ -935,35 +913,17 @@ func (s *Service) handleShutdown(_ context.Context, _ []byte) ([]byte, error) {
 	return okFrame, nil
 }
 
-// appendMatchKey builds "matches/NNNNNN" without fmt: the select response
-// envelope is on the analysis hot path.
-func appendMatchKey(dst []byte, i int) []byte {
-	return appendIndexKey(append(dst, "matches/"...), i)
-}
-
-// appendIndexKey appends i zero-padded to six digits: the child name of the
-// i-th entry of a list on the wire, so that names sort in list order.
-func appendIndexKey(dst []byte, i int) []byte {
-	var tmp [20]byte
-	num := strconv.AppendInt(tmp[:0], int64(i), 10)
-	for pad := 6 - len(num); pad > 0; pad-- {
-		dst = append(dst, '0')
-	}
-	return append(dst, num...)
-}
-
 func (s *Service) handleSelect(_ context.Context, payload []byte) ([]byte, error) {
-	req, ns, err := nsRequest(payload)
-	if err != nil {
+	var req nsReq
+	if err := unmarshalFrame(payload, &req); err != nil {
 		return nil, err
 	}
-	pattern, _ := req.StringVal("pattern")
-	in, err := s.running(ns)
+	in, err := s.running(req.NS)
 	if err != nil {
 		return nil, err
 	}
 	// Serve the cached encoded match list for this (snapshot, pattern).
-	return in.selectFrame(pattern), nil
+	return in.selectFrame(req.Pattern), nil
 }
 
 // ownedFrame encodes resp into a pooled buffer and wraps it as an owned
@@ -978,21 +938,12 @@ func ownedFrame(resp *conduit.Node) (mercury.Response, error) {
 	}, nil
 }
 
-// handleTelemetry serves the process's full telemetry registry snapshot,
-// conduit-encoded — the RPC somatop's telemetry panel and `somactl
-// telemetry` consume. The snapshot changes on every scrape (latency
-// histograms move), so instead of caching it encodes into a pooled buffer
-// released after the transport writes the frame.
-func (s *Service) handleTelemetry(_ context.Context, _ []byte) (mercury.Response, error) {
-	return ownedFrame(EncodeTelemetry(telemetry.Default().Snapshot()))
-}
-
 func (s *Service) handleReset(_ context.Context, payload []byte) ([]byte, error) {
-	_, ns, err := nsRequest(payload)
-	if err != nil {
+	var req nsReq
+	if err := unmarshalFrame(payload, &req); err != nil {
 		return nil, err
 	}
-	if err := s.ResetNamespace(ns); err != nil {
+	if err := s.ResetNamespace(req.NS); err != nil {
 		return nil, err
 	}
 	return okFrame, nil

@@ -271,10 +271,12 @@ func (sp *spillState) redeliverLoop() {
 			}
 			continue
 		}
-		sp.resolve(seq, err == nil)
+		// The failure is recorded before resolve lets DrainSpill see the
+		// queue empty, so the Flush after a drain reports it.
 		if err != nil {
 			sp.c.fail(fmt.Errorf("soma: spill redelivery dropped: %w", err))
 		}
+		sp.resolve(seq, err == nil)
 		attempt = 0
 	}
 }

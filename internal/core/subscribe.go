@@ -530,7 +530,7 @@ func (s *Service) handleUpdatesRecv(ctx context.Context, payload []byte) (mercur
 	var key [20]byte
 	for i := range ents {
 		e := &ents[i]
-		b = conduit.AppendRawName(b, string(appendIndexKey(key[:0], i)))
+		b = conduit.AppendRawName(b, string(conduit.AppendIndexKey(key[:0], i)))
 		b = conduit.AppendRawObject(b, 4)
 		b = conduit.AppendRawName(b, "topic")
 		b = conduit.AppendRawString(b, topics[e.topic])

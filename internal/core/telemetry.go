@@ -1,128 +1,44 @@
 package core
 
 import (
-	"fmt"
-	"strconv"
-	"time"
+	"context"
+	"slices"
 
 	"github.com/hpcobs/gosoma/internal/conduit"
+	"github.com/hpcobs/gosoma/internal/mercury"
 	"github.com/hpcobs/gosoma/internal/telemetry"
 )
 
-// Conduit encoding of a telemetry snapshot — the soma.telemetry RPC payload.
-// The service eats its own data model here too: the snapshot is an ordinary
-// Conduit tree, so any SOMA client (somatop, somactl, analyses) can consume
-// it with the tools it already has.
-//
-//	counters/<name>                      int
-//	gauges/<name>                        float
-//	hist/<name>/{count,sum_ns,max_ns,p50_ns,p95_ns,p99_ns}
-//	hist/<name>/exemplars/NNN/{le_ns,trace}
-//	spans/NNNNNN/{trace,span,parent,name,start_ns,dur_ns,count,err}
-//
-// Span/trace ids are hex strings: they are full-range uint64s, which the
-// integer leaf type (int64) cannot carry.
+// soma.telemetry answers with the process's telemetry.Snapshot as the codec
+// lays it out: counters/<name>, gauges/<name>, hist/<name>/{count, sum_ns,
+// …, exemplars} and spans/NNNNNN/{trace, span, …}, as the snapshot's tags
+// name them. The service eats its own data model here too, so any SOMA
+// client (somatop, somactl, analyses) consumes it with the tools it already
+// has.
 
-// EncodeTelemetry converts a registry snapshot into a Conduit tree.
-func EncodeTelemetry(snap *telemetry.Snapshot) *conduit.Node {
-	n := conduit.NewNode()
-	for name, v := range snap.Counters {
-		n.SetInt("counters/"+name, v)
+// handleTelemetry serves the full registry snapshot, the RPC somatop's
+// telemetry panel and `somactl telemetry` consume. The snapshot changes on
+// every scrape (latency histograms move), so instead of caching it encodes
+// into a pooled buffer released after the transport writes the frame.
+func (s *Service) handleTelemetry(_ context.Context, _ []byte) (mercury.Response, error) {
+	return ownedFrame(conduit.Marshal(telemetry.Default().Snapshot()))
+}
+
+// Telemetry fetches the service process's full telemetry registry snapshot
+// (RPC latency histograms, queue gauges, counters, recent spans) via the
+// soma.telemetry RPC. Spans and exemplars without a trace id are dropped.
+func (c *Client) Telemetry() (*telemetry.Snapshot, error) {
+	var snap telemetry.Snapshot
+	if err := c.call(context.Background(), RPCTelemetry, nil, &snap); err != nil {
+		return nil, err
 	}
-	for name, v := range snap.Gauges {
-		n.SetFloat("gauges/"+name, v)
-	}
+	snap.Spans = slices.DeleteFunc(snap.Spans, untraced)
 	for name, h := range snap.Histograms {
-		base := "hist/" + name
-		n.SetInt(base+"/count", int64(h.Count))
-		n.SetInt(base+"/sum_ns", int64(h.Sum))
-		n.SetInt(base+"/max_ns", int64(h.Max))
-		n.SetInt(base+"/p50_ns", int64(h.P50))
-		n.SetInt(base+"/p95_ns", int64(h.P95))
-		n.SetInt(base+"/p99_ns", int64(h.P99))
-		// Exemplars link each populated latency bucket to the last trace that
-		// landed in it — the jumping-off point into soma.trace.get.
-		for i, ex := range h.Exemplars {
-			eb := fmt.Sprintf("%s/exemplars/%03d", base, i)
-			n.SetInt(eb+"/le_ns", int64(ex.Ceil))
-			n.SetString(eb+"/trace", strconv.FormatUint(ex.TraceID, 16))
-		}
+		h.Exemplars = slices.DeleteFunc(h.Exemplars, func(ex telemetry.BucketExemplar) bool { return ex.TraceID == 0 })
+		snap.Histograms[name] = h
 	}
-	for i, sp := range snap.Spans {
-		encodeSpan(n, fmt.Sprintf("spans/%06d", i), sp)
-	}
-	return n
+	return &snap, nil
 }
 
-// DecodeTelemetry reconstructs a snapshot from its Conduit encoding.
-// Unknown or malformed entries are skipped — the decoder tolerates snapshots
-// from newer services.
-func DecodeTelemetry(n *conduit.Node) *telemetry.Snapshot {
-	snap := &telemetry.Snapshot{
-		Counters:   map[string]int64{},
-		Gauges:     map[string]float64{},
-		Histograms: map[string]telemetry.HistogramSnapshot{},
-	}
-	if sub, ok := n.Get("counters"); ok {
-		for _, name := range sub.ChildNames() {
-			if v, ok := sub.Int(name); ok {
-				snap.Counters[name] = v
-			}
-		}
-	}
-	if sub, ok := n.Get("gauges"); ok {
-		for _, name := range sub.ChildNames() {
-			if v, ok := sub.Float(name); ok {
-				snap.Gauges[name] = v
-			}
-		}
-	}
-	if sub, ok := n.Get("hist"); ok {
-		for _, name := range sub.ChildNames() {
-			h := sub.Child(name)
-			var hs telemetry.HistogramSnapshot
-			if v, ok := h.Int("count"); ok {
-				hs.Count = uint64(v)
-			}
-			if v, ok := h.Int("sum_ns"); ok {
-				hs.Sum = time.Duration(v)
-			}
-			if v, ok := h.Int("max_ns"); ok {
-				hs.Max = time.Duration(v)
-			}
-			if v, ok := h.Int("p50_ns"); ok {
-				hs.P50 = time.Duration(v)
-			}
-			if v, ok := h.Int("p95_ns"); ok {
-				hs.P95 = time.Duration(v)
-			}
-			if v, ok := h.Int("p99_ns"); ok {
-				hs.P99 = time.Duration(v)
-			}
-			if exs, ok := h.Get("exemplars"); ok {
-				for _, ek := range exs.ChildNames() {
-					e := exs.Child(ek)
-					var ex telemetry.BucketExemplar
-					if v, ok := e.Int("le_ns"); ok {
-						ex.Ceil = time.Duration(v)
-					}
-					if s, ok := e.StringVal("trace"); ok {
-						ex.TraceID, _ = strconv.ParseUint(s, 16, 64)
-					}
-					if ex.TraceID != 0 {
-						hs.Exemplars = append(hs.Exemplars, ex)
-					}
-				}
-			}
-			snap.Histograms[name] = hs
-		}
-	}
-	if sub, ok := n.Get("spans"); ok {
-		for _, key := range sub.ChildNames() {
-			if sp := decodeSpan(sub.Child(key)); sp.TraceID != 0 {
-				snap.Spans = append(snap.Spans, sp)
-			}
-		}
-	}
-	return snap
-}
+// untraced reports a span that carries no trace id: one a decoder drops.
+func untraced(sp telemetry.SpanSnapshot) bool { return sp.TraceID == 0 }

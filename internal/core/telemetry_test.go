@@ -25,7 +25,10 @@ func TestTelemetryEncodeDecodeRoundTrip(t *testing.T) {
 				Start: time.Unix(0, 1700000000_000001000), Dur: 3 * time.Microsecond},
 		},
 	}
-	got := DecodeTelemetry(EncodeTelemetry(snap))
+	var got telemetry.Snapshot
+	if err := conduit.Unmarshal(mustReencode(t, conduit.Marshal(snap)), &got); err != nil {
+		t.Fatal(err)
+	}
 	if got.Counters["mercury.calls_served"] != 12 {
 		t.Errorf("counter lost: %+v", got.Counters)
 	}

@@ -146,9 +146,9 @@ func TestTraceCodecRoundTrip(t *testing.T) {
 			{TraceID: 0xab12, SpanID: 2, Parent: 1, Name: "child", Start: base.Add(time.Millisecond), Dur: time.Millisecond, Count: 42},
 		},
 	}
-	dec, ok := decodeTrace(mustReencode(t, encodeTrace(tr)))
-	if !ok {
-		t.Fatal("decodeTrace reported not found")
+	var dec telemetry.Trace
+	if err := conduit.Unmarshal(mustReencode(t, conduit.Marshal(tr)), &dec); err != nil {
+		t.Fatal(err)
 	}
 	if dec.TraceID != tr.TraceID || dec.Root != tr.Root || dec.Dur != tr.Dur ||
 		!dec.Err || dec.Reason != tr.Reason || dec.DroppedSpans != 3 {
@@ -164,7 +164,10 @@ func TestTraceCodecRoundTrip(t *testing.T) {
 	sums := []telemetry.TraceSummary{
 		{TraceID: 0xab12, Root: "op", Start: base, Dur: time.Millisecond, Spans: 2, Err: true, Reason: telemetry.KeepError},
 	}
-	got := decodeTraceSummaries(mustReencode(t, encodeTraceSummaries(sums)))
+	var got []telemetry.TraceSummary
+	if err := conduit.Unmarshal(mustReencode(t, conduit.Marshal(sums)), &got); err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != 1 || got[0] != sums[0] {
 		t.Fatalf("summary round trip: %+v", got)
 	}

@@ -124,21 +124,21 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 // TraceID observed in it.
 type BucketExemplar struct {
 	// Ceil is the bucket's exclusive upper bound (2^i ns).
-	Ceil    time.Duration
-	TraceID uint64
+	Ceil    time.Duration `conduit:"le_ns"`
+	TraceID uint64        `conduit:"trace"`
 }
 
 // HistogramSnapshot is a point-in-time summary of a histogram.
 type HistogramSnapshot struct {
-	Count uint64
-	Sum   time.Duration
-	Max   time.Duration
-	P50   time.Duration
-	P95   time.Duration
-	P99   time.Duration
+	Count uint64        `conduit:"count"`
+	Sum   time.Duration `conduit:"sum_ns"`
+	Max   time.Duration `conduit:"max_ns"`
+	P50   time.Duration `conduit:"p50_ns"`
+	P95   time.Duration `conduit:"p95_ns"`
+	P99   time.Duration `conduit:"p99_ns"`
 	// Exemplars lists, ascending by bucket, the most recent TraceID per
 	// occupied bucket (only buckets that saw a traced observation appear).
-	Exemplars []BucketExemplar
+	Exemplars []BucketExemplar `conduit:"exemplars"`
 }
 
 // Mean returns the average observed duration.

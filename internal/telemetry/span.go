@@ -236,22 +236,22 @@ func LeafSpanAt(ctx context.Context, name string, start time.Time) *Span {
 	return defaultRegistry.LeafSpanAt(ctx, name, start)
 }
 
-// SpanSnapshot is one completed span.
+// SpanSnapshot is one completed span. The conduit tags name its fields on the
+// soma.telemetry and soma.trace.get wire.
 type SpanSnapshot struct {
-	TraceID uint64
-	SpanID  uint64
-	Parent  uint64 // parent span id; 0 for root spans
-	Name    string
-	Start   time.Time
-	Dur     time.Duration
-	Count   int64 // optional unit count (batch entries); 0 = not set
-	Err     bool  // the operation failed
+	TraceID uint64        `conduit:"trace"`
+	SpanID  uint64        `conduit:"span"`
+	Parent  uint64        `conduit:"parent"` // parent span id; 0 for root spans
+	Name    string        `conduit:"name"`
+	Start   time.Time     `conduit:"start_ns"`
+	Dur     time.Duration `conduit:"dur_ns"`
+	Count   int64         `conduit:"count"` // optional unit count (batch entries); 0 = not set
+	Err     bool          `conduit:"err"`   // the operation failed
 }
 
 // spanRingSize is the default recent-span ring capacity; Options /
-// Registry.Configure resizes it (somad -span-ring). Completed spans
-// overwrite the oldest entry, so tracing memory is constant regardless of
-// traffic. The ring is sharded by span id (ids are splitmix-mixed, so the
+// Registry.Configure resizes it. Completed spans overwrite the oldest entry,
+// so tracing memory is constant regardless of traffic. The ring is sharded by span id (ids are splitmix-mixed, so the
 // spread is uniform) to keep concurrent End calls off one mutex; a global
 // sequence number preserves exact record order across shards.
 const (

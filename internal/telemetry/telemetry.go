@@ -204,12 +204,13 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Snapshot is a point-in-time copy of a registry, safe to encode and ship.
+// Snapshot is a point-in-time copy of a registry, safe to encode and ship:
+// the soma.telemetry answer, its fields named on the wire by the conduit tags.
 type Snapshot struct {
-	Counters   map[string]int64
-	Gauges     map[string]float64
-	Histograms map[string]HistogramSnapshot
-	Spans      []SpanSnapshot
+	Counters   map[string]int64             `conduit:"counters"`
+	Gauges     map[string]float64           `conduit:"gauges"`
+	Histograms map[string]HistogramSnapshot `conduit:"hist"`
+	Spans      []SpanSnapshot               `conduit:"spans"`
 }
 
 // Snapshot captures every metric and the recent-span ring. Metric reads are

@@ -128,31 +128,33 @@ const (
 )
 
 // Trace is one kept trace: this process's spans for a TraceID, plus the
-// root-derived summary fields.
+// root-derived summary fields. It is the soma.trace.get answer, its fields
+// named on the wire by the conduit tags.
 type Trace struct {
-	TraceID uint64
-	Root    string // root span name
-	Start   time.Time
-	Dur     time.Duration // root span duration
-	Err     bool
-	Reason  string // KeepError, KeepTail or KeepHead
-	Spans   []SpanSnapshot
+	TraceID uint64         `conduit:"trace"`
+	Root    string         `conduit:"root"` // root span name
+	Start   time.Time      `conduit:"start_ns"`
+	Dur     time.Duration  `conduit:"dur_ns"` // root span duration
+	Err     bool           `conduit:"err"`
+	Reason  string         `conduit:"reason"` // KeepError, KeepTail or KeepHead
+	Spans   []SpanSnapshot `conduit:"spans"`
 	// DroppedSpans counts spans beyond MaxSpansPerTrace that were observed
 	// but not retained.
-	DroppedSpans int
+	DroppedSpans int `conduit:"dropped_spans"`
 
 	bytes int64
 }
 
-// TraceSummary is the list-view projection of a kept trace.
+// TraceSummary is the list-view projection of a kept trace; soma.trace.list
+// answers a list of them.
 type TraceSummary struct {
-	TraceID uint64
-	Root    string
-	Start   time.Time
-	Dur     time.Duration
-	Spans   int
-	Err     bool
-	Reason  string
+	TraceID uint64        `conduit:"trace"`
+	Root    string        `conduit:"root"`
+	Start   time.Time     `conduit:"start_ns"`
+	Dur     time.Duration `conduit:"dur_ns"`
+	Spans   int           `conduit:"spans"`
+	Err     bool          `conduit:"err"`
+	Reason  string        `conduit:"reason"`
 }
 
 type pendingTrace struct {
