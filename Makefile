@@ -51,9 +51,10 @@ verify: build vet lint test race bench-module
 # its byte budget, pilot's PubSub and Queue, rollups, alerts), the cluster
 # paths (placement, handoff, scattered reads, client routing, the RPC-table
 # conformance and solo/fleet parity tests), the client publish pipeline
-# (coalescer, spill queue, redelivery) and the in-process publish door (no
-# retained tree, placed like a wire publish) repeatedly under the race
-# detector, plus the in-process fleet scenarios (kill/restart, fault
+# (coalescer, spill queue, redelivery), the in-process publish door (no
+# retained tree, placed like a wire publish) and the delta query (its
+# partial answers against the full one, pollers sharing a memo beside
+# publishers) repeatedly under the race detector, plus the in-process fleet scenarios (kill/restart, fault
 # timelines). The whole output is kept
 # in verify-stream.log (CI uploads it when the job fails): a -race report is
 # hundreds of lines and a failure here may not recur for dozens of runs.
@@ -62,12 +63,12 @@ verify-stream: .SHELLFLAGS := -o pipefail -c
 verify-stream:
 	$(GO) test ./internal/core/ ./internal/zmq/ ./internal/mercury/ ./internal/scenario/ \
 		-race -count=3 \
-		-run 'Subscribe|Watch|Stream|Series|Alert|Updates|UpdateLog|PrefixMask|Lease|PubSub|Queue|Blocking|Flush|Fanout|Scenario|Scatter|Spill|Batch|Publish|Cluster|RPCTable|RPCSolo|Retain|PlacesLike' \
+		-run 'Subscribe|Watch|Stream|Series|Alert|Updates|UpdateLog|PrefixMask|Lease|PubSub|Queue|Blocking|Flush|Fanout|Scenario|Scatter|Spill|Batch|Publish|Cluster|RPCTable|RPCSolo|Retain|PlacesLike|QueryDelta' \
 		2>&1 | tee verify-stream.log
 
 bench:
 	$(GO) test ./internal/core/ -run '^$$' \
-		-bench 'BenchmarkPublishIngest$$|BenchmarkPublishIngestRPC$$|BenchmarkPublishBatch$$|BenchmarkSelectSnapshot$$|BenchmarkSeriesQuery$$|BenchmarkSubscribeFanout$$|BenchmarkQueryHot$$|BenchmarkQueryEncodeNoCache$$|BenchmarkQueryDelta$$|BenchmarkSnapshotRebuild$$|BenchmarkScatterGatherQuery$$' \
+		-bench 'BenchmarkPublishIngest$$|BenchmarkPublishIngestRPC$$|BenchmarkPublishBatch$$|BenchmarkSelectSnapshot$$|BenchmarkSeriesQuery$$|BenchmarkSubscribeFanout$$|BenchmarkQueryHot$$|BenchmarkQueryEncodeNoCache$$|BenchmarkQueryDelta$$|BenchmarkQueryDeltaPartial$$|BenchmarkSnapshotRebuild$$|BenchmarkScatterGatherQuery$$' \
 		-benchmem -count $(BENCH_COUNT)
 
 benchdiff:
@@ -148,7 +149,8 @@ scenarios:
 # parsing), the growable rollup ring against the fixed-size ring it replaced,
 # the conduit JSON codec round-trip, a built conduit tree against its decoded
 # twin under random operations, the control-plane codec (Unmarshal of any
-# decoded tree into every control-plane type), and the WebSocket frame decoder
+# decoded tree into every control-plane type), the client's graft of a partial
+# delta answer onto its memo, and the WebSocket frame decoder
 # (hostile wire input). One `go test -fuzz` invocation per target — the fuzzer
 # accepts only a single match.
 FUZZ_TIME ?= 20s
@@ -159,6 +161,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core/ -run '^$$' -fuzz 'FuzzWireIngest$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/core/ -run '^$$' -fuzz 'FuzzUpdatesRecvFrame$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/core/ -run '^$$' -fuzz 'FuzzBucketRing$$' -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/core/ -run '^$$' -fuzz 'FuzzQueryDeltaApply$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/conduit/ -run '^$$' -fuzz 'FuzzJSONRoundTrip$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/conduit/ -run '^$$' -fuzz 'FuzzNodeOps$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/conduit/ -run '^$$' -fuzz 'FuzzUnmarshal$$' -fuzztime $(FUZZ_TIME)

@@ -121,11 +121,12 @@ func refresh(sb *strings.Builder, addr string, client *core.Client, analysis cor
 	}
 	renderTracesPanel(sb, client, traceRows)
 	// Delta-poll footer: the analysis panels above poll through the client's
-	// generation memo, so steady-state refreshes collapse to tiny frames —
-	// show how much wire traffic that has saved so far.
-	if ds := client.DeltaStats(); ds.Unchanged > 0 {
-		fmt.Fprintf(sb, "\ndelta polls: %d unchanged, %s saved on the wire\n",
-			ds.Unchanged, formatBytes(ds.BytesSaved))
+	// generation memo, so steady-state refreshes collapse to tiny frames or
+	// to the few children that changed — show how much wire traffic that has
+	// saved so far.
+	if ds := client.DeltaStats(); ds.Unchanged+ds.Partial > 0 {
+		fmt.Fprintf(sb, "\ndelta polls: %d unchanged, %d partial, %s saved on the wire\n",
+			ds.Unchanged, ds.Partial, formatBytes(ds.BytesSaved))
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package conduit
 
 import (
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -81,6 +82,120 @@ func TestMergeCOWChain(t *testing.T) {
 	}
 	if n := snap.NumLeaves(); n != mutable.NumLeaves() {
 		t.Fatalf("NumLeaves = %d, want %d", n, mutable.NumLeaves())
+	}
+}
+
+// TestChildrenSinceGraft drives successive MergeCOW generations of a wide
+// host object, small and wide updates and new hosts among them, and checks
+// that the children ChildrenSince reports between any two generations are
+// exactly the ones MergeCOW replaced or added, and that grafting them onto
+// the older generation reproduces the newer one byte for byte.
+func TestChildrenSinceGraft(t *testing.T) {
+	gens := []*Node{mkTree("host", 0, 40)}
+	for step := 0; step < 120; step++ {
+		lo := (step * 7) % 48
+		hi := lo + 1 + step%3
+		if step%17 == 0 {
+			hi = lo + 30 // wide: most hosts rewritten
+		}
+		gens = append(gens, MergeCOW(gens[len(gens)-1], mkTree("host", lo, hi)))
+	}
+	patched := 0
+	for i := 1; i < len(gens); i++ {
+		for _, back := range []int{1, 2, 5} {
+			if i < back {
+				continue
+			}
+			oldH, _ := gens[i-back].Get("host")
+			curH, _ := gens[i].Get("host")
+			limit := (curH.NumChildren() - 1) / 2
+			patch, ok := ChildrenSince(oldH, curH, limit)
+			changed := 0
+			for j, name := range curH.names() {
+				if j >= oldH.NumChildren() || oldH.Child(name) != curH.at(j) {
+					changed++
+				}
+			}
+			if ok != (changed <= limit) {
+				t.Fatalf("gen %d-%d: ok=%v with %d of %d children changed", i-back, i, ok, changed, curH.NumChildren())
+			}
+			if !ok {
+				continue
+			}
+			patched++
+			if patch.NumChildren() != changed {
+				t.Fatalf("gen %d-%d: patch holds %d children, %d changed", i-back, i, patch.NumChildren(), changed)
+			}
+			oldCopy := oldH.EncodeBinary()
+			if got := Graft(oldH, patch); string(got.EncodeBinary()) != string(curH.EncodeBinary()) || !got.Equal(curH) {
+				t.Fatalf("gen %d-%d: graft differs from the newer generation", i-back, i)
+			}
+			if string(oldH.EncodeBinary()) != string(oldCopy) {
+				t.Fatalf("gen %d-%d: graft modified its base", i-back, i)
+			}
+		}
+	}
+	if patched == 0 {
+		t.Fatal("no generation pair was patchable")
+	}
+	leaf := NewNode()
+	leaf.SetInt("", 1)
+	if _, ok := ChildrenSince(leaf, gens[0], 100); ok {
+		t.Fatal("a leaf base was patched")
+	}
+	a, _ := mkTree("host", 0, 4).Get("host")
+	b, _ := mkTree("host", 1, 5).Get("host")
+	if _, ok := ChildrenSince(a, b, 100); ok {
+		t.Fatal("a base whose names are not a prefix was patched")
+	}
+}
+
+// TestGraftMatchesCloneAttach holds Graft to its definition — a clone of dst
+// with each patch child attached in order — on small, wide and overlay dsts,
+// a dst that is not an object, and a patch that repeats a name, and checks
+// that dst is left alone.
+func TestGraftMatchesCloneAttach(t *testing.T) {
+	overlay := MergeCOW(mkTree("h", 0, 40), mkTree("h", 3, 5))
+	overlayH, _ := overlay.Get("h")
+	smallH, _ := mkTree("h", 0, 4).Get("h")
+	wideH, _ := mkTree("h", 0, 40).Get("h")
+	leaf := NewNode()
+	leaf.SetFloat("", 2)
+	dsts := map[string]*Node{"small": smallH, "wide": wideH, "overlay": overlayH, "leaf": leaf, "empty": NewNode()}
+	patches := map[string]*Node{"none": {kind: KindObject}}
+	for _, names := range [][]string{{"2"}, {"1", "99", "3"}, {"7", "7", "50"}} {
+		p := &Node{kind: KindObject, ext: &nodeExt{}}
+		for i, name := range names {
+			c := NewNode()
+			c.SetInt("v", int64(100+i))
+			p.ext.names = append(p.ext.names, name) // repeats kept on purpose
+			p.ext.vals = append(p.ext.vals, c)
+		}
+		patches[strings.Join(names, ",")] = p
+	}
+	for dn, dst := range dsts {
+		for pn, patch := range patches {
+			before := dst.EncodeBinary()
+			want := dst.Clone()
+			for i, name := range patch.names() {
+				want.Attach(name, patch.at(i))
+			}
+			if want.kind != KindObject {
+				want = &Node{kind: KindObject} // Attach never ran on a leaf
+			}
+			got := Graft(dst, patch)
+			if string(got.EncodeBinary()) != string(want.EncodeBinary()) {
+				t.Errorf("%s+%s: graft\n%s\nwant\n%s", dn, pn, got.Format(), want.Format())
+			}
+			for _, name := range want.names() {
+				if !got.Child(name).Equal(want.Child(name)) {
+					t.Errorf("%s+%s: child %q does not resolve", dn, pn, name)
+				}
+			}
+			if string(dst.EncodeBinary()) != string(before) {
+				t.Errorf("%s+%s: graft modified dst", dn, pn)
+			}
+		}
 	}
 }
 

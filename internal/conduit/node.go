@@ -666,6 +666,104 @@ func MergeCOW(dst, src *Node) *Node {
 	return out
 }
 
+// ChildrenSince returns, as an object in cur's order, the direct children of
+// cur that old does not hold at the same pointer: the ones rewritten since
+// old, and the new ones. ok is false — and no patch is built — unless both
+// are objects, old's child names are a prefix of cur's, and at most limit
+// children differ. Graft(old, patch) then holds what cur holds. The patch
+// shares cur's children by reference.
+//
+// A pointer is a sound test of content only because trees are immutable once
+// shared; it is a cheap one between generations of a MergeCOW snapshot, which
+// keeps every untouched subtree at its pointer and only ever appends names.
+func ChildrenSince(old, cur *Node, limit int) (patch *Node, ok bool) {
+	if old.kind != KindObject || cur.kind != KindObject {
+		return nil, false
+	}
+	on, cn := old.names(), cur.names()
+	if len(on) > len(cn) || len(cn)-len(on) > limit {
+		return nil, false
+	}
+	for i, name := range on {
+		if cn[i] != name {
+			return nil, false
+		}
+	}
+	e := &nodeExt{}
+	for i, name := range cn {
+		c := cur.at(i)
+		if i < len(on) && old.at(i) == c {
+			continue
+		}
+		if len(e.names) == limit {
+			return nil, false
+		}
+		e.names = append(e.names, name)
+		e.vals = append(e.vals, c)
+	}
+	if len(e.names) == 0 {
+		return &Node{kind: KindObject}, true
+	}
+	e.reindex()
+	return &Node{kind: KindObject, ext: e}, true
+}
+
+// Graft returns an object holding dst's children with patch's direct
+// children substituted by name: one dst already holds is replaced where it
+// stands, a new one is appended in patch's order, and a name patch repeats
+// resolves to its last child. That is what dst.Clone() followed by one Attach
+// per patch child would hold, except that nothing is copied or mutated: every
+// child is shared by reference with dst or patch, and a wide dst is layered
+// under a MergeCOW overlay (bounded the same way) instead of being recopied.
+// A dst that is not an object contributes no children. Both inputs must be
+// treated as immutable afterwards.
+func Graft(dst, patch *Node) *Node {
+	pn := patch.names()
+	if dst.kind != KindObject || dst.ext == nil || dst.ext.index == nil {
+		// Small (or childless) dst: an owned copy of its child pointers.
+		var dn []string
+		var dv []*Node
+		if dst.kind == KindObject && dst.ext != nil {
+			dn, dv = dst.ext.names, dst.ext.vals
+		}
+		if len(dn)+len(pn) == 0 {
+			return &Node{kind: KindObject}
+		}
+		e := &nodeExt{
+			names: append(make([]string, 0, len(dn)+len(pn)), dn...),
+			vals:  append(make([]*Node, 0, len(dn)+len(pn)), dv...),
+		}
+		for i, name := range pn {
+			if j := pos(e, name); j >= 0 {
+				e.vals[j] = patch.at(i)
+			} else {
+				e.add(name, patch.at(i))
+			}
+		}
+		return &Node{kind: KindObject, ext: e}
+	}
+	if len(pn) == 0 {
+		return dst
+	}
+	de := dst.ext
+	e := &nodeExt{names: de.names[:len(de.names):len(de.names)], base: dst,
+		vals: make([]*Node, 0, len(pn)), index: make(map[string]int, len(pn))}
+	out := &Node{kind: KindObject, ext: e}
+	for i, name := range pn {
+		if j, seen := e.index[name]; seen {
+			e.vals[j] = patch.at(i)
+			continue
+		}
+		if lookup(dst, name) == nil {
+			e.names = append(e.names, name)
+		}
+		e.index[name] = len(e.vals)
+		e.vals = append(e.vals, patch.at(i))
+	}
+	out.compact()
+	return out
+}
+
 // Walk visits every leaf in depth-first insertion order, calling fn with the
 // '/'-joined path from n and the leaf node. Returning false from fn stops
 // the walk early.

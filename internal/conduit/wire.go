@@ -277,6 +277,15 @@ func RawInt(node []byte) (v int64, ok bool) {
 	return 0, false
 }
 
+// RawBool returns the value of a raw bool node; ok is false for any other
+// kind.
+func RawBool(node []byte) (v, ok bool) {
+	if len(node) != 2 || Kind(node[0]) != KindBool {
+		return false, false
+	}
+	return node[1] != 0, true
+}
+
 // ---------------------------------------------------------------------------
 // MergeNodes: the union of encoded trees, computed over their bytes.
 

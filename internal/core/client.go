@@ -59,22 +59,49 @@ type Client struct {
 	encSeen map[*byte]int
 
 	// delta is the per-endpoint generation memo behind QueryDelta: the last
-	// full response per (ns, path) with the (epoch, gen) stamp the service
-	// sent alongside it. When a later poll's stamp still matches, the service
-	// answers with a tiny "unchanged" frame and the memoized tree is reused.
+	// tree per (ns, path) with the (epoch, gen) stamp the service sent
+	// alongside it. When a later poll's stamp still matches, the service
+	// answers with a tiny "unchanged" frame and the memoized tree is reused;
+	// when only a few children changed, it sends those and they are grafted
+	// onto a copy of the memoized tree.
 	deltaMu sync.Mutex
 	delta   map[string]*deltaMemo
-	// Delta accounting for DeltaStats: polls answered "unchanged" and the
-	// wire bytes those answers saved versus re-sending the memoized frame.
+	// Delta accounting for DeltaStats: polls answered "unchanged", polls
+	// answered with a patch, and the wire bytes those answers saved versus
+	// re-sending the memoized frame.
 	deltaUnchanged  atomic.Int64
+	deltaPartial    atomic.Int64
 	deltaBytesSaved atomic.Int64
 }
 
-// deltaMemo is one (ns, path) entry of the client's generation memo.
+// deltaMemo is one (ns, path) entry of the client's generation memo. It is
+// replaced, never mutated: callers share its tree.
 type deltaMemo struct {
 	epoch, gen int64
 	tree       *conduit.Node
-	frameLen   int // encoded size of the full response, for bytes-saved accounting
+	frameLen   int // encoded size of the last full response, for bytes-saved accounting
+}
+
+// graft applies a partial delta answer resp — {epoch, gen, base, count,
+// patch} — to the memo and returns the tree it stands for: the memoized tree
+// with patch's children replacing the ones of the same name or appended. ok
+// is false when the answer does not apply to this memo (another epoch or
+// base, a memo or patch that is not an object) or the result does not hold
+// count children; the memo is never modified.
+func (m *deltaMemo) graft(resp *conduit.Node) (tree *conduit.Node, ok bool) {
+	epoch, _ := resp.Int("epoch")
+	base, hasBase := resp.Int("base")
+	count, hasCount := resp.Int("count")
+	patch, hasPatch := resp.Get("patch")
+	if !hasBase || !hasCount || !hasPatch || epoch != m.epoch || base != m.gen ||
+		m.tree.Kind() != conduit.KindObject || patch.Kind() != conduit.KindObject {
+		return nil, false
+	}
+	tree = conduit.Graft(m.tree, patch)
+	if int64(tree.NumChildren()) != count {
+		return nil, false
+	}
+	return tree, true
 }
 
 // maxDeltaMemos bounds the generation memo; queries for paths beyond the cap
@@ -309,7 +336,10 @@ func (c *Client) Query(ns Namespace, path string) (*conduit.Node, error) {
 // (epoch, gen) stamp via soma.query.delta, and changed reports whether the
 // namespace moved since the previous call for the same (ns, path). When
 // changed is false the returned tree is the memoized previous result and the
-// poll cost a ~30-byte frame instead of the full tree.
+// poll cost a ~30-byte frame instead of the full tree. When only a few of the
+// subtree's direct children were rewritten or added, only those cross the
+// wire and are grafted onto a copy of the memoized tree; a patch that does
+// not fit the memo drops it and re-polls for the full tree.
 func (c *Client) QueryDelta(ns Namespace, path string) (tree *conduit.Node, changed bool, err error) {
 	key := string(ns) + "\x00" + path
 	c.deltaMu.Lock()
@@ -328,6 +358,7 @@ func (c *Client) QueryDelta(ns Namespace, path string) (tree *conduit.Node, chan
 	if memo != nil {
 		req.SetInt("epoch", memo.epoch)
 		req.SetInt("gen", memo.gen)
+		req.SetBool("patch", true)
 	}
 	buf := conduit.GetEncodeBuffer()
 	*buf = req.AppendBinary(*buf)
@@ -356,27 +387,54 @@ func (c *Client) QueryDelta(ns Namespace, path string) (tree *conduit.Node, chan
 			return memo.tree, false, nil
 		}
 		// Defensive: an "unchanged" for a stamp this client no longer holds.
-		// Drop the memo and re-poll with a zero stamp rather than trust it.
-		c.deltaMu.Lock()
-		delete(c.delta, key)
-		c.deltaMu.Unlock()
-		return c.QueryDelta(ns, path)
+		return c.resync(ns, path, key)
+	}
+	if resp.Has("patch") {
+		if memo == nil {
+			return nil, false, fmt.Errorf("soma: query %s: service answered a patch to a poll that carried no stamp", ns)
+		}
+		tree, ok := memo.graft(resp)
+		if !ok {
+			// Defensive: a patch that does not apply to the memo it was
+			// asked against.
+			return c.resync(ns, path, key)
+		}
+		c.deltaPartial.Add(1)
+		if saved := memo.frameLen - len(out); saved > 0 {
+			c.deltaBytesSaved.Add(int64(saved))
+		}
+		c.remember(key, &deltaMemo{epoch: epoch, gen: gen, tree: tree, frameLen: memo.frameLen})
+		return tree, true, nil
 	}
 	data, ok := resp.Get("data")
 	if !ok {
 		data = conduit.NewNode()
 	}
 	if epoch != 0 {
-		c.deltaMu.Lock()
-		if c.delta == nil {
-			c.delta = make(map[string]*deltaMemo, 4)
-		}
-		if _, exists := c.delta[key]; exists || len(c.delta) < maxDeltaMemos {
-			c.delta[key] = &deltaMemo{epoch: epoch, gen: gen, tree: data, frameLen: len(out)}
-		}
-		c.deltaMu.Unlock()
+		c.remember(key, &deltaMemo{epoch: epoch, gen: gen, tree: data, frameLen: len(out)})
 	}
 	return data, true, nil
+}
+
+// resync drops the memo for key and re-polls with a zero stamp: what
+// QueryDelta does rather than trust an answer that does not fit its memo.
+func (c *Client) resync(ns Namespace, path, key string) (*conduit.Node, bool, error) {
+	c.deltaMu.Lock()
+	delete(c.delta, key)
+	c.deltaMu.Unlock()
+	return c.QueryDelta(ns, path)
+}
+
+// remember stores m as key's memo, unless the memo is full.
+func (c *Client) remember(key string, m *deltaMemo) {
+	c.deltaMu.Lock()
+	defer c.deltaMu.Unlock()
+	if c.delta == nil {
+		c.delta = make(map[string]*deltaMemo, 4)
+	}
+	if _, exists := c.delta[key]; exists || len(c.delta) < maxDeltaMemos {
+		c.delta[key] = m
+	}
 }
 
 // DeltaStatsSnapshot summarizes the client's delta-query savings.
@@ -384,8 +442,11 @@ type DeltaStatsSnapshot struct {
 	// Unchanged counts polls the service answered with the tiny
 	// "unchanged" frame.
 	Unchanged int64
+	// Partial counts polls the service answered with only the children that
+	// changed, grafted onto the memoized tree.
+	Partial int64
 	// BytesSaved totals the wire bytes avoided by those answers versus
-	// re-sending the memoized full frames.
+	// re-sending the last full frame.
 	BytesSaved int64
 }
 
@@ -393,6 +454,7 @@ type DeltaStatsSnapshot struct {
 func (c *Client) DeltaStats() DeltaStatsSnapshot {
 	return DeltaStatsSnapshot{
 		Unchanged:  c.deltaUnchanged.Load(),
+		Partial:    c.deltaPartial.Load(),
 		BytesSaved: c.deltaBytesSaved.Load(),
 	}
 }

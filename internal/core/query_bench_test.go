@@ -127,3 +127,91 @@ func BenchmarkSnapshotRebuild(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkQueryDeltaPartial models the repository benchmark's firehose read
+// — Client.Query(hardware, "LOAD") over 1 250 hosts × 16 leaves, with an
+// eighth of the hosts rewritten between reads — from the service's answer
+// through the client's decode: "patch" is a stamped poll answered with the
+// rewritten hosts and grafted onto the memo, "full" the same read answered
+// with the whole subtree. The rewrite and the snapshot rebuild are outside
+// the timer.
+func BenchmarkQueryDeltaPartial(b *testing.B) {
+	const hosts, leaves = 1250, 16
+	const rewrite = hosts / 8
+	svc := NewService(ServiceConfig{})
+	defer svc.Close()
+	in := svc.instances[NSHardware]
+	// Two versions of every host's frame; a rewrite alternates them.
+	var frames [2][hosts][]byte
+	for v := range frames {
+		for h := range frames[v] {
+			n := conduit.NewNode()
+			for s := 0; s < leaves; s++ {
+				n.SetFloat(fmt.Sprintf("LOAD/cn%05d/s%02d", h, s), float64(v+s))
+			}
+			frames[v][h] = n.EncodeBinary()
+		}
+	}
+	next := 0
+	publishHosts := func(n int) {
+		for ; n > 0; n-- {
+			in.append(0, []pub{{ns: NSHardware, in: in, enc: frames[next/hosts%2][next%hosts]}}, 0)
+			next++
+		}
+		in.currentSnapshot()
+	}
+	publishHosts(hosts)
+	read := func(b *testing.B, answer func() ([]byte, error), apply func(resp *conduit.Node) *conduit.Node) {
+		var frameBytes int
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			publishHosts(rewrite)
+			b.StartTimer()
+			frame, err := answer()
+			if err != nil {
+				b.Fatal(err)
+			}
+			resp, err := conduit.DecodeBinary(frame)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if tree := apply(resp); tree.NumChildren() != hosts {
+				b.Fatalf("read holds %d hosts, want %d", tree.NumChildren(), hosts)
+			}
+			frameBytes += len(frame)
+		}
+		b.ReportMetric(float64(frameBytes)/float64(b.N), "frame_B/op")
+	}
+	b.Run("patch", func(b *testing.B) {
+		full, err := svc.QueryEncoded(NSHardware, "LOAD")
+		if err != nil {
+			b.Fatal(err)
+		}
+		env := mustDecode(b, full)
+		epoch, _ := env.Int("epoch")
+		gen, _ := env.Int("gen")
+		data, _ := env.Get("data")
+		memo := &deltaMemo{epoch: epoch, gen: gen, tree: data}
+		read(b, func() ([]byte, error) {
+			return svc.queryDelta(NSHardware, "LOAD", uint64(memo.epoch), uint64(memo.gen), true)
+		}, func(resp *conduit.Node) *conduit.Node {
+			tree, ok := memo.graft(resp)
+			if !ok {
+				b.Fatal("the read was not answered with a patch that applies")
+			}
+			gen, _ := resp.Int("gen")
+			memo = &deltaMemo{epoch: memo.epoch, gen: gen, tree: tree}
+			return tree
+		})
+	})
+	b.Run("full", func(b *testing.B) {
+		read(b, func() ([]byte, error) {
+			return svc.QueryEncoded(NSHardware, "LOAD")
+		}, func(resp *conduit.Node) *conduit.Node {
+			data, _ := resp.Get("data")
+			return data
+		})
+	})
+}

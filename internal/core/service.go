@@ -32,11 +32,16 @@ var (
 
 	// Query fast-path accounting: encoded-frame cache hits/misses across
 	// query, select and stats serving, delta polls answered "unchanged", and
-	// the wire bytes those tiny answers saved against the full frame.
+	// the wire bytes those tiny answers saved against the full frame; partial
+	// delta answers built, with the children they carried and the children
+	// they left to the caller's memo.
 	telQueryCacheHits   = telemetry.Default().Counter("core.query.cache_hits")
 	telQueryCacheMisses = telemetry.Default().Counter("core.query.cache_misses")
 	telDeltaUnchanged   = telemetry.Default().Counter("core.query.delta_unchanged")
 	telDeltaBytesSaved  = telemetry.Default().Counter("core.query.delta_bytes_saved")
+	telDeltaPartial     = telemetry.Default().Counter("core.query.delta_partial")
+	telDeltaSent        = telemetry.Default().Counter("core.query.delta_children_sent")
+	telDeltaHeld        = telemetry.Default().Counter("core.query.delta_children_held")
 )
 
 // ServiceConfig configures a SOMA service task.
@@ -162,10 +167,12 @@ type snapshot struct {
 }
 
 // frameKey names one cached response frame: kind 'q' (query, key = path),
-// 's' (select, key = pattern) or 'u' (the delta "unchanged" frame).
+// 's' (select, key = pattern), 'u' (the delta "unchanged" frame) or 'd' (a
+// partial delta answer, key = path, base = the generation it patches).
 type frameKey struct {
 	kind byte
 	key  string
+	base uint64
 }
 
 // Frame-cache bounds: a snapshot caches at most maxCachedFrames distinct
@@ -173,9 +180,19 @@ type frameKey struct {
 // frames larger than maxCachedFrameBytes are never cached — snapshots churn
 // with every publish burst, and pinning megabyte frames per generation
 // would trade the allocation win for memory pressure.
+//
+// Delta bases: an instance retains the subtrees its last deltaBaseGens query
+// answers per path handed out, for at most maxDeltaBasePaths paths (least
+// recently used out first), so a partial delta answer can be diffed against
+// what the caller holds. A base is a subtree pointer, not a snapshot, so no
+// superseded snapshot's frame cache stays pinned; what it does pin is the
+// superseded versions of the children rewritten since — at worst
+// deltaBaseGens × maxDeltaBasePaths old versions of a whole namespace.
 const (
 	maxCachedFrames     = 512
 	maxCachedFrameBytes = 1 << 20
+	deltaBaseGens       = 2
+	maxDeltaBasePaths   = 16
 )
 
 // cached returns the frame stored under k, or nil.
@@ -246,6 +263,74 @@ type instance struct {
 	// rollup holds the instance's windowed time-series buckets (see
 	// series.go); nil when rollups are disabled.
 	rollup *seriesStore
+
+	// bases are the delta bases: the subtrees recent query answers handed
+	// out, most recently used path first (see retainBase).
+	basesMu sync.Mutex
+	bases   []pathBases
+}
+
+// deltaBase is one subtree a query answer handed out, with its stamp.
+type deltaBase struct {
+	epoch, gen uint64
+	tree       *conduit.Node
+}
+
+// pathBases holds one path's delta bases, newest first.
+type pathBases struct {
+	path string
+	last [deltaBaseGens]deltaBase
+}
+
+// retainBase records that an answer handed out sub, the subtree at path in
+// snapshot s. Called on frame-cache misses only.
+func (in *instance) retainBase(path string, s *snapshot, sub *conduit.Node) {
+	b := deltaBase{epoch: s.epoch, gen: s.gen, tree: sub}
+	in.basesMu.Lock()
+	defer in.basesMu.Unlock()
+	if !in.touchBases(path) {
+		if len(in.bases) < maxDeltaBasePaths {
+			in.bases = append(in.bases, pathBases{})
+		}
+		copy(in.bases[1:], in.bases)
+		in.bases[0] = pathBases{path: path}
+	}
+	last := &in.bases[0].last
+	if last[0].tree != nil && last[0].epoch == b.epoch && last[0].gen == b.gen {
+		return
+	}
+	copy(last[1:], last[:])
+	last[0] = b
+}
+
+// touchBases moves path's entry to the front, reporting whether it has one.
+// Called with basesMu held.
+func (in *instance) touchBases(path string) bool {
+	for i := range in.bases {
+		if in.bases[i].path == path {
+			e := in.bases[i]
+			copy(in.bases[1:i+1], in.bases[:i])
+			in.bases[0] = e
+			return true
+		}
+	}
+	return false
+}
+
+// base returns the subtree at path an answer stamped (epoch, gen) handed
+// out, or nil when it is no longer retained.
+func (in *instance) base(path string, epoch, gen uint64) *conduit.Node {
+	in.basesMu.Lock()
+	defer in.basesMu.Unlock()
+	if !in.touchBases(path) {
+		return nil
+	}
+	for _, b := range in.bases[0].last {
+		if b.tree != nil && b.epoch == epoch && b.gen == gen {
+			return b.tree
+		}
+	}
+	return nil
 }
 
 func newInstance(ns Namespace, ranks, stripes int) *instance {
@@ -398,21 +483,64 @@ func (in *instance) queryFrameAt(s *snapshot, path string) []byte {
 	if !ok {
 		sub = conduit.NewNode()
 	}
+	in.retainBase(path, s, sub)
 	resp := conduit.NewNode()
 	resp.SetInt("epoch", int64(s.epoch))
 	resp.SetInt("gen", int64(s.gen))
 	// Attach the immutable snapshot subtree instead of deep-merging it into
 	// the envelope: encoding only reads the tree.
 	resp.Attach("data", sub)
-	// A whole-tree frame is hundreds of KiB: built in the large pooled buffer
-	// (conduit's encode pool keeps nothing above 64 KiB, so it would regrow
-	// by doubling on every snapshot), kept as one exact-size copy.
+	return s.store(k, encodeFrame(resp))
+}
+
+// encodeFrame encodes a response frame for the snapshot cache. A whole-tree
+// frame is hundreds of KiB: built in the large pooled buffer (conduit's
+// encode pool keeps nothing above 64 KiB, so it would regrow by doubling on
+// every snapshot), kept as one exact-size copy.
+func encodeFrame(resp *conduit.Node) []byte {
 	bp := getFrameBuf()
 	*bp = resp.AppendBinary(*bp)
 	frame := make([]byte, len(*bp))
 	copy(frame, *bp)
 	putFrameBuf(bp)
-	return s.store(k, frame)
+	return frame
+}
+
+// patchFrameAt answers a stamped soma.query.delta from a caller that accepts
+// a patch: when the subtree the stamp (s.epoch, gen) handed out is retained
+// and fewer than half of the current subtree's children were rewritten or
+// added since, the frame is {epoch, gen, base: gen, count, patch: {those
+// children, in snapshot order}}, which the caller grafts onto its copy to
+// hold count children; otherwise it is the full query frame.
+func (in *instance) patchFrameAt(s *snapshot, path string, gen uint64) []byte {
+	k := frameKey{kind: 'd', key: path, base: gen}
+	if f := s.cached(k); f != nil {
+		telQueryCacheHits.Inc()
+		return f
+	}
+	old := in.base(path, s.epoch, gen)
+	sub, ok := s.tree.Get(path)
+	if old == nil || !ok {
+		return in.queryFrameAt(s, path)
+	}
+	count := sub.NumChildren()
+	patch, ok := conduit.ChildrenSince(old, sub, (count-1)/2)
+	if !ok {
+		return in.queryFrameAt(s, path)
+	}
+	telQueryCacheMisses.Inc()
+	in.retainBase(path, s, sub)
+	sent := patch.NumChildren()
+	telDeltaPartial.Inc()
+	telDeltaSent.Add(int64(sent))
+	telDeltaHeld.Add(int64(count - sent))
+	resp := conduit.NewNode()
+	resp.SetInt("epoch", int64(s.epoch))
+	resp.SetInt("gen", int64(s.gen))
+	resp.SetInt("base", int64(gen))
+	resp.SetInt("count", int64(count))
+	resp.Attach("patch", patch)
+	return s.store(k, encodeFrame(resp))
 }
 
 // selectFrame returns the wire-ready soma.select response frame for
@@ -493,6 +621,9 @@ func (in *instance) reset() {
 	}
 	in.snap.Store(&snapshot{epoch: in.epoch.Load(), gen: g, tree: conduit.NewNode()})
 	in.rebuildMu.Unlock()
+	in.basesMu.Lock()
+	in.bases = nil
+	in.basesMu.Unlock()
 	if in.rollup != nil {
 		in.rollup.reset()
 	}
@@ -560,6 +691,8 @@ const (
 	// RPCQueryDelta is the generation-aware query: the request carries the
 	// client's last-seen (epoch, gen) stamp and the service answers with a
 	// tiny {epoch, gen, unchanged: true} frame when the stamp still matches,
+	// with a {epoch, gen, base, count, patch} frame of the changed children
+	// when the request also says patch: true and the change is small enough,
 	// or the full {epoch, gen, data} frame otherwise.
 	RPCQueryDelta = "soma.query.delta"
 
@@ -720,6 +853,12 @@ func (s *Service) QueryEncoded(ns Namespace, path string) ([]byte, error) {
 // tiny {epoch, gen, unchanged: true} frame; otherwise the full query frame.
 // A zero epoch (no memo yet) never matches.
 func (s *Service) QueryDeltaEncoded(ns Namespace, path string, epoch, gen uint64) ([]byte, error) {
+	return s.queryDelta(ns, path, epoch, gen, false)
+}
+
+// queryDelta is QueryDeltaEncoded for a caller that may also accept a partial
+// answer (patch; see patchFrameAt).
+func (s *Service) queryDelta(ns Namespace, path string, epoch, gen uint64, patch bool) ([]byte, error) {
 	in, err := s.running(ns)
 	if err != nil {
 		return nil, err
@@ -739,6 +878,9 @@ func (s *Service) QueryDeltaEncoded(ns Namespace, path string, epoch, gen uint64
 			}
 		}
 		return f, nil
+	}
+	if patch && epoch != 0 && epoch == sn.epoch {
+		return in.patchFrameAt(sn, path, gen), nil
 	}
 	return in.queryFrameAt(sn, path), nil
 }
@@ -822,20 +964,23 @@ func unmarshalFrame(frame []byte, v any) error {
 // Query request fields, in the order queryHandler slices them: soma.query and
 // soma.query.local carry {ns, path}, the delta RPCs add the caller's last-seen
 // stamp as {epoch: i64, gen: i64} (zero when absent — a stamp that never
-// matches).
-var queryFields = []string{"ns", "path", "epoch", "gen"}
+// matches) and {patch: true} when the caller can graft a partial answer.
+var queryFields = []string{"ns", "path", "epoch", "gen", "patch"}
 
 // queryHandler answers soma.query — or, with delta, soma.query.delta — from
 // local state alone: the cached encoded frame {epoch, gen, data}, or for a
 // delta poll whose stamp still matches the tiny "unchanged" frame (see
-// QueryDeltaEncoded). Clients predating the delta protocol only read "data"
-// and ignore the stamp fields. Asked by either name, a clustered member with
-// live peers answers the union of all shards instead, so a caller sees the
-// same tree no matter which instance it asked (see rpcTable, scatterEnvelope).
+// QueryDeltaEncoded), or for a stamped poll that says patch the partial
+// answer when one applies (see patchFrameAt). Clients predating the delta
+// protocol only read "data" and ignore the stamp fields; clients predating
+// the partial answer never send patch, so never get one. Asked by either
+// name, a clustered member with live peers answers the union of all shards
+// instead, so a caller sees the same tree no matter which instance it asked
+// (see rpcTable, scatterEnvelope).
 func queryHandler(delta bool) rpcHandler {
 	return func(s *Service, _ context.Context, payload []byte) (mercury.Response, error) {
 		// Validated whole and read by offset, like a publish envelope.
-		var f [4][]byte
+		var f [5][]byte
 		if err := conduit.SliceFields(payload, queryFields, f[:]); err != nil {
 			return mercury.Response{}, err
 		}
@@ -852,7 +997,8 @@ func queryHandler(delta bool) rpcHandler {
 		if delta {
 			epoch, _ := conduit.RawInt(f[2])
 			gen, _ := conduit.RawInt(f[3])
-			frame, err = s.QueryDeltaEncoded(ns, string(path), uint64(epoch), uint64(gen))
+			patch, _ := conduit.RawBool(f[4])
+			frame, err = s.queryDelta(ns, string(path), uint64(epoch), uint64(gen), patch)
 		} else {
 			frame, err = s.QueryEncoded(ns, string(path))
 		}
