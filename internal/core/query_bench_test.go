@@ -185,7 +185,7 @@ func BenchmarkQueryDeltaPartial(b *testing.B) {
 		b.ReportMetric(float64(frameBytes)/float64(b.N), "frame_B/op")
 	}
 	b.Run("patch", func(b *testing.B) {
-		full, err := svc.QueryEncoded(NSHardware, "LOAD")
+		full, err := svc.queryDelta(NSHardware, "LOAD", 0, 0, true)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -330,7 +330,7 @@ func TestQueryDeltaUnpatchedRequest(t *testing.T) {
 
 // TestQueryDeltaBasesBounded: polling ten times as many distinct paths as the
 // bases cap keeps an instance's retained bases at the cap, the most recently
-// polled paths, and a reset clears them.
+// polled paths, a reset clears them, and a plain query records none.
 func TestQueryDeltaBasesBounded(t *testing.T) {
 	svc, addr := newTestService(t, ServiceConfig{})
 	c, err := Connect(addr, nil)
@@ -361,6 +361,18 @@ func TestQueryDeltaBasesBounded(t *testing.T) {
 	if n != 0 {
 		t.Fatalf("%d bases survived a reset", n)
 	}
+	// A plain soma.query answer — what a clustered member's shard read is —
+	// records none: no caller presents its stamp for a patch.
+	publishLeaf(t, svc, NSHardware, "P000/x", 1)
+	if _, err := svc.QueryEncoded(NSHardware, "P000"); err != nil {
+		t.Fatal(err)
+	}
+	in.basesMu.Lock()
+	n = len(in.bases)
+	in.basesMu.Unlock()
+	if n != 0 {
+		t.Fatalf("a plain query recorded %d bases", n)
+	}
 }
 
 // FuzzQueryDeltaApply feeds arbitrary delta answers to arbitrary decoded
@@ -380,7 +392,7 @@ func FuzzQueryDeltaApply(f *testing.F) {
 			}
 		}
 	}
-	full, err := svc.QueryEncoded(NSHardware, "LOAD")
+	full, err := svc.queryDelta(NSHardware, "LOAD", 0, 0, true)
 	if err != nil {
 		f.Fatal(err)
 	}

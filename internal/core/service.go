@@ -181,10 +181,10 @@ type frameKey struct {
 // with every publish burst, and pinning megabyte frames per generation
 // would trade the allocation win for memory pressure.
 //
-// Delta bases: an instance retains the subtrees its last deltaBaseGens query
-// answers per path handed out, for at most maxDeltaBasePaths paths (least
-// recently used out first), so a partial delta answer can be diffed against
-// what the caller holds. A base is a subtree pointer, not a snapshot, so no
+// Delta bases: an instance retains the subtrees its last deltaBaseGens
+// soma.query.delta answers per path handed out, for at most
+// maxDeltaBasePaths paths (least recently used out first), so a partial
+// delta answer can be diffed against what the caller holds. A base is a subtree pointer, not a snapshot, so no
 // superseded snapshot's frame cache stays pinned; what it does pin is the
 // superseded versions of the children rewritten since — at worst
 // deltaBaseGens × maxDeltaBasePaths old versions of a whole namespace.
@@ -282,9 +282,15 @@ type pathBases struct {
 	last [deltaBaseGens]deltaBase
 }
 
-// retainBase records that an answer handed out sub, the subtree at path in
-// snapshot s. Called on frame-cache misses only.
-func (in *instance) retainBase(path string, s *snapshot, sub *conduit.Node) {
+// retainBase records that a soma.query.delta answer handed out the subtree
+// at path in snapshot s. Plain soma.query answers — a clustered member's
+// shard reads among them — are never recorded: no caller presents their
+// stamp for a patch. Only an object can be patched.
+func (in *instance) retainBase(path string, s *snapshot) {
+	sub, ok := s.tree.Get(path)
+	if !ok || sub.Kind() != conduit.KindObject {
+		return
+	}
 	b := deltaBase{epoch: s.epoch, gen: s.gen, tree: sub}
 	in.basesMu.Lock()
 	defer in.basesMu.Unlock()
@@ -483,7 +489,6 @@ func (in *instance) queryFrameAt(s *snapshot, path string) []byte {
 	if !ok {
 		sub = conduit.NewNode()
 	}
-	in.retainBase(path, s, sub)
 	resp := conduit.NewNode()
 	resp.SetInt("epoch", int64(s.epoch))
 	resp.SetInt("gen", int64(s.gen))
@@ -529,7 +534,6 @@ func (in *instance) patchFrameAt(s *snapshot, path string, gen uint64) []byte {
 		return in.queryFrameAt(s, path)
 	}
 	telQueryCacheMisses.Inc()
-	in.retainBase(path, s, sub)
 	sent := patch.NumChildren()
 	telDeltaPartial.Inc()
 	telDeltaSent.Add(int64(sent))
@@ -879,10 +883,14 @@ func (s *Service) queryDelta(ns Namespace, path string, epoch, gen uint64, patch
 		}
 		return f, nil
 	}
+	var f []byte
 	if patch && epoch != 0 && epoch == sn.epoch {
-		return in.patchFrameAt(sn, path, gen), nil
+		f = in.patchFrameAt(sn, path, gen)
+	} else {
+		f = in.queryFrameAt(sn, path)
 	}
-	return in.queryFrameAt(sn, path), nil
+	in.retainBase(path, sn)
+	return f, nil
 }
 
 // Select returns the leaf paths in ns matching a '/'-separated glob
