@@ -133,7 +133,10 @@ func mustDecode(t testing.TB, frame []byte) *conduit.Node {
 // (ns, path) memo beside publishers, under -race in verify-stream. Every
 // leaf is written by one publisher with rising values, so a poller's
 // successive trees may only move forward; once the publishers stop, each
-// poller's next tree must equal the full answer.
+// poller's next tree must equal the full answer and hold every leaf's last
+// value. (Before rebuilds drained the stripes at one cut, a publish that
+// landed in an already-drained stripe could be folded after a later one,
+// and both checks failed a few runs in a hundred on a loaded box.)
 func TestQueryDeltaConcurrentPollers(t *testing.T) {
 	svc, addr := newTestService(t, ServiceConfig{RanksPerNamespace: 2})
 	c, err := Connect(addr, nil)
@@ -213,6 +216,14 @@ func TestQueryDeltaConcurrentPollers(t *testing.T) {
 		}
 		if got, want := tree.EncodeBinary(), freshAnswer(t, svc, NSHardware, "LOAD"); !bytes.Equal(got, want) {
 			t.Fatalf("settled poll differs from the full answer")
+		}
+		for p := 0; p < publishers; p++ {
+			for v := 400 - hosts + 1; v <= 400; v++ {
+				leaf := fmt.Sprintf("cn%02d/p%d", (v*7+p)%hosts, p)
+				if got, _ := tree.Float(leaf); got != float64(v) {
+					t.Fatalf("settled %s = %v, last written %d", leaf, got, v)
+				}
+			}
 		}
 	}
 }

@@ -138,6 +138,9 @@ type stripe struct {
 	pubs    int64
 	bytesIn int64
 	last    float64
+	// cut is how many of pending the rebuild in progress drains; it is
+	// only touched under the instance's rebuildMu.
+	cut int
 }
 
 // snapshot is an immutable, generation-stamped merged view of everything
@@ -369,8 +372,8 @@ func (in *instance) currentSnapshot() *snapshot {
 	defer in.rebuildMu.Unlock()
 	// Capture the generation before draining: every change counted by g is
 	// already appended to a stripe, so the rebuilt tree contains it.
-	// Changes landing during the drain may also be folded in; they only
-	// cause one spurious (empty) rebuild later.
+	// Changes landing before the drain's cut (below) may also be folded in;
+	// they only cause one spurious (empty) rebuild later.
 	g := in.gen.Load()
 	s = in.snap.Load()
 	if s.gen == g {
@@ -389,25 +392,40 @@ func (in *instance) currentSnapshot() *snapshot {
 	// length pin their batch frames until overwritten — a window bounded by
 	// one rebuild interval, far cheaper than memclr'ing tens of megabytes
 	// of drained records on every rebuild.
+	//
+	// The drain takes the stripes as they stood at one instant: with every
+	// stripe lock held, it notes how many records each holds, and drains
+	// only those. seq is drawn under the stripe lock, so every record inside
+	// the cut precedes every record outside it. Draining each stripe as
+	// found would fold a publish that landed in an already-drained stripe
+	// one rebuild after a later publish that landed in a stripe drained
+	// after it, and a leaf both wrote would keep the older value.
+	for _, st := range in.stripes {
+		st.mu.Lock()
+	}
+	for _, st := range in.stripes {
+		st.cut = len(st.pending)
+		st.mu.Unlock()
+	}
 	scratch := in.foldScratch[:0]
 	in.foldScratch = nil
 	pend := scratch
 	dirty := 0
 	for _, st := range in.stripes {
-		st.mu.Lock()
-		if len(st.pending) == 0 {
-			st.mu.Unlock()
+		if st.cut == 0 {
 			continue
 		}
+		st.mu.Lock()
 		dirty++
-		if dirty == 1 {
+		if dirty == 1 && st.cut == len(st.pending) {
 			pend, st.pending = st.pending, scratch
 		} else {
-			pend = append(pend, st.pending...)
-			if cap(st.pending) > pendingKeepCap {
+			pend = append(pend, st.pending[:st.cut]...)
+			rest := copy(st.pending, st.pending[st.cut:])
+			if rest == 0 && cap(st.pending) > pendingKeepCap {
 				st.pending = nil
 			} else {
-				st.pending = st.pending[:0]
+				st.pending = st.pending[:rest]
 			}
 		}
 		st.mu.Unlock()
