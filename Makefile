@@ -54,9 +54,9 @@ verify: build vet lint test race bench-module
 # (coalescer, spill queue, redelivery), the in-process publish door (no
 # retained tree, placed like a wire publish) and the delta query (its
 # partial answers against the full one, pollers sharing a memo beside
-# publishers) repeatedly under the race detector, plus the in-process fleet scenarios (kill/restart, fault
-# timelines). The whole output is kept
-# in verify-stream.log (CI uploads it when the job fails): a -race report is
+# publishers) repeatedly under the race detector, plus the in-process fleet
+# scenarios (kill/restart, fault timelines). The whole output is kept in
+# verify-stream.log (CI uploads it when the job fails): a -race report is
 # hundreds of lines and a failure here may not recur for dozens of runs.
 verify-stream: SHELL := bash
 verify-stream: .SHELLFLAGS := -o pipefail -c
