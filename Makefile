@@ -54,7 +54,9 @@ verify: build vet lint test race bench-module
 # (coalescer, spill queue, redelivery), the in-process publish door (no
 # retained tree, placed like a wire publish) and the delta query (its
 # partial answers against the full one, pollers sharing a memo beside
-# publishers) repeatedly under the race detector, plus the in-process fleet
+# publishers; the clustered delta, whose stamped union a member keeps from
+# its members' changes, against plain soma.query's union) repeatedly under
+# the race detector, plus the in-process fleet
 # scenarios (kill/restart, fault timelines). The whole output is kept in
 # verify-stream.log (CI uploads it when the job fails): a -race report is
 # hundreds of lines and a failure here may not recur for dozens of runs.
@@ -68,7 +70,7 @@ verify-stream:
 
 bench:
 	$(GO) test ./internal/core/ -run '^$$' \
-		-bench 'BenchmarkPublishIngest$$|BenchmarkPublishIngestRPC$$|BenchmarkPublishBatch$$|BenchmarkSelectSnapshot$$|BenchmarkSeriesQuery$$|BenchmarkSubscribeFanout$$|BenchmarkQueryHot$$|BenchmarkQueryEncodeNoCache$$|BenchmarkQueryDelta$$|BenchmarkQueryDeltaPartial$$|BenchmarkSnapshotRebuild$$|BenchmarkScatterGatherQuery$$' \
+		-bench 'BenchmarkPublishIngest$$|BenchmarkPublishIngestRPC$$|BenchmarkPublishBatch$$|BenchmarkSelectSnapshot$$|BenchmarkSeriesQuery$$|BenchmarkSubscribeFanout$$|BenchmarkQueryHot$$|BenchmarkQueryEncodeNoCache$$|BenchmarkQueryDelta$$|BenchmarkQueryDeltaPartial$$|BenchmarkSnapshotRebuild$$|BenchmarkScatterGatherQuery$$|BenchmarkScatterGatherQueryDelta$$' \
 		-benchmem -count $(BENCH_COUNT)
 
 benchdiff:

@@ -218,12 +218,12 @@ func TestQuickDiff(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		a := randomNode(r, 0)
-		if len(a.Diff(a)) != 0 {
+		if len(a.diff(a)) != 0 {
 			return false
 		}
 		b := a.Clone()
 		b.SetString("zz_injected/leaf", "difference")
-		return len(a.Diff(b)) >= 1
+		return len(a.diff(b)) >= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

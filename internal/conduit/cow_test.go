@@ -69,7 +69,7 @@ func TestMergeCOWChain(t *testing.T) {
 		snap = MergeCOW(snap, upd)
 		mutable.Merge(upd)
 		if !snap.Equal(mutable) {
-			t.Fatalf("step %d: snapshot diverged from Merge: %v", step, snap.Diff(mutable))
+			t.Fatalf("step %d: snapshot diverged from Merge: %v", step, snap.diff(mutable))
 		}
 		if !prev.Equal(prevCopy) {
 			t.Fatalf("step %d: MergeCOW mutated the previous snapshot", step)

@@ -295,7 +295,7 @@ func mustDecode(t testing.TB, n *Node) *Node {
 func sameTree(t testing.TB, step int, what string, built, decoded *Node) {
 	t.Helper()
 	if !built.Equal(decoded) || !decoded.Equal(built) {
-		t.Fatalf("step %d (%s): trees differ at %v\nbuilt:\n%s\ndecoded:\n%s", step, what, built.Diff(decoded), built.Format(), decoded.Format())
+		t.Fatalf("step %d (%s): trees differ at %v\nbuilt:\n%s\ndecoded:\n%s", step, what, built.diff(decoded), built.Format(), decoded.Format())
 	}
 	if bl, dl := built.Leaves(), decoded.Leaves(); !slices.Equal(bl, dl) {
 		t.Fatalf("step %d (%s): leaf order differs:\nbuilt   %v\ndecoded %v", step, what, bl, dl)
@@ -311,7 +311,7 @@ func sameTree(t testing.TB, step int, what string, built, decoded *Node) {
 		t.Fatalf("step %d (%s): encoding does not validate: %v", step, what, err)
 	}
 	if again := mustDecode(t, decoded); !again.Equal(built) {
-		t.Fatalf("step %d (%s): re-decoded tree differs at %v", step, what, again.Diff(built))
+		t.Fatalf("step %d (%s): re-decoded tree differs at %v", step, what, again.diff(built))
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -874,30 +873,6 @@ func (n *Node) Equal(other *Node) bool {
 	default:
 		return n.num == other.num && n.s == other.s
 	}
-}
-
-// Diff returns the leaf paths at which n and other disagree (missing on
-// either side or different values), sorted lexically. Useful in tests and in
-// the service's deduplication path.
-func (n *Node) Diff(other *Node) []string {
-	seen := map[string]bool{}
-	var out []string
-	n.Walk(func(path string, leaf *Node) bool {
-		o, ok := other.Get(path)
-		if !ok || !leaf.Equal(o) {
-			out = append(out, path)
-		}
-		seen[path] = true
-		return true
-	})
-	other.Walk(func(path string, _ *Node) bool {
-		if !seen[path] {
-			out = append(out, path)
-		}
-		return true
-	})
-	sort.Strings(out)
-	return out
 }
 
 // Format renders the subtree as an indented, YAML-like listing matching the

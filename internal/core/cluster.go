@@ -118,6 +118,11 @@ type svcCluster struct {
 	epMu sync.Mutex
 	eps  map[string]*mercury.Endpoint
 
+	// memos are the soma.query.delta gather memos, most recently used first
+	// (gather.go).
+	memoMu sync.Mutex
+	memos  []*gatherMemo
+
 	kick chan struct{} // rebalance trigger (membership changed)
 	stop chan struct{}
 	wg   sync.WaitGroup

@@ -197,13 +197,12 @@ func BenchmarkQueryDeltaPartial(b *testing.B) {
 		read(b, func() ([]byte, error) {
 			return svc.queryDelta(NSHardware, "LOAD", uint64(memo.epoch), uint64(memo.gen), true)
 		}, func(resp *conduit.Node) *conduit.Node {
-			tree, ok := memo.graft(resp)
-			if !ok {
+			next, kind, ok := applyDelta(memo, resp)
+			if !ok || kind != deltaPartial {
 				b.Fatal("the read was not answered with a patch that applies")
 			}
-			gen, _ := resp.Int("gen")
-			memo = &deltaMemo{epoch: memo.epoch, gen: gen, tree: tree}
-			return tree
+			memo = next
+			return next.tree
 		})
 	})
 	b.Run("full", func(b *testing.B) {

@@ -64,9 +64,10 @@ type rpcRow struct {
 	// peers' in address order, so colliding entries resolve the same way
 	// whichever peer answered first. The frames are read-only.
 	merge func(ctx context.Context, parts []part) (mercury.Response, error)
-	// gather is the row whose answers a scattered row merges when they are not
-	// its own.
-	gather *rpcRow
+	// scatter, when set, answers a scattered row for the whole fleet in place
+	// of scatter and merge: soma.query.delta asks every member for what
+	// changed since its own stamp (gather.go).
+	scatter func(cl *svcCluster, ctx context.Context, row *rpcRow, payload []byte) (mercury.Response, error)
 	// tolerate names the failures that are an answer in their own right
 	// ("nothing here"): that member is skipped. Any other failure fails the
 	// read — a partial answer silently missing a live member's shard would
@@ -82,10 +83,6 @@ type rpcRow struct {
 	blocking bool
 }
 
-// queryRow stands apart because the soma.query.delta row gathers it.
-var queryRow = rpcRow{name: RPCQuery, kind: rpcScattered, local: queryHandler(false), merge: mergeQueries,
-	span: "soma.query.handler", readOnly: true}
-
 var rpcTable = []rpcRow{
 	{name: RPCPublish, kind: rpcPlaced,
 		place: func(s *Service, ctx context.Context, payload []byte, fleet *svcCluster) (mercury.Response, error) {
@@ -94,10 +91,9 @@ var rpcTable = []rpcRow{
 		},
 		span: "soma.publish.handler", localSpan: "soma.publish.local.handler"},
 	{name: RPCPublishBatch, local: plain((*Service).handlePublishBatch)},
-	queryRow,
-	// A delta poll's own shard answers may be stampless "unchanged" frames,
-	// which cannot be unioned: a clustered member answers it as a soma.query.
-	{name: RPCQueryDelta, kind: rpcScattered, local: queryHandler(true), gather: &queryRow,
+	{name: RPCQuery, kind: rpcScattered, local: queryHandler(false), merge: mergeQueries,
+		span: "soma.query.handler", readOnly: true},
+	{name: RPCQueryDelta, kind: rpcScattered, local: queryHandler(true), scatter: (*svcCluster).queryDelta,
 		span: "soma.query.delta.handler", readOnly: true},
 	{name: RPCSeries, kind: rpcScattered, local: (*Service).handleSeries, merge: mergeSeriesAnswers,
 		tolerate: isNoSeries, readOnly: true},
@@ -161,12 +157,9 @@ func (s *Service) serve(row *rpcRow, asLocal bool) mercury.OwnedHandler {
 			return row.local(s, ctx, payload)
 		}
 	}
-	span, gather := row.span, row
+	span := row.span
 	if asLocal && row.localSpan != "" {
 		span = row.localSpan
-	}
-	if row.gather != nil {
-		gather = row.gather
 	}
 	return func(ctx context.Context, payload []byte) (mercury.Response, error) {
 		fleet := s.cl.Load()
@@ -184,8 +177,10 @@ func (s *Service) serve(row *rpcRow, asLocal bool) mercury.OwnedHandler {
 			return row.place(s, ctx, payload, fleet)
 		case fleet == nil:
 			return row.local(s, ctx, payload)
+		case row.scatter != nil:
+			return row.scatter(fleet, ctx, row, payload)
 		default:
-			return fleet.scatter(ctx, gather, payload)
+			return fleet.scatter(ctx, row, payload)
 		}
 	}
 }
@@ -208,38 +203,18 @@ func (cl *svcCluster) scatter(ctx context.Context, row *rpcRow, payload []byte) 
 	telScatterFanouts.Inc()
 	start := time.Now()
 	defer telScatterLatency.ObserveSince(start)
-	// The merge order: this member, then its live peers by address (ring
-	// members are sorted).
-	from := []string{cl.self.Addr}
-	for _, m := range cl.tracker.Ring().Members() {
-		if m.Addr != cl.self.Addr {
-			from = append(from, m.Addr)
-		}
+	from := cl.mergeOrder()
+	reqs := make([][]byte, len(from)-1)
+	for i := range reqs {
+		reqs[i] = payload
 	}
-	rpc := row.name + ".local"
-	frames := make([][]byte, len(from))
-	errs := make([]error, len(from))
-	sem := make(chan struct{}, scatterParallel)
-	var wg sync.WaitGroup
-	for i := 1; i < len(from); i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			ep, err := cl.endpoint(from[i])
-			if err == nil {
-				frames[i], err = ep.Call(ctx, rpc, payload)
-			}
-			errs[i] = err
-		}(i)
-	}
+	wait := cl.callPeers(ctx, row.name+".local", from[1:], reqs)
 	local, err := row.local(cl.svc, ctx, payload)
-	frames[0], errs[0] = local.Payload, err
-	wg.Wait() // before any return: the calls read payload, which is the caller's
+	frames, errs := wait()
 	if local.Release != nil {
 		defer local.Release() // merge output never aliases its input
 	}
+	frames, errs = append([][]byte{local.Payload}, frames...), append([]error{err}, errs...)
 	parts := make([]part, 0, len(from))
 	for i, err := range errs {
 		p := part{from[i], frames[i]}
@@ -262,11 +237,51 @@ func (cl *svcCluster) scatter(ctx context.Context, row *rpcRow, payload []byte) 
 	return row.merge(ctx, parts)
 }
 
+// mergeOrder lists the members a scattered read asks, in merge order: this
+// member, then its live peers by address (ring members are sorted).
+func (cl *svcCluster) mergeOrder() []string {
+	from := []string{cl.self.Addr}
+	for _, m := range cl.tracker.Ring().Members() {
+		if m.Addr != cl.self.Addr {
+			from = append(from, m.Addr)
+		}
+	}
+	return from
+}
+
+// callPeers calls rpc on every peer of to — reqs[i] to to[i] — with bounded
+// parallelism, in the background; wait returns the answers. The requests
+// must stay unmodified until wait has returned.
+func (cl *svcCluster) callPeers(ctx context.Context, rpc string, to []string, reqs [][]byte) (wait func() ([][]byte, []error)) {
+	frames := make([][]byte, len(to))
+	errs := make([]error, len(to))
+	sem := make(chan struct{}, scatterParallel)
+	var wg sync.WaitGroup
+	for i := range to {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			ep, err := cl.endpoint(to[i])
+			if err == nil {
+				frames[i], err = ep.Call(ctx, rpc, reqs[i])
+			}
+			errs[i] = err
+		}(i)
+	}
+	return func() ([][]byte, []error) {
+		wg.Wait()
+		return frames, errs
+	}
+}
+
 // scatterEnvelope is the soma.query response envelope of a scattered read up
-// to its data field: {epoch: 0, gen: 0, data: — the stamp is zeroed because a
-// cross-shard union has no single (epoch, gen) identity, so delta memos never
-// latch onto it. It is cut from the encoding of that envelope with an empty
-// data child, whose single kind byte the union replaces.
+// to its data field: {epoch: 0, gen: 0, data: — a union of shard bytes has no
+// (epoch, gen) identity of its own, and the zero stamp never matches a memo
+// (a stamped union is soma.query.delta's, gather.go). It is cut from the
+// encoding of that envelope with an empty data child, whose single kind byte
+// the union replaces.
 var scatterEnvelope = func() []byte {
 	resp := conduit.NewNode()
 	resp.SetInt("epoch", 0)

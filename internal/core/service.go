@@ -507,13 +507,61 @@ func (in *instance) queryFrameAt(s *snapshot, path string) []byte {
 	if !ok {
 		sub = conduit.NewNode()
 	}
+	return s.store(k, encodeFrame(fullAnswer(s.epoch, s.gen, sub)))
+}
+
+// The three soma.query.delta answers (§4f), built from a stamp and a subtree
+// or patch: an instance's snapshot and retained bases, or a clustered
+// member's union of its members' shards (gatherMemo).
+
+// fullAnswer is {epoch, gen, data: sub}, the answer soma.query gives. The
+// subtree is attached, not copied: encoding only reads it.
+func fullAnswer(epoch, gen uint64, sub *conduit.Node) *conduit.Node {
 	resp := conduit.NewNode()
-	resp.SetInt("epoch", int64(s.epoch))
-	resp.SetInt("gen", int64(s.gen))
-	// Attach the immutable snapshot subtree instead of deep-merging it into
-	// the envelope: encoding only reads the tree.
+	resp.SetInt("epoch", int64(epoch))
+	resp.SetInt("gen", int64(gen))
 	resp.Attach("data", sub)
-	return s.store(k, encodeFrame(resp))
+	return resp
+}
+
+// patchAnswer is the partial answer to a caller holding old, the subtree the
+// answer stamped (epoch, base) handed out, when fewer than half of sub's
+// children were rewritten or added since: {epoch, gen, base, count, patch:
+// {those children, in sub's order}}, which the caller grafts onto old to hold
+// count children. ok is false otherwise (see conduit.ChildrenSince).
+func patchAnswer(epoch, gen, base uint64, old, sub *conduit.Node) (resp *conduit.Node, ok bool) {
+	count := sub.NumChildren()
+	patch, ok := conduit.ChildrenSince(old, sub, (count-1)/2)
+	if !ok {
+		return nil, false
+	}
+	return patchEnvelope(epoch, gen, base, count, patch), true
+}
+
+// patchEnvelope is {epoch, gen, base, count, patch}: the children patch
+// holds, in a subtree of count children.
+func patchEnvelope(epoch, gen, base uint64, count int, patch *conduit.Node) *conduit.Node {
+	sent := patch.NumChildren()
+	telDeltaPartial.Inc()
+	telDeltaSent.Add(int64(sent))
+	telDeltaHeld.Add(int64(count - sent))
+	resp := conduit.NewNode()
+	resp.SetInt("epoch", int64(epoch))
+	resp.SetInt("gen", int64(gen))
+	resp.SetInt("base", int64(base))
+	resp.SetInt("count", int64(count))
+	resp.Attach("patch", patch)
+	return resp
+}
+
+// unchangedAnswer is {epoch, gen, unchanged: true}, the answer to a caller
+// whose stamp is the current one.
+func unchangedAnswer(epoch, gen uint64) *conduit.Node {
+	resp := conduit.NewNode()
+	resp.SetInt("epoch", int64(epoch))
+	resp.SetInt("gen", int64(gen))
+	resp.SetBool("unchanged", true)
+	return resp
 }
 
 // encodeFrame encodes a response frame for the snapshot cache. A whole-tree
@@ -530,11 +578,9 @@ func encodeFrame(resp *conduit.Node) []byte {
 }
 
 // patchFrameAt answers a stamped soma.query.delta from a caller that accepts
-// a patch: when the subtree the stamp (s.epoch, gen) handed out is retained
-// and fewer than half of the current subtree's children were rewritten or
-// added since, the frame is {epoch, gen, base: gen, count, patch: {those
-// children, in snapshot order}}, which the caller grafts onto its copy to
-// hold count children; otherwise it is the full query frame.
+// a patch: the patch answer against the subtree the stamp (s.epoch, gen)
+// handed out when it is retained and one applies, otherwise the full query
+// frame.
 func (in *instance) patchFrameAt(s *snapshot, path string, gen uint64) []byte {
 	k := frameKey{kind: 'd', key: path, base: gen}
 	if f := s.cached(k); f != nil {
@@ -546,22 +592,11 @@ func (in *instance) patchFrameAt(s *snapshot, path string, gen uint64) []byte {
 	if old == nil || !ok {
 		return in.queryFrameAt(s, path)
 	}
-	count := sub.NumChildren()
-	patch, ok := conduit.ChildrenSince(old, sub, (count-1)/2)
+	resp, ok := patchAnswer(s.epoch, s.gen, gen, old, sub)
 	if !ok {
 		return in.queryFrameAt(s, path)
 	}
 	telQueryCacheMisses.Inc()
-	sent := patch.NumChildren()
-	telDeltaPartial.Inc()
-	telDeltaSent.Add(int64(sent))
-	telDeltaHeld.Add(int64(count - sent))
-	resp := conduit.NewNode()
-	resp.SetInt("epoch", int64(s.epoch))
-	resp.SetInt("gen", int64(s.gen))
-	resp.SetInt("base", int64(gen))
-	resp.SetInt("count", int64(count))
-	resp.Attach("patch", patch)
 	return s.store(k, encodeFrame(resp))
 }
 
@@ -592,11 +627,7 @@ func (s *snapshot) unchangedFrame() []byte {
 	if f := s.cached(k); f != nil {
 		return f
 	}
-	resp := conduit.NewNode()
-	resp.SetInt("epoch", int64(s.epoch))
-	resp.SetInt("gen", int64(s.gen))
-	resp.SetBool("unchanged", true)
-	return s.store(k, resp.EncodeBinaryStable())
+	return s.store(k, unchangedAnswer(s.epoch, s.gen).EncodeBinaryStable())
 }
 
 func (in *instance) stats() InstanceStats {
@@ -1001,35 +1032,53 @@ var queryFields = []string{"ns", "path", "epoch", "gen", "patch"}
 // protocol only read "data" and ignore the stamp fields; clients predating
 // the partial answer never send patch, so never get one. Asked by either
 // name, a clustered member with live peers answers the union of all shards
-// instead, so a caller sees the same tree no matter which instance it asked
-// (see rpcTable, scatterEnvelope).
+// instead, so a caller sees the same tree no matter which instance it asked:
+// soma.query as the unstamped union of the shards' bytes (scatterEnvelope),
+// soma.query.delta from the member's stamped union (gather.go).
 func queryHandler(delta bool) rpcHandler {
 	return func(s *Service, _ context.Context, payload []byte) (mercury.Response, error) {
-		// Validated whole and read by offset, like a publish envelope.
-		var f [5][]byte
-		if err := conduit.SliceFields(payload, queryFields, f[:]); err != nil {
-			return mercury.Response{}, err
-		}
-		name, ok := conduit.RawString(f[0])
-		if !ok {
-			return mercury.Response{}, fmt.Errorf("soma: request missing ns field")
-		}
-		ns, _, err := s.lookupNS(name)
+		q, err := s.parseQuery(payload)
 		if err != nil {
 			return mercury.Response{}, err
 		}
-		path, _ := conduit.RawString(f[1])
 		var frame []byte
 		if delta {
-			epoch, _ := conduit.RawInt(f[2])
-			gen, _ := conduit.RawInt(f[3])
-			patch, _ := conduit.RawBool(f[4])
-			frame, err = s.queryDelta(ns, string(path), uint64(epoch), uint64(gen), patch)
+			frame, err = s.queryDelta(q.ns, q.path, q.epoch, q.gen, q.patch)
 		} else {
-			frame, err = s.QueryEncoded(ns, string(path))
+			frame, err = s.QueryEncoded(q.ns, q.path)
 		}
 		return mercury.Response{Payload: frame}, err
 	}
+}
+
+// queryReq is a soma.query* request: soma.query reads only ns and path.
+type queryReq struct {
+	ns         Namespace
+	path       string
+	epoch, gen uint64
+	patch      bool
+}
+
+// parseQuery reads a soma.query* request, validated whole and read by offset
+// like a publish envelope; an unknown namespace is refused here.
+func (s *Service) parseQuery(payload []byte) (queryReq, error) {
+	var f [5][]byte
+	if err := conduit.SliceFields(payload, queryFields, f[:]); err != nil {
+		return queryReq{}, err
+	}
+	name, ok := conduit.RawString(f[0])
+	if !ok {
+		return queryReq{}, fmt.Errorf("soma: request missing ns field")
+	}
+	ns, _, err := s.lookupNS(name)
+	if err != nil {
+		return queryReq{}, err
+	}
+	path, _ := conduit.RawString(f[1])
+	epoch, _ := conduit.RawInt(f[2])
+	gen, _ := conduit.RawInt(f[3])
+	patch, _ := conduit.RawBool(f[4])
+	return queryReq{ns: ns, path: string(path), epoch: uint64(epoch), gen: uint64(gen), patch: patch}, nil
 }
 
 // statsStamps captures, in Stats() order, what every instance's soma.stats row
