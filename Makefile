@@ -72,6 +72,8 @@ bench:
 	$(GO) test ./internal/core/ -run '^$$' \
 		-bench 'BenchmarkPublishIngest$$|BenchmarkPublishIngestRPC$$|BenchmarkPublishBatch$$|BenchmarkSelectSnapshot$$|BenchmarkSeriesQuery$$|BenchmarkSubscribeFanout$$|BenchmarkQueryHot$$|BenchmarkQueryEncodeNoCache$$|BenchmarkQueryDelta$$|BenchmarkQueryDeltaPartial$$|BenchmarkSnapshotRebuild$$|BenchmarkScatterGatherQuery$$|BenchmarkScatterGatherQueryDelta$$' \
 		-benchmem -count $(BENCH_COUNT)
+	$(GO) test ./internal/gateway/ -run '^$$' -bench 'BenchmarkQueryBody$$' \
+		-benchmem -count $(BENCH_COUNT)
 
 benchdiff:
 	scripts/benchdiff.sh
@@ -149,8 +151,9 @@ scenarios:
 # merge peer frames with, the wire-vs-tree ingest differential, both ends of
 # soma.updates.recv (the client's frame reader and the handler's request
 # parsing), the growable rollup ring against the fixed-size ring it replaced,
-# the conduit JSON codec round-trip, a built conduit tree against its decoded
-# twin under random operations, the control-plane codec (Unmarshal of any
+# the conduit JSON codec round-trip, the JSON writer against encoding/json
+# on decoded, overlaid and grafted trees, a built conduit tree against its
+# decoded twin under random operations, the control-plane codec (Unmarshal of any
 # decoded tree into every control-plane type), the client's graft of a partial
 # delta answer onto its memo, and the WebSocket frame decoder
 # (hostile wire input). One `go test -fuzz` invocation per target — the fuzzer
@@ -165,6 +168,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core/ -run '^$$' -fuzz 'FuzzBucketRing$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/core/ -run '^$$' -fuzz 'FuzzQueryDeltaApply$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/conduit/ -run '^$$' -fuzz 'FuzzJSONRoundTrip$$' -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/conduit/ -run '^$$' -fuzz 'FuzzAppendJSON$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/conduit/ -run '^$$' -fuzz 'FuzzNodeOps$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/conduit/ -run '^$$' -fuzz 'FuzzUnmarshal$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/gateway/ -run '^$$' -fuzz 'FuzzWSFrame$$' -fuzztime $(FUZZ_TIME)

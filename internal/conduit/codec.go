@@ -806,31 +806,6 @@ func mergeNode(r *binReader, dst *Node, depth int, mc *MergeCache) error {
 	return nil
 }
 
-// jsonValue converts the subtree into the natural encoding/json value shape:
-// objects become map-with-order-lost, leaves become scalars/slices. Used by
-// MarshalJSON; the binary codec is authoritative for transport.
-func (n *Node) jsonValue() interface{} {
-	switch n.kind {
-	case KindObject:
-		m := make(map[string]interface{}, n.NumChildren())
-		for i, name := range n.names() {
-			m[name] = n.at(i).jsonValue()
-		}
-		return m
-	case KindEmpty:
-		return nil
-	default:
-		return n.Value()
-	}
-}
-
-// MarshalJSON renders the subtree as plain JSON (objects/scalars/arrays).
-// Child insertion order is not preserved; use EncodeBinary when order
-// matters.
-func (n *Node) MarshalJSON() ([]byte, error) {
-	return json.Marshal(n.jsonValue())
-}
-
 // UnmarshalJSON parses plain JSON into the node. JSON numbers become floats
 // unless they are integral, in which case they become int64 leaves. The
 // input must be exactly one JSON document: trailing non-whitespace after
