@@ -41,7 +41,7 @@ var (
 	telHandoffStale    = telemetry.Default().Counter("cluster.handoff.rejected_stale")
 	telScatterFanouts  = telemetry.Default().Counter("cluster.scatter.fanouts")
 	telScatterLatency  = telemetry.Default().Histogram("cluster.scatter.latency")
-	// telScatterMerge times the union stage of a scattered soma.query alone
+	// telScatterMerge times the merge stage of a scattered read alone
 	// (cluster.scatter.latency is peer wait plus merge); telScatterBytes
 	// counts the peer response bytes scattered reads gathered.
 	telScatterMerge = telemetry.Default().Histogram("cluster.scatter.merge")

@@ -14,16 +14,17 @@ import (
 	"github.com/hpcobs/gosoma/internal/telemetry"
 )
 
-// The clustered soma.query.delta. The member asked is a delta client of every
-// member, itself included: per (ns, path) it keeps a gatherMemo holding each
-// member's (epoch, gen) stamp and tree, asks every member
-// soma.query.delta.local with that member's own stamp and patch: true,
-// re-merges only the union children some member changed, and answers the
-// caller from the union with a solo service's three answers (§4f) under a
-// stamp of the memo's own. A caller's protocol is the same solo and
-// clustered. The member → stamp vector lives here, beside the member trees,
-// because a caller holding only the union could not apply one member's
-// patch: a child several members hold needs every member's version of it.
+// The clustered soma.query, by either of its names (soma.query.delta is the
+// same RPC). The member asked is a delta client of every member, itself
+// included: per (ns, path) it keeps a gatherMemo holding each member's
+// (epoch, gen) stamp and tree, asks every member the name's ".local" twin
+// with that member's own stamp and patch: true, re-merges only the union
+// children some member changed, and answers the caller from the union with a
+// solo service's three answers (§4f) under a stamp of the memo's own. A
+// caller's protocol is the same solo and clustered. The member → stamp vector
+// lives here, beside the member trees, because a caller holding only the
+// union could not apply one member's patch: a child several members hold
+// needs every member's version of it.
 
 var (
 	// Member answers gathered, by kind; union children re-merged one by one;
@@ -35,8 +36,8 @@ var (
 	telScatterRebuilds  = telemetry.Default().Counter("cluster.scatter.rebuilds")
 )
 
-// gatherMemo is what a member keeps to answer soma.query.delta for one
-// (ns, path) for the whole fleet.
+// gatherMemo is what a member keeps to answer soma.query for one (ns, path)
+// for the whole fleet.
 type gatherMemo struct {
 	ns   Namespace
 	path string
@@ -75,8 +76,7 @@ type unionChange struct {
 // shard is one member's shard as a gather memo holds it, under the member's
 // stamp: a tree, or the raw encoding a full answer carried (tree nil) until a
 // patch or the union needs it decoded — a run of full answers, such as the
-// polls beside a bulk load, is unioned as bytes, the way plain soma.query
-// unions them.
+// polls beside a bulk load, is unioned as bytes.
 type shard struct {
 	deltaMemo
 	raw []byte
@@ -129,8 +129,8 @@ func (cl *svcCluster) gatherMemo(ns Namespace, path string) *gatherMemo {
 	return m
 }
 
-// queryDelta answers soma.query.delta for the whole fleet from the memo of
-// the (ns, path) asked, gathered afresh for this poll.
+// queryDelta answers soma.query, by either name, for the whole fleet from the
+// memo of the (ns, path) asked, gathered afresh for this poll.
 func (cl *svcCluster) queryDelta(ctx context.Context, row *rpcRow, payload []byte) (mercury.Response, error) {
 	q, err := cl.svc.parseQuery(payload)
 	if err != nil {
@@ -192,7 +192,7 @@ func (m *gatherMemo) shard(addr string) *shard {
 }
 
 // ask gathers every member's shard against the stamp the memo holds for it
-// (with none when !stamped) as its answer to a soma.query.delta.local poll —
+// (with none when !stamped) as its answer to a soma.query*.local poll —
 // patch: true when stamped — read by memberShard: each peer's over the wire,
 // this member's own from Service.queryDelta, which its own handler answers
 // with. It returns the members' shards under their new stamps, the kind of
@@ -256,14 +256,14 @@ func (m *gatherMemo) ask(ctx context.Context, cl *svcCluster, row *rpcRow, from 
 	return shards, kinds, patches, nil
 }
 
-// answerFields are the fields of a soma.query.delta answer that tell a full
+// answerFields are the fields of a soma.query answer that tell a full
 // one and carry it.
 var answerFields = []string{"epoch", "gen", "unchanged", "patch", "data"}
 
 // emptyNode is the raw encoding of an empty node.
 var emptyNode = []byte{byte(conduit.KindEmpty)}
 
-// memberShard reads a member's soma.query.delta.local answer to a poll that
+// memberShard reads a member's soma.query*.local answer to a poll that
 // presented prev's stamp (prev nil: none), telling its kind as applyDelta
 // does. A full answer is kept raw. An "unchanged" or a patch is applied to
 // prev — a raw prev is decoded for a patch first — and must apply.
@@ -319,7 +319,7 @@ func memberShard(prev *shard, frame []byte) (*shard, deltaKind, *conduit.Node, e
 // errChildless rejects a member's tree that holds an object without
 // children. No member's snapshot does — a published empty object is stored
 // as an empty node — and the union's fold would keep one where Node.Merge,
-// and so plain soma.query's union, holds an empty node.
+// and so the byte union of full answers, holds an empty node.
 var errChildless = errors.New("soma: shard holds an object without children")
 
 // childless reports whether n holds an object without children.

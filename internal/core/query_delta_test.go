@@ -373,8 +373,8 @@ func TestQueryDeltaBasesBounded(t *testing.T) {
 	if n != 0 {
 		t.Fatalf("%d bases survived a reset", n)
 	}
-	// A plain soma.query answer — what a clustered member's shard read is —
-	// records none: no caller presents its stamp for a patch.
+	// An in-process QueryEncoded — the traced replay's read — records none:
+	// no caller presents its stamp for a patch.
 	publishLeaf(t, svc, NSHardware, "P000/x", 1)
 	if _, err := svc.QueryEncoded(NSHardware, "P000"); err != nil {
 		t.Fatal(err)

@@ -65,8 +65,8 @@ type rpcRow struct {
 	// whichever peer answered first. The frames are read-only.
 	merge func(ctx context.Context, parts []part) (mercury.Response, error)
 	// scatter, when set, answers a scattered row for the whole fleet in place
-	// of scatter and merge: soma.query.delta asks every member for what
-	// changed since its own stamp (gather.go).
+	// of scatter and merge: the query rows ask every member for what changed
+	// since its own stamp (gather.go).
 	scatter func(cl *svcCluster, ctx context.Context, row *rpcRow, payload []byte) (mercury.Response, error)
 	// tolerate names the failures that are an answer in their own right
 	// ("nothing here"): that member is skipped. Any other failure fails the
@@ -91,9 +91,9 @@ var rpcTable = []rpcRow{
 		},
 		span: "soma.publish.handler", localSpan: "soma.publish.local.handler"},
 	{name: RPCPublishBatch, local: plain((*Service).handlePublishBatch)},
-	{name: RPCQuery, kind: rpcScattered, local: queryHandler(false), merge: mergeQueries,
+	{name: RPCQuery, kind: rpcScattered, local: plain((*Service).handleQuery), scatter: (*svcCluster).queryDelta,
 		span: "soma.query.handler", readOnly: true},
-	{name: RPCQueryDelta, kind: rpcScattered, local: queryHandler(true), scatter: (*svcCluster).queryDelta,
+	{name: RPCQueryDelta, kind: rpcScattered, local: plain((*Service).handleQuery), scatter: (*svcCluster).queryDelta,
 		span: "soma.query.delta.handler", readOnly: true},
 	{name: RPCSeries, kind: rpcScattered, local: (*Service).handleSeries, merge: mergeSeriesAnswers,
 		tolerate: isNoSeries, readOnly: true},
@@ -276,27 +276,9 @@ func (cl *svcCluster) callPeers(ctx context.Context, rpc string, to []string, re
 	}
 }
 
-// scatterEnvelope is the soma.query response envelope of a scattered read up
-// to its data field: {epoch: 0, gen: 0, data: — a union of shard bytes has no
-// (epoch, gen) identity of its own, and the zero stamp never matches a memo
-// (a stamped union is soma.query.delta's, gather.go). It is cut from the
-// encoding of that envelope with an empty data child, whose single kind byte
-// the union replaces.
-var scatterEnvelope = func() []byte {
-	resp := conduit.NewNode()
-	resp.SetInt("epoch", 0)
-	resp.SetInt("gen", 0)
-	resp.Fetch("data")
-	frame := resp.EncodeBinary()
-	return frame[:len(frame)-1]
-}()
-
-// queryDataField is the one field mergeQueries slices out of a query frame.
-var queryDataField = []string{"data"}
-
 // frameBufPool recycles the buffers whole-tree soma.query frames are built
-// in — a member's own (queryFrameAt) and the union of a scattered read — at
-// hundreds of KiB each.
+// in — a member's own (queryFrameAt) and a gather's full union
+// (gatherMemo.answer) — at hundreds of KiB each.
 var frameBufPool = sync.Pool{New: func() interface{} { return new([]byte) }}
 
 // maxPooledFrameBuf bounds what goes back into frameBufPool.
@@ -312,35 +294,6 @@ func putFrameBuf(bp *[]byte) {
 	if cap(*bp) <= maxPooledFrameBuf {
 		frameBufPool.Put(bp)
 	}
-}
-
-// mergeQueries unions soma.query answers in the plain soma.query envelope:
-// the data subtrees are unioned as bytes (conduit.MergeNodes) — a later part
-// decides a colliding path — straight into a pooled response buffer. No tree
-// is built.
-func mergeQueries(ctx context.Context, parts []part) (mercury.Response, error) {
-	var data [1][]byte
-	nodes := make([][]byte, 0, len(parts))
-	for _, p := range parts {
-		// SliceFields validates the frame whole: everything MergeNodes is
-		// handed below has passed it.
-		if err := conduit.SliceFields(p.frame, queryDataField, data[:]); err != nil {
-			return mercury.Response{}, p.bad(err)
-		}
-		if data[0] != nil {
-			nodes = append(nodes, data[0])
-		}
-	}
-	start := time.Now()
-	sp := telemetry.LeafSpanAt(ctx, "cluster.scatter.merge", start)
-	bp := getFrameBuf()
-	var err error
-	*bp, err = conduit.MergeNodes(append(*bp, scatterEnvelope...), nodes)
-	now := time.Now()
-	telScatterMerge.Observe(now.Sub(start))
-	sp.EndAt(now)
-	// The engine releases an owned response on the error path too.
-	return mercury.Response{Payload: *bp, Release: func() { putFrameBuf(bp) }}, err
 }
 
 // mergeSeriesAnswers unions soma.series answers: single-key answers merge raw

@@ -198,7 +198,7 @@ func TestRPCTable(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s through member %d: %v", rpc, i, err)
 				}
-				if rpc == RPCQueryDelta {
+				if rpc == RPCQuery || rpc == RPCQueryDelta {
 					// Each member stamps its union with an epoch of its own.
 					if epoch, _ := got.Int("epoch"); epoch == 0 {
 						t.Errorf("%s through member %d is unstamped", rpc, i)

@@ -727,10 +727,14 @@ func (s *Service) handleSeries(_ context.Context, payload []byte) (mercury.Respo
 // Client surface.
 
 // Series fetches one series' rollup data via soma.series: raw points, or
-// 1s/10s min/max/mean/count buckets, with Time/Start >= after.
+// 1s/10s min/max/mean/count buckets, with Time/Start >= after. A key the
+// service holds no data for is ErrNoSeries, as it is in process.
 func (c *Client) Series(ns Namespace, key string, level SeriesLevel, after float64) (Series, error) {
 	req := conduit.Marshal(nsReq{NS: ns, Key: key, Level: level, After: after})
 	resp, err := callTree(context.Background(), c.ep, RPCSeries, req)
+	if isNoSeries(err) {
+		return Series{}, fmt.Errorf("%w: %s/%s", ErrNoSeries, ns, key)
+	}
 	if err != nil {
 		return Series{}, err
 	}

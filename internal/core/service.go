@@ -285,10 +285,9 @@ type pathBases struct {
 	last [deltaBaseGens]deltaBase
 }
 
-// retainBase records that a soma.query.delta answer handed out the subtree
-// at path in snapshot s. Plain soma.query answers — a clustered member's
-// shard reads among them — are never recorded: no caller presents their
-// stamp for a patch. Only an object can be patched.
+// retainBase records that a soma.query answer handed out the subtree at path
+// in snapshot s. QueryEncoded's in-process reads are never recorded: no
+// caller presents their stamp for a patch. Only an object can be patched.
 func (in *instance) retainBase(path string, s *snapshot) {
 	sub, ok := s.tree.Get(path)
 	if !ok || sub.Kind() != conduit.KindObject {
@@ -741,12 +740,12 @@ const (
 	RPCReset        = "soma.reset"
 	RPCSelect       = "soma.select"
 	RPCTelemetry    = "soma.telemetry"
-	// RPCQueryDelta is the generation-aware query: the request carries the
-	// client's last-seen (epoch, gen) stamp and the service answers with a
-	// tiny {epoch, gen, unchanged: true} frame when the stamp still matches,
-	// with a {epoch, gen, base, count, patch} frame of the changed children
-	// when the request also says patch: true and the change is small enough,
-	// or the full {epoch, gen, data} frame otherwise.
+	// RPCQueryDelta is RPCQuery by a second name, the one clients poll: the
+	// request carries the client's last-seen (epoch, gen) stamp and the
+	// service answers with a tiny {epoch, gen, unchanged: true} frame when
+	// the stamp still matches, with a {epoch, gen, base, count, patch} frame
+	// of the changed children when the request also says patch: true and the
+	// change is small enough, or the full {epoch, gen, data} frame otherwise.
 	RPCQueryDelta = "soma.query.delta"
 
 	RPCSeries      = "soma.series"
@@ -885,11 +884,12 @@ func (s *Service) Query(ns Namespace, path string) (*conduit.Node, error) {
 	return sub, nil
 }
 
-// QueryEncoded returns the wire-ready soma.query response frame for path
-// within ns: {epoch, gen, data: <subtree>}, pre-encoded and cached against
-// the namespace's current snapshot. Repeat queries against an unchanged
-// namespace return the same byte slice with zero tree walk and zero
-// allocation. Callers (and the transport) must treat the frame as immutable.
+// QueryEncoded returns the frame a solo service answers an unstamped
+// soma.query for path within ns with: {epoch, gen, data: <subtree>},
+// pre-encoded and cached against the namespace's current snapshot. Repeat
+// queries against an unchanged namespace return the same byte slice with zero
+// tree walk and zero allocation; unlike the RPC, none records a delta base.
+// Callers must treat the frame as immutable.
 func (s *Service) QueryEncoded(ns Namespace, path string) ([]byte, error) {
 	in, err := s.running(ns)
 	if err != nil {
@@ -1018,40 +1018,31 @@ func unmarshalFrame(frame []byte, v any) error {
 	return conduit.Unmarshal(n, v)
 }
 
-// Query request fields, in the order queryHandler slices them: soma.query and
-// soma.query.local carry {ns, path}, the delta RPCs add the caller's last-seen
-// stamp as {epoch: i64, gen: i64} (zero when absent — a stamp that never
-// matches) and {patch: true} when the caller can graft a partial answer.
+// Query request fields, in the order parseQuery slices them: {ns, path},
+// the caller's last-seen stamp as {epoch: i64, gen: i64} (zero when absent — a
+// stamp that never matches) and {patch: true} when the caller can graft a
+// partial answer.
 var queryFields = []string{"ns", "path", "epoch", "gen", "patch"}
 
-// queryHandler answers soma.query — or, with delta, soma.query.delta — from
-// local state alone: the cached encoded frame {epoch, gen, data}, or for a
-// delta poll whose stamp still matches the tiny "unchanged" frame (see
-// QueryDeltaEncoded), or for a stamped poll that says patch the partial
-// answer when one applies (see patchFrameAt). Clients predating the delta
-// protocol only read "data" and ignore the stamp fields; clients predating
-// the partial answer never send patch, so never get one. Asked by either
-// name, a clustered member with live peers answers the union of all shards
-// instead, so a caller sees the same tree no matter which instance it asked:
-// soma.query as the unstamped union of the shards' bytes (scatterEnvelope),
-// soma.query.delta from the member's stamped union (gather.go).
-func queryHandler(delta bool) rpcHandler {
-	return func(s *Service, _ context.Context, payload []byte) (mercury.Response, error) {
-		q, err := s.parseQuery(payload)
-		if err != nil {
-			return mercury.Response{}, err
-		}
-		var frame []byte
-		if delta {
-			frame, err = s.queryDelta(q.ns, q.path, q.epoch, q.gen, q.patch)
-		} else {
-			frame, err = s.QueryEncoded(q.ns, q.path)
-		}
-		return mercury.Response{Payload: frame}, err
+// handleQuery answers soma.query and soma.query.delta — one RPC under two
+// names — from local state alone: the cached encoded frame {epoch, gen, data},
+// or for a poll whose stamp still matches the tiny "unchanged" frame (see
+// QueryDeltaEncoded), or for a stamped poll that says patch the partial answer
+// when one applies (see patchFrameAt). An unstamped request, which is every
+// pre-delta client's, gets the full frame; such clients read only "data".
+// Clients predating the partial answer never send patch, so never get one.
+// Asked by either name, a clustered member with live peers answers from its
+// stamped union of all shards instead (gather.go), so a caller sees the same
+// tree, stamped the same way, no matter which instance it asked.
+func (s *Service) handleQuery(_ context.Context, payload []byte) ([]byte, error) {
+	q, err := s.parseQuery(payload)
+	if err != nil {
+		return nil, err
 	}
+	return s.queryDelta(q.ns, q.path, q.epoch, q.gen, q.patch)
 }
 
-// queryReq is a soma.query* request: soma.query reads only ns and path.
+// queryReq is a soma.query* request.
 type queryReq struct {
 	ns         Namespace
 	path       string

@@ -284,9 +284,10 @@ func TestSeriesRPCDownsampledRamp(t *testing.T) {
 	if err != nil || len(raw.Points) != 4 {
 		t.Fatalf("raw = %d points, %v", len(raw.Points), err)
 	}
-	// Unknown key and bad level surface as errors.
-	if _, err := client.Series(NSHardware, "no/such", Level1s, 0); err == nil {
-		t.Fatal("unknown key accepted")
+	// Unknown key and bad level surface as errors; the unknown key as
+	// ErrNoSeries over the wire, as in process.
+	if _, err := client.Series(NSHardware, "no/such", Level1s, 0); !errors.Is(err, ErrNoSeries) {
+		t.Fatalf("unknown key: %v, want ErrNoSeries", err)
 	}
 	if _, err := client.Series(NSHardware, keys[0], "5m", 0); err == nil {
 		t.Fatal("unknown level accepted")

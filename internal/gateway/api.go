@@ -422,10 +422,12 @@ func (g *Gateway) handleTraces(w http.ResponseWriter, r *http.Request) {
 	}{out})
 }
 
-// handleTrace serves GET /api/traces/{id} with the full span tree.
+// handleTrace serves GET /api/traces/{id} with the full span tree. Id 0
+// names no trace (the upstream refuses it as a bad request), so it is a bad
+// id here too.
 func (g *Gateway) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.ParseUint(r.PathValue("id"), 16, 64)
-	if err != nil {
+	if err != nil || id == 0 {
 		g.fail(w, http.StatusBadRequest, fmt.Errorf("bad trace id %q", r.PathValue("id")))
 		return
 	}

@@ -237,6 +237,9 @@ func TestDashboardDrive(t *testing.T) {
 	if len(series.Buckets) == 0 {
 		t.Fatalf("series has no buckets: %+v", series)
 	}
+	if code, body := tg.get(t, "/api/series?ns=hardware&key=nope/none"); code != http.StatusNotFound {
+		t.Fatalf("unknown series: %d %s, want 404", code, body)
+	}
 	var alerts struct {
 		Rules  []json.RawMessage `json:"rules"`
 		States []json.RawMessage `json:"states"`
@@ -271,6 +274,9 @@ func TestDashboardDrive(t *testing.T) {
 
 	if code, _ := tg.get(t, "/api/traces/zzzz"); code != http.StatusBadRequest {
 		t.Fatal("bad trace id accepted")
+	}
+	if code, body := tg.get(t, "/api/traces/0"); code != http.StatusBadRequest {
+		t.Fatalf("trace id 0: %d %s, want 400", code, body)
 	}
 	if code, _ := tg.get(t, "/api/traces/0123456789abcdef"); code != http.StatusNotFound {
 		t.Fatal("missing trace not 404")
