@@ -54,10 +54,11 @@ verify: build vet lint test race bench-module
 # (coalescer, spill queue, redelivery), the in-process publish door (no
 # retained tree, placed like a wire publish) and the delta query (its
 # partial answers against the full one, pollers sharing a memo beside
-# publishers; the clustered delta, whose stamped union a member keeps from
-# its members' changes, against plain soma.query's union) repeatedly under
-# the race detector, plus the in-process fleet
-# scenarios (kill/restart, fault timelines). The whole output is kept in
+# publishers; the clustered query, whose one stamped union a member keeps
+# from its members' changes, against a Node.Merge fold of the members'
+# shards, and soma.query and soma.query.delta answering as one RPC)
+# repeatedly under the race detector, plus the in-process fleet scenarios
+# (kill/restart, fault timelines). The whole output is kept in
 # verify-stream.log (CI uploads it when the job fails): a -race report is
 # hundreds of lines and a failure here may not recur for dozens of runs.
 verify-stream: SHELL := bash

@@ -328,9 +328,10 @@ if [ -n "$bbase" ] && [ "$bbase" != "0" ] && [ -n "$bfactor" ]; then
 fi
 
 # Scatter-gather query gate: BenchmarkScatterGatherQuery times one fleet-wide
-# soma.query of the 20 000-leaf LOAD tree against a 3-instance in-proc
-# cluster — the scatter RPCs, the byte-level union at the member asked, and
-# the client's decode of the answer. The factor is generous: three services
+# unstamped soma.query of the quiet 20 000-leaf LOAD tree against a
+# 3-instance in-proc cluster — the gather at the member asked (every member
+# answers "unchanged" to the stamp its memo holds), the byte-level union of
+# the shards the memo keeps raw, and the client's decode of the whole answer. The factor is generous: three services
 # and a client share the box's cores, which makes it the noisiest benchmark
 # in the suite. Skipped when the baseline predates the cluster layer.
 scbase=$(json_num scatter_gather_ns_per_op)
