@@ -71,7 +71,7 @@ verify-stream:
 
 bench:
 	$(GO) test ./internal/core/ -run '^$$' \
-		-bench 'BenchmarkPublishIngest$$|BenchmarkPublishIngestRPC$$|BenchmarkPublishBatch$$|BenchmarkSelectSnapshot$$|BenchmarkSeriesQuery$$|BenchmarkSubscribeFanout$$|BenchmarkQueryHot$$|BenchmarkQueryEncodeNoCache$$|BenchmarkQueryDelta$$|BenchmarkQueryDeltaPartial$$|BenchmarkSnapshotRebuild$$|BenchmarkScatterGatherQuery$$|BenchmarkScatterGatherQueryDelta$$|BenchmarkRollupFold$$' \
+		-bench 'BenchmarkPublishIngest$$|BenchmarkPublishIngestRPC$$|BenchmarkPublishBatch$$|BenchmarkSelectSnapshot$$|BenchmarkSeriesQuery$$|BenchmarkSubscribeFanout$$|BenchmarkQueryEncodeNoCache$$|BenchmarkQueryDelta$$|BenchmarkQueryDeltaPartial$$|BenchmarkSnapshotRebuild$$|BenchmarkScatterGatherQuery$$|BenchmarkScatterGatherQueryDelta$$|BenchmarkRollupFold$$' \
 		-benchmem -count $(BENCH_COUNT)
 	$(GO) test ./internal/gateway/ -run '^$$' -bench 'BenchmarkQueryBody$$' \
 		-benchmem -count $(BENCH_COUNT)

@@ -59,8 +59,8 @@ func (n *Node) AppendBinary(dst []byte) []byte {
 // EncodeBinary pre-sizes its allocation with an O(leaves) NumLeaves walk and
 // typically over- or under-shoots; this flavour walks the tree once and the
 // returned slice wastes no capacity — the shape wanted for frames that are
-// retained (snapshot caches), where slack capacity would be pinned for the
-// snapshot's lifetime.
+// retained (a publish's pending record, a snapshot's "unchanged" answer),
+// where slack capacity would be pinned for as long as the frame lives.
 func (n *Node) EncodeBinaryStable() []byte {
 	bp := GetEncodeBuffer()
 	*bp = n.AppendBinary(*bp)

@@ -55,8 +55,8 @@ type Client struct {
 	// each slice once instead of per call takes ValidateBinary off the
 	// hot path. Sound because the PublishEncoded contract forbids mutating
 	// enc after the call. Bounded: reset wholesale past encSeenMax entries.
-	encMu   sync.Mutex
-	encSeen map[*byte]int
+	encSeenMu sync.Mutex
+	encSeen   map[*byte]int
 
 	// delta is the per-endpoint generation memo behind QueryDelta: the last
 	// tree per (ns, path) with the (epoch, gen) stamp the service sent
@@ -106,7 +106,8 @@ func (k deltaKind) String() string {
 // first two to a poll that carried no stamp. kind is set either way; memo is
 // never modified. A client reads every answer through it; a clustered member
 // gathering its members' shards reads their answers through it too
-// (memberShard, which keeps a full one raw).
+// (applyShard, its own answer as a tree; memberShard keeps a peer's full one
+// raw).
 func applyDelta(memo *deltaMemo, resp *conduit.Node) (next *deltaMemo, kind deltaKind, ok bool) {
 	epoch, _ := resp.Int("epoch")
 	gen, _ := resp.Int("gen")
@@ -245,21 +246,21 @@ func (c *Client) validateEncoded(enc []byte) error {
 		return conduit.ValidateBinary(enc)
 	}
 	k := &enc[0]
-	c.encMu.Lock()
+	c.encSeenMu.Lock()
 	n, ok := c.encSeen[k]
-	c.encMu.Unlock()
+	c.encSeenMu.Unlock()
 	if ok && n == len(enc) {
 		return nil
 	}
 	if err := conduit.ValidateBinary(enc); err != nil {
 		return err
 	}
-	c.encMu.Lock()
+	c.encSeenMu.Lock()
 	if c.encSeen == nil || len(c.encSeen) >= encSeenMax {
 		c.encSeen = make(map[*byte]int)
 	}
 	c.encSeen[k] = len(enc)
-	c.encMu.Unlock()
+	c.encSeenMu.Unlock()
 	return nil
 }
 

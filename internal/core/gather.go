@@ -28,12 +28,14 @@ import (
 
 var (
 	// Member answers gathered, by kind; union children re-merged one by one;
-	// unions rebuilt whole.
+	// unions rebuilt whole; memos dropped to make room for another path's,
+	// past which a poll of the dropped path re-asks every member stampless.
 	telScatterUnchanged = telemetry.Default().Counter("cluster.scatter.delta_unchanged")
 	telScatterPartial   = telemetry.Default().Counter("cluster.scatter.delta_partial")
 	telScatterFull      = telemetry.Default().Counter("cluster.scatter.delta_full")
 	telScatterMerged    = telemetry.Default().Counter("cluster.scatter.children_merged")
 	telScatterRebuilds  = telemetry.Default().Counter("cluster.scatter.rebuilds")
+	telMemosEvicted     = telemetry.Default().Counter("cluster.scatter.memos_evicted")
 )
 
 // gatherMemo is what a member keeps to answer soma.query for one (ns, path)
@@ -74,9 +76,10 @@ type unionChange struct {
 }
 
 // shard is one member's shard as a gather memo holds it, under the member's
-// stamp: a tree, or the raw encoding a full answer carried (tree nil) until a
-// patch or the union needs it decoded — a run of full answers, such as the
-// polls beside a bulk load, is unioned as bytes.
+// stamp: a tree — this member's own always is, it never crosses the wire — or
+// the raw encoding a peer's full answer carried (tree nil) until a patch or
+// the union needs it decoded: a run of full answers, such as the polls beside
+// a bulk load, is unioned as bytes.
 type shard struct {
 	deltaMemo
 	raw []byte
@@ -98,16 +101,9 @@ func (s *shard) decode() error {
 	return nil
 }
 
-// node is the shard's raw node encoding.
-func (s *shard) node() []byte {
-	if s.tree == nil {
-		return s.raw
-	}
-	return s.tree.AppendBinary(nil)[4:]
-}
-
 // gatherMemo returns the memo of (ns, path), made if absent, as the most
-// recently used; past maxDeltaBasePaths memos the least recently used goes.
+// recently used; past maxDeltaBasePaths memos the least recently used goes,
+// counted in cluster.scatter.memos_evicted.
 func (cl *svcCluster) gatherMemo(ns Namespace, path string) *gatherMemo {
 	cl.memoMu.Lock()
 	defer cl.memoMu.Unlock()
@@ -121,6 +117,7 @@ func (cl *svcCluster) gatherMemo(ns Namespace, path string) *gatherMemo {
 		cl.memos = append(cl.memos, nil)
 		i = len(cl.memos) - 1
 	default:
+		telMemosEvicted.Inc()
 		m = &gatherMemo{ns: ns, path: path, epoch: newEpoch()}
 		i = len(cl.memos) - 1
 	}
@@ -193,10 +190,11 @@ func (m *gatherMemo) shard(addr string) *shard {
 
 // ask gathers every member's shard against the stamp the memo holds for it
 // (with none when !stamped) as its answer to a soma.query*.local poll —
-// patch: true when stamped — read by memberShard: each peer's over the wire,
-// this member's own from Service.queryDelta, which its own handler answers
-// with. It returns the members' shards under their new stamps, the kind of
-// each answer and each patch (nil unless the member answered with one).
+// patch: true when stamped. Each peer's answer comes over the wire and is read
+// by memberShard; this member's own is Service.queryAnswer's decision, the
+// one its own handler encodes, read as a tree by applyShard. It returns the
+// members' shards under their new stamps, the kind of each answer and each
+// patch (nil unless the member answered with one).
 func (m *gatherMemo) ask(ctx context.Context, cl *svcCluster, row *rpcRow, from []string, stamped bool) (shards []*shard, kinds []deltaKind, patches []*conduit.Node, err error) {
 	prev := make([]*shard, len(from))
 	if stamped {
@@ -221,10 +219,13 @@ func (m *gatherMemo) ask(ctx context.Context, cl *svcCluster, row *rpcRow, from 
 	if p := prev[0]; p != nil {
 		epoch, gen = uint64(p.epoch), uint64(p.gen)
 	}
-	own, err := cl.svc.queryDelta(m.ns, m.path, epoch, gen, prev[0] != nil)
+	own, sn, err := cl.svc.queryAnswer(m.ns, m.path, epoch, gen, prev[0] != nil)
 	frames, errs := wait()
 	if err != nil {
 		return nil, nil, nil, err
+	}
+	if own == nil {
+		own = unchangedAnswer(sn.epoch, sn.gen)
 	}
 	shards = make([]*shard, len(from))
 	kinds = make([]deltaKind, len(from))
@@ -232,14 +233,15 @@ func (m *gatherMemo) ask(ctx context.Context, cl *svcCluster, row *rpcRow, from 
 	for i := range from {
 		p := part{from: from[i]}
 		if i == 0 {
-			p.frame = own
+			shards[i], kinds[i], patches[i], err = applyShard(prev[i], own)
 		} else {
 			if p.frame, err = frames[i-1], errs[i-1]; err != nil {
 				return nil, nil, nil, p.bad(err)
 			}
 			telScatterBytes.Add(int64(len(p.frame)))
+			shards[i], kinds[i], patches[i], err = memberShard(prev[i], p.frame)
 		}
-		if shards[i], kinds[i], patches[i], err = memberShard(prev[i], p.frame); err != nil {
+		if err != nil {
 			return nil, nil, nil, p.bad(err)
 		}
 	}
@@ -263,37 +265,50 @@ var answerFields = []string{"epoch", "gen", "unchanged", "patch", "data"}
 // emptyNode is the raw encoding of an empty node.
 var emptyNode = []byte{byte(conduit.KindEmpty)}
 
-// memberShard reads a member's soma.query*.local answer to a poll that
+// memberShard reads a peer's soma.query*.local answer to a poll that
 // presented prev's stamp (prev nil: none), telling its kind as applyDelta
-// does. A full answer is kept raw. An "unchanged" or a patch is applied to
-// prev — a raw prev is decoded for a patch first — and must apply.
+// does. A full answer is kept raw. An answer that may be "unchanged" or a
+// patch is decoded and read by applyShard.
 func memberShard(prev *shard, frame []byte) (*shard, deltaKind, *conduit.Node, error) {
 	var f [5][]byte
 	if err := conduit.SliceFields(frame, answerFields, f[:]); err != nil {
 		return nil, 0, nil, err
 	}
-	kind := deltaFull
-	var resp *conduit.Node
-	var next *deltaMemo
 	if f[2] != nil || f[3] != nil {
-		// Only an answer that may be "unchanged" or a patch is decoded whole.
-		var err error
-		if resp, err = conduit.DecodeBinary(frame); err != nil {
+		resp, err := conduit.DecodeBinary(frame)
+		if err != nil {
 			return nil, 0, nil, err
 		}
-		var held *deltaMemo
-		if prev != nil {
-			if resp.Has("patch") {
-				if err := prev.decode(); err != nil {
-					return nil, 0, nil, err
-				}
+		if sh, kind, patch, err := applyShard(prev, resp); err != nil || kind != deltaFull {
+			return sh, kind, patch, err
+		}
+	}
+	epoch, _ := conduit.RawInt(f[0])
+	gen, _ := conduit.RawInt(f[1])
+	data := f[4]
+	if data == nil {
+		data = emptyNode
+	}
+	return &shard{deltaMemo: deltaMemo{epoch: epoch, gen: gen}, raw: data}, deltaFull, nil, nil
+}
+
+// applyShard reads a member's answer as a tree, resp, to a poll that
+// presented prev's stamp (prev nil: none) through applyDelta. An "unchanged"
+// or a patch must apply to prev — a raw prev is decoded for a patch first; a
+// full answer's data becomes the shard's tree.
+func applyShard(prev *shard, resp *conduit.Node) (*shard, deltaKind, *conduit.Node, error) {
+	var held *deltaMemo
+	if prev != nil {
+		if resp.Has("patch") {
+			if err := prev.decode(); err != nil {
+				return nil, 0, nil, err
 			}
-			held = &prev.deltaMemo
 		}
-		var ok bool
-		if next, kind, ok = applyDelta(held, resp); !ok {
-			return nil, 0, nil, fmt.Errorf("%w: %s", errShardMismatch, kind)
-		}
+		held = &prev.deltaMemo
+	}
+	next, kind, ok := applyDelta(held, resp)
+	if !ok {
+		return nil, 0, nil, fmt.Errorf("%w: %s", errShardMismatch, kind)
 	}
 	switch kind {
 	case deltaUnchanged:
@@ -307,13 +322,7 @@ func memberShard(prev *shard, frame []byte) (*shard, deltaKind, *conduit.Node, e
 		}
 		return &shard{deltaMemo: *next}, kind, patch, nil
 	}
-	epoch, _ := conduit.RawInt(f[0])
-	gen, _ := conduit.RawInt(f[1])
-	data := f[4]
-	if data == nil {
-		data = emptyNode
-	}
-	return &shard{deltaMemo: deltaMemo{epoch: epoch, gen: gen}, raw: data}, deltaFull, nil, nil
+	return &shard{deltaMemo: *next}, kind, nil, nil
 }
 
 // errChildless rejects a member's tree that holds an object without
@@ -467,7 +476,14 @@ func (m *gatherMemo) answer(q queryReq) (mercury.Response, error) {
 	}
 	nodes := make([][]byte, len(m.shards))
 	for i, s := range m.shards {
-		nodes[i] = s.node()
+		if nodes[i] = s.raw; s.tree != nil {
+			// A shard held as a tree — this member's own, or one a patch
+			// reached — is encoded for the union into a pooled buffer.
+			tb := getFrameBuf()
+			defer putFrameBuf(tb)
+			*tb = s.tree.AppendBinary(*tb)
+			nodes[i] = (*tb)[4:]
+		}
 	}
 	// The envelope of an empty data child, whose one kind byte the union
 	// replaces. The engine releases an owned response on the error path too.

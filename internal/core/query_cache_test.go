@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -9,12 +10,6 @@ import (
 	"github.com/hpcobs/gosoma/internal/conduit"
 	"github.com/hpcobs/gosoma/internal/mercury"
 )
-
-// sameBytes reports whether two frames are the identical backing array —
-// the zero-allocation cache-hit property, stronger than equal content.
-func sameBytes(a, b []byte) bool {
-	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
-}
 
 func publishLeaf(t *testing.T, svc *Service, ns Namespace, path string, v float64) {
 	t.Helper()
@@ -25,8 +20,25 @@ func publishLeaf(t *testing.T, svc *Service, ns Namespace, path string, v float6
 	}
 }
 
-// TestQueryEncodedCache is the hit/miss/invalidation table for the
-// encoded-snapshot cache behind soma.query and soma.select.
+// stampAndData reads a soma.query frame's (epoch, gen) stamp and its data,
+// encoded.
+func stampAndData(t *testing.T, frame []byte) (epoch, gen int64, data []byte) {
+	t.Helper()
+	resp := mustDecode(t, frame)
+	epoch, _ = resp.Int("epoch")
+	gen, _ = resp.Int("gen")
+	sub, ok := resp.Get("data")
+	if !ok {
+		sub = conduit.NewNode()
+	}
+	return epoch, gen, sub.EncodeBinary()
+}
+
+// TestQueryEncodedCache is the invalidation table of what a delta poller
+// keeps instead of a frame: the stamp. A publish or a reset moves the stamp
+// and the data, so a poll presenting the old stamp is answered in full; a
+// repeat query and a publish to another namespace move neither, so it is
+// answered "unchanged".
 func TestQueryEncodedCache(t *testing.T) {
 	steps := []struct {
 		name string
@@ -63,8 +75,20 @@ func TestQueryEncodedCache(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := sameBytes(f1, f2); got != tc.wantSame {
-				t.Fatalf("sameBytes = %v, want %v", got, tc.wantSame)
+			e1, g1, d1 := stampAndData(t, f1)
+			e2, g2, d2 := stampAndData(t, f2)
+			if sameStamp := e1 == e2 && g1 == g2; sameStamp != tc.wantSame {
+				t.Fatalf("stamp (%d, %d) -> (%d, %d), want same %v", e1, g1, e2, g2, tc.wantSame)
+			}
+			if sameData := bytes.Equal(d1, d2); sameData != tc.wantSame {
+				t.Fatalf("data same = %v, want %v", sameData, tc.wantSame)
+			}
+			poll, err := svc.QueryDeltaEncoded(NSHardware, "PROC", uint64(e1), uint64(g1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if unch, _ := mustDecode(t, poll).Bool("unchanged"); unch != tc.wantSame {
+				t.Fatalf("a poll with the first stamp answered unchanged = %v, want %v", unch, tc.wantSame)
 			}
 		})
 	}
@@ -72,7 +96,7 @@ func TestQueryEncodedCache(t *testing.T) {
 
 // TestQueryEncodedFrameShape checks the wire envelope: {epoch, gen, data}
 // with a nonzero epoch and the queried subtree under data, and that distinct
-// paths get distinct cached frames.
+// paths answer distinct data.
 func TestQueryEncodedFrameShape(t *testing.T) {
 	svc, _ := newTestService(t, ServiceConfig{})
 	publishLeaf(t, svc, NSHardware, "PROC/cn0001/util", 42)
@@ -98,8 +122,8 @@ func TestQueryEncodedFrameShape(t *testing.T) {
 		t.Fatalf("data/util = %g", v)
 	}
 	other, _ := svc.QueryEncoded(NSHardware, "")
-	if sameBytes(frame, other) {
-		t.Fatal("distinct paths shared a cached frame")
+	if _, _, d := stampAndData(t, other); bytes.Equal(d, data.EncodeBinary()) {
+		t.Fatal("distinct paths answered the same data")
 	}
 }
 
@@ -328,12 +352,12 @@ func TestQueryDeltaDefensiveResync(t *testing.T) {
 	}
 }
 
-// TestQueryCacheResetRace hammers publish + encoded query + reset
-// concurrently; under -race this is the regression test for the mid-flight
-// reset satellite (stamps are written under rebuildMu, frames hang off
-// immutable snapshots). The invariant checked after the storm: a final
-// publish is visible through the cached path.
-func TestQueryCacheResetRace(t *testing.T) {
+// TestQueryDeltaResetRace hammers publish + encoded query + reset
+// concurrently; under -race this is the regression test for a mid-flight
+// reset (stamps are written under rebuildMu, the "unchanged" frame hangs off
+// an immutable snapshot). The invariant checked after the storm: a final
+// publish is visible through QueryEncoded.
+func TestQueryDeltaResetRace(t *testing.T) {
 	svc, _ := newTestService(t, ServiceConfig{RanksPerNamespace: 4})
 	var wg sync.WaitGroup
 	stopCh := make(chan struct{})
@@ -388,7 +412,7 @@ func TestQueryCacheResetRace(t *testing.T) {
 	resp, _ := conduit.DecodeBinary(frame)
 	data, _ := resp.Get("data")
 	if v, _ := data.Float("final"); v != 123 {
-		t.Fatalf("final publish not visible through the cache: %g", v)
+		t.Fatalf("final publish not visible: %g", v)
 	}
 }
 

@@ -91,9 +91,9 @@ var rpcTable = []rpcRow{
 		},
 		span: "soma.publish.handler", localSpan: "soma.publish.local.handler"},
 	{name: RPCPublishBatch, local: plain((*Service).handlePublishBatch)},
-	{name: RPCQuery, kind: rpcScattered, local: plain((*Service).handleQuery), scatter: (*svcCluster).queryDelta,
+	{name: RPCQuery, kind: rpcScattered, local: (*Service).handleQuery, scatter: (*svcCluster).queryDelta,
 		span: "soma.query.handler", readOnly: true},
-	{name: RPCQueryDelta, kind: rpcScattered, local: plain((*Service).handleQuery), scatter: (*svcCluster).queryDelta,
+	{name: RPCQueryDelta, kind: rpcScattered, local: (*Service).handleQuery, scatter: (*svcCluster).queryDelta,
 		span: "soma.query.delta.handler", readOnly: true},
 	{name: RPCSeries, kind: rpcScattered, local: (*Service).handleSeries, merge: mergeSeriesAnswers,
 		tolerate: isNoSeries, readOnly: true},
@@ -192,13 +192,14 @@ const scatterParallel = 4
 // every live peer's ".local" verbatim, with bounded parallelism, while this
 // member's own handler answers for its shard; merge then gets the raw frames.
 // Peer responses are ours to keep: the TCP transport allocates one per frame,
-// and the inproc transport hands over either a copy or a peer's immutable
-// cached frame, so merge may hold subslices but must never write through
-// them. A failure fails the read — this member's own error comes back
-// unwrapped, so solo and clustered answers agree on it; a peer's carries the
-// peer's address (callers retry, and a truly dead peer leaves the ring within
-// cluster.DefaultPingMisses intervals) — unless the row tolerates it. When
-// every member's answer was tolerated, this member's error is the answer.
+// and the inproc transport hands over either a copy or a frame the peer never
+// writes to again (such as a snapshot's "unchanged" answer), so merge may hold
+// subslices but must never write through them. A failure fails the read —
+// this member's own error comes back unwrapped, so solo and clustered answers
+// agree on it; a peer's carries the peer's address (callers retry, and a
+// truly dead peer leaves the ring within cluster.DefaultPingMisses intervals)
+// — unless the row tolerates it. When every member's answer was tolerated,
+// this member's error is the answer.
 func (cl *svcCluster) scatter(ctx context.Context, row *rpcRow, payload []byte) (mercury.Response, error) {
 	telScatterFanouts.Inc()
 	start := time.Now()
@@ -276,9 +277,10 @@ func (cl *svcCluster) callPeers(ctx context.Context, rpc string, to []string, re
 	}
 }
 
-// frameBufPool recycles the buffers whole-tree soma.query frames are built
-// in — a member's own (queryFrameAt) and a gather's full union
-// (gatherMemo.answer) — at hundreds of KiB each.
+// frameBufPool recycles the buffers response frames are encoded in
+// (ownedFrame): whole-tree soma.query answers, a member's own and a gather's
+// full union (gatherMemo.answer), run to hundreds of KiB each, too large for
+// conduit's encode pool, which keeps nothing above 64 KiB.
 var frameBufPool = sync.Pool{New: func() interface{} { return new([]byte) }}
 
 // maxPooledFrameBuf bounds what goes back into frameBufPool.

@@ -56,8 +56,8 @@ func parseNS(r *http.Request, allowAll bool) (core.Namespace, error) {
 // handleQuery serves GET /api/query?ns=<ns>&path=<dotted.path>.
 //
 // The fast path: the upstream call is QueryDelta, so an unchanged
-// namespace answers with a ~30-byte "unchanged" frame from the service's
-// generation-keyed snapshot cache and the client hands back its memoized
+// namespace answers with the ~30-byte "unchanged" frame the service's
+// snapshot was built with and the client hands back its memoized
 // tree; the gateway then replays the JSON body it wrote from that tree — a
 // repeat query re-encodes nothing on either side. A changed namespace comes
 // back as the memo with its changed children grafted on, and the body is

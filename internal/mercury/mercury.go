@@ -43,8 +43,8 @@ import (
 // any bytes they retain. The returned slice may be written to the wire after
 // the handler returns (large responses are sent zero-copy), so it must stay
 // immutable until the engine is done with it: return either a freshly built
-// buffer or a long-lived frame that is never mutated in place (e.g. a
-// snapshot cache entry that is replaced, not overwritten). Handlers that
+// buffer or a long-lived frame that is never mutated in place (e.g. a frame
+// built with an immutable snapshot). Handlers that
 // encode into pooled buffers should use RegisterOwned instead, so the buffer
 // can be recycled once the frame is written.
 type Handler func(ctx context.Context, input []byte) ([]byte, error)
@@ -1366,7 +1366,7 @@ func (e *Engine) serveConn(conn net.Conn) {
 			hdr[12] = status
 			if len(out) >= zeroCopyMinFrame {
 				// Large responses go out as a header+payload pair: the
-				// handler-owned bytes (typically a snapshot-cache frame)
+				// handler-owned bytes (typically a pooled query answer)
 				// reach the socket without being copied into a pooled frame
 				// first. The writer gathers the pair into its vector write
 				// (or re-joins them into one Write on injected transports)

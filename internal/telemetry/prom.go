@@ -34,7 +34,7 @@ func promName(name string) string {
 // prefixes covers every metric without per-metric bookkeeping.
 var helpByPrefix = []struct{ prefix, help string }{
 	{"core.publish", "SOMA publish-path activity on this process."},
-	{"core.query", "SOMA query-path activity, including snapshot-cache effectiveness."},
+	{"core.query", "SOMA query-path activity."},
 	{"core.subscribe", "SOMA update-log subscriptions: open cursors, lease expiries, updates shed unread, and the bytes the log holds."},
 	{"core.alerts", "Threshold-alert evaluation on the service."},
 	{"core.series", "Time-series rollup store activity."},

@@ -25,7 +25,7 @@ func TestWriteTextGolden(t *testing.T) {
 	got := buf.String()
 
 	want := "" +
-		"# HELP gosoma_core_query_cache_hits SOMA query-path activity, including snapshot-cache effectiveness.\n" +
+		"# HELP gosoma_core_query_cache_hits SOMA query-path activity.\n" +
 		"# TYPE gosoma_core_query_cache_hits counter\n" +
 		"gosoma_core_query_cache_hits 7\n" +
 		"# HELP gosoma_gateway_ws_active HTTP gateway WebSocket sessions and drop accounting.\n" +
@@ -81,7 +81,7 @@ func TestWriteTextHelpBeforeType(t *testing.T) {
 // TestPromHelpLongestPrefix pins the longest-prefix-wins rule.
 func TestPromHelpLongestPrefix(t *testing.T) {
 	cases := map[string]string{
-		"core.query.cache_hits":  "SOMA query-path activity, including snapshot-cache effectiveness.",
+		"core.query.cache_hits":  "SOMA query-path activity.",
 		"core.engine.calls":      "SOMA service/client internals.",
 		"gateway.ws.dropped":     "HTTP gateway WebSocket sessions and drop accounting.",
 		"gateway.other":          "HTTP/WebSocket gateway internals.",

@@ -39,7 +39,6 @@ bench=BenchmarkPublishIngest
 traced=BenchmarkPublishIngestTraced
 series=BenchmarkSeriesQuery
 fanout=BenchmarkSubscribeFanout
-qhot=BenchmarkQueryHot
 qnocache=BenchmarkQueryEncodeNoCache
 qdelta=BenchmarkQueryDelta
 qrebuild=BenchmarkSnapshotRebuild
@@ -139,7 +138,6 @@ if [ "${1:-}" = "--update" ]; then
 	tracedm=$(median_of "$traced")
 	seriesm=$(median_of "$series")
 	fanoutm=$(median_of "$fanout")
-	qhotm=$(median_of "$qhot")
 	qdeltam=$(median_of "$qdelta")
 	qrebuildm=$(median_of "$qrebuild")
 	batchm=$(median_of "$batch")
@@ -159,8 +157,6 @@ if [ "${1:-}" = "--update" ]; then
   "subscribe_fanout_benchmark": "$fanout",
   "subscribe_fanout_ns_per_op": ${fanoutm:-0},
   "stream_allowed_regression": 2.0,
-  "query_hot_benchmark": "$qhot",
-  "query_hot_ns_per_op": ${qhotm:-0},
   "query_delta_benchmark": "$qdelta",
   "query_delta_ns_per_op": ${qdeltam:-0},
   "snapshot_rebuild_benchmark": "$qrebuild",
@@ -180,7 +176,7 @@ if [ "${1:-}" = "--update" ]; then
   "recorded": "$(date -u +%Y-%m-%d)"
 }
 EOF
-	echo "benchdiff: baseline updated to $median ns/op (traced ${tracedm:-0}, series ${seriesm:-0}, fanout ${fanoutm:-0}, query-hot ${qhotm:-0}, query-delta ${qdeltam:-0}, rebuild ${qrebuildm:-0}, batch ${batchm:-0}, sampler ${samplerm:-0}, scatter ${scatterm:-0} ns/op)"
+	echo "benchdiff: baseline updated to $median ns/op (traced ${tracedm:-0}, series ${seriesm:-0}, fanout ${fanoutm:-0}, query-delta ${qdeltam:-0}, rebuild ${qrebuildm:-0}, batch ${batchm:-0}, sampler ${samplerm:-0}, scatter ${scatterm:-0} ns/op)"
 	exit 0
 fi
 
@@ -227,14 +223,15 @@ check_stream() {
 check_stream "$series" series_query_ns_per_op
 check_stream "$fanout" subscribe_fanout_ns_per_op
 
-# Query-path guards (the encoded-snapshot cache). Three layers:
-#   1. absolute ns/op medians for the hot/delta/rebuild benchmarks against
-#      the committed baseline (skipped when the baseline predates them),
-#   2. a live speedup gate — BenchmarkQueryHot vs BenchmarkQueryEncodeNoCache
-#      run paired in ONE go test process, so the >=5x requirement is a ratio
-#      and holds on any host,
-#   3. an allocation lock — the hot and delta paths must report 0 allocs/op
-#      (-benchmem), the property that makes repeated queries nearly free.
+# Query-path guards (the stamped repeat poll). Three layers:
+#   1. absolute ns/op medians for the delta/rebuild benchmarks against the
+#      committed baseline (skipped when the baseline predates them),
+#   2. a live speedup gate — BenchmarkQueryDelta (a poll whose stamp still
+#      matches, answered "unchanged") vs BenchmarkQueryEncodeNoCache (a walk
+#      and encode of the whole answer) run paired in ONE go test process, so
+#      the >=5x requirement is a ratio and holds on any host,
+#   3. an allocation lock — the delta path must report 0 allocs/op
+#      (-benchmem), the property that makes repeated polls nearly free.
 qfactor=$(json_num query_allowed_regression)
 check_query() {
 	name=$1
@@ -257,43 +254,40 @@ check_query() {
 	fi
 	echo "BENCHDIFF_SUMMARY mode=query benchmark=$name median_ns_per_op=$m baseline_ns_per_op=$base limit_ns_per_op=$qlimit result=pass"
 }
-check_query "$qhot" query_hot_ns_per_op
 check_query "$qdelta" query_delta_ns_per_op
 check_query "$qrebuild" snapshot_rebuild_ns_per_op
 
 minspeed=$(json_num min_query_speedup)
 [ -n "$minspeed" ] || minspeed=5
 qout=$(go test ./internal/core/ -run '^$' \
-	-bench "${qhot}\$|${qnocache}\$|${qdelta}\$" -benchmem -count 3)
+	-bench "${qnocache}\$|${qdelta}\$" -benchmem -count 3)
 # -benchmem rows: name iters ns/op "ns/op" B/op "B/op" allocs "allocs/op";
 # min ns/op per side (least noise-contaminated), max allocs (must stay 0 on
 # every run, not just the median one).
-hotns=$(printf '%s\n' "$qout" | awk -v b="$qhot" '$1 == b || $1 ~ "^"b"-" {print $3}' |
+deltans=$(printf '%s\n' "$qout" | awk -v b="$qdelta" '$1 == b || $1 ~ "^"b"-" {print $3}' |
 	sort -n | head -n 1)
 nons=$(printf '%s\n' "$qout" | awk -v b="$qnocache" '$1 == b || $1 ~ "^"b"-" {print $3}' |
 	sort -n | head -n 1)
-hotallocs=$(printf '%s\n' "$qout" | awk -v b="$qhot" '$1 == b || $1 ~ "^"b"-" {print $7}' |
-	sort -n | tail -n 1)
 deltaallocs=$(printf '%s\n' "$qout" | awk -v b="$qdelta" '$1 == b || $1 ~ "^"b"-" {print $7}' |
 	sort -n | tail -n 1)
-if [ -z "$hotns" ] || [ -z "$nons" ] || [ -z "$hotallocs" ] || [ -z "$deltaallocs" ]; then
+if [ -z "$deltans" ] || [ -z "$nons" ] || [ -z "$deltaallocs" ]; then
 	echo "benchdiff: query speedup run collected no samples" >&2
 	exit 1
 fi
-speedup=$(awk -v h="$hotns" -v n="$nons" 'BEGIN {printf "%.1f", n/h}')
-echo "benchdiff: query cache speedup ${speedup}x (cached ${hotns} ns/op vs uncached ${nons} ns/op, need >=${minspeed}x)"
-echo "benchdiff: query allocs/op: hot ${hotallocs}, delta ${deltaallocs} (need 0)"
+speedup=$(awk -v h="$deltans" -v n="$nons" 'BEGIN {printf "%.1f", n/h}')
+echo "benchdiff: query repeat-poll speedup ${speedup}x (unchanged ${deltans} ns/op vs full encode ${nons} ns/op, need >=${minspeed}x)"
+echo "benchdiff: query allocs/op: delta ${deltaallocs} (need 0)"
 if awk -v s="$speedup" -v m="$minspeed" 'BEGIN {exit (s < m) ? 0 : 1}'; then
-	echo "benchdiff: FAIL — cached query path is only ${speedup}x over the uncached encode" >&2
-	echo "BENCHDIFF_SUMMARY mode=query-speedup speedup=$speedup min=$minspeed hot_allocs=$hotallocs delta_allocs=$deltaallocs result=fail"
+	echo "benchdiff: FAIL — the repeat poll is only ${speedup}x over the full encode" >&2
+	echo "BENCHDIFF_SUMMARY mode=query-speedup speedup=$speedup min=$minspeed delta_allocs=$deltaallocs result=fail"
 	exit 1
 fi
-if [ "$hotallocs" != "0" ] || [ "$deltaallocs" != "0" ]; then
-	echo "benchdiff: FAIL — query hot path allocates (hot ${hotallocs}, delta ${deltaallocs} allocs/op)" >&2
-	echo "BENCHDIFF_SUMMARY mode=query-speedup speedup=$speedup min=$minspeed hot_allocs=$hotallocs delta_allocs=$deltaallocs result=fail"
+if [ "$deltaallocs" != "0" ]; then
+	echo "benchdiff: FAIL — the repeat poll allocates (${deltaallocs} allocs/op)" >&2
+	echo "BENCHDIFF_SUMMARY mode=query-speedup speedup=$speedup min=$minspeed delta_allocs=$deltaallocs result=fail"
 	exit 1
 fi
-echo "BENCHDIFF_SUMMARY mode=query-speedup speedup=$speedup min=$minspeed hot_allocs=$hotallocs delta_allocs=$deltaallocs result=pass"
+echo "BENCHDIFF_SUMMARY mode=query-speedup speedup=$speedup min=$minspeed delta_allocs=$deltaallocs result=pass"
 
 # Coalesced-publish throughput gate: BenchmarkPublishBatch times one logical
 # publish through the wire-batched pipeline end to end, so 1e9/ns_per_op is

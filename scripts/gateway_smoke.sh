@@ -5,8 +5,8 @@
 # asserts the tentpole claims from the outside:
 #
 #   1. the JSON API answers (query/series/health/stats/alerts/traces),
-#   2. a repeat query is served from the encoded-snapshot/delta cache
-#      (gosoma_gateway_query_cache_hits moves in /metrics),
+#   2. a repeat query is served from the gateway's body cache over the
+#      delta poll (gosoma_gateway_query_cache_hits moves in /metrics),
 #   3. per-client rate limiting returns 429 under burst,
 #   4. a live WS subscription survives one somad restart with messages
 #      still arriving afterwards and all loss accounted in-stream,
