@@ -152,7 +152,7 @@ scenarios:
 # merge peer frames with, the wire-vs-tree ingest differential, both ends of
 # soma.updates.recv (the client's frame reader and the handler's request
 # parsing), the growable rollup ring against the fixed-size ring it replaced,
-# the rollup fold of a run of publishes against a leaf-by-leaf oracle,
+# the raw ring and its inline tail against a newest-512 slice, the rollup fold of a run of publishes against a leaf-by-leaf oracle,
 # the conduit JSON codec round-trip, the JSON writer against encoding/json
 # on decoded, overlaid and grafted trees, a built conduit tree against its
 # decoded twin under random operations, the control-plane codec (Unmarshal of any
@@ -168,6 +168,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core/ -run '^$$' -fuzz 'FuzzWireIngest$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/core/ -run '^$$' -fuzz 'FuzzUpdatesRecvFrame$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/core/ -run '^$$' -fuzz 'FuzzBucketRing$$' -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/core/ -run '^$$' -fuzz 'FuzzRawRing$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/core/ -run '^$$' -fuzz 'FuzzRollupFold$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/core/ -run '^$$' -fuzz 'FuzzQueryDeltaApply$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/conduit/ -run '^$$' -fuzz 'FuzzJSONRoundTrip$$' -fuzztime $(FUZZ_TIME)
