@@ -157,8 +157,8 @@ scenarios:
 # on decoded, overlaid and grafted trees, a built conduit tree against its
 # decoded twin under random operations, the control-plane codec (Unmarshal of any
 # decoded tree into every control-plane type), the client's graft of a partial
-# delta answer onto its memo, and the WebSocket frame decoder
-# (hostile wire input). One `go test -fuzz` invocation per target — the fuzzer
+# delta answer onto its memo, the WebSocket frame decoder and mercury's
+# server connection (hostile wire input). One `go test -fuzz` invocation per target — the fuzzer
 # accepts only a single match.
 FUZZ_TIME ?= 20s
 fuzz-smoke:
@@ -176,3 +176,4 @@ fuzz-smoke:
 	$(GO) test ./internal/conduit/ -run '^$$' -fuzz 'FuzzNodeOps$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/conduit/ -run '^$$' -fuzz 'FuzzUnmarshal$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/gateway/ -run '^$$' -fuzz 'FuzzWSFrame$$' -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/mercury/ -run '^$$' -fuzz 'FuzzServeConn$$' -fuzztime $(FUZZ_TIME)

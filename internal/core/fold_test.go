@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -471,14 +472,22 @@ func monitorTree(rng *rand.Rand, node int, ts float64) *conduit.Node {
 // op folds one node's 200-leaf, timestamp-keyed publish into a store holding
 // 32 nodes' series, with "**/cpu/*/user" armed, and evaluates the rule over
 // the series the fold hands back — Service.ingest's stream side without the
-// update log.
+// update log. As on monitors, each node's sample time only moves forward, by
+// 0.1 s a publish, and every ring is at its capacity before the timer
+// starts, so no op grows one and ns/op does not depend on b.N.
 func BenchmarkRollupFold(b *testing.B) {
 	const nodes, ticks = 32, 40
+	// Sample times stay below 1e6, where "%.6f" is as wide as for t0: each
+	// op re-stamps its frame's timestamp segment in place.
+	const t0 = 100000.0
+	stamp := []byte(fmt.Sprintf("%.6f", t0))
 	rng := rand.New(rand.NewSource(1))
 	frames := make([][]byte, 0, nodes*ticks)
+	at := make([]int, 0, nodes*ticks)
 	for k := 0; k < ticks; k++ {
 		for n := 0; n < nodes; n++ {
-			frames = append(frames, monitorTree(rng, n, 1000+float64(k)/10).EncodeBinary())
+			f := monitorTree(rng, n, t0).EncodeBinary()
+			frames, at = append(frames, f), append(at, bytes.Index(f, stamp))
 		}
 	}
 	st := newSeriesStore(0)
@@ -487,19 +496,30 @@ func BenchmarkRollupFold(b *testing.B) {
 		b.Fatal(err)
 	}
 	run := []pub{{ns: NSHardware}}
-	fold := func(enc []byte) {
-		run[0].enc = enc
+	// fold folds publish i — node i%nodes — stamped t.
+	fold := func(i int, t float64) {
+		j := i % len(frames)
+		strconv.AppendFloat(frames[j][at[j]:][:0:len(stamp)], t, 'f', 6, 64)
+		run[0].enc = frames[j]
 		watched, maxT := st.ingest(2000, run, e.armed.Load().of(NSHardware))
 		if len(watched) > 0 {
 			e.evaluate(NSHardware, st, watched, maxT)
 		}
 	}
-	for _, f := range frames[:nodes] {
-		fold(f)
+	// rawCap publishes per node, 10 s apart, fill every raw ring and leave
+	// both bucket rings bucketCap slots wide.
+	for i := 0; i < rawCap*nodes; i++ {
+		fold(i, t0+10*float64(i/nodes))
 	}
+	for _, se := range st.m {
+		if len(se.raw.pts) != rawCap || len(se.b1.slots) != bucketCap || len(se.b10.slots) != bucketCap {
+			b.Fatalf("series %q not at capacity: %d raw points, %d and %d bucket slots", se.key, len(se.raw.pts), len(se.b1.slots), len(se.b10.slots))
+		}
+	}
+	start := t0 + 10*rawCap
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fold(frames[i%len(frames)])
+		fold(i, start+float64(i/nodes)/10)
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"github.com/hpcobs/gosoma/internal/conduit"
+	"github.com/hpcobs/gosoma/internal/faults"
+	"github.com/hpcobs/gosoma/internal/mercury"
 )
 
 // A spill-enabled client must absorb publishes across a service restart and
@@ -73,6 +75,52 @@ func TestSpillRidesOutServiceRestart(t *testing.T) {
 	}
 	if v, ok := tree.Float("b"); !ok || v != 3 {
 		t.Fatalf("redelivered leaf b = %v (%v)", v, ok)
+	}
+}
+
+// A publish the service ingested but whose acknowledgement arrived corrupt
+// failed on the transport, not at the service: a spill-enabled client must
+// buffer it and redeliver it, not drop it as a definitive failure.
+func TestSpillRedeliversCorruptedAck(t *testing.T) {
+	tr := faults.New(faults.Config{Seed: 1, CorruptProb: 1, Budget: 1})
+	svc := NewService(ServiceConfig{EngineOptions: []mercury.Option{mercury.WithInjector(tr)}})
+	defer svc.Close()
+	addr, err := svc.Listen("tcp://127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := Connect(addr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	client.EnableSpill(8)
+
+	n := conduit.NewNode()
+	n.SetFloat("corrupt/ack", 7)
+	if err := client.Publish(NSWorkflow, n); err != nil {
+		t.Fatalf("publish with a corrupted acknowledgement: %v", err)
+	}
+	if c := tr.Stats().Corrupts; c != 1 {
+		t.Fatalf("faults injected %d corruptions, want 1", c)
+	}
+	if st := client.Spill(); st.Spilled != 1 {
+		t.Fatalf("spill stats = %+v, want the publish spilled", st)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	if err := client.DrainSpill(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if st := client.Spill(); st.Redelivered != 1 || st.Dropped != 0 {
+		t.Fatalf("spill stats after drain = %+v, want 1 redelivered / 0 dropped", st)
+	}
+	tree, err := svc.Query(NSWorkflow, "corrupt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := tree.Float("ack"); !ok || v != 7 {
+		t.Fatalf("leaf ack = %v (%v), want 7", v, ok)
 	}
 }
 

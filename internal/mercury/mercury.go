@@ -24,6 +24,7 @@ package mercury
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -551,128 +552,61 @@ type rpcResponse struct {
 	payload []byte
 }
 
-// sessionWriteQueue bounds the frames queued to a session's writer
-// goroutine; a full queue blocks the enqueuing caller, which is the natural
-// backpressure for pipelined senders.
-const sessionWriteQueue = 256
-
-// maxGatherFrames caps how many queued frames one vector write gathers.
-const maxGatherFrames = 64
-
 // tcpSession is one live connection with its multiplexing state. A session
 // is immutable once dead; the endpoint replaces it wholesale on redial, so
 // in-flight calls on the old session fail without racing new ones.
 //
-// All writes go through a dedicated writer goroutine: senders enqueue
-// encoded frames and the writer drains the queue with gathered vector
-// writes, so many pipelined requests share one syscall. Responses are
-// matched back to callers by the request id in the frame header (the pend
-// map), so out-of-order completion is fine.
+// All writes go through the session's frameWriter, so many pipelined
+// requests share one syscall. Responses are matched back to callers by the
+// request id in the frame header (the pend map), so out-of-order completion
+// is fine.
 type tcpSession struct {
-	conn    net.Conn
-	writeCh chan *[]byte
-	// perFrame downgrades the writer to one Write call per frame: fault
-	// injectors model "one Write = one frame", and a gathered write would
-	// bundle many frames into a single fault decision.
-	perFrame bool
+	conn net.Conn
+	w    *frameWriter
 
 	mu      sync.Mutex
 	pend    map[uint64]chan rpcResponse
 	nextID  uint64
 	dead    bool
-	deadCh  chan struct{} // closed by fail; unblocks queued writers
+	deadCh  chan struct{} // closed by fail; unblocks queued senders and stops w
 	lastErr error
 }
 
+// newTCPSession starts the session's writer; perFrame is the writer's
+// one-Write-per-frame mode for injected connections.
 func newTCPSession(conn net.Conn, perFrame bool) *tcpSession {
 	s := &tcpSession{
-		conn:     conn,
-		writeCh:  make(chan *[]byte, sessionWriteQueue),
-		perFrame: perFrame,
-		pend:     map[uint64]chan rpcResponse{},
-		deadCh:   make(chan struct{}),
+		conn:   conn,
+		pend:   map[uint64]chan rpcResponse{},
+		deadCh: make(chan struct{}),
 	}
-	go s.writeLoop()
+	s.w = newFrameWriter(conn, perFrame, s.deadCh, s.fail)
 	return s
 }
 
-// enqueueWrite hands one pooled frame to the writer goroutine. Ownership
-// transfers: the writer recycles the buffer after the wire write (or on
-// teardown). An error means the frame provably never entered the queue.
-func (s *tcpSession) enqueueWrite(bp *[]byte) error {
-	select {
-	case s.writeCh <- bp:
-		return nil
-	case <-s.deadCh:
-		putFrame(bp)
-		s.mu.Lock()
-		err := s.lastErr
-		s.mu.Unlock()
-		if err == nil {
-			err = ErrClosed
-		}
-		return err
-	}
+// err is the error the session died of (ErrClosed when none was recorded).
+func (s *tcpSession) err() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return cmp.Or(s.lastErr, ErrClosed)
 }
 
-// writeLoop is the session's writer goroutine: it gathers queued frames and
-// flushes them with a single vector write (or one Write per frame on
-// injected connections). A write error fails the session — pending calls
-// learn via their closed response channels and the policy layer retries.
-func (s *tcpSession) writeLoop() {
-	scratch := make([]*[]byte, 0, maxGatherFrames)
-	vecBacking := make([][]byte, maxGatherFrames)
-	for {
+// enqueueWrite hands one pooled frame to the writer. Ownership transfers:
+// the writer recycles the buffer after the wire write (or on teardown). An
+// error means the frame provably never entered the queue; it is recycled
+// here.
+func (s *tcpSession) enqueueWrite(bp *[]byte) error {
+	select {
+	case <-s.deadCh:
+	default:
 		select {
-		case bp := <-s.writeCh:
-			scratch = append(scratch[:0], bp)
-		gather:
-			for len(scratch) < maxGatherFrames {
-				select {
-				case next := <-s.writeCh:
-					scratch = append(scratch, next)
-				default:
-					break gather
-				}
-			}
-			var err error
-			switch {
-			case s.perFrame:
-				for _, fb := range scratch {
-					if _, err = s.conn.Write(*fb); err != nil {
-						break
-					}
-				}
-			case len(scratch) == 1:
-				_, err = s.conn.Write(*scratch[0])
-			default:
-				// net.Buffers.WriteTo consumes the vector in place, so it is
-				// rebuilt from the reusable backing array each round.
-				vec := net.Buffers(vecBacking[:len(scratch)])
-				for i, fb := range scratch {
-					vec[i] = *fb
-				}
-				_, err = vec.WriteTo(s.conn)
-			}
-			for _, fb := range scratch {
-				putFrame(fb)
-			}
-			if err != nil {
-				s.fail(err)
-			}
+		case s.w.queue <- outFrame{frame: bp}:
+			return nil
 		case <-s.deadCh:
-			// Drain whatever raced in and exit; callers of those frames see
-			// the session failure through their response channels.
-			for {
-				select {
-				case bp := <-s.writeCh:
-					putFrame(bp)
-				default:
-					return
-				}
-			}
 		}
 	}
+	putFrame(bp)
+	return s.err()
 }
 
 // register allocates a request id and its response channel; it fails when
@@ -681,11 +615,7 @@ func (s *tcpSession) register() (uint64, chan rpcResponse, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.dead {
-		err := s.lastErr
-		if err == nil {
-			err = ErrClosed
-		}
-		return 0, nil, err
+		return 0, nil, cmp.Or(s.lastErr, ErrClosed)
 	}
 	s.nextID++
 	id := s.nextID
@@ -714,7 +644,7 @@ func (s *tcpSession) fail(err error) {
 	}
 	s.dead = true
 	s.lastErr = err
-	close(s.deadCh) // wakes queued writers and stops the writer goroutine
+	close(s.deadCh) // wakes queued senders and stops the writer
 	telPipelineDepth.Add(-int64(len(s.pend)))
 	for id, ch := range s.pend {
 		close(ch)
@@ -808,10 +738,9 @@ func (ep *Endpoint) session(ctx context.Context) (*tcpSession, error) {
 	if err != nil {
 		return nil, err
 	}
-	perFrame := false
-	if ep.owner != nil && ep.owner.injector != nil {
+	perFrame := ep.owner != nil && ep.owner.injector != nil
+	if perFrame {
 		conn = ep.owner.injector.WrapConn(conn, true)
-		perFrame = true
 	}
 	s := newTCPSession(conn, perFrame)
 	ep.sess = s
@@ -857,14 +786,14 @@ func (ep *Endpoint) Call(ctx context.Context, name string, input []byte) ([]byte
 		clientHist(name).ObserveSince(start)
 		telClientInfl.Dec()
 	}()
-	if ep.local != nil {
-		if ep.policy.CallTimeout > 0 {
-			if _, has := ctx.Deadline(); !has {
-				var cancel context.CancelFunc
-				ctx, cancel = context.WithTimeout(ctx, ep.policy.CallTimeout)
-				defer cancel()
-			}
+	if t := ep.policy.CallTimeout; t > 0 {
+		if _, has := ctx.Deadline(); !has {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, t)
+			defer cancel()
 		}
+	}
+	if ep.local != nil {
 		if inj := ep.local.injector; inj != nil {
 			if err := applyInprocFault(ctx, inj.InprocCall(name)); err != nil {
 				return nil, err
@@ -953,7 +882,17 @@ const (
 
 // reqHeaderLen is the request byte count after the u32 length prefix, before
 // the name: id (8) + traceID (8) + spanID (8) + deadline (8) + nameLen (2).
-const reqHeaderLen = 34
+// respHeaderLen is the response's, before the payload: id (8) + status (1).
+const (
+	reqHeaderLen  = 34
+	respHeaderLen = 9
+)
+
+// errCorruptFrame fails a connection whose peer sent a frame no sender of
+// this protocol writes: a length out of range or a name past its frame's
+// end. It is a transport fault (IsTransient), unlike ErrFrameTooBig, which
+// refuses the caller's own oversized request before anything is sent.
+var errCorruptFrame = errors.New("mercury: corrupt incoming frame")
 
 // deadlineNanos extracts ctx's deadline as Unix nanoseconds for the frame
 // header (0 when ctx has none).
@@ -981,13 +920,6 @@ func appendRequestHeader(dst []byte, total uint32, id uint64, tc telemetry.Trace
 // callTCP drives the retry/breaker state machine around attemptTCP.
 func (ep *Endpoint) callTCP(ctx context.Context, name string, input []byte) ([]byte, error) {
 	p := ep.policy
-	if p.CallTimeout > 0 {
-		if _, has := ctx.Deadline(); !has {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, p.CallTimeout)
-			defer cancel()
-		}
-	}
 	total := reqHeaderLen + len(name) + len(input)
 	if total > MaxFrame {
 		return nil, ErrFrameTooBig
@@ -1076,13 +1008,7 @@ func (ep *Endpoint) attemptTCP(ctx context.Context, p *CallPolicy, name string, 
 	case resp, ok := <-respCh:
 		if !ok {
 			// Session failed underneath us (connection severed).
-			s.mu.Lock()
-			ferr := s.lastErr
-			s.mu.Unlock()
-			if ferr == nil {
-				ferr = ErrClosed
-			}
-			return nil, true, ferr
+			return nil, true, s.err()
 		}
 		switch resp.status {
 		case statusOK:
@@ -1097,29 +1023,13 @@ func (ep *Endpoint) attemptTCP(ctx context.Context, p *CallPolicy, name string, 
 	}
 }
 
-// readLoop pumps responses for one session; when the connection dies it
-// fails the session (and every call pending on it) and detaches it from
-// the endpoint so the next call redials.
+// readLoop pumps responses for one session; when the connection dies or
+// carries a corrupt frame it fails the session (and every call pending on
+// it) and detaches it from the endpoint so the next call redials.
 func (ep *Endpoint) readLoop(s *tcpSession) {
-	br := bufio.NewReader(s.conn)
-	var err error
-	for {
-		var lenBuf [4]byte
-		if _, err = io.ReadFull(br, lenBuf[:]); err != nil {
-			break
-		}
-		total := binary.LittleEndian.Uint32(lenBuf[:])
-		if total < 9 || total > MaxFrame {
-			err = ErrFrameTooBig
-			break
-		}
-		body := make([]byte, total)
-		if _, err = io.ReadFull(br, body); err != nil {
-			break
-		}
+	// Each body is the caller's: its payload is returned from Call as is.
+	err := readFrames(s.conn, respHeaderLen, func(n int) []byte { return make([]byte, n) }, func(body []byte) error {
 		id := binary.LittleEndian.Uint64(body[0:8])
-		status := body[8]
-		payload := body[9:]
 		// A response leaves the pending table as it is taken, under the lock:
 		// fail closes only channels still in the table, so it can never
 		// close one this loop is sending on (the buffered send never blocks).
@@ -1131,9 +1041,10 @@ func (ep *Endpoint) readLoop(s *tcpSession) {
 		}
 		s.mu.Unlock()
 		if ch != nil {
-			ch <- rpcResponse{status: status, payload: payload}
+			ch <- rpcResponse{status: body[8], payload: body[respHeaderLen:]}
 		}
-	}
+		return nil
+	})
 	ep.dropSession(s, err)
 }
 
@@ -1147,123 +1058,6 @@ func (e *Engine) acceptLoop(ln net.Listener) {
 		e.wg.Add(1)
 		go e.serveConn(conn)
 	}
-}
-
-// srvResponse is one response frame queued to a connection's writer
-// goroutine. frame is a pooled buffer holding the 13-byte header (and, for
-// small responses, the payload copy); payload, when non-nil, is
-// handler-owned bytes written after *frame without copying. release is the
-// handler's buffer-return hook, fired once the frame has been written (or
-// discarded on teardown).
-type srvResponse struct {
-	frame   *[]byte
-	payload []byte
-	release func()
-}
-
-// connWriter serializes response writes for one server connection: handlers
-// enqueue frames and the writer goroutine gathers them into vector writes,
-// so a burst of pipelined responses shares one syscall. Responses complete
-// in handler-finish order, not request order — the client demuxes by id.
-type connWriter struct {
-	conn net.Conn
-	// perFrame: one Write call per frame (fault-injected transports model
-	// per-Write fault decisions; see writeLoop on the client side).
-	perFrame bool
-	ch       chan srvResponse
-	done     chan struct{}
-}
-
-func newConnWriter(conn net.Conn, perFrame bool) *connWriter {
-	w := &connWriter{
-		conn:     conn,
-		perFrame: perFrame,
-		ch:       make(chan srvResponse, sessionWriteQueue),
-		done:     make(chan struct{}),
-	}
-	go w.loop()
-	return w
-}
-
-func (w *connWriter) loop() {
-	defer close(w.done)
-	pend := make([]srvResponse, 0, maxGatherFrames)
-	vecBacking := make([][]byte, 0, 2*maxGatherFrames)
-	failed := false
-	for {
-		resp, ok := <-w.ch
-		if !ok {
-			return
-		}
-		pend = append(pend[:0], resp)
-	gather:
-		for len(pend) < maxGatherFrames {
-			select {
-			case next, ok := <-w.ch:
-				if !ok {
-					break gather
-				}
-				pend = append(pend, next)
-			default:
-				break gather
-			}
-		}
-		if !failed {
-			var err error
-			if w.perFrame {
-				for _, r := range pend {
-					if r.payload == nil {
-						_, err = w.conn.Write(*r.frame)
-					} else {
-						// Header+payload must still reach the wire as ONE
-						// Write: copy into a pooled frame rather than degrade
-						// to two fault decisions.
-						fb := getFrame(0)
-						joined := append((*fb)[:0], *r.frame...)
-						joined = append(joined, r.payload...)
-						_, err = w.conn.Write(joined)
-						*fb = joined
-						putFrame(fb)
-					}
-					if err != nil {
-						break
-					}
-				}
-			} else {
-				vec := net.Buffers(vecBacking[:0])
-				for _, r := range pend {
-					vec = append(vec, *r.frame)
-					if r.payload != nil {
-						vec = append(vec, r.payload)
-					}
-				}
-				_, err = vec.WriteTo(w.conn)
-			}
-			if err != nil {
-				// The write side is broken; close the conn so the read loop
-				// exits too. Later frames are drained and discarded.
-				failed = true
-				w.conn.Close()
-			}
-		}
-		for _, r := range pend {
-			putFrame(r.frame)
-			if r.release != nil {
-				r.release()
-			}
-		}
-	}
-}
-
-// send enqueues one response; blocks when the writer is saturated
-// (backpressure on handler goroutines).
-func (w *connWriter) send(r srvResponse) { w.ch <- r }
-
-// close stops the writer after the queue drains; callers must guarantee no
-// concurrent send (serveConn waits for all handlers first).
-func (w *connWriter) close() {
-	close(w.ch)
-	<-w.done
 }
 
 func (e *Engine) serveConn(conn net.Conn) {
@@ -1284,28 +1078,23 @@ func (e *Engine) serveConn(conn net.Conn) {
 		delete(e.conns, conn)
 		e.mu.Unlock()
 	}()
-	br := bufio.NewReader(conn)
-	w := newConnWriter(conn, e.injector != nil)
+	// A write error closes the connection, which ends the read loop too.
+	w := newFrameWriter(conn, e.injector != nil, nil, func(error) { conn.Close() })
 	// Defer order (LIFO): wait for handlers to finish enqueueing, THEN close
-	// the writer — it drains every queued response before exiting.
-	defer w.close()
+	// the queue — the writer drains every queued response before exiting.
+	defer func() {
+		close(w.queue)
+		<-w.done
+	}()
 	var handlerWG sync.WaitGroup
 	defer handlerWG.Wait()
-	for {
-		var lenBuf [4]byte
-		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
-			return
-		}
-		total := binary.LittleEndian.Uint32(lenBuf[:])
-		if total < reqHeaderLen || total > MaxFrame {
-			return
-		}
-		bodyBP := getFrame(int(total))
-		body := *bodyBP
-		if _, err := io.ReadFull(br, body); err != nil {
-			putFrame(bodyBP)
-			return
-		}
+	var bodyBP *[]byte // the pooled buffer of the body being read
+	// Whatever ends the stream (hang-up, read error, corrupt frame) ends
+	// the connection; no caller waits on its error.
+	_ = readFrames(conn, reqHeaderLen, func(n int) []byte {
+		bodyBP = getFrame(n)
+		return *bodyBP
+	}, func(body []byte) error {
 		id := binary.LittleEndian.Uint64(body[0:8])
 		tc := telemetry.TraceContext{
 			TraceID: binary.LittleEndian.Uint64(body[8:16]),
@@ -1315,15 +1104,16 @@ func (e *Engine) serveConn(conn net.Conn) {
 		nameLen := int(binary.LittleEndian.Uint16(body[32:34]))
 		if reqHeaderLen+nameLen > len(body) {
 			putFrame(bodyBP)
-			return
+			return errCorruptFrame
 		}
 		name := string(body[reqHeaderLen : reqHeaderLen+nameLen])
 		payload := body[reqHeaderLen+nameLen:]
 
 		// Each request runs in its own goroutine so a slow handler does not
 		// stall the connection — Mercury's progress model. The request body
-		// goes back to the frame pool once the handler returns (handlers may
-		// not retain their input, see Handler).
+		// goes back to the frame pool once the response no longer needs it
+		// (handlers may not retain their input, see Handler).
+		bp := bodyBP
 		handlerWG.Add(1)
 		go func() {
 			defer handlerWG.Done()
@@ -1344,9 +1134,9 @@ func (e *Engine) serveConn(conn net.Conn) {
 			}
 			status := byte(statusOK)
 			out, release, err := e.dispatch(ctx, name, payload)
-			// bodyBP is NOT recycled yet: a handler may legally return (a
-			// slice of) its input, so the request buffer must stay alive
-			// until the response bytes have been copied or written.
+			// bp is NOT recycled yet: a handler may legally return (a slice
+			// of) its input, so the request buffer must stay alive until the
+			// response bytes have been copied or written.
 			if err != nil {
 				switch {
 				case errors.Is(err, ErrUnknownRPC):
@@ -1360,34 +1150,202 @@ func (e *Engine) serveConn(conn net.Conn) {
 					out = []byte(err.Error())
 				}
 			}
-			var hdr [13]byte
-			binary.LittleEndian.PutUint32(hdr[0:4], uint32(8+1+len(out)))
-			binary.LittleEndian.PutUint64(hdr[4:12], id)
-			hdr[12] = status
+			hb := getFrame(0)
+			*hb = binary.LittleEndian.AppendUint32((*hb)[:0], uint32(respHeaderLen+len(out)))
+			*hb = binary.LittleEndian.AppendUint64(*hb, id)
+			*hb = append(*hb, status)
+			f := outFrame{frame: hb, release: release}
 			if len(out) >= zeroCopyMinFrame {
 				// Large responses go out as a header+payload pair: the
 				// handler-owned bytes (typically a pooled query answer)
 				// reach the socket without being copied into a pooled frame
-				// first. The writer gathers the pair into its vector write
-				// (or re-joins them into one Write on injected transports)
-				// and fires release afterwards.
-				hb := getFrame(0)
-				*hb = append((*hb)[:0], hdr[:]...)
-				rel := release
-				w.send(srvResponse{frame: hb, payload: out, release: func() {
-					putFrame(bodyBP) // out may alias the request body
-					if rel != nil {
-						rel()
+				// first, and are released once written.
+				f.payload = out
+				f.release = func() {
+					putFrame(bp) // out may alias the request body
+					if release != nil {
+						release()
 					}
-				}})
+				}
 			} else {
-				respBP := getFrame(0)
-				resp := append((*respBP)[:0], hdr[:]...)
-				resp = append(resp, out...)
-				*respBP = resp
-				putFrame(bodyBP) // response copied; the request body is free
-				w.send(srvResponse{frame: respBP, release: release})
+				*hb = append(*hb, out...)
+				putFrame(bp) // response copied; the request body is free
 			}
+			w.queue <- f // blocks when the writer is saturated: backpressure
 		}()
+		return nil
+	})
+}
+
+// readFrames is the length-prefix frame reader of both ends: it reads frames
+// from conn until the stream ends, each body into the buffer body(n) returns
+// for its length, and hands each to handle. A length outside [minLen,
+// MaxFrame] can only come from a corrupt or hostile stream and ends it with
+// errCorruptFrame. It returns the error that ended the stream, handle's
+// included.
+func readFrames(conn net.Conn, minLen uint32, body func(n int) []byte, handle func([]byte) error) error {
+	br := bufio.NewReader(conn)
+	var lenBuf [4]byte // outside the loop: io.ReadFull moves it to the heap
+	for {
+		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
+			return err
+		}
+		n := binary.LittleEndian.Uint32(lenBuf[:])
+		if n < minLen || n > MaxFrame {
+			return fmt.Errorf("%w (length %d)", errCorruptFrame, n)
+		}
+		b := body(int(n))
+		if _, err := io.ReadFull(br, b); err != nil {
+			return err
+		}
+		if err := handle(b); err != nil {
+			return err
+		}
 	}
+}
+
+// sessionWriteQueue bounds the frames queued to a connection's writer; a
+// full queue blocks the enqueuing caller or handler, which is the natural
+// backpressure for pipelined senders.
+const sessionWriteQueue = 256
+
+// maxGatherFrames caps how many queued frames one vector write gathers.
+const maxGatherFrames = 64
+
+// outFrame is one frame queued to a frameWriter. frame is a pooled buffer
+// holding the whole frame or, for a zero-copy response, its header; payload,
+// when non-nil, is written right after *frame without being copied. release,
+// when non-nil, returns the payload's owner its buffer.
+type outFrame struct {
+	frame   *[]byte
+	payload []byte
+	release func()
+}
+
+// recycle returns the frame to the pool and fires release: the writer's one
+// exit for a frame, written or discarded.
+func (f outFrame) recycle() {
+	putFrame(f.frame)
+	if f.release != nil {
+		f.release()
+	}
+}
+
+// frameWriter serializes one connection's writes, on both ends: senders
+// enqueue frames and its goroutine drains the queue, gathering what is queued
+// into one vector write, so a burst of pipelined requests or responses shares
+// one syscall. On injected connections (perFrame) it makes one Write per
+// frame instead, header and payload joined: fault injectors model "one Write
+// = one frame", and a gathered write would bundle many frames into one fault
+// decision. The first write error goes to fail; later frames are discarded.
+//
+// The writer stops when stop closes (a client session's failure) or queue
+// closes (the server, once no handler can send). Every frame it takes from
+// the queue is recycled exactly once; a client frame that races a stop into
+// the queue after the final drain is left to the collector (requests carry
+// no release).
+type frameWriter struct {
+	conn     net.Conn
+	perFrame bool
+	queue    chan outFrame
+	stop     <-chan struct{} // nil on the server
+	fail     func(error)
+	done     chan struct{} // closed when the goroutine exits
+
+	pend []outFrame
+	// vec is the gathered write, a field so that WriteTo, which takes its
+	// receiver's address, moves no slice header to the heap per write.
+	// WriteTo consumes it, so each round rebuilds it over backing.
+	vec     net.Buffers
+	backing [][]byte
+}
+
+func newFrameWriter(conn net.Conn, perFrame bool, stop <-chan struct{}, fail func(error)) *frameWriter {
+	w := &frameWriter{
+		conn:     conn,
+		perFrame: perFrame,
+		queue:    make(chan outFrame, sessionWriteQueue),
+		stop:     stop,
+		fail:     fail,
+		done:     make(chan struct{}),
+		pend:     make([]outFrame, 0, maxGatherFrames),
+		backing:  make([][]byte, 0, 2*maxGatherFrames),
+	}
+	go w.loop()
+	return w
+}
+
+func (w *frameWriter) loop() {
+	defer close(w.done)
+	failed := false
+	for {
+		select {
+		case f, ok := <-w.queue:
+			if !ok {
+				return
+			}
+			w.pend = append(w.pend[:0], f)
+		case <-w.stop:
+			for {
+				select {
+				case f := <-w.queue:
+					f.recycle()
+				default:
+					return
+				}
+			}
+		}
+	gather:
+		for len(w.pend) < maxGatherFrames {
+			select {
+			case f, ok := <-w.queue:
+				if !ok {
+					break gather
+				}
+				w.pend = append(w.pend, f)
+			default:
+				break gather
+			}
+		}
+		if !failed {
+			if err := w.write(); err != nil {
+				failed = true
+				w.fail(err)
+			}
+		}
+		for i := range w.pend {
+			w.pend[i].recycle()
+			w.pend[i] = outFrame{} // pin no payload until the next round
+		}
+	}
+}
+
+// write puts the gathered frames on the wire.
+func (w *frameWriter) write() error {
+	if w.perFrame {
+		for _, f := range w.pend {
+			if f.payload != nil {
+				// Joined in the header's pooled frame: one Write, one
+				// fault decision.
+				*f.frame = append(*f.frame, f.payload...)
+			}
+			if _, err := w.conn.Write(*f.frame); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	w.vec = w.backing[:0]
+	for _, f := range w.pend {
+		w.vec = append(w.vec, *f.frame)
+		if f.payload != nil {
+			w.vec = append(w.vec, f.payload)
+		}
+	}
+	if len(w.vec) == 1 {
+		_, err := w.conn.Write(w.vec[0])
+		return err
+	}
+	_, err := w.vec.WriteTo(w.conn)
+	return err
 }

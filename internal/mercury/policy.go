@@ -206,10 +206,11 @@ func IdempotentSet(names ...string) func(string) bool {
 }
 
 // IsTransient reports whether a Call error is a transport-level failure
-// that may heal on its own — a dial failure, severed connection, attempt
-// timeout, open breaker, or deadline blown waiting on a black-holed peer —
-// as opposed to a definitive result from the server (handler error, unknown
-// RPC, oversized frame) or the caller's own cancellation. Degraded-mode
+// that may heal on its own — a dial failure, severed connection, corrupt
+// incoming frame, attempt timeout, open breaker, or deadline blown waiting on
+// a black-holed peer — as opposed to a definitive result (handler error,
+// unknown RPC, the caller's own oversized request) or the caller's own
+// cancellation. Degraded-mode
 // layers (e.g. the core client's publish spill) buffer on transient errors
 // and drop on definitive ones.
 func IsTransient(err error) bool {
