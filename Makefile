@@ -157,7 +157,8 @@ scenarios:
 # on decoded, overlaid and grafted trees, a built conduit tree against its
 # decoded twin under random operations, the control-plane codec (Unmarshal of any
 # decoded tree into every control-plane type), the client's graft of a partial
-# delta answer onto its memo, the WebSocket frame decoder and mercury's
+# delta answer onto its memo, the service's delta answers to any stamp it
+# handed out between random writes, the WebSocket frame decoder and mercury's
 # server connection (hostile wire input). One `go test -fuzz` invocation per target — the fuzzer
 # accepts only a single match.
 FUZZ_TIME ?= 20s
@@ -171,6 +172,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core/ -run '^$$' -fuzz 'FuzzRawRing$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/core/ -run '^$$' -fuzz 'FuzzRollupFold$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/core/ -run '^$$' -fuzz 'FuzzQueryDeltaApply$$' -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/core/ -run '^$$' -fuzz 'FuzzQueryDeltaStamps$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/conduit/ -run '^$$' -fuzz 'FuzzJSONRoundTrip$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/conduit/ -run '^$$' -fuzz 'FuzzAppendJSON$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/conduit/ -run '^$$' -fuzz 'FuzzNodeOps$$' -fuzztime $(FUZZ_TIME)

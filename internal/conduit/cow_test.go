@@ -85,31 +85,38 @@ func TestMergeCOWChain(t *testing.T) {
 	}
 }
 
-// TestChildrenSinceGraft drives successive MergeCOW generations of a wide
-// host object, small and wide updates and new hosts among them, and checks
-// that the children ChildrenSince reports between any two generations are
-// exactly the ones MergeCOW replaced or added, and that grafting them onto
-// the older generation reproduces the newer one byte for byte.
-func TestChildrenSinceGraft(t *testing.T) {
+// TestChildrenNewerGraft drives successive MergeCOW generations of a wide
+// host object, small and wide updates and new hosts among them, each update
+// stamped with its generation's number — numbers that cross the 32-bit wrap
+// half way — and checks that the children ChildrenNewer reports between any
+// two generations are exactly the ones MergeCOW replaced or added, and that
+// grafting them onto the older generation reproduces the newer one byte for
+// byte.
+func TestChildrenNewerGraft(t *testing.T) {
+	const first = 1<<32 - 60 // generation 60 is stamp 0
+	stamp := func(i int) uint32 { return uint32(first + i) }
 	gens := []*Node{mkTree("host", 0, 40)}
-	for step := 0; step < 120; step++ {
+	gens[0].Stamp(stamp(0))
+	for step := 1; step <= 120; step++ {
 		lo := (step * 7) % 48
 		hi := lo + 1 + step%3
 		if step%17 == 0 {
 			hi = lo + 30 // wide: most hosts rewritten
 		}
-		gens = append(gens, MergeCOW(gens[len(gens)-1], mkTree("host", lo, hi)))
+		src := mkTree("host", lo, hi)
+		src.Stamp(stamp(step))
+		gens = append(gens, MergeCOW(gens[len(gens)-1], src))
 	}
 	patched := 0
 	for i := 1; i < len(gens); i++ {
-		for _, back := range []int{1, 2, 5} {
+		for _, back := range []int{1, 2, 5, 70} {
 			if i < back {
 				continue
 			}
 			oldH, _ := gens[i-back].Get("host")
 			curH, _ := gens[i].Get("host")
 			limit := (curH.NumChildren() - 1) / 2
-			patch, ok := ChildrenSince(oldH, curH, limit)
+			patch, ok := ChildrenNewer(curH, stamp(i-back), limit)
 			changed := 0
 			for j, name := range curH.names() {
 				if j >= oldH.NumChildren() || oldH.Child(name) != curH.at(j) {
@@ -140,13 +147,20 @@ func TestChildrenSinceGraft(t *testing.T) {
 	}
 	leaf := NewNode()
 	leaf.SetInt("", 1)
-	if _, ok := ChildrenSince(leaf, gens[0], 100); ok {
-		t.Fatal("a leaf base was patched")
+	if _, ok := ChildrenNewer(leaf, 0, 100); ok {
+		t.Fatal("a leaf was patched")
 	}
-	a, _ := mkTree("host", 0, 4).Get("host")
-	b, _ := mkTree("host", 1, 5).Get("host")
-	if _, ok := ChildrenSince(a, b, 100); ok {
-		t.Fatal("a base whose names are not a prefix was patched")
+	// Serial arithmetic: a child 2³¹ - 1 stamps newer is newer, one 2³¹
+	// newer reads as older, and so does one at the asked stamp.
+	h, _ := mkTree("host", 0, 3).Get("host")
+	h.Stamp(7)
+	for _, c := range []struct {
+		gen  uint32
+		want int
+	}{{1<<31 + 8, 3}, {1<<31 + 7, 0}, {7, 0}, {8, 0}} {
+		if patch, ok := ChildrenNewer(h, c.gen, 100); !ok || patch.NumChildren() != c.want {
+			t.Fatalf("stamp 7 since %d: %d newer (ok %v), want %d", c.gen, patch.NumChildren(), ok, c.want)
+		}
 	}
 }
 

@@ -235,9 +235,9 @@ func (d *JSONDoc) Children() (reused, rendered int) { return d.reused, d.rendere
 // RenderJSON returns prefix + n.AppendJSON + suffix as a doc. A direct child
 // of n that prev rendered under the same name at the same pointer is copied
 // from prev's bytes instead of being rendered again; with prev nil every
-// child is rendered. A pointer is a sound test of content for the same reason
-// it is in ChildrenSince: shared trees are immutable, and Graft and MergeCOW
-// keep every untouched child at its pointer.
+// child is rendered. A pointer is a sound test of content: shared trees are
+// immutable, and Graft and MergeCOW keep every untouched child at its
+// pointer.
 func RenderJSON(prefix []byte, n *Node, suffix []byte, prev *JSONDoc) *JSONDoc {
 	if prev == nil {
 		prev = &JSONDoc{}

@@ -61,6 +61,9 @@ func (k Kind) String() string {
 // live behind ext, which only non-empty objects and array leaves carry.
 type Node struct {
 	kind Kind
+	// stamp is the number of the fold that made the node (Stamp, MergeCOW),
+	// read by ChildrenNewer; it sits in the padding after kind.
+	stamp uint32
 	// num is the scalar payload: an int64's bits, a float64's IEEE 754 bits,
 	// or 0/1 for a bool.
 	num uint64
@@ -603,10 +606,12 @@ func (n *Node) compact() {
 // src. Along the paths src touches, a small object (no index) is copied — at
 // most smallObject pointers — and a wide one becomes a thin overlay (a small
 // delta map layered over dst's node via base). Both inputs must be treated
-// as immutable afterwards. This is the copy-on-read primitive behind the
-// SOMA service's merge snapshots: building generation N+1 costs O(paths
-// touched by src), not O(fan-out of dst) — a 10k-child host node is never
-// recopied just because one sample under it changed.
+// as immutable afterwards. Every node MergeCOW makes carries its src's stamp,
+// so a stamped src leaves ChildrenNewer able to tell what it touched. This is
+// the copy-on-read primitive behind the SOMA service's merge snapshots:
+// building generation N+1 costs O(paths touched by src), not O(fan-out of
+// dst) — a 10k-child host node is never recopied just because one sample
+// under it changed.
 func MergeCOW(dst, src *Node) *Node {
 	if src == nil || src.kind == KindEmpty {
 		return dst
@@ -631,7 +636,7 @@ func MergeCOW(dst, src *Node) *Node {
 	// then reallocates instead of scribbling on the shared backing array.
 	de := dst.ext
 	e := &nodeExt{names: de.names[:len(de.names):len(de.names)]}
-	out := &Node{kind: KindObject, ext: e}
+	out := &Node{kind: KindObject, stamp: src.stamp, ext: e}
 	sn := src.ext.names
 	if de.index == nil {
 		// Small plain dst: an owned copy of its child pointers is cheaper
@@ -665,33 +670,33 @@ func MergeCOW(dst, src *Node) *Node {
 	return out
 }
 
-// ChildrenSince returns, as an object in cur's order, the direct children of
-// cur that old does not hold at the same pointer: the ones rewritten since
-// old, and the new ones. ok is false — and no patch is built — unless both
-// are objects, old's child names are a prefix of cur's, and at most limit
-// children differ. Graft(old, patch) then holds what cur holds. The patch
-// shares cur's children by reference.
-//
-// A pointer is a sound test of content only because trees are immutable once
-// shared; it is a cheap one between generations of a MergeCOW snapshot, which
-// keeps every untouched subtree at its pointer and only ever appends names.
-func ChildrenSince(old, cur *Node, limit int) (patch *Node, ok bool) {
-	if old.kind != KindObject || cur.kind != KindObject {
-		return nil, false
+// Stamp marks n and every node under it with gen, the number of the fold
+// that made them, which MergeCOW hands on to the nodes it makes from them and
+// ChildrenNewer reads. n must be a tree no one else holds yet.
+func (n *Node) Stamp(gen uint32) {
+	n.stamp = gen
+	for i := range n.names() {
+		n.at(i).Stamp(gen)
 	}
-	on, cn := old.names(), cur.names()
-	if len(on) > len(cn) || len(cn)-len(on) > limit {
+}
+
+// ChildrenNewer returns, as an object in cur's order, the direct children of
+// cur stamped after gen: in a tree built by stamped folds merged with
+// MergeCOW, the ones rewritten or added since fold gen. Stamps compare in
+// serial arithmetic, so across the 32-bit wrap, and a child 2³¹ folds or more
+// newer than gen reads as older: callers bound how old a gen they ask about.
+// ok is false — and no patch is built — unless cur is an object and at most
+// limit children are newer. Graft of the patch onto cur's subtree as of fold
+// gen then holds what cur holds. The patch shares cur's children by
+// reference.
+func ChildrenNewer(cur *Node, gen uint32, limit int) (patch *Node, ok bool) {
+	if cur.kind != KindObject {
 		return nil, false
-	}
-	for i, name := range on {
-		if cn[i] != name {
-			return nil, false
-		}
 	}
 	e := &nodeExt{}
-	for i, name := range cn {
+	for i, name := range cur.names() {
 		c := cur.at(i)
-		if i < len(on) && old.at(i) == c {
+		if int32(c.stamp-gen) <= 0 {
 			continue
 		}
 		if len(e.names) == limit {

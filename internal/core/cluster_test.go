@@ -1284,3 +1284,41 @@ func TestClusterQueryDeltaConcurrentPollers(t *testing.T) {
 		}
 	}
 }
+
+// TestClusterQueryDeltaPatchMinimal: through a clustered member, after k of
+// the union's N children are rewritten since a stamp, over one gather or
+// several, the patch to that stamp carries exactly those k — nothing an
+// older gather re-merged, nothing untouched. Every host is one leaf, placed
+// on its owner both times it is written, so no member's child names change
+// and no gather after the first patchable one rebuilds.
+func TestClusterQueryDeltaPatchMinimal(t *testing.T) {
+	svcs, addrs := startFleet(t, 3)
+	for h := 0; h < 48; h++ {
+		publishLeaf(t, svcs[0], NSHardware, fmt.Sprintf("LOAD/cn%02d/s1", h), 0)
+	}
+	epoch, g0 := stamp(stampedPoll(t, addrs[0], "LOAD", 0, 0))
+	// The first change after a run of full answers rebuilds the union.
+	rewrite(t, svcs[1], 1, "cn00")
+	resp := stampedPoll(t, addrs[0], "LOAD", epoch, g0)
+	if !resp.Has("data") {
+		t.Fatalf("the first change after full answers got %s, want a full answer", resp.Format())
+	}
+	_, g1 := stamp(resp)
+	rewrite(t, svcs[1], 2, "cn01", "cn02", "cn03")
+	resp = stampedPoll(t, addrs[0], "LOAD", epoch, g1)
+	checkPatch(t, resp, "cn01", "cn02", "cn03")
+	_, g2 := stamp(resp)
+	rewrite(t, svcs[2], 3, "cn03", "cn10")
+	resp = stampedPoll(t, addrs[0], "LOAD", epoch, g2)
+	checkPatch(t, resp, "cn03", "cn10")
+	_, g3 := stamp(resp)
+	rewrite(t, svcs[0], 4, "cn20")
+	stampedPoll(t, addrs[0], "LOAD", epoch, g3) // one more gather
+	rewrite(t, svcs[0], 5, "cn21")
+	checkPatch(t, stampedPoll(t, addrs[0], "LOAD", epoch, g3), "cn20", "cn21")
+	checkPatch(t, stampedPoll(t, addrs[0], "LOAD", epoch, g2), "cn03", "cn10", "cn20", "cn21")
+	checkPatch(t, stampedPoll(t, addrs[0], "LOAD", epoch, g1), "cn01", "cn02", "cn03", "cn10", "cn20", "cn21")
+	if resp := stampedPoll(t, addrs[0], "LOAD", epoch, g0); !resp.Has("data") {
+		t.Fatalf("a stamp from before the union's rebuild got %s, want the full answer", resp.Format())
+	}
+}

@@ -299,7 +299,7 @@ func FuzzRollupFold(f *testing.F) {
 			}
 
 			dropped := telSeriesDropped.Value()
-			watched, maxT := fold.ingest(arrival, run, e.armed.Load().of(ns))
+			watched, maxT := fold.ingest(arrival, run, e.armed.Load().of(ns), nil)
 			foldDropped := telSeriesDropped.Value() - dropped
 
 			dropped = telSeriesDropped.Value()
@@ -385,7 +385,7 @@ func TestShapeMemoEvictsWithinItsBound(t *testing.T) {
 		for node := 0; node < nodes; node++ {
 			ts := float64(round*nodes+node) / 10
 			run[0].enc = frame(node, ts)
-			st.ingest(100, run, nil)
+			st.ingest(100, run, nil, nil)
 			foldLeafByLeaf(t, oracle, 100, run[0].enc)
 			if st.shapeBytes > maxShapeBytes {
 				t.Fatalf("round %d node %d: shape memo holds %d B, bound %d", round, node, st.shapeBytes, maxShapeBytes)
@@ -429,9 +429,9 @@ func TestShapeChurnDoesNotAllocate(t *testing.T) {
 	run := []pub{{ns: NSHardware}}
 	publish := func() {
 		run[0].enc = a
-		st.ingest(5, run, nil)
+		st.ingest(5, run, nil, nil)
 		run[0].enc = b
-		st.ingest(5, run, nil)
+		st.ingest(5, run, nil, nil)
 	}
 	for i := 0; i < rawCap; i++ { // raw rings full: nothing left to grow
 		publish()
@@ -496,12 +496,14 @@ func BenchmarkRollupFold(b *testing.B) {
 		b.Fatal(err)
 	}
 	run := []pub{{ns: NSHardware}}
+	var watched []*series // reused across folds, as Service.ingest reuses its own
 	// fold folds publish i — node i%nodes — stamped t.
 	fold := func(i int, t float64) {
 		j := i % len(frames)
 		strconv.AppendFloat(frames[j][at[j]:][:0:len(stamp)], t, 'f', 6, 64)
 		run[0].enc = frames[j]
-		watched, maxT := st.ingest(2000, run, e.armed.Load().of(NSHardware))
+		var maxT float64
+		watched, maxT = st.ingest(2000, run, e.armed.Load().of(NSHardware), watched[:0])
 		if len(watched) > 0 {
 			e.evaluate(NSHardware, st, watched, maxT)
 		}

@@ -61,18 +61,12 @@ type gatherMemo struct {
 	// The union is never kept whole: a full answer unions the shards afresh
 	// (conduit.MergeNodes). What a patch answer needs is kept instead: the
 	// union's child count (-1 when it is not an object that gathers may patch),
-	// the gen of its last rebuild, and the children each of the last
-	// deltaBaseGens gens re-merged, newest first.
-	count   int
-	rebuilt uint64
-	changes [deltaBaseGens]unionChange
-}
-
-// unionChange is what one gen of a union re-merged: the union's new versions
-// of the children some member changed.
-type unionChange struct {
-	gen      uint64
-	children *conduit.Node
+	// the gen of its last rebuild, and every child re-merged since, at its
+	// newest version, with the union gen that re-merged it last.
+	count       int
+	rebuilt     uint64
+	remerged    *conduit.Node
+	remergedGen map[string]uint64
 }
 
 // shard is one member's shard as a gather memo holds it, under the member's
@@ -101,8 +95,11 @@ func (s *shard) decode() error {
 	return nil
 }
 
+// maxGatherMemos bounds the gather memos a member keeps, one per (ns, path).
+const maxGatherMemos = 16
+
 // gatherMemo returns the memo of (ns, path), made if absent, as the most
-// recently used; past maxDeltaBasePaths memos the least recently used goes,
+// recently used; past maxGatherMemos memos the least recently used goes,
 // counted in cluster.scatter.memos_evicted.
 func (cl *svcCluster) gatherMemo(ns Namespace, path string) *gatherMemo {
 	cl.memoMu.Lock()
@@ -112,7 +109,7 @@ func (cl *svcCluster) gatherMemo(ns Namespace, path string) *gatherMemo {
 	switch {
 	case i >= 0:
 		m = cl.memos[i]
-	case len(cl.memos) < maxDeltaBasePaths:
+	case len(cl.memos) < maxGatherMemos:
 		m = &gatherMemo{ns: ns, path: path, epoch: newEpoch()}
 		cl.memos = append(cl.memos, nil)
 		i = len(cl.memos) - 1
@@ -354,10 +351,10 @@ func childless(n *conduit.Node) bool {
 // hold it. Otherwise only the children some member's patch named changed,
 // and each is re-merged as the fold of the members' versions of it (unionOf)
 // — the fold of objects holds, at each child, the fold of the members'
-// versions of that child. That takes every shard as a tree and the union as
-// an object: the first gather that needs no rebuild decodes shards a run of
-// full answers left raw, and while a shard is not an object (or empty) every
-// change is a rebuild.
+// versions of that child — and recorded under the new gen. That takes every
+// shard as a tree and the union as an object: the first gather that needs no
+// rebuild decodes shards a run of full answers left raw, and while a shard is
+// not an object (or empty) every change is a rebuild.
 func (m *gatherMemo) merge(from []string, shards []*shard, kinds []deltaKind, patches []*conduit.Node) error {
 	rebuild := m.gen == 0 || !slices.Equal(from, m.from)
 	changed := rebuild
@@ -382,41 +379,41 @@ func (m *gatherMemo) merge(from []string, shards []*shard, kinds []deltaKind, pa
 				return part{from: from[i]}.bad(err)
 			}
 		}
-		rebuild = rebuild || m.count < 0
+		raw, rebuild = false, rebuild || m.count < 0
 	}
 	m.from, m.shards = from, shards
 	if rebuild {
 		telScatterRebuilds.Inc()
 		m.gen++
-		m.count, m.rebuilt, m.changes = -1, m.gen, [deltaBaseGens]unionChange{}
+		m.count, m.rebuilt = -1, m.gen
+		m.remerged, m.remergedGen = conduit.NewNode(), map[string]uint64{}
 		if !raw {
 			m.count = unionCount(shards)
 		}
 		return nil
 	}
-	remerged := conduit.NewNode()
+	gen, merged := m.gen+1, 0
 	versions := make([]*conduit.Node, len(shards))
 	for _, patch := range patches {
 		if patch == nil {
 			continue
 		}
 		for _, name := range patch.ChildNames() {
-			if remerged.Child(name) != nil {
+			if m.remergedGen[name] == gen {
 				continue
 			}
 			for i, sh := range shards {
 				versions[i] = sh.tree.Child(name)
 			}
-			remerged.Attach(name, unionOf(versions))
+			m.remerged.Attach(name, unionOf(versions))
+			m.remergedGen[name] = gen
+			merged++
 		}
 	}
-	if remerged.NumChildren() == 0 {
-		return nil
+	if merged > 0 {
+		telScatterMerged.Add(int64(merged))
+		m.gen = gen
 	}
-	telScatterMerged.Add(int64(remerged.NumChildren()))
-	m.gen++
-	copy(m.changes[1:], m.changes[:])
-	m.changes[0] = unionChange{gen: m.gen, children: remerged}
 	return nil
 }
 
@@ -463,15 +460,14 @@ func unionOf(trees []*conduit.Node) *conduit.Node {
 
 // answer is the caller's answer from the union, one of the three a solo
 // service gives (§4f): "unchanged" to the current stamp; a patch when the
-// caller's stamp is a gen since the last rebuild whose changes are still
-// recorded and fewer than half of the union's children changed since; else
-// the full union.
+// caller's stamp is a gen since the last rebuild and fewer than half of the
+// union's children were re-merged after it; else the full union.
 func (m *gatherMemo) answer(q queryReq) (mercury.Response, error) {
 	if q.epoch == m.epoch && q.gen == m.gen {
 		telDeltaUnchanged.Inc()
 		return ownedFrame(unchangedAnswer(m.epoch, m.gen))
 	}
-	if patch := m.since(q); patch != nil && patch.NumChildren() <= (m.count-1)/2 {
+	if patch := m.since(q, (m.count-1)/2); patch != nil {
 		return ownedFrame(patchEnvelope(m.epoch, m.gen, q.gen, m.count, patch))
 	}
 	nodes := make([][]byte, len(m.shards))
@@ -494,22 +490,22 @@ func (m *gatherMemo) answer(q queryReq) (mercury.Response, error) {
 	return mercury.Response{Payload: *bp, Release: func() { putFrameBuf(bp) }}, err
 }
 
-// since is what the union changed since the gen a caller's stamp names, as
-// one object of the re-merged children, or nil when the records do not reach
-// back to it.
-func (m *gatherMemo) since(q queryReq) *conduit.Node {
-	if !q.patch || q.epoch != m.epoch || m.count < 0 || q.gen < m.rebuilt || q.gen >= m.gen || m.gen-q.gen > deltaBaseGens {
+// since is the union children re-merged after the gen a caller's stamp
+// names, as one object, or nil when the record does not reach back to that
+// gen or more than limit children were re-merged since.
+func (m *gatherMemo) since(q queryReq, limit int) *conduit.Node {
+	if !q.patch || q.epoch != m.epoch || m.count < 0 || q.gen < m.rebuilt || q.gen >= m.gen {
 		return nil
 	}
-	n := int(m.gen - q.gen)
-	for i := 0; i < n; i++ {
-		if m.changes[i].gen != m.gen-uint64(i) {
+	patch := conduit.NewNode()
+	for _, name := range m.remerged.ChildNames() {
+		if m.remergedGen[name] <= q.gen {
+			continue
+		}
+		if patch.NumChildren() == limit {
 			return nil
 		}
-	}
-	patch := m.changes[n-1].children
-	for i := n - 2; i >= 0; i-- {
-		patch = conduit.Graft(patch, m.changes[i].children)
+		patch.Attach(name, m.remerged.Child(name))
 	}
 	return patch
 }

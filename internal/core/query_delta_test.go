@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -130,6 +131,81 @@ func TestQueryDeltaMatchesFull(t *testing.T) {
 				t.Fatalf("no partial answers (a %+v, b %+v): the test proved nothing", sa, sb)
 			}
 			t.Logf("a %+v, b %+v", sa, sb)
+		})
+	}
+}
+
+// TestQueryDeltaStaleStamps is the differential test of stamps far from the
+// current snapshot: seeded random publishes over 64 hosts of four leaves —
+// single leaves, a host turned into a leaf and back, and twice LOAD itself
+// turned into a leaf and then republished whole — against a 2-stripe
+// service, while one client polls LOAD every step, a snapshot each, a
+// laggard polls it every 30 steps, its stamp dozens of snapshots old, and a
+// third client polls LOAD/cn03. After every poll the client's tree must
+// encode byte for byte like a fresh stampless answer, and the laggard and
+// the LOAD/cn03 poller must each have been answered with patches.
+func TestQueryDeltaStaleStamps(t *testing.T) {
+	const hosts = 64
+	all := conduit.NewNode()
+	for h := 0; h < hosts; h++ {
+		for s := 0; s < 4; s++ {
+			all.SetFloat(fmt.Sprintf("LOAD/cn%02d/s%d", h, s), 0)
+		}
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
+			svc, addr := newTestService(t, ServiceConfig{RanksPerNamespace: 2})
+			clients := make([]*Client, 3)
+			for i := range clients {
+				c, err := Connect(addr, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				clients[i] = c
+			}
+			check := func(who int, path string, step int) {
+				tree, _, err := clients[who].QueryDelta(NSHardware, path)
+				if err != nil {
+					t.Fatalf("step %d: client %d poll %s: %v", step, who, path, err)
+				}
+				if got, want := tree.EncodeBinary(), freshAnswer(t, svc, NSHardware, path); !bytes.Equal(got, want) {
+					t.Fatalf("step %d: client %d's %s differs from the full answer:\n got %s\nwant %s",
+						step, who, path, tree.Format(), mustDecode(t, want).Format())
+				}
+			}
+			rng := rand.New(rand.NewSource(seed))
+			for step := 0; step < 600; step++ {
+				n := conduit.NewNode()
+				switch r := rng.Intn(100); {
+				case step%200 == 0 || step%200 == 101:
+					n = all
+				case step%200 == 100: // LOAD a leaf until the next step
+					n.SetFloat("LOAD", float64(step))
+				case r < 25:
+					n.SetFloat(fmt.Sprintf("LOAD/cn03/s%d", rng.Intn(4)), float64(step))
+				case r < 30: // LOAD/cn03 a leaf until its next write
+					n.SetFloat("LOAD/cn03", float64(step))
+				default:
+					n.SetFloat(fmt.Sprintf("LOAD/cn%02d/s%d", rng.Intn(hosts), rng.Intn(4)), float64(step))
+				}
+				if err := svc.Publish(NSHardware, n, 0); err != nil {
+					t.Fatal(err)
+				}
+				check(0, "LOAD", step)
+				if step%30 == 29 {
+					check(1, "LOAD", step)
+				}
+				if step%2 == 0 {
+					check(2, "LOAD/cn03", step)
+				}
+			}
+			for i, c := range clients[1:] {
+				if c.DeltaStats().Partial == 0 {
+					t.Fatalf("client %d got no patch (%+v): the test proved nothing", i+1, c.DeltaStats())
+				}
+				t.Logf("client %d: %+v", i+1, c.DeltaStats())
+			}
 		})
 	}
 }
@@ -353,95 +429,217 @@ func TestQueryDeltaUnpatchedRequest(t *testing.T) {
 	}
 }
 
-// TestQueryDeltaBasesBounded: polling ten times as many distinct paths as the
-// bases cap keeps an instance's retained bases at the cap, the most recently
-// polled paths, a reset clears them, and a plain query records none.
-func TestQueryDeltaBasesBounded(t *testing.T) {
-	svc, addr := newTestService(t, ServiceConfig{})
-	c, err := Connect(addr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	in := svc.instances[NSHardware]
-	const paths = 10 * maxDeltaBasePaths
-	for i := 0; i < paths; i++ {
-		publishLeaf(t, svc, NSHardware, fmt.Sprintf("P%03d/x", i), float64(i))
-		if _, err := c.Query(NSHardware, fmt.Sprintf("P%03d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	in.basesMu.Lock()
-	n, newest := len(in.bases), in.bases[0].path
-	in.basesMu.Unlock()
-	if n != maxDeltaBasePaths || newest != fmt.Sprintf("P%03d", paths-1) {
-		t.Fatalf("%d bases retained, newest %q; want %d, newest P%03d", n, newest, maxDeltaBasePaths, paths-1)
-	}
-	if err := svc.ResetNamespace(NSHardware); err != nil {
-		t.Fatal(err)
-	}
-	in.basesMu.Lock()
-	n = len(in.bases)
-	in.basesMu.Unlock()
-	if n != 0 {
-		t.Fatalf("%d bases survived a reset", n)
-	}
-	// An in-process QueryEncoded — the traced replay's read — records none:
-	// no caller presents its stamp for a patch.
-	publishLeaf(t, svc, NSHardware, "P000/x", 1)
-	if _, err := svc.QueryEncoded(NSHardware, "P000"); err != nil {
-		t.Fatal(err)
-	}
-	in.basesMu.Lock()
-	n = len(in.bases)
-	in.basesMu.Unlock()
-	if n != 0 {
-		t.Fatalf("a plain query recorded %d bases", n)
+// TestQueryDeltaRoundRobin: one client polls many paths of a solo service
+// round robin, 32 children under each, one child of every path rewritten
+// between rounds. A patch is a stamp compare on the children of the current
+// snapshot, so how many paths are polled does not matter: every poll after a
+// path's first is answered with a patch of the one child. The counts straddle
+// 16, where a cache of 16 entries per path polled round robin would stop
+// answering patches at all.
+func TestQueryDeltaRoundRobin(t *testing.T) {
+	const children, rounds = 32, 20
+	for _, paths := range []int{8, 16, 17, 24, 64} {
+		t.Run(fmt.Sprint("paths=", paths), func(t *testing.T) {
+			svc, addr := newTestService(t, ServiceConfig{})
+			c, err := Connect(addr, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			n := conduit.NewNode()
+			for p := 0; p < paths; p++ {
+				for k := 0; k < children; k++ {
+					n.SetFloat(fmt.Sprintf("P%02d/c%02d/x", p, k), 0)
+				}
+			}
+			if err := svc.Publish(NSHardware, n, 0); err != nil {
+				t.Fatal(err)
+			}
+			for round := 0; round < rounds; round++ {
+				if round > 0 {
+					n := conduit.NewNode()
+					for p := 0; p < paths; p++ {
+						n.SetFloat(fmt.Sprintf("P%02d/c%02d/x", p, (round+p)%children), float64(round))
+					}
+					if err := svc.Publish(NSHardware, n, 0); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for p := 0; p < paths; p++ {
+					path := fmt.Sprintf("P%02d", p)
+					tree, err := c.Query(NSHardware, path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got, want := tree.EncodeBinary(), freshAnswer(t, svc, NSHardware, path); !bytes.Equal(got, want) {
+						t.Fatalf("round %d: %s differs from the full answer", round, path)
+					}
+				}
+			}
+			if got, want := c.DeltaStats().Partial, int64((rounds-1)*paths); got != want {
+				t.Fatalf("%d paths round robin: %d patch answers of %d polls, want %d", paths, got, rounds*paths, want)
+			}
+		})
 	}
 }
 
-// TestQueryDeltaEvictionsCounted: one client polling maxDeltaBasePaths
-// paths round robin keeps every path's delta base, and one path more evicts
-// one on every poll — the cliff past which every poll is answered in full.
-// core.query.bases_evicted must stay put below the cliff and move past it;
-// through a clustered member, so must cluster.scatter.memos_evicted for the
-// member's gather memos.
+// TestQueryDeltaEvictionsCounted: one client polling maxGatherMemos paths
+// round robin through a clustered member keeps every path's gather memo,
+// and one path more evicts one on every poll — the cliff past which every
+// poll re-asks every member stampless. cluster.scatter.memos_evicted must
+// stay put below the cliff and move past it.
 func TestQueryDeltaEvictionsCounted(t *testing.T) {
-	for _, clustered := range []bool{false, true} {
-		for _, paths := range []int{maxDeltaBasePaths, maxDeltaBasePaths + 1} {
-			t.Run(fmt.Sprintf("clustered=%v/paths=%d", clustered, paths), func(t *testing.T) {
-				evictions := telBasesEvicted
-				var svc *Service
-				var addr string
-				if clustered {
-					svcs, addrs := startFleet(t, 3)
-					svc, addr, evictions = svcs[0], addrs[0], telMemosEvicted
-				} else {
-					svc, addr = newTestService(t, ServiceConfig{})
-				}
+	for _, paths := range []int{maxGatherMemos, maxGatherMemos + 1} {
+		t.Run(fmt.Sprintf("clustered=true/paths=%d", paths), func(t *testing.T) {
+			svcs, addrs := startFleet(t, 3)
+			for i := 0; i < paths; i++ {
+				publishLeaf(t, svcs[0], NSHardware, fmt.Sprintf("P%02d/x", i), float64(i))
+			}
+			c, err := Connect(addrs[0], nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			before := telMemosEvicted.Value()
+			for round := 0; round < 3; round++ {
 				for i := 0; i < paths; i++ {
-					publishLeaf(t, svc, NSHardware, fmt.Sprintf("P%02d/x", i), float64(i))
-				}
-				c, err := Connect(addr, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer c.Close()
-				before := evictions.Value()
-				for round := 0; round < 3; round++ {
-					for i := 0; i < paths; i++ {
-						if _, err := c.Query(NSHardware, fmt.Sprintf("P%02d", i)); err != nil {
-							t.Fatal(err)
-						}
+					if _, err := c.Query(NSHardware, fmt.Sprintf("P%02d", i)); err != nil {
+						t.Fatal(err)
 					}
 				}
-				evicted := evictions.Value() - before
-				if cliff := paths > maxDeltaBasePaths; (evicted > 0) != cliff {
-					t.Fatalf("%d paths polled round robin evicted %d, want evictions %v", paths, evicted, cliff)
-				}
-			})
+			}
+			evicted := telMemosEvicted.Value() - before
+			if cliff := paths > maxGatherMemos; (evicted > 0) != cliff {
+				t.Fatalf("%d paths polled round robin evicted %d, want evictions %v", paths, evicted, cliff)
+			}
+		})
+	}
+}
+
+// stampedPoll sends one soma.query.delta for path in hardware presenting
+// (epoch, gen) with patch: true to the service at addr and returns the
+// decoded answer.
+func stampedPoll(t testing.TB, addr, path string, epoch, gen int64) *conduit.Node {
+	t.Helper()
+	ep, err := mercury.Lookup(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	req := conduit.NewNode()
+	req.SetString("ns", string(NSHardware))
+	req.SetString("path", path)
+	req.SetInt("epoch", epoch)
+	req.SetInt("gen", gen)
+	req.SetBool("patch", true)
+	out, err := ep.Call(context.Background(), RPCQueryDelta, req.EncodeBinary())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mustDecode(t, out)
+}
+
+// stamp is an answer's (epoch, gen).
+func stamp(resp *conduit.Node) (epoch, gen int64) {
+	epoch, _ = resp.Int("epoch")
+	gen, _ = resp.Int("gen")
+	return epoch, gen
+}
+
+// checkPatch fails t unless resp is a patch of exactly the children named
+// want, in any order.
+func checkPatch(t testing.TB, resp *conduit.Node, want ...string) {
+	t.Helper()
+	patch, ok := resp.Get("patch")
+	if !ok {
+		t.Fatalf("got %s, want a patch of %v", resp.Format(), want)
+	}
+	got := patch.ChildNames()
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("patch holds %v, want exactly %v", got, want)
+	}
+}
+
+// rewrite publishes a new value to LOAD/<host>/s1 for each host through svc,
+// one publish each: a clustered member places each on its owner.
+func rewrite(t *testing.T, svc *Service, v float64, hosts ...string) {
+	t.Helper()
+	for _, h := range hosts {
+		publishLeaf(t, svc, NSHardware, "LOAD/"+h+"/s1", v)
+	}
+}
+
+// TestQueryDeltaPatchMinimal: after k of a path's N children are rewritten
+// since a stamp, over one snapshot or several, the patch to that stamp
+// carries exactly those k — nothing an older snapshot changed, nothing
+// untouched.
+func TestQueryDeltaPatchMinimal(t *testing.T) {
+	svc, addr := newTestService(t, ServiceConfig{RanksPerNamespace: 2})
+	n := conduit.NewNode()
+	for h := 0; h < 32; h++ {
+		for s := 0; s < 4; s++ {
+			n.SetFloat(fmt.Sprintf("LOAD/cn%02d/s%d", h, s), 0)
 		}
 	}
+	if err := svc.Publish(NSHardware, n, 0); err != nil {
+		t.Fatal(err)
+	}
+	epoch, g0 := stamp(stampedPoll(t, addr, "LOAD", 0, 0))
+	rewrite(t, svc, 1, "cn01", "cn02", "cn03")
+	resp := stampedPoll(t, addr, "LOAD", epoch, g0)
+	checkPatch(t, resp, "cn01", "cn02", "cn03")
+	_, g1 := stamp(resp)
+	rewrite(t, svc, 2, "cn03", "cn10")
+	resp = stampedPoll(t, addr, "LOAD", epoch, g1)
+	checkPatch(t, resp, "cn03", "cn10")
+	_, g2 := stamp(resp)
+	rewrite(t, svc, 3, "cn20")
+	stampedPoll(t, addr, "LOAD", epoch, g2) // one more snapshot
+	rewrite(t, svc, 4, "cn21")
+	checkPatch(t, stampedPoll(t, addr, "LOAD", epoch, g2), "cn20", "cn21")
+	checkPatch(t, stampedPoll(t, addr, "LOAD", epoch, g1), "cn03", "cn10", "cn20", "cn21")
+	checkPatch(t, stampedPoll(t, addr, "LOAD", epoch, g0), "cn01", "cn02", "cn03", "cn10", "cn20", "cn21")
+	// A child's own children are stamped the same way.
+	checkPatch(t, stampedPoll(t, addr, "LOAD/cn03", epoch, g1), "s1")
+	checkPatch(t, stampedPoll(t, addr, "LOAD/cn04", epoch, g0))
+}
+
+// TestQueryDeltaStampHorizon: node stamps are 32-bit, so a stamp 2³¹
+// snapshots old or older is answered in full, and one a snapshot younger
+// still gets the exact patch.
+func TestQueryDeltaStampHorizon(t *testing.T) {
+	svc, addr := newTestService(t, ServiceConfig{})
+	in := svc.instances[NSHardware]
+	n := conduit.NewNode()
+	for h := 0; h < 8; h++ {
+		n.SetFloat(fmt.Sprintf("LOAD/cn%d/s1", h), 0)
+	}
+	if err := svc.Publish(NSHardware, n, 0); err != nil {
+		t.Fatal(err)
+	}
+	epoch, g := stamp(stampedPoll(t, addr, "LOAD", 0, 0))
+	leap := func(to int64) {
+		in.rebuildMu.Lock()
+		in.snaps = uint64(to)
+		in.rebuildMu.Unlock()
+	}
+	leap(g + stampHorizon - 2)
+	rewrite(t, svc, 1, "cn3")
+	resp := stampedPoll(t, addr, "LOAD", epoch, g)
+	if _, gen := stamp(resp); gen != g+stampHorizon-1 {
+		t.Fatalf("snapshot %d, want %d", gen, g+stampHorizon-1)
+	}
+	checkPatch(t, resp, "cn3")
+	rewrite(t, svc, 2, "cn4")
+	resp = stampedPoll(t, addr, "LOAD", epoch, g)
+	if resp.Has("patch") || !resp.Has("data") {
+		t.Fatalf("a stamp 2³¹ snapshots old got %s, want the full answer", resp.Format())
+	}
+	_, g = stamp(resp)
+	rewrite(t, svc, 3, "cn5")
+	checkPatch(t, stampedPoll(t, addr, "LOAD", epoch, g), "cn5")
 }
 
 // FuzzQueryDeltaApply feeds arbitrary delta answers to arbitrary decoded
@@ -568,6 +766,83 @@ func FuzzQueryDeltaApply(f *testing.F) {
 		for _, name := range want.ChildNames() {
 			if !tree.Child(name).Equal(want.Child(name)) {
 				t.Fatalf("patched memo's child %q does not resolve", name)
+			}
+		}
+	})
+}
+
+// FuzzQueryDeltaStamps drives a solo service with ops read two bytes at a
+// time from the input — a leaf, a wide write, a new host, a leaf over a host
+// or over the queried path, a reset, a leap of the snapshot count by 2³⁰
+// toward the stamp horizon and the 32-bit wrap — and polls of LOAD between
+// them that present, with patch: true, no stamp or any stamp handed out so
+// far, as the input picks. Each answer, applied through applyDelta to the
+// memo the presented stamp came with, must apply and encode byte for byte
+// like a fresh stampless answer.
+func FuzzQueryDeltaStamps(f *testing.F) {
+	// Sixteen hosts, then single writes, new hosts and leaps between polls of
+	// older and older stamps, to past the horizon.
+	f.Add([]byte{1, 0xff, 7, 0, 0, 1, 7, 0, 0, 2, 7, 1, 2, 0, 7, 0, 6, 0, 0, 3, 7, 0, 7, 2,
+		6, 0, 0, 5, 7, 3, 6, 0, 0, 6, 7, 0, 7, 6})
+	// A host and then LOAD turned into leaves and back, and a reset.
+	f.Add([]byte{1, 0xff, 7, 0, 3, 4, 7, 0, 0, 4, 7, 1, 7, 0, 4, 0, 7, 2, 1, 0xff, 7, 3,
+		0, 7, 7, 4, 7, 2, 5, 0, 1, 0x0f, 7, 5, 0, 1, 7, 6, 7, 5})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		svc := NewService(ServiceConfig{DisableRollups: true})
+		defer svc.Close()
+		in := svc.instances[NSHardware]
+		var held []*deltaMemo
+		for i := 0; i+1 < len(ops) && i < 256; i += 2 {
+			op, arg := ops[i]%8, int(ops[i+1])
+			n := conduit.NewNode()
+			switch op {
+			case 0: // a leaf
+				n.SetFloat(fmt.Sprintf("LOAD/cn%02d/s%d", arg%16, arg/16%4), float64(i))
+			case 1: // wide: the hosts arg's bits pick, twice over
+				for h := 0; h < 16; h++ {
+					if arg>>(h%8)&1 == 1 {
+						n.SetFloat(fmt.Sprintf("LOAD/cn%02d/s%d", h, h/8), float64(i))
+					}
+				}
+			case 2: // a host not written before
+				n.SetFloat(fmt.Sprintf("LOAD/cn%03d/s0", 16+arg), float64(i))
+			case 3: // a leaf over a host
+				n.SetFloat(fmt.Sprintf("LOAD/cn%02d", arg%16), float64(i))
+			case 4: // a leaf over the queried path
+				n.SetFloat("LOAD", float64(i))
+			case 5:
+				if err := svc.ResetNamespace(NSHardware); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			case 6:
+				in.rebuildMu.Lock()
+				in.snaps += 1 << 30
+				in.rebuildMu.Unlock()
+				continue
+			default:
+				var memo *deltaMemo
+				var epoch, gen uint64
+				if k := arg % (len(held) + 1); k < len(held) {
+					memo = held[k]
+					epoch, gen = uint64(memo.epoch), uint64(memo.gen)
+				}
+				frame, err := svc.queryDelta(NSHardware, "LOAD", epoch, gen, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				next, kind, ok := applyDelta(memo, mustDecode(t, frame))
+				if !ok {
+					t.Fatalf("op %d: %s to the stamp (%d, %d) does not apply", i/2, kind, epoch, gen)
+				}
+				if got, want := next.tree.EncodeBinary(), freshAnswer(t, svc, NSHardware, "LOAD"); !bytes.Equal(got, want) {
+					t.Fatalf("op %d: %s to the stamp (%d, %d) gives\n%s\nwant\n%s", i/2, kind, epoch, gen, next.tree.Format(), mustDecode(t, want).Format())
+				}
+				held = append(held, next)
+				continue
+			}
+			if err := svc.Publish(NSHardware, n, 0); err != nil {
+				t.Fatal(err)
 			}
 		}
 	})

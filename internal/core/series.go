@@ -685,9 +685,10 @@ var foldScratchPool = sync.Pool{New: func() any { return new(foldScratch) }}
 // ingest folds every numeric leaf of a run of same-namespace publishes into
 // the store — one sample per leaf as written, so a hostile frame that repeats
 // a sibling name contributes one sample per repeat (decoding would have
-// merged them first; snapshots still do) — and returns, in leaf order, the
-// touched series that an armed rule of the run's namespace watches, for
-// evaluation. armed is the namespace's armed rules (nil when it has none).
+// merged them first; snapshots still do) — and appends to watched, in leaf
+// order, the touched series that an armed rule of the run's namespace
+// watches, for evaluation: the caller owns that buffer and may reuse it.
+// armed is the namespace's armed rules (nil when it has none).
 // The walk and the key derivation run before the lock, with the timestamp
 // segment the leaves of a sample share parsed once; the lock is then taken
 // once for the run, each publish resolves to its series with one lookup
@@ -695,8 +696,8 @@ var foldScratchPool = sync.Pool{New: func() any { return new(foldScratch) }}
 // series' own rule match, made once per rule set (series.judge). With the
 // scratch and the rings grown and no rule matching, the steady-state publish
 // path allocates nothing here.
-func (st *seriesStore) ingest(arrival float64, run []pub, armed *[]*armedRule) (watched []*series, maxT float64) {
-	maxT = arrival
+func (st *seriesStore) ingest(arrival float64, run []pub, armed *[]*armedRule, watched []*series) ([]*series, float64) {
+	maxT := arrival
 	fs := foldScratchPool.Get().(*foldScratch)
 	fs.keys, fs.samples, fs.pubs = fs.keys[:0], fs.samples[:0], fs.pubs[:0]
 	sample := func(path []byte, v float64) {
@@ -736,9 +737,6 @@ func (st *seriesStore) ingest(arrival float64, run []pub, armed *[]*armedRule) (
 			points++
 			se.judge(armed)
 			if len(se.rules) > 0 {
-				if watched == nil {
-					watched = make([]*series, 0, 64)
-				}
 				watched = append(watched, se)
 			}
 		}

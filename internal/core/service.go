@@ -33,15 +33,13 @@ var (
 	// soma.stats frame cache hits and misses (see handleStats).
 	telStatsCacheHits   = telemetry.Default().Counter("core.stats.cache_hits")
 	telStatsCacheMisses = telemetry.Default().Counter("core.stats.cache_misses")
-	// Query answers: polls answered "unchanged"; partial answers built, with
-	// the children they carried and the children they left to the caller's
-	// memo; and delta bases dropped to make room for another path's, past
-	// which a poll of the dropped path is answered in full.
+	// Query answers: polls answered "unchanged"; and partial answers built,
+	// with the children they carried and the children they left to the
+	// caller's memo.
 	telDeltaUnchanged = telemetry.Default().Counter("core.query.delta_unchanged")
 	telDeltaPartial   = telemetry.Default().Counter("core.query.delta_partial")
 	telDeltaSent      = telemetry.Default().Counter("core.query.delta_children_sent")
 	telDeltaHeld      = telemetry.Default().Counter("core.query.delta_children_held")
-	telBasesEvicted   = telemetry.Default().Counter("core.query.bases_evicted")
 )
 
 // ServiceConfig configures a SOMA service task.
@@ -147,16 +145,21 @@ type stripe struct {
 // published into an instance. Readers share it without copying; it is
 // replaced wholesale (copy-on-read) when stale.
 //
-// The (epoch, gen) pair is the snapshot's identity stamp on the wire: gen
-// counts state changes within one instance lifetime, epoch is drawn at
-// random when the instance is built and redrawn on every reset. A client
-// that presents a matching stamp provably holds this exact state — equal
-// stamps cannot span a reset (the epoch changed) or a service restart (a
-// fresh process draws a fresh epoch), which is what makes the delta-query
-// "unchanged" answer safe.
+// The (epoch, gen) pair is the snapshot's identity stamp on the wire: gen is
+// the snapshot's number, counted by the rebuilds and resets of one instance
+// lifetime, epoch is drawn at random when the instance is built and redrawn
+// on every reset. A client that presents a matching stamp provably holds this
+// exact state — equal stamps cannot span a reset (the epoch changed) or a
+// service restart (a fresh process draws a fresh epoch), which is what makes
+// the delta-query "unchanged" answer safe. Every node a rebuild folded in
+// carries the rebuild's number as its conduit stamp, which is how a patch
+// answer finds what changed since a caller's gen (queryAnswer).
 type snapshot struct {
 	epoch uint64
 	gen   uint64
+	// fresh is the instance's change count (instance.gen) the snapshot holds
+	// every change of.
+	fresh uint64
 	tree  *conduit.Node
 	// unchanged is the encoded {epoch, gen, unchanged: true} answer to a poll
 	// that presents this snapshot's stamp, built with the snapshot so the
@@ -165,22 +168,9 @@ type snapshot struct {
 	unchanged []byte
 }
 
-func newSnapshot(epoch, gen uint64, tree *conduit.Node) *snapshot {
-	return &snapshot{epoch: epoch, gen: gen, tree: tree, unchanged: unchangedAnswer(epoch, gen).EncodeBinaryStable()}
+func newSnapshot(epoch, gen, fresh uint64, tree *conduit.Node) *snapshot {
+	return &snapshot{epoch: epoch, gen: gen, fresh: fresh, tree: tree, unchanged: unchangedAnswer(epoch, gen).EncodeBinaryStable()}
 }
-
-// Delta bases: an instance retains the subtrees its last deltaBaseGens
-// soma.query answers per path handed out, for at most maxDeltaBasePaths paths
-// (least recently used out first, counted in core.query.bases_evicted), so a
-// partial delta answer can be diffed against what the caller holds. What a
-// base pins is the superseded versions of the children rewritten since — at
-// worst deltaBaseGens × maxDeltaBasePaths old versions of a whole namespace.
-// Bounding them by the bytes they pin rather than by path count is ROADMAP
-// item 15(b).
-const (
-	deltaBaseGens     = 2
-	maxDeltaBasePaths = 16
-)
 
 // newEpoch draws a reset-epoch: uniformly random, truncated to 63 bits so
 // it survives the wire's signed varint, and never zero — a client that has
@@ -199,8 +189,8 @@ type instance struct {
 
 	// rr round-robins publishes across stripes; seq stamps global arrival
 	// order; gen counts state changes (publishes and resets) and is bumped
-	// only after the change is visible in a stripe, so a snapshot stamped
-	// with gen G contains every change counted by G.
+	// only after the change is visible in a stripe, so a snapshot fresh as of
+	// G contains every change counted by G.
 	rr  atomic.Uint64
 	seq atomic.Uint64
 	gen atomic.Uint64
@@ -211,8 +201,9 @@ type instance struct {
 
 	snap atomic.Pointer[snapshot]
 	// rebuildMu serializes snapshot rebuilds and resets; publishes never
-	// take it.
+	// take it. snaps numbers the snapshots they make (snapshot.gen).
 	rebuildMu sync.Mutex
+	snaps     uint64
 	// foldScratch is the previous rebuild's drained-record buffer, recycled
 	// (under rebuildMu) so steady-state rebuilds stop allocating fold
 	// batches; see currentSnapshot.
@@ -221,81 +212,6 @@ type instance struct {
 	// rollup holds the instance's windowed time-series buckets (see
 	// series.go); nil when rollups are disabled.
 	rollup *seriesStore
-
-	// bases are the delta bases: the subtrees recent query answers handed
-	// out, most recently used path first (see retainBase).
-	basesMu sync.Mutex
-	bases   []pathBases
-}
-
-// deltaBase is one subtree a query answer handed out, with its stamp.
-type deltaBase struct {
-	epoch, gen uint64
-	tree       *conduit.Node
-}
-
-// pathBases holds one path's delta bases, newest first.
-type pathBases struct {
-	path string
-	last [deltaBaseGens]deltaBase
-}
-
-// retainBase records that a soma.query answer handed out the subtree at path
-// in snapshot s. QueryEncoded's in-process reads are never recorded: no
-// caller presents their stamp for a patch. Only an object can be patched.
-func (in *instance) retainBase(path string, s *snapshot) {
-	sub, ok := s.tree.Get(path)
-	if !ok || sub.Kind() != conduit.KindObject {
-		return
-	}
-	b := deltaBase{epoch: s.epoch, gen: s.gen, tree: sub}
-	in.basesMu.Lock()
-	defer in.basesMu.Unlock()
-	if !in.touchBases(path) {
-		if len(in.bases) < maxDeltaBasePaths {
-			in.bases = append(in.bases, pathBases{})
-		} else {
-			telBasesEvicted.Inc()
-		}
-		copy(in.bases[1:], in.bases)
-		in.bases[0] = pathBases{path: path}
-	}
-	last := &in.bases[0].last
-	if last[0].tree != nil && last[0].epoch == b.epoch && last[0].gen == b.gen {
-		return
-	}
-	copy(last[1:], last[:])
-	last[0] = b
-}
-
-// touchBases moves path's entry to the front, reporting whether it has one.
-// Called with basesMu held.
-func (in *instance) touchBases(path string) bool {
-	for i := range in.bases {
-		if in.bases[i].path == path {
-			e := in.bases[i]
-			copy(in.bases[1:i+1], in.bases[:i])
-			in.bases[0] = e
-			return true
-		}
-	}
-	return false
-}
-
-// base returns the subtree at path an answer stamped (epoch, gen) handed
-// out, or nil when it is no longer retained.
-func (in *instance) base(path string, epoch, gen uint64) *conduit.Node {
-	in.basesMu.Lock()
-	defer in.basesMu.Unlock()
-	if !in.touchBases(path) {
-		return nil
-	}
-	for _, b := range in.bases[0].last {
-		if b.tree != nil && b.epoch == epoch && b.gen == gen {
-			return b.tree
-		}
-	}
-	return nil
 }
 
 func newInstance(ns Namespace, ranks, stripes int) *instance {
@@ -304,7 +220,7 @@ func newInstance(ns Namespace, ranks, stripes int) *instance {
 		in.stripes[i] = &stripe{}
 	}
 	in.epoch.Store(newEpoch())
-	in.snap.Store(newSnapshot(in.epoch.Load(), 0, conduit.NewNode()))
+	in.snap.Store(newSnapshot(in.epoch.Load(), 0, 0, conduit.NewNode()))
 	return in
 }
 
@@ -317,11 +233,11 @@ func (in *instance) snapshotTree() *conduit.Node {
 // copy-on-read only when publishes (or a reset) have landed since the
 // cached generation. The returned snapshot is immutable and shared:
 // repeated queries against an unchanged instance cost two atomic loads, and
-// its (epoch, gen) stamp is consistent — both are read under rebuildMu, the
+// its (epoch, gen) stamp is consistent — both are set under rebuildMu, the
 // lock resets hold while changing them.
 func (in *instance) currentSnapshot() *snapshot {
 	s := in.snap.Load()
-	if s.gen == in.gen.Load() {
+	if s.fresh == in.gen.Load() {
 		return s
 	}
 	in.rebuildMu.Lock()
@@ -332,7 +248,7 @@ func (in *instance) currentSnapshot() *snapshot {
 	// they only cause one spurious (empty) rebuild later.
 	g := in.gen.Load()
 	s = in.snap.Load()
-	if s.gen == g {
+	if s.fresh == g {
 		return s
 	}
 	rebuildStart := time.Now()
@@ -394,12 +310,18 @@ func (in *instance) currentSnapshot() *snapshot {
 		// skips the sort.
 		sort.Slice(pend, func(i, j int) bool { return pend[i].seq < pend[j].seq })
 	}
-	// Fold the batch into one small delta first, then graft it onto the
-	// snapshot with a single copy-on-write pass: the snapshot's wide
-	// fan-out nodes are copied once per rebuild, not once per publish.
+	// Fold the batch into one small delta first, stamp it with the new
+	// snapshot's number, then graft it onto the snapshot with a single
+	// copy-on-write pass: the snapshot's wide fan-out nodes are copied once
+	// per rebuild, not once per publish, and every node the pass makes takes
+	// the batch's stamp.
+	in.snaps++
 	batch := foldRecords(pend)
+	if batch != nil {
+		batch.Stamp(uint32(in.snaps))
+	}
 	tree := conduit.MergeCOW(s.tree, batch)
-	next := newSnapshot(in.epoch.Load(), g, tree)
+	next := newSnapshot(in.epoch.Load(), in.snaps, g, tree)
 	in.snap.Store(next)
 	if cap(pend) <= pendingKeepCap {
 		in.foldScratch = pend[:0]
@@ -454,8 +376,8 @@ func (s *snapshot) at(path string) *conduit.Node {
 }
 
 // The three soma.query.delta answers (§4f), built from a stamp and a subtree
-// or patch: an instance's snapshot and retained bases, or a clustered
-// member's union of its members' shards (gatherMemo).
+// or patch: an instance's snapshot, or a clustered member's union of its
+// members' shards (gatherMemo).
 
 // fullAnswer is {epoch, gen, data: sub}, the answer soma.query gives. The
 // subtree is attached, not copied: encoding only reads it.
@@ -465,20 +387,6 @@ func fullAnswer(epoch, gen uint64, sub *conduit.Node) *conduit.Node {
 	resp.SetInt("gen", int64(gen))
 	resp.Attach("data", sub)
 	return resp
-}
-
-// patchAnswer is the partial answer to a caller holding old, the subtree the
-// answer stamped (epoch, base) handed out, when fewer than half of sub's
-// children were rewritten or added since: {epoch, gen, base, count, patch:
-// {those children, in sub's order}}, which the caller grafts onto old to hold
-// count children. ok is false otherwise (see conduit.ChildrenSince).
-func patchAnswer(epoch, gen, base uint64, old, sub *conduit.Node) (resp *conduit.Node, ok bool) {
-	count := sub.NumChildren()
-	patch, ok := conduit.ChildrenSince(old, sub, (count-1)/2)
-	if !ok {
-		return nil, false
-	}
-	return patchEnvelope(epoch, gen, base, count, patch), true
 }
 
 // patchEnvelope is {epoch, gen, base, count, patch}: the children patch
@@ -562,11 +470,9 @@ func (in *instance) reset() {
 		st.pending = nil
 		st.mu.Unlock()
 	}
-	in.snap.Store(newSnapshot(in.epoch.Load(), g, conduit.NewNode()))
+	in.snaps++
+	in.snap.Store(newSnapshot(in.epoch.Load(), in.snaps, g, conduit.NewNode()))
 	in.rebuildMu.Unlock()
-	in.basesMu.Lock()
-	in.bases = nil
-	in.basesMu.Unlock()
 	if in.rollup != nil {
 		in.rollup.reset()
 	}
@@ -777,8 +683,7 @@ func (s *Service) Query(ns Namespace, path string) (*conduit.Node, error) {
 
 // QueryEncoded returns the frame a solo service answers an unstamped
 // soma.query for path within ns with: {epoch, gen, data: <subtree>}, freshly
-// encoded. Unlike the RPC, it records no delta base: no caller presents its
-// stamp for a patch.
+// encoded.
 func (s *Service) QueryEncoded(ns Namespace, path string) ([]byte, error) {
 	in, err := s.running(ns)
 	if err != nil {
@@ -808,13 +713,13 @@ func (s *Service) QueryDeltaEncoded(ns Namespace, path string, epoch, gen uint64
 
 // queryAnswer is the one soma.query decision of an instance (§4f), made for a
 // caller that presented the stamp (epoch, gen) and says whether it can graft
-// a patch. resp is the answer as a tree: a patch against the subtree the
-// stamp handed out when it is retained and one applies, otherwise the full
-// answer. resp is nil when the stamp is sn's own: "unchanged", which
-// sn.unchanged holds encoded. Every answer but "unchanged" retains the
-// subtree it handed out as a delta base. The handler encodes the answer for
-// the wire (handleQuery); a clustered member's gather reads its own shard
-// from it as is (gatherMemo.ask).
+// a patch. resp is the answer as a tree: a patch when the stamp is of sn's
+// epoch, fewer than stampHorizon snapshots old, and fewer than half of the
+// subtree's children were stamped after it — rewritten or added since —
+// otherwise the full answer. resp is nil when the stamp is sn's own:
+// "unchanged", which sn.unchanged holds encoded. The handler encodes the
+// answer for the wire (handleQuery); a clustered member's gather reads its
+// own shard from it as is (gatherMemo.ask).
 func (s *Service) queryAnswer(ns Namespace, path string, epoch, gen uint64, patch bool) (resp *conduit.Node, sn *snapshot, err error) {
 	in, err := s.running(ns)
 	if err != nil {
@@ -827,17 +732,24 @@ func (s *Service) queryAnswer(ns Namespace, path string, epoch, gen uint64, patc
 		telDeltaUnchanged.Inc()
 		return nil, sn, nil
 	}
-	defer in.retainBase(path, sn)
 	sub := sn.at(path)
-	if patch && epoch == sn.epoch {
-		if old := in.base(path, sn.epoch, gen); old != nil {
-			if resp, ok := patchAnswer(sn.epoch, sn.gen, gen, old, sub); ok {
-				return resp, sn, nil
-			}
+	if patch && epoch == sn.epoch && gen < sn.gen && sn.gen-gen < stampHorizon {
+		count := sub.NumChildren()
+		if p, ok := conduit.ChildrenNewer(sub, uint32(gen), (count-1)/2); ok {
+			return patchEnvelope(sn.epoch, sn.gen, gen, count, p), sn, nil
 		}
 	}
 	return fullAnswer(sn.epoch, sn.gen, sub), sn, nil
 }
+
+// stampHorizon is how many snapshots old a stamp may be and still be patched:
+// node stamps are 32-bit and compare in serial arithmetic (conduit.
+// ChildrenNewer), so past 2³¹ a child rewritten since would read as older.
+// The same wrap makes a child left alone for 2³¹ snapshots read as newer, so
+// it rides along in patches. Snapshots are numbered per rebuild, made only
+// for a read that finds the snapshot stale, rather than per publish, which
+// would take a million publishes a second 36 minutes to wrap.
+const stampHorizon = 1 << 31
 
 // Select returns the leaf paths in ns matching a '/'-separated glob
 // pattern ('*' = one segment, '**' = any tail), with the numeric values

@@ -485,7 +485,7 @@ func TestResetBetweenFoldAndEvaluate(t *testing.T) {
 	}
 	n := conduit.NewNode()
 	n.SetFloat("PROC/cn01/5.000000/CPU Util", 95)
-	watched, maxT := st.ingest(5, []pub{{ns: NSHardware, enc: n.EncodeBinary()}}, e.armed.Load().of(NSHardware))
+	watched, maxT := st.ingest(5, []pub{{ns: NSHardware, enc: n.EncodeBinary()}}, e.armed.Load().of(NSHardware), nil)
 	if len(watched) != 1 {
 		t.Fatalf("fold handed back %d watched series, want 1", len(watched))
 	}
