@@ -8,7 +8,7 @@
 //	somactl -addr ... telemetry
 //	somactl -addr ... query workflow RP/summary
 //	somactl -addr ... publish application 'FOM/task.000001/rate/12.5' 1.82e9
-//	somactl -addr ... watch -interval 2s hardware 'PROC/*/CPU Util'
+//	somactl -addr ... watch hardware 'PROC/*/CPU Util'
 //	somactl -addr ... alert set cpu-hot hardware 'PROC/*/CPU Util' '>' 90 10 critical
 //	somactl -addr ... shutdown
 package main
@@ -38,10 +38,8 @@ commands:
   query <namespace> [path]        print the merged subtree
   select <namespace> <pattern>    glob over leaf paths (* = segment, ** = tail)
   publish <namespace> <path> <v>  publish one float leaf at path
-  watch [-interval 2s] <namespace|soma.alerts|all> [pattern]
-                                  stream live updates (pushed; falls back to
-                                  polling at -interval if the service has no
-                                  update stream)
+  watch <namespace|soma.alerts|all> [pattern]
+                                  stream live updates pushed by the service
   alert set <name> <namespace> <pattern> <op> <threshold> <window_sec> [severity]
   alert rm <name>                 remove a threshold alert rule
   alert list                      print rules and current standings
@@ -170,24 +168,18 @@ func main() {
 		}
 		fmt.Println("ok")
 	case "watch":
-		fs := flag.NewFlagSet("watch", flag.ExitOnError)
-		ival := fs.Duration("interval", 2*time.Second, "poll fallback interval")
-		if err := fs.Parse(args[1:]); err != nil {
+		if len(args) < 2 || len(args) > 3 {
 			usage()
 		}
-		rest := fs.Args()
-		if len(rest) < 1 || len(rest) > 2 {
-			usage()
-		}
-		ns := core.Namespace(rest[0])
-		if rest[0] == "all" {
+		ns := core.Namespace(args[1])
+		if args[1] == "all" {
 			ns = ""
 		}
 		pattern := ""
-		if len(rest) == 2 {
-			pattern = rest[1]
+		if len(args) == 3 {
+			pattern = args[2]
 		}
-		watch(client, ns, pattern, *ival)
+		watch(client, ns, pattern)
 	case "alert":
 		if len(args) < 2 {
 			usage()
@@ -303,11 +295,9 @@ func main() {
 }
 
 // watch streams live updates for a namespace (or the soma.alerts stream, or
-// every namespace with ns == ""). The push path subscribes to the
-// service's update log; if the service has no stream support, watch
-// degrades to polling the merged tree every interval and printing the leaf
-// paths whose values changed.
-func watch(client *core.Client, ns core.Namespace, pattern string, interval time.Duration) {
+// every namespace with ns == "") from the service's update log until
+// interrupted; the subscription redials with backoff on its own.
+func watch(client *core.Client, ns core.Namespace, pattern string) {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
@@ -315,11 +305,9 @@ func watch(client *core.Client, ns core.Namespace, pattern string, interval time
 		printUpdate(u)
 		return nil
 	})
-	if err == nil || ctx.Err() != nil {
-		return
+	if err != nil && ctx.Err() == nil {
+		fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "somactl: streaming unavailable (%v), polling every %s\n", err, interval)
-	pollWatch(ctx, client, ns, pattern, interval)
 }
 
 func printUpdate(u core.Update) {
@@ -336,44 +324,6 @@ func printUpdate(u core.Update) {
 	}
 	fmt.Printf("── %s t=%.3f dropped=%d\n", u.NS, u.Time, u.Dropped)
 	fmt.Print(u.Tree.Format())
-}
-
-// pollWatch is the no-stream fallback: poll the namespace with a delta
-// query every interval and print leaves whose values changed since the
-// previous poll. Unchanged ticks cost a ~30-byte frame and skip the diff
-// entirely; the glob pattern is evaluated locally against the returned tree.
-func pollWatch(ctx context.Context, client *core.Client, ns core.Namespace, pattern string, interval time.Duration) {
-	if ns == "" || ns == core.NSAlerts {
-		fatal(fmt.Errorf("poll fallback needs a concrete namespace (not %q)", ns))
-	}
-	if pattern == "" {
-		pattern = "**"
-	}
-	prev := map[string]float64{}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		tree, changed, err := client.QueryDelta(ns, "")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "somactl: poll failed: %v\n", err)
-		} else if changed {
-			for _, p := range tree.Select(pattern) {
-				v, ok := tree.Float(p)
-				if !ok {
-					continue
-				}
-				if old, seen := prev[p]; !seen || old != v {
-					fmt.Printf("%s = %g\n", p, v)
-					prev[p] = v
-				}
-			}
-		}
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-		}
-	}
 }
 
 func fatal(err error) {

@@ -39,13 +39,13 @@ const DefaultAlertSeverity = "warning"
 // of NS whose key matches Pattern and fires when the mean over the trailing
 // WindowSec seconds satisfies "value Op Threshold".
 type AlertRule struct {
-	Name      string    `conduit:"name"` // unique rule name
-	NS        Namespace `conduit:"ns"`
-	Pattern   string    `conduit:"pattern"` // series-key glob: '*' one segment, '**' any tail
-	Op        string    `conduit:"op"`      // one of > < >= <=
-	Threshold float64   `conduit:"threshold"`
-	WindowSec float64   `conduit:"window"`   // trailing window width; min 1 (one rollup bucket)
-	Severity  string    `conduit:"severity"` // free-form label carried on transitions (default "warning")
+	Name      string    `conduit:"name" json:"name"` // unique rule name
+	NS        Namespace `conduit:"ns" json:"ns"`
+	Pattern   string    `conduit:"pattern" json:"pattern"` // series-key glob: '*' one segment, '**' any tail
+	Op        string    `conduit:"op" json:"op"`           // one of > < >= <=
+	Threshold float64   `conduit:"threshold" json:"threshold"`
+	WindowSec float64   `conduit:"window" json:"window_sec"` // trailing window width; min 1 (one rollup bucket)
+	Severity  string    `conduit:"severity" json:"severity"` // free-form label carried on transitions (default "warning")
 }
 
 func (r *AlertRule) validate() error {
@@ -87,13 +87,13 @@ func (r *AlertRule) eval(v float64) bool {
 
 // AlertState is the current standing of one (rule, series) pair.
 type AlertState struct {
-	Rule     string    `conduit:"rule"`
-	NS       Namespace `conduit:"ns"`
-	Key      string    `conduit:"key"`
-	Severity string    `conduit:"severity"`
-	Firing   bool      `conduit:"firing"`
-	Value    float64   `conduit:"value"` // windowed mean at the last transition or evaluation
-	Since    float64   `conduit:"since"` // service time of the last transition
+	Rule     string    `conduit:"rule" json:"rule"`
+	NS       Namespace `conduit:"ns" json:"ns"`
+	Key      string    `conduit:"key" json:"key"`
+	Severity string    `conduit:"severity" json:"severity"`
+	Firing   bool      `conduit:"firing" json:"firing"`
+	Value    float64   `conduit:"value" json:"value"` // windowed mean at the last transition or evaluation
+	Since    float64   `conduit:"since" json:"since"` // service time of the last transition
 }
 
 type alertState struct {

@@ -49,15 +49,6 @@ type Client struct {
 	mu      sync.Mutex
 	pendErr error
 
-	// encSeen memoizes frames PublishEncoded has already validated, keyed
-	// by first-byte pointer → frame length. A cached-payload publisher
-	// re-sends the same immutable slices millions of times; validating
-	// each slice once instead of per call takes ValidateBinary off the
-	// hot path. Sound because the PublishEncoded contract forbids mutating
-	// enc after the call. Bounded: reset wholesale past encSeenMax entries.
-	encSeenMu sync.Mutex
-	encSeen   map[*byte]int
-
 	// delta is the per-endpoint generation memo behind QueryDelta: the last
 	// tree per (ns, path) with the (epoch, gen) stamp the service sent
 	// alongside it. When a later poll's stamp still matches, the service
@@ -190,10 +181,9 @@ func (c *Client) Publish(ns Namespace, n *conduit.Node) error {
 // cached frames are flat byte slices, keeping the publisher's working set
 // free of pointer-rich trees the garbage collector would have to trace.
 // The frame is validated up front and copied into the outgoing frame before
-// the call returns; the caller must not mutate enc afterwards (the
-// validation memo remembers it by address).
+// the call returns.
 func (c *Client) PublishEncoded(ns Namespace, enc []byte) error {
-	if err := c.validateEncoded(enc); err != nil {
+	if err := conduit.ValidateBinary(enc); err != nil {
 		return err
 	}
 	return c.publish(ns, enc)
@@ -231,37 +221,6 @@ func appendPublishEnvelope(dst []byte, ns Namespace, enc []byte) []byte {
 	req.Fetch("data")
 	dst = req.AppendBinary(dst)
 	return append(dst[:len(dst)-1], enc[4:]...)
-}
-
-// encSeenMax bounds the validated-frame memo; past it the memo is dropped
-// wholesale (entries also pin their frames, so the bound caps retained
-// payload bytes too).
-const encSeenMax = 1 << 17
-
-// validateEncoded checks a PublishEncoded frame, consulting the memo of
-// slices this client has already validated so repeat sends of a cached
-// payload skip the wire-format walk.
-func (c *Client) validateEncoded(enc []byte) error {
-	if len(enc) == 0 {
-		return conduit.ValidateBinary(enc)
-	}
-	k := &enc[0]
-	c.encSeenMu.Lock()
-	n, ok := c.encSeen[k]
-	c.encSeenMu.Unlock()
-	if ok && n == len(enc) {
-		return nil
-	}
-	if err := conduit.ValidateBinary(enc); err != nil {
-		return err
-	}
-	c.encSeenMu.Lock()
-	if c.encSeen == nil || len(c.encSeen) >= encSeenMax {
-		c.encSeen = make(map[*byte]int)
-	}
-	c.encSeen[k] = len(enc)
-	c.encSeenMu.Unlock()
-	return nil
 }
 
 // deliver is the client's one outbound primitive: every publish frame —

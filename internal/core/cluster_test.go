@@ -820,11 +820,11 @@ func TestClusterScatterQueryTraced(t *testing.T) {
 			if sum.Root != "soma.client.query" {
 				continue
 			}
-			if got, ok := telemetry.Default().Traces().Get(sum.TraceID); ok && got.Start.After(tr.Start) {
+			if got, ok := telemetry.Default().Traces().Get(uint64(sum.TraceID)); ok && got.Start.After(tr.Start) {
 				tr = got
 			}
 		}
-		byID := map[uint64]telemetry.SpanSnapshot{}
+		byID := map[telemetry.ID]telemetry.SpanSnapshot{}
 		for _, sp := range tr.Spans {
 			byID[sp.SpanID] = sp
 		}

@@ -106,7 +106,6 @@ func TestControlPlaneAnswersAreCanonical(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats := func() []byte {
-		svc.statsFrame.Store(nil) // rebuild, not the cached frame
 		frame, err := svc.handleStats(context.Background(), nil)
 		if err != nil {
 			t.Fatal(err)

@@ -23,35 +23,37 @@ const RPCHealth = "soma.health"
 
 // HealthReport combines the service's self-reported health with the
 // reporting client's local resilience state. The service half is the
-// soma.health answer, its fields named on the wire by the conduit tags.
+// soma.health answer, its fields named on the wire by the conduit tags; the
+// json tags name them in the gateway's /api/health.
 type HealthReport struct {
 	// Service side; zero/empty when Status is "unreachable".
-	Status      string  `conduit:"status"`       // "ok", "stopped" or "unreachable"
-	UptimeSec   float64 `conduit:"uptime_sec"`   // seconds since the service was constructed
-	Publishes   int64   `conduit:"publishes"`    // total publishes ingested across instances
-	CallsServed int64   `conduit:"calls_served"` // RPCs served by the engine
-	ShedExpired int64   `conduit:"shed_expired"` // calls shed because the caller's deadline had passed
-	Err         string  `conduit:"-"`            // transport error when unreachable
+	Status      string  `conduit:"status" json:"status"`             // "ok", "stopped" or "unreachable"
+	UptimeSec   float64 `conduit:"uptime_sec" json:"uptime_sec"`     // seconds since the service was constructed
+	Publishes   int64   `conduit:"publishes" json:"publishes"`       // total publishes ingested across instances
+	CallsServed int64   `conduit:"calls_served" json:"calls_served"` // RPCs served by the engine
+	ShedExpired int64   `conduit:"shed_expired" json:"shed_expired"` // calls shed because the caller's deadline had passed
+	Err         string  `conduit:"-" json:"err,omitempty"`           // transport error when unreachable
 
 	// Client side; always populated.
-	Breaker  string     `conduit:"-"` // endpoint circuit-breaker state (see mercury.BreakerState)
-	Degraded bool       `conduit:"-"` // publishes currently buffered in the spill
-	Spill    SpillStats `conduit:"-"`
+	Breaker  string     `conduit:"-" json:"breaker"`  // endpoint circuit-breaker state (see mercury.BreakerState)
+	Degraded bool       `conduit:"-" json:"degraded"` // publishes currently buffered in the spill
+	Spill    SpillStats `conduit:"-" json:"-"`
 
 	// Cluster side; zero/empty unless the service joined a cluster
-	// (Service.JoinCluster).
-	ClusterSelf  string              `conduit:"cluster_self"`  // this instance's address on the ring
-	ClusterEpoch uint64              `conduit:"cluster_epoch"` // current ring epoch
-	ClusterAlive int                 `conduit:"cluster_alive"` // live members including self
-	ClusterPeers []ClusterPeerHealth `conduit:"cluster_peers"`
+	// (Service.JoinCluster). JSON writes the epoch as a decimal string: a
+	// JSON number past 2^53 is misread by JavaScript.
+	ClusterSelf  string              `conduit:"cluster_self" json:"cluster_self,omitempty"`          // this instance's address on the ring
+	ClusterEpoch uint64              `conduit:"cluster_epoch" json:"cluster_epoch,string,omitempty"` // current ring epoch
+	ClusterAlive int                 `conduit:"cluster_alive" json:"cluster_alive,omitempty"`        // live members including self
+	ClusterPeers []ClusterPeerHealth `conduit:"cluster_peers" json:"cluster_peers,omitempty"`
 }
 
 // ClusterPeerHealth is one peer's liveness as seen by the reporting instance.
 type ClusterPeerHealth struct {
-	ID     string `conduit:"id"`
-	Addr   string `conduit:"addr"`
-	Alive  bool   `conduit:"alive"`
-	Misses int    `conduit:"misses"` // consecutive failed pings
+	ID     string `conduit:"id" json:"id"`
+	Addr   string `conduit:"addr" json:"addr"`
+	Alive  bool   `conduit:"alive" json:"alive"`
+	Misses int    `conduit:"misses" json:"misses"` // consecutive failed pings
 }
 
 // handleHealth serves the service half of the report.
@@ -65,8 +67,9 @@ func (s *Service) handleHealth(_ context.Context, _ []byte) ([]byte, error) {
 	if s.Stopped() {
 		h.Status = "stopped"
 	}
-	for _, st := range s.Stats() {
-		h.Publishes += st.Publishes
+	for _, in := range s.distinctInstances() {
+		pubs, _, _ := in.counters()
+		h.Publishes += pubs
 	}
 	if cl := s.cl.Load(); cl != nil {
 		h.ClusterSelf = cl.self.Addr

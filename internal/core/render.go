@@ -206,7 +206,7 @@ const waterfallWidth = 48
 // spanDepth computes a span's nesting depth by walking its parent chain.
 // Spans whose parent left the trace (remote parents, capped traces) sit at
 // depth 0; the walk is bounded so a corrupt parent cycle cannot hang it.
-func spanDepth(byID map[uint64]telemetry.SpanSnapshot, sp telemetry.SpanSnapshot) int {
+func spanDepth(byID map[telemetry.ID]telemetry.SpanSnapshot, sp telemetry.SpanSnapshot) int {
 	depth := 0
 	for sp.Parent != 0 && depth < 16 {
 		p, ok := byID[sp.Parent]
@@ -259,7 +259,7 @@ func RenderTraceWaterfall(w io.Writer, tr telemetry.Trace, width int) {
 		window = 1
 	}
 
-	byID := make(map[uint64]telemetry.SpanSnapshot, len(tr.Spans))
+	byID := make(map[telemetry.ID]telemetry.SpanSnapshot, len(tr.Spans))
 	for _, sp := range tr.Spans {
 		byID[sp.SpanID] = sp
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -246,5 +247,49 @@ func TestHealthReport(t *testing.T) {
 	RenderHealth(&sb, h)
 	if !strings.Contains(sb.String(), "unreachable") {
 		t.Fatalf("rendered health missing status: %q", sb.String())
+	}
+}
+
+// TestHealthFoldsNothing: soma.health sums the stripes' publish counters, so a
+// liveness probe with records pending leaves every instance's snapshot as it
+// was — no fold, no leaf walk — and still reports every publish.
+func TestHealthFoldsNothing(t *testing.T) {
+	svc := NewService(ServiceConfig{})
+	defer svc.Close()
+	for i, ns := range Namespaces {
+		for j := 0; j <= i; j++ {
+			n := conduit.NewNode()
+			n.SetFloat(fmt.Sprintf("PROC/cn%02d/load", j), float64(j))
+			if err := svc.Publish(ns, n, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	before := map[Namespace]*snapshot{}
+	for _, ns := range Namespaces {
+		before[ns] = svc.instances[ns].snap.Load()
+	}
+	frame, err := svc.handleHealth(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h HealthReport
+	if err := unmarshalFrame(frame, &h); err != nil {
+		t.Fatal(err)
+	}
+	if h.Publishes != 10 { // 1+2+3+4 over the four namespaces
+		t.Fatalf("health publishes = %d, want 10", h.Publishes)
+	}
+	for _, ns := range Namespaces {
+		if svc.instances[ns].snap.Load() != before[ns] {
+			t.Errorf("%s: soma.health rebuilt the snapshot", ns)
+		}
+	}
+	// The records were pending: soma.stats counts leaves, and folds them.
+	svc.Stats()
+	for _, ns := range Namespaces {
+		if svc.instances[ns].snap.Load() == before[ns] {
+			t.Errorf("%s: no record was pending, so the check above proves nothing", ns)
+		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -30,9 +29,6 @@ var (
 	telBatchLatency = telemetry.Default().Histogram("core.publish.batch.latency")
 	telBatchFrames  = telemetry.Default().Counter("core.publish.batch.frames")
 
-	// soma.stats frame cache hits and misses (see handleStats).
-	telStatsCacheHits   = telemetry.Default().Counter("core.stats.cache_hits")
-	telStatsCacheMisses = telemetry.Default().Counter("core.stats.cache_misses")
 	// Query answers: polls answered "unchanged"; and partial answers built,
 	// with the children they carried and the children they left to the
 	// caller's memo.
@@ -95,24 +91,24 @@ func stripeCount(ranks int) int {
 
 // InstanceStats summarizes one namespace instance's activity. soma.stats
 // answers a map of them keyed by namespace, their fields named on the wire by
-// the conduit tags.
+// the conduit tags and in the gateway's /api/stats by the json tags.
 type InstanceStats struct {
-	Namespace Namespace `conduit:"-"` // the answer's map key
-	Ranks     int       `conduit:"ranks"`
-	Stripes   int       `conduit:"stripes"`
-	Publishes int64     `conduit:"publishes"`
-	Leaves    int64     `conduit:"leaves"` // leaves currently in the merged snapshot
-	BytesIn   int64     `conduit:"bytes_in"`
-	LastTime  float64   `conduit:"last_time"`
+	Namespace Namespace `conduit:"-" json:"ns"` // the answer's map key
+	Ranks     int       `conduit:"ranks" json:"ranks"`
+	Stripes   int       `conduit:"stripes" json:"stripes"`
+	Publishes int64     `conduit:"publishes" json:"publishes"`
+	Leaves    int64     `conduit:"leaves" json:"leaves"` // leaves currently in the merged snapshot
+	BytesIn   int64     `conduit:"bytes_in" json:"bytes_in"`
+	LastTime  float64   `conduit:"last_time" json:"last_time"`
 
 	// Occupancy of the instance's bounded store, to be read against its
 	// bound before that bites: rollup series held of SeriesCap (past it new
 	// series are dropped and counted) with the bytes their rings hold (at
 	// most 48 KiB each). All zero from a service without rollups or one that
 	// predates the fields.
-	Series      int   `conduit:"series"`
-	SeriesCap   int   `conduit:"series_cap"`
-	SeriesBytes int64 `conduit:"series_bytes"`
+	Series      int   `conduit:"series" json:"series"`
+	SeriesCap   int   `conduit:"series_cap" json:"series_cap"`
+	SeriesBytes int64 `conduit:"series_bytes" json:"series_bytes"`
 }
 
 // record is one raw publish waiting in a stripe's pending list, from the
@@ -435,20 +431,26 @@ func (in *instance) stats() InstanceStats {
 		Stripes:   len(in.stripes),
 		Leaves:    int64(in.snapshotTree().NumLeaves()),
 	}
-	for _, st := range in.stripes {
-		st.mu.Lock()
-		out.Publishes += st.pubs
-		out.BytesIn += st.bytesIn
-		if st.last > out.LastTime {
-			out.LastTime = st.last
-		}
-		st.mu.Unlock()
-	}
+	out.Publishes, out.BytesIn, out.LastTime = in.counters()
 	if in.rollup != nil {
 		out.SeriesCap = in.rollup.maxSeries
 		out.Series, out.SeriesBytes = in.rollup.occupancy()
 	}
 	return out
+}
+
+// counters sums the stripes' ingest counters: publishes, bytes in and the
+// newest publish time. It reads no snapshot, so a liveness probe folds and
+// walks nothing.
+func (in *instance) counters() (pubs, bytesIn int64, last float64) {
+	for _, st := range in.stripes {
+		st.mu.Lock()
+		pubs += st.pubs
+		bytesIn += st.bytesIn
+		last = max(last, st.last)
+		st.mu.Unlock()
+	}
+	return pubs, bytesIn, last
 }
 
 // reset discards merged state and pending batches, keeping the publish
@@ -493,11 +495,6 @@ type Service struct {
 	// started stamps service construction for soma.health's uptime.
 	started time.Time
 
-	// statsFrame caches the encoded soma.stats response, keyed by the
-	// (epoch, gen) stamps of every instance at build time; any publish or
-	// reset changes a stamp and the next request rebuilds. See handleStats.
-	statsFrame atomic.Pointer[statsCache]
-
 	// profileBusy serializes soma.profile captures: runtime/pprof allows a
 	// single active CPU profile per process, and even snapshot profiles are
 	// expensive enough that concurrent captures would be their own overhead
@@ -513,14 +510,6 @@ type Service struct {
 	mu      sync.Mutex
 	addrs   []string
 	stopped bool
-}
-
-// statsCache pairs an encoded soma.stats frame with the instance stamps it
-// was built against. Stale entries never match current stamps, so races
-// between capture and encode self-heal on the next request.
-type statsCache struct {
-	stamps []uint64 // statsStamps() at build time
-	frame  []byte
 }
 
 // RPC handler names the service registers.
@@ -796,12 +785,23 @@ func (s *Service) ResetNamespace(ns Namespace) error {
 // Stats returns per-instance statistics in namespace order. With a shared
 // instance, the same aggregate appears once under namespace "shared".
 func (s *Service) Stats() []InstanceStats {
-	if s.cfg.Shared {
-		return []InstanceStats{s.instances[NSWorkflow].stats()}
+	ins := s.distinctInstances()
+	out := make([]InstanceStats, len(ins))
+	for i, in := range ins {
+		out[i] = in.stats()
 	}
-	out := make([]InstanceStats, 0, len(Namespaces))
-	for _, ns := range Namespaces {
-		out = append(out, s.instances[ns].stats())
+	return out
+}
+
+// distinctInstances returns every instance once, in namespace order: with a
+// shared instance, that one.
+func (s *Service) distinctInstances() []*instance {
+	if s.cfg.Shared {
+		return []*instance{s.instances[NSWorkflow]}
+	}
+	out := make([]*instance, len(Namespaces))
+	for i, ns := range Namespaces {
+		out[i] = s.instances[ns]
 	}
 	return out
 }
@@ -890,50 +890,14 @@ func (s *Service) parseQuery(payload []byte) (queryReq, error) {
 	return queryReq{ns: ns, path: string(path), epoch: uint64(epoch), gen: uint64(gen), patch: patch}, nil
 }
 
-// statsStamps captures, in Stats() order, what every instance's soma.stats row
-// is a function of — the statsFrame cache key: the snapshot's (epoch, gen)
-// stamp, which every publish and reset moves, and the rollup store's
-// occupancy, which moves a moment later (the fold follows the stripe append
-// that bumps gen) and would otherwise be cached one publish stale.
-func (s *Service) statsStamps() []uint64 {
-	out := make([]uint64, 0, 4*len(Namespaces))
-	stamp := func(in *instance) {
-		sn := in.currentSnapshot()
-		out = append(out, sn.epoch, sn.gen)
-		if in.rollup != nil {
-			n, b := in.rollup.occupancy()
-			out = append(out, uint64(n), uint64(b))
-		}
-	}
-	if s.cfg.Shared {
-		stamp(s.instances[NSWorkflow])
-		return out
-	}
-	for _, ns := range Namespaces {
-		stamp(s.instances[ns])
-	}
-	return out
-}
-
 func (s *Service) handleStats(ctx context.Context, _ []byte) ([]byte, error) {
 	sp := telemetry.LeafSpan(ctx, "soma.stats.handler")
 	defer sp.End()
-	stamps := s.statsStamps()
-	if c := s.statsFrame.Load(); c != nil && slices.Equal(c.stamps, stamps) {
-		telStatsCacheHits.Inc()
-		return c.frame, nil
-	}
-	telStatsCacheMisses.Inc()
 	stats := map[Namespace]InstanceStats{}
 	for _, st := range s.Stats() {
 		stats[st.Namespace] = st
 	}
-	// A publish between statsStamps() and here makes this frame carry data
-	// newer than its stamp; that only causes one extra rebuild next request,
-	// never a stale hit (the stamp it would need to match is already gone).
-	frame := conduit.Marshal(stats).EncodeBinaryStable()
-	s.statsFrame.Store(&statsCache{stamps: stamps, frame: frame})
-	return frame, nil
+	return conduit.Marshal(stats).EncodeBinaryStable(), nil
 }
 
 func (s *Service) handleShutdown(_ context.Context, _ []byte) ([]byte, error) {

@@ -59,7 +59,7 @@ func TestTracePipelineCrossProcess(t *testing.T) {
 	}
 
 	ts := telemetry.Default().Traces()
-	var batchTrace uint64
+	var batchTrace telemetry.ID
 	for _, sum := range ts.List() {
 		if sum.Root == "soma.client.publish.batch" {
 			batchTrace = sum.TraceID
@@ -71,7 +71,7 @@ func TestTracePipelineCrossProcess(t *testing.T) {
 	}
 
 	// Fetch the assembled trace back through the RPC plane, like somactl.
-	tr, err := c.Trace(batchTrace)
+	tr, err := c.Trace(uint64(batchTrace))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -444,17 +444,14 @@ func TestWSAlertsStream(t *testing.T) {
 }
 
 // TestHealthClusterBlock: when the upstream joins a sharded cluster, the
-// gateway's /api/health must surface the membership block — self, ring
-// epoch, alive count and per-peer liveness — and omit it otherwise.
+// gateway's /api/health must surface the membership fields — self, ring
+// epoch (a decimal string), alive count and per-peer liveness — and omit
+// them otherwise.
 func TestHealthClusterBlock(t *testing.T) {
 	tg := newTestGateway(t, Config{})
 
-	var plain struct {
-		Cluster *struct{} `json:"cluster"`
-	}
-	tg.getJSON(t, "/api/health", &plain)
-	if plain.Cluster != nil {
-		t.Fatalf("unclustered upstream reported a cluster block")
+	if _, body := tg.get(t, "/api/health"); strings.Contains(string(body), `"cluster_`) {
+		t.Fatalf("unclustered upstream reported cluster fields: %s", body)
 	}
 
 	peer := core.NewService(core.ServiceConfig{})
@@ -478,37 +475,37 @@ func TestHealthClusterBlock(t *testing.T) {
 	join(peer, "gw-peer", []string{tg.addr})
 
 	var h struct {
-		Cluster *struct {
-			Self  string `json:"self"`
-			Epoch string `json:"epoch"`
-			Alive int    `json:"alive"`
-			Peers []struct {
-				ID    string `json:"id"`
-				Alive bool   `json:"alive"`
-			} `json:"peers"`
-		} `json:"cluster"`
+		Self  string `json:"cluster_self"`
+		Epoch string `json:"cluster_epoch"`
+		Alive int    `json:"cluster_alive"`
+		Peers []struct {
+			ID    string `json:"id"`
+			Alive bool   `json:"alive"`
+		} `json:"cluster_peers"`
 	}
 	// Peers start alive from the seed list but their configured labels only
 	// arrive with the first gossip exchange — poll for both.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		tg.getJSON(t, "/api/health", &h)
-		if h.Cluster != nil && h.Cluster.Alive == 2 &&
-			len(h.Cluster.Peers) == 1 && h.Cluster.Peers[0].ID == "gw-peer" {
+		if h.Alive == 2 && len(h.Peers) == 1 && h.Peers[0].ID == "gw-peer" {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("cluster block never settled on 2 alive with gossiped ids: %+v", h.Cluster)
+			t.Fatalf("cluster fields never settled on 2 alive with gossiped ids: %+v", h)
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
-	if h.Cluster.Self != tg.addr {
-		t.Errorf("cluster self = %q, want upstream addr %q", h.Cluster.Self, tg.addr)
+	if h.Self != tg.addr {
+		t.Errorf("cluster self = %q, want upstream addr %q", h.Self, tg.addr)
 	}
-	if h.Cluster.Epoch == "" || h.Cluster.Epoch == "0" {
-		t.Errorf("cluster epoch = %q, want a nonzero ring epoch", h.Cluster.Epoch)
+	if h.Epoch == "" || h.Epoch == "0" {
+		t.Errorf("cluster epoch = %q, want a nonzero ring epoch", h.Epoch)
 	}
-	if len(h.Cluster.Peers) != 1 || h.Cluster.Peers[0].ID != "gw-peer" || !h.Cluster.Peers[0].Alive {
-		t.Errorf("cluster peers = %+v, want one alive gw-peer", h.Cluster.Peers)
+	if len(h.Peers) != 1 || h.Peers[0].ID != "gw-peer" || !h.Peers[0].Alive {
+		t.Errorf("cluster peers = %+v, want one alive gw-peer", h.Peers)
 	}
+	var body any
+	tg.getJSON(t, "/api/health", &body)
+	assertNoNumericIDs(t, "/api/health", "", body)
 }

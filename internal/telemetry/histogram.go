@@ -124,21 +124,21 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 // TraceID observed in it.
 type BucketExemplar struct {
 	// Ceil is the bucket's exclusive upper bound (2^i ns).
-	Ceil    time.Duration `conduit:"le_ns"`
-	TraceID uint64        `conduit:"trace"`
+	Ceil    time.Duration `conduit:"le_ns" json:"ceil_ns"`
+	TraceID ID            `conduit:"trace" json:"trace_id"`
 }
 
 // HistogramSnapshot is a point-in-time summary of a histogram.
 type HistogramSnapshot struct {
-	Count uint64        `conduit:"count"`
-	Sum   time.Duration `conduit:"sum_ns"`
-	Max   time.Duration `conduit:"max_ns"`
-	P50   time.Duration `conduit:"p50_ns"`
-	P95   time.Duration `conduit:"p95_ns"`
-	P99   time.Duration `conduit:"p99_ns"`
+	Count uint64        `conduit:"count" json:"count"`
+	Sum   time.Duration `conduit:"sum_ns" json:"sum_ns"`
+	Max   time.Duration `conduit:"max_ns" json:"max_ns"`
+	P50   time.Duration `conduit:"p50_ns" json:"p50_ns"`
+	P95   time.Duration `conduit:"p95_ns" json:"p95_ns"`
+	P99   time.Duration `conduit:"p99_ns" json:"p99_ns"`
 	// Exemplars lists, ascending by bucket, the most recent TraceID per
 	// occupied bucket (only buckets that saw a traced observation appear).
-	Exemplars []BucketExemplar `conduit:"exemplars"`
+	Exemplars []BucketExemplar `conduit:"exemplars" json:"exemplars,omitempty"`
 }
 
 // Mean returns the average observed duration.
@@ -165,7 +165,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 			if i < 63 {
 				ceil = time.Duration(int64(1) << i)
 			}
-			snap.Exemplars = append(snap.Exemplars, BucketExemplar{Ceil: ceil, TraceID: id})
+			snap.Exemplars = append(snap.Exemplars, BucketExemplar{Ceil: ceil, TraceID: ID(id)})
 		}
 	}
 	return snap

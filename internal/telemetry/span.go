@@ -2,7 +2,9 @@ package telemetry
 
 import (
 	"context"
+	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,6 +80,27 @@ func NewID() uint64 {
 	return x
 }
 
+// ID is a trace or span id as a snapshot or answer carries it. Conduit
+// carries it as the same int leaf as a uint64; JSON writes it as the 16 hex
+// digits somactl prints, because a JSON number past 2^53 is misread by
+// JavaScript.
+type ID uint64
+
+// MarshalText writes id as 16 lowercase hex digits.
+func (id ID) MarshalText() ([]byte, error) {
+	return fmt.Appendf(nil, "%016x", uint64(id)), nil
+}
+
+// UnmarshalText reads the hex form MarshalText writes.
+func (id *ID) UnmarshalText(b []byte) error {
+	v, err := strconv.ParseUint(string(b), 16, 64)
+	if err != nil {
+		return fmt.Errorf("telemetry: bad id %q", b)
+	}
+	*id = ID(v)
+	return nil
+}
+
 // Span is one timed operation within a trace. End records it into the
 // registry's recent-span ring (and trace store, when configured). Spans are
 // handed out by StartSpan, ChildSpan and LeafSpan; a nil *Span is a valid
@@ -147,9 +170,9 @@ func (s *Span) EndAt(now time.Time) {
 	reg := s.reg
 	s.reg = nil
 	snap := SpanSnapshot{
-		TraceID: s.tc.TraceID,
-		SpanID:  s.tc.SpanID,
-		Parent:  s.parent,
+		TraceID: ID(s.tc.TraceID),
+		SpanID:  ID(s.tc.SpanID),
+		Parent:  ID(s.parent),
 		Name:    s.name,
 		Start:   s.start,
 		Dur:     now.Sub(s.start),
@@ -237,16 +260,17 @@ func LeafSpanAt(ctx context.Context, name string, start time.Time) *Span {
 }
 
 // SpanSnapshot is one completed span. The conduit tags name its fields on the
-// soma.telemetry and soma.trace.get wire.
+// soma.telemetry and soma.trace.get wire, the json tags in the gateway's
+// answers.
 type SpanSnapshot struct {
-	TraceID uint64        `conduit:"trace"`
-	SpanID  uint64        `conduit:"span"`
-	Parent  uint64        `conduit:"parent"` // parent span id; 0 for root spans
-	Name    string        `conduit:"name"`
-	Start   time.Time     `conduit:"start_ns"`
-	Dur     time.Duration `conduit:"dur_ns"`
-	Count   int64         `conduit:"count"` // optional unit count (batch entries); 0 = not set
-	Err     bool          `conduit:"err"`   // the operation failed
+	TraceID ID            `conduit:"trace" json:"trace_id"`
+	SpanID  ID            `conduit:"span" json:"span_id"`
+	Parent  ID            `conduit:"parent" json:"parent,omitempty"` // parent span id; 0 for root spans
+	Name    string        `conduit:"name" json:"name"`
+	Start   time.Time     `conduit:"start_ns" json:"start"`
+	Dur     time.Duration `conduit:"dur_ns" json:"dur_ns"`
+	Count   int64         `conduit:"count" json:"count,omitempty"` // optional unit count (batch entries); 0 = not set
+	Err     bool          `conduit:"err" json:"err,omitempty"`     // the operation failed
 }
 
 // spanRingSize is the default recent-span ring capacity; Options /

@@ -205,12 +205,13 @@ func (r *Registry) Histogram(name string) *Histogram {
 }
 
 // Snapshot is a point-in-time copy of a registry, safe to encode and ship:
-// the soma.telemetry answer, its fields named on the wire by the conduit tags.
+// the soma.telemetry answer, its fields named on the wire by the conduit tags
+// and in the gateway's /api/telemetry by the json tags.
 type Snapshot struct {
-	Counters   map[string]int64             `conduit:"counters"`
-	Gauges     map[string]float64           `conduit:"gauges"`
-	Histograms map[string]HistogramSnapshot `conduit:"hist"`
-	Spans      []SpanSnapshot               `conduit:"spans"`
+	Counters   map[string]int64             `conduit:"counters" json:"counters"`
+	Gauges     map[string]float64           `conduit:"gauges" json:"gauges"`
+	Histograms map[string]HistogramSnapshot `conduit:"hist" json:"histograms"`
+	Spans      []SpanSnapshot               `conduit:"spans" json:"spans"`
 }
 
 // Snapshot captures every metric and the recent-span ring. Metric reads are

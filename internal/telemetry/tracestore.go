@@ -46,8 +46,8 @@ type TraceStore struct {
 	gates  map[string]*tailGate
 
 	keptMu    sync.Mutex
-	kept      map[uint64]*list.Element // value: *Trace
-	keptOrder *list.List               // front = most recently kept
+	kept      map[ID]*list.Element // value: *Trace
+	keptOrder *list.List           // front = most recently kept
 	keptBytes int64
 
 	// Counters land in the owning registry, so sampling behaviour is
@@ -129,18 +129,19 @@ const (
 
 // Trace is one kept trace: this process's spans for a TraceID, plus the
 // root-derived summary fields. It is the soma.trace.get answer, its fields
-// named on the wire by the conduit tags.
+// named on the wire by the conduit tags and in the gateway's
+// /api/traces/{id} by the json tags.
 type Trace struct {
-	TraceID uint64         `conduit:"trace"`
-	Root    string         `conduit:"root"` // root span name
-	Start   time.Time      `conduit:"start_ns"`
-	Dur     time.Duration  `conduit:"dur_ns"` // root span duration
-	Err     bool           `conduit:"err"`
-	Reason  string         `conduit:"reason"` // KeepError, KeepTail or KeepHead
-	Spans   []SpanSnapshot `conduit:"spans"`
+	TraceID ID             `conduit:"trace" json:"trace_id"`
+	Root    string         `conduit:"root" json:"root"` // root span name
+	Start   time.Time      `conduit:"start_ns" json:"start"`
+	Dur     time.Duration  `conduit:"dur_ns" json:"dur_ns"` // root span duration
+	Err     bool           `conduit:"err" json:"err"`
+	Reason  string         `conduit:"reason" json:"reason"` // KeepError, KeepTail or KeepHead
+	Spans   []SpanSnapshot `conduit:"spans" json:"spans"`
 	// DroppedSpans counts spans beyond MaxSpansPerTrace that were observed
 	// but not retained.
-	DroppedSpans int `conduit:"dropped_spans"`
+	DroppedSpans int `conduit:"dropped_spans" json:"dropped_spans,omitempty"`
 
 	bytes int64
 }
@@ -148,13 +149,13 @@ type Trace struct {
 // TraceSummary is the list-view projection of a kept trace; soma.trace.list
 // answers a list of them.
 type TraceSummary struct {
-	TraceID uint64        `conduit:"trace"`
-	Root    string        `conduit:"root"`
-	Start   time.Time     `conduit:"start_ns"`
-	Dur     time.Duration `conduit:"dur_ns"`
-	Spans   int           `conduit:"spans"`
-	Err     bool          `conduit:"err"`
-	Reason  string        `conduit:"reason"`
+	TraceID ID            `conduit:"trace" json:"trace_id"`
+	Root    string        `conduit:"root" json:"root"`
+	Start   time.Time     `conduit:"start_ns" json:"start"`
+	Dur     time.Duration `conduit:"dur_ns" json:"dur_ns"`
+	Spans   int           `conduit:"spans" json:"spans"`
+	Err     bool          `conduit:"err" json:"err"`
+	Reason  string        `conduit:"reason" json:"reason"`
 }
 
 type pendingTrace struct {
@@ -168,7 +169,7 @@ type pendingTrace struct {
 
 type traceShard struct {
 	mu      sync.Mutex
-	pending map[uint64]*pendingTrace
+	pending map[ID]*pendingTrace
 }
 
 // tailGate is one root name's rolling latency distribution plus its cached
@@ -184,7 +185,7 @@ func newTraceStore(opt TraceStoreOptions, reg *Registry) *TraceStore {
 	ts := &TraceStore{
 		opt:          opt,
 		gates:        map[string]*tailGate{},
-		kept:         map[uint64]*list.Element{},
+		kept:         map[ID]*list.Element{},
 		keptOrder:    list.New(),
 		cKeptErr:     reg.Counter("telemetry.traces.kept.error"),
 		cKeptTail:    reg.Counter("telemetry.traces.kept.tail"),
@@ -197,7 +198,7 @@ func newTraceStore(opt TraceStoreOptions, reg *Registry) *TraceStore {
 		gPending:     reg.Gauge("telemetry.traces.pending"),
 	}
 	for i := range ts.shards {
-		ts.shards[i].pending = map[uint64]*pendingTrace{}
+		ts.shards[i].pending = map[ID]*pendingTrace{}
 	}
 	return ts
 }
@@ -256,7 +257,7 @@ func (ts *TraceStore) record(s SpanSnapshot, localRoot bool) {
 // shard — an approximation that keeps eviction O(shard size).
 func (ts *TraceStore) evictOldestPendingLocked(sh *traceShard) {
 	var (
-		oldID  uint64
+		oldID  ID
 		oldSeq uint64
 		found  bool
 	)
@@ -426,7 +427,7 @@ func (ts *TraceStore) Slowest(limit int) []TraceSummary {
 // time (completion order within equal starts).
 func (ts *TraceStore) Get(id uint64) (Trace, bool) {
 	ts.keptMu.Lock()
-	el, ok := ts.kept[id]
+	el, ok := ts.kept[ID(id)]
 	if !ok {
 		ts.keptMu.Unlock()
 		return Trace{}, false

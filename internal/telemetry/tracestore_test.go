@@ -220,7 +220,7 @@ func TestTraceStoreConcurrent(t *testing.T) {
 				root.End()
 				if i%50 == 0 {
 					for _, sum := range ts.List() {
-						ts.Get(sum.TraceID)
+						ts.Get(uint64(sum.TraceID))
 					}
 					ts.Slowest(4)
 				}

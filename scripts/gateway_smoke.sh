@@ -90,7 +90,14 @@ for route in "/api/health" "/api/stats" "/api/query?ns=hardware" \
     [ "$code" = "200" ] || fail api "$route returned $code"
 done
 curl -s "$GATE_URL/api/health" | grep -q '"status":"ok"' || fail api "health not ok"
-pass api "9 routes 200"
+# A 200 with the wrong shape still breaks the dashboard: each control-plane
+# body must carry the key its consumers read (an empty list is [], not absent).
+for check in '/api/alerts "rules"' '/api/stats "namespaces"' '/api/traces "traces"'; do
+    read -r route key <<<"$check"
+    body=$(curl -s "$GATE_URL$route")
+    grep -q "$key" <<<"$body" || fail api "$route body lacks $key: $body"
+done
+pass api "9 routes 200, alerts/stats/traces bodies keyed"
 
 # --- query cache: repeat queries hit the memoized JSON body --------------
 curl -s -o /dev/null "$GATE_URL/api/query?ns=hardware"
